@@ -23,8 +23,9 @@ makes the RTS/CTS protection physically meaningful.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from repro.sim.engine import Event, Simulator
 from repro.utils.dbmath import dbm_to_watt, linear_to_db, thermal_noise_dbm
 from repro.wifi.frames import FrameTimings
-from repro.wifi.rates import BASE_MCS, WifiMcs
+from repro.wifi.rates import BASE_MCS, WifiMcs, data_rate_bps
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,12 @@ class DcfParams:
 MPDU_LOSS_WINDOW_DB = 6.0
 
 
+#: Slack on the interference window's lower edge.  It absorbs the rounding
+#: of ``start + duration`` so a frame left out of the scan provably ends at
+#: or before the evaluated frame starts, at any plausible simulated time.
+_WINDOW_SLACK_S = 1e-6
+
+
 def mpdu_delivery_fraction(sinr_db: float, required_snr_db: float) -> float:
     """Fraction of an A-MPDU's MPDUs decoded at ``sinr_db``.
 
@@ -122,7 +129,9 @@ class WifiMedium:
         sim: the discrete-event simulator driving the network.
         loss_db: propagation loss callback ``(station_a, station_b) -> dB``.
         bandwidth_hz: channel bandwidth (noise floor + rate scaling).
-        params: DCF parameters shared by all nodes.
+        params: DCF parameters shared by all nodes.  The medium keeps a
+            private copy with the carrier-sense threshold resolved, so the
+            caller's object is never written to.
         noise_figure_db: receiver noise figure.
     """
 
@@ -135,17 +144,25 @@ class WifiMedium:
         noise_figure_db: float = 7.0,
     ) -> None:
         self.sim = sim
-        self.params = params
         self.bandwidth_hz = bandwidth_hz
         self.noise_dbm = thermal_noise_dbm(bandwidth_hz, noise_figure_db)
         if params.cs_threshold_dbm is None:
-            params.cs_threshold_dbm = self.noise_dbm + CS_DETECT_SNR_DB
+            params = dataclasses.replace(
+                params, cs_threshold_dbm=self.noise_dbm + CS_DETECT_SNR_DB
+            )
+        self.params = params
         self._loss_db = loss_db
+        self._noise_w = dbm_to_watt(self.noise_dbm)
         self._stations: Dict[int, Station] = {}
         self._nodes: List["CsmaNode"] = []
         self._rx_cache: Dict[Tuple[int, int], float] = {}
+        self._rx_w_cache: Dict[Tuple[int, int], float] = {}
+        # Carrier-sensing nodes per talker, in ``_nodes`` order.
+        self._listeners: Dict[int, List["CsmaNode"]] = {}
         self._active: List[Transmission] = []
+        # Sorted by ``start``: frames are appended at ``sim.now``.
         self._history: List[Transmission] = []
+        self._max_span = 0.0
 
     # -- Setup ---------------------------------------------------------------
 
@@ -162,6 +179,7 @@ class WifiMedium:
     def attach_node(self, node: "CsmaNode") -> None:
         """Register a contending node for busy/idle notifications."""
         self._nodes.append(node)
+        self._listeners.clear()
 
     def station(self, station_id: int) -> Station:
         """Look up a station."""
@@ -177,6 +195,14 @@ class WifiMedium:
             dst = self._stations[dst_id]
             self._rx_cache[key] = src.tx_power_dbm - self._loss_db(src, dst)
         return self._rx_cache[key]
+
+    def _rx_watt(self, src_id: int, dst_id: int) -> float:
+        """:meth:`rx_dbm` in watts (cached)."""
+        key = (src_id, dst_id)
+        watt = self._rx_w_cache.get(key)
+        if watt is None:
+            watt = self._rx_w_cache[key] = dbm_to_watt(self.rx_dbm(src_id, dst_id))
+        return watt
 
     def hears(self, listener_station_id: int, talker_station_id: int) -> bool:
         """Whether ``listener`` carrier-senses ``talker``'s transmissions."""
@@ -210,14 +236,17 @@ class WifiMedium:
         )
         self._active.append(tx)
         self._history.append(tx)
+        self._max_span = max(self._max_span, tx.end - tx.start)
 
-        listeners = [
-            node
-            for node in self._nodes
-            if node.station.station_id != src_id and self.hears(
-                node.station.station_id, src_id
-            )
-        ]
+        listeners = self._listeners.get(src_id)
+        if listeners is None:
+            listeners = self._listeners[src_id] = [
+                node
+                for node in self._nodes
+                if node.station.station_id != src_id and self.hears(
+                    node.station.station_id, src_id
+                )
+            ]
         for node in listeners:
             self.sim.schedule(self.params.cs_delay_s, node.on_medium_busy)
 
@@ -232,15 +261,25 @@ class WifiMedium:
     def sinr_db(self, tx: Transmission) -> float:
         """SINR of ``tx`` at its destination, interference overlap-weighted.
 
-        Evaluated at frame end, using the full history so interferers that
+        Evaluated at frame end, using the history so interferers that
         already finished still count for the portion they overlapped.
+
+        Only the history's tail is scanned: no frame lasts longer than
+        ``_max_span``, so one that starts more than that before ``tx`` ends
+        before ``tx`` starts and would contribute nothing.  The tail is
+        summed in history order, so the result is bit-identical to a scan
+        of the whole history.
         """
         if tx.dst is None:
             raise ValueError("transmission has no destination to evaluate")
-        signal_w = dbm_to_watt(self.rx_dbm(tx.src, tx.dst))
-        noise_w = dbm_to_watt(self.noise_dbm)
+        history = self._history
+        earliest = tx.start - self._max_span - _WINDOW_SLACK_S
+        first = len(history)
+        while first > 0 and history[first - 1].start >= earliest:
+            first -= 1
+        signal_w = self._rx_watt(tx.src, tx.dst)
         interference_w = 0.0
-        for other in self._history:
+        for other in history[first:]:
             if other is tx or other.src == tx.src:
                 continue
             if other.src == tx.dst:
@@ -248,8 +287,8 @@ class WifiMedium:
             fraction = tx.overlap_fraction(other)
             if fraction <= 0.0:
                 continue
-            interference_w += fraction * dbm_to_watt(self.rx_dbm(other.src, tx.dst))
-        return linear_to_db(signal_w / (noise_w + interference_w))
+            interference_w += fraction * self._rx_watt(other.src, tx.dst)
+        return linear_to_db(signal_w / (self._noise_w + interference_w))
 
     def set_nav(self, around_station_id: int, until: float) -> None:
         """Set the NAV of every node that can hear ``around_station_id``."""
@@ -334,6 +373,7 @@ class CsmaNode:
         self._attempt_event: Optional[Event] = None
         self._countdown_started: Optional[float] = None
         self._in_txop = False
+        self._current_dest: Optional[int] = None
 
         medium.attach_node(self)
 
@@ -480,8 +520,6 @@ class CsmaNode:
         # the exchange (this is what protects against hidden terminals).
         dest = rts.dst
         mcs = self._dest_mcs[dest]
-        from repro.wifi.rates import data_rate_bps
-
         rate = data_rate_bps(mcs, self.medium.bandwidth_hz)
         agg_bits = self._aggregate_bits(dest, rate)
         data_s = timings.data_frame_s(int(agg_bits / 8.0) + 1, rate)
@@ -511,8 +549,6 @@ class CsmaNode:
     def _send_data(self, dest: int) -> None:
         timings = self.params.timings
         mcs = self._dest_mcs[dest]
-        from repro.wifi.rates import data_rate_bps
-
         rate = data_rate_bps(mcs, self.medium.bandwidth_hz)
         bits = self._aggregate_bits(dest, rate)
         if bits <= 0.0:
@@ -570,8 +606,6 @@ class CsmaNode:
             # Drop the head aggregate; with saturated queues this models
             # the MAC giving up on this frame.
             mcs = self._dest_mcs[dest]
-            from repro.wifi.rates import data_rate_bps
-
             rate = data_rate_bps(mcs, self.medium.bandwidth_hz)
             dropped = self._aggregate_bits(dest, rate)
             self._queue_bits[dest] = max(0.0, self._queue_bits[dest] - dropped)

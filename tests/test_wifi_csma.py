@@ -91,6 +91,17 @@ class TestMedium:
             medium.noise_dbm + 19.0
         )
 
+    def test_shared_params_keep_per_bandwidth_thresholds(self):
+        # One DcfParams serving two media must not carry the first
+        # medium's derived threshold into the second.
+        params = DcfParams(timings=FrameTimings(bandwidth_hz=6e6))
+        narrow = WifiMedium(Simulator(), _flat_loss(80.0), 6e6, params)
+        wide = WifiMedium(Simulator(), _flat_loss(80.0), 20e6, params)
+        assert params.cs_threshold_dbm is None
+        assert narrow.params.cs_threshold_dbm == narrow.noise_dbm + 19.0
+        assert wide.params.cs_threshold_dbm == wide.noise_dbm + 19.0
+        assert wide.params.cs_threshold_dbm > narrow.params.cs_threshold_dbm
+
     def test_sinr_no_interference(self):
         sim = Simulator()
         medium = _medium(sim, loss_db=70.0)
