@@ -130,13 +130,10 @@ class MobileNetworkRunner:
         self.topology = self.net.topology
 
     def _rsrp(self, topology: Topology) -> Dict[int, Dict[int, float]]:
-        levels: Dict[int, Dict[int, float]] = {}
-        for client in topology.clients:
-            levels[client.client_id] = {
-                ap.ap_id: self.net.rx_rb_power_dbm(client.client_id, ap.ap_id)
-                for ap in topology.aps
-            }
-        return levels
+        return {
+            client.client_id: self.net.rx_rb_levels_dbm(client.client_id)
+            for client in topology.clients
+        }
 
     def run(
         self,

@@ -448,11 +448,12 @@ class LteNetworkSimulator:
     def _precompute_link_powers(self) -> None:
         """Cache per-RB received powers for every (client, AP) pair.
 
-        Builds both the scalar per-link dicts (reference backend) and the
-        dense matrices the vectorized backend indexes; both are filled from
-        the same :class:`GainMatrixCache` queries, one client row at a time
-        (see :meth:`_refresh_client_links`), so a mobility update refreshes
-        exactly one row of everything.
+        The dense ``(n_clients, n_aps)`` link matrices -- per-RB received
+        dBm, the same in watts, and PRACH audibility -- are the only
+        derived link store: every backend and every per-link accessor
+        reads them.  They fill from :class:`GainMatrixCache` rows, one
+        client row at a time (see :meth:`_refresh_client_links`), so a
+        mobility update refreshes exactly one row of each.
         """
         # Power spectral density: total power spread across all RBs.
         psd_offset_db = 10.0 * math.log10(self.grid.n_rbs)
@@ -473,9 +474,6 @@ class LteNetworkSimulator:
         self._ap_col: Dict[int, int] = dict(self.gain_cache.ap_index)
         n_clients, n_aps = len(clients), len(aps)
 
-        self._rx_rb_dbm: Dict[Tuple[int, int], float] = {}
-        self._rx_rb_w: Dict[Tuple[int, int], float] = {}
-        self._prach_audible: Dict[Tuple[int, int], bool] = {}
         self._rx_dbm_mat = np.zeros((n_clients, n_aps))
         self._rx_w_mat = np.zeros((n_clients, n_aps))
         self._prach_mat = np.zeros((n_clients, n_aps), dtype=bool)
@@ -526,42 +524,39 @@ class LteNetworkSimulator:
         )
 
     def _refresh_client_links(self, client) -> None:
-        """(Re)compute every cached link quantity for one client.
+        """(Re)compute one client's row of every link matrix.
 
         Used for the initial fill and after :meth:`move_client` /
         :meth:`reattach_client`.  All losses come from the gain cache; the
         channel is reciprocal so one cached entry serves the downlink data
-        path and the uplink PRACH path.
+        path and the uplink PRACH path.  The row is computed with the same
+        IEEE subtracts and compares per link as a scalar evaluation, and
+        watts go through the scalar :func:`dbm_to_watt` per link (a vector
+        power may differ from libm in the last ulp).
 
         Links beyond the gain cache's culling horizon are stored as dead:
-        ``-inf`` dBm, exactly ``0.0`` W and inaudible PRACH.  All backends
-        read these same tables, so culling changes the physics for all of
-        them identically (the scalar oracle included).
+        ``-inf`` dBm, exactly ``0.0`` W (``10.0 ** -inf``) and inaudible
+        PRACH.  All backends read these same matrices, so culling changes
+        the physics for all of them identically (the scalar oracle
+        included).
         """
         cid = client.client_id
         row = self._client_row[cid]
-        horizon = self.gain_cache.cull_loss_db
+        loss = self.gain_cache.rows([cid])[0]
         # Uplink PRACH open-loop power control toward the *serving* cell.
-        serving_loss = self.gain_cache.loss_db(cid, client.ap_id)
+        serving_loss = loss.item(self._ap_col[client.ap_id])
         prach_tx_dbm = min(self.ue_tx_power_dbm, PRACH_TARGET_RX_DBM + serving_loss)
-        for ap in self.topology.aps:
-            loss = self.gain_cache.loss_db(cid, ap.ap_id)
-            if horizon is not None and loss > horizon:
-                rx_dbm = float("-inf")
-                rx_w = 0.0
-                audible = False
-            else:
-                rx_dbm = self._per_rb_tx_dbm - loss
-                rx_w = dbm_to_watt(rx_dbm)
-                snr = prach_tx_dbm - loss - self._prach_noise_dbm
-                audible = snr >= PRACH_DETECTION_SNR_DB
-            col = self._ap_col[ap.ap_id]
-            self._rx_rb_dbm[(cid, ap.ap_id)] = rx_dbm
-            self._rx_rb_w[(cid, ap.ap_id)] = rx_w
-            self._prach_audible[(cid, ap.ap_id)] = audible
-            self._rx_dbm_mat[row, col] = rx_dbm
-            self._rx_w_mat[row, col] = rx_w
-            self._prach_mat[row, col] = audible
+        rx_dbm = self._per_rb_tx_dbm - loss
+        snr = prach_tx_dbm - loss - self._prach_noise_dbm
+        audible = snr >= PRACH_DETECTION_SNR_DB
+        horizon = self.gain_cache.cull_loss_db
+        if horizon is not None:
+            culled = loss > horizon
+            rx_dbm[culled] = -np.inf
+            audible[culled] = False
+        self._rx_dbm_mat[row] = rx_dbm
+        self._rx_w_mat[row] = list(map(dbm_to_watt, rx_dbm.tolist()))
+        self._prach_mat[row] = audible
 
     def _mark_rows_dirty(self, ap_id: int) -> None:
         """Bump an AP's row-set version: its cached epoch block is stale."""
@@ -625,12 +620,7 @@ class LteNetworkSimulator:
 
     def _clear_client_links(self, client) -> None:
         """Reset a disowned client's cached links to the dead-link state."""
-        cid = client.client_id
-        row = self._client_row[cid]
-        for ap in self.topology.aps:
-            self._rx_rb_dbm.pop((cid, ap.ap_id), None)
-            self._rx_rb_w.pop((cid, ap.ap_id), None)
-            self._prach_audible.pop((cid, ap.ap_id), None)
+        row = self._client_row[client.client_id]
         self._rx_dbm_mat[row, :] = 0.0
         self._rx_w_mat[row, :] = 0.0
         self._prach_mat[row, :] = False
@@ -648,13 +638,37 @@ class LteNetworkSimulator:
 
     # -- Radio queries ----------------------------------------------------------
 
+    def _owned_row(self, client_id: int) -> int:
+        """A client's link-matrix row; ``KeyError`` if this view lacks it.
+
+        A shard view keeps live links only for the clients it owns; a
+        foreign client's row is the zeroed dead-link state, which must not
+        read as a 0 dBm link.
+        """
+        if not self._owns_client(client_id):
+            raise KeyError(f"client {client_id} is not owned by this shard")
+        return self._client_row[client_id]
+
     def rx_rb_power_dbm(self, client_id: int, ap_id: int) -> float:
         """Per-RB received power at a client from an AP."""
-        return self._rx_rb_dbm[(client_id, ap_id)]
+        return self._rx_dbm_mat.item(
+            self._owned_row(client_id), self._ap_col[ap_id]
+        )
+
+    def rx_rb_levels_dbm(self, client_id: int) -> Dict[int, float]:
+        """Per-RB received power at a client from every AP, in AP order.
+
+        Equal to :meth:`rx_rb_power_dbm` per AP, read from one matrix row.
+        """
+        row = self._rx_dbm_mat[self._owned_row(client_id)].tolist()
+        cols = self._ap_col
+        return {ap.ap_id: row[cols[ap.ap_id]] for ap in self.topology.aps}
 
     def prach_audible(self, client_id: int, ap_id: int) -> bool:
         """Whether ``ap_id`` can detect PRACH preambles of ``client_id``."""
-        return self._prach_audible[(client_id, ap_id)]
+        return self._prach_mat.item(
+            self._owned_row(client_id), self._ap_col[ap_id]
+        )
 
     def sinr_db(
         self,
@@ -663,13 +677,13 @@ class LteNetworkSimulator:
         interfering_aps: Sequence[int],
     ) -> float:
         """Per-RB SINR at a client for a given co-RB interferer set."""
-        signal_w = self._rx_rb_w[(client_id, serving_ap)]
+        rx_w = self._rx_w_mat[self._owned_row(client_id)].tolist()
+        cols = self._ap_col
+        signal_w = rx_w[cols[serving_ap]]
         if signal_w <= 0.0:
             return ZERO_SIGNAL_SINR_DB
         noise_w = self._rb_noise_w
-        interference_w = sum(
-            self._rx_rb_w[(client_id, ap)] for ap in interfering_aps
-        )
+        interference_w = sum(rx_w[cols[ap]] for ap in interfering_aps)
         return linear_to_db(signal_w / (noise_w + interference_w))
 
     def clean_sinr_db(self, client_id: int, serving_ap: int) -> float:
@@ -684,13 +698,14 @@ class LteNetworkSimulator:
         weights: Sequence[float],
     ) -> float:
         """SINR with per-interferer duty-cycle weights in [0, 1]."""
-        signal_w = self._rx_rb_w[(client_id, serving_ap)]
+        rx_w = self._rx_w_mat[self._owned_row(client_id)].tolist()
+        cols = self._ap_col
+        signal_w = rx_w[cols[serving_ap]]
         if signal_w <= 0.0:
             return ZERO_SIGNAL_SINR_DB
         noise_w = self._rb_noise_w
         interference_w = sum(
-            w * self._rx_rb_w[(client_id, ap)]
-            for ap, w in zip(interfering_aps, weights)
+            w * rx_w[cols[ap]] for ap, w in zip(interfering_aps, weights)
         )
         return linear_to_db(signal_w / (noise_w + interference_w))
 
@@ -705,10 +720,10 @@ class LteNetworkSimulator:
         """
         if not self.control_interference or not co_channel_aps:
             return 1.0
-        signal = self._rx_rb_dbm[(client_id, serving_ap)]
-        strongest = max(
-            self._rx_rb_dbm[(client_id, ap)] for ap in co_channel_aps
-        )
+        rx_dbm = self._rx_dbm_mat[self._owned_row(client_id)].tolist()
+        cols = self._ap_col
+        signal = rx_dbm[cols[serving_ap]]
+        strongest = max(rx_dbm[cols[ap]] for ap in co_channel_aps)
         return _control_scale(signal - strongest)
 
     # -- Epoch execution -----------------------------------------------------------
@@ -1741,11 +1756,13 @@ class LteNetworkSimulator:
         """Build the sensing snapshot one AP gathers in an epoch."""
         # PRACH-based contention estimate: active clients (anyone's) whose
         # preamble is audible at this AP at >= -10 dB.
+        audible = self._prach_mat[:, self._ap_col[ap_id]].tolist()
+        client_row = self._client_row
         estimated = 0
         for client in self.topology.clients:
             if all_demands.get(client.client_id, 0.0) <= 0.0:
                 continue
-            if self._prach_audible[(client.client_id, ap_id)]:
+            if audible[client_row[client.client_id]]:
                 estimated += 1
 
         client_obs: Dict[int, ClientObservation] = {}

@@ -64,17 +64,28 @@ NodeSite = object
 
 @dataclass
 class Topology:
-    """Immutable node layout plus association and adjacency queries."""
+    """Node layout plus association and adjacency queries.
+
+    The AP set and the client set are fixed at construction, and both AP
+    ids and client ids must be unique.  Clients may move
+    (:meth:`move_client`) and change serving AP (:meth:`reattach_client`);
+    both replace the client's immutable :class:`ClientSite` in place, so a
+    client keeps its slot in ``clients`` for the topology's lifetime.
+    """
 
     area_m: float
     aps: List[AccessPointSite]
     clients: List[ClientSite]
     _clients_by_ap: Dict[int, List[ClientSite]] = field(init=False, repr=False)
+    _slot: Dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ap_ids = {ap.ap_id for ap in self.aps}
         if len(ap_ids) != len(self.aps):
             raise ValueError("duplicate access-point ids in topology")
+        self._slot = {c.client_id: i for i, c in enumerate(self.clients)}
+        if len(self._slot) != len(self.clients):
+            raise ValueError("duplicate client ids in topology")
         by_ap: Dict[int, List[ClientSite]] = {ap.ap_id: [] for ap in self.aps}
         for client in self.clients:
             if client.ap_id not in ap_ids:
@@ -97,10 +108,10 @@ class Topology:
 
     def client(self, client_id: int) -> ClientSite:
         """Look up a client by id."""
-        for candidate in self.clients:
-            if candidate.client_id == client_id:
-                return candidate
-        raise KeyError(f"no client with id {client_id}")
+        slot = self._slot.get(client_id)
+        if slot is None:
+            raise KeyError(f"no client with id {client_id}")
+        return self.clients[slot]
 
     def move_client(self, client_id: int, x: float, y: float) -> ClientSite:
         """Relocate a client (mobility step), keeping its association.
@@ -124,9 +135,12 @@ class Topology:
             ap_id=old.ap_id,
             height_m=old.height_m,
         )
-        self.clients[self.clients.index(old)] = new
+        self.clients[self._slot[client_id]] = new
         siblings = self._clients_by_ap[old.ap_id]
-        siblings[siblings.index(old)] = new
+        for i, sibling in enumerate(siblings):
+            if sibling is old:
+                siblings[i] = new
+                break
         return new
 
     def reattach_client(self, client_id: int, new_ap_id: int) -> ClientSite:
@@ -159,7 +173,7 @@ class Topology:
             ap_id=new_ap_id,
             height_m=old.height_m,
         )
-        self.clients[self.clients.index(old)] = new
+        self.clients[self._slot[client_id]] = new
         for ap_id in (old.ap_id, new_ap_id):
             self._clients_by_ap[ap_id] = [
                 c for c in self.clients if c.ap_id == ap_id

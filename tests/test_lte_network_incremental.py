@@ -79,6 +79,14 @@ def make_net(backend, cull_loss_db=None):
     )
 
 
+def dead_links(net):
+    """Every ``(client_id, ap_id)`` whose stored link power is exactly 0 W."""
+    cid_of = {row: cid for cid, row in net._client_row.items()}
+    ap_of = {col: ap_id for ap_id, col in net._ap_col.items()}
+    rows, cols = np.nonzero(net._rx_w_mat == 0.0)
+    return [(cid_of[r], ap_of[c]) for r, c in zip(rows.tolist(), cols.tolist())]
+
+
 class RotatingSubsetPolicy:
     """Partial, shifting subchannel sets: hopping-style churn."""
 
@@ -228,11 +236,7 @@ class TestBitForBitFuzz:
         demands = {c.client_id: float("inf") for c in net.topology.clients}
         net.run_epoch(0, policy.decide(0, None), demands)
         assert net.last_epoch_stats["culled_columns"] > 0
-        dead = [
-            (cid, ap_id)
-            for (cid, ap_id), w in net._rx_rb_w.items()
-            if w == 0.0
-        ]
+        dead = dead_links(net)
         assert dead
         for cid, ap_id in dead:
             assert net.rx_rb_power_dbm(cid, ap_id) == float("-inf")
@@ -323,8 +327,7 @@ class TestReattachRegression:
             assert np.array_equal(
                 net._rows_of_ap[ap_id], fresh._rows_of_ap[ap_id]
             ), f"stale row mapping for AP {ap_id}"
-        assert net._rx_rb_dbm == fresh._rx_rb_dbm
-        assert net._prach_audible == fresh._prach_audible
+        assert np.array_equal(net._rx_dbm_mat, fresh._rx_dbm_mat)
         assert np.array_equal(net._rx_w_mat, fresh._rx_w_mat)
         assert np.array_equal(net._prach_mat, fresh._prach_mat)
 
@@ -401,12 +404,7 @@ class TestZeroSignalClamp:
 
     def test_scalar_sinr_queries_clamp_on_dead_links(self):
         net = make_net(BACKEND_SCALAR, cull_loss_db=CULL_DB)
-        dead = next(
-            (cid, ap_id)
-            for (cid, ap_id), w in net._rx_rb_w.items()
-            if w == 0.0
-        )
-        cid, ap_id = dead
+        cid, ap_id = dead_links(net)[0]
         assert net.sinr_db(cid, ap_id, ()) == ZERO_SIGNAL_SINR_DB
         assert net.clean_sinr_db(cid, ap_id) == ZERO_SIGNAL_SINR_DB
         assert (
@@ -569,7 +567,7 @@ class TestCheckpointState:
         assert restored.topology.client(moved.client_id).x == 123.0
         assert restored.topology.client(moved.client_id).y == 456.0
         assert restored.topology.client(roamer.client_id).ap_id == target
-        assert restored._rx_rb_dbm == net._rx_rb_dbm
+        assert np.array_equal(restored._rx_dbm_mat, net._rx_dbm_mat)
         for ap_id in net._rows_of_ap:
             assert np.array_equal(
                 restored._rows_of_ap[ap_id], net._rows_of_ap[ap_id]

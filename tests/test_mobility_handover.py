@@ -153,3 +153,22 @@ class TestMobileRunner:
             # After the final recorded handover the topology must reflect
             # some serving cell consistent with the event history.
             assert client.ap_id in (0, 1)
+
+    def test_rsrp_levels_equal_per_link_accessor(self):
+        runner = self._world(seed=6)
+        manager = CellFiInterferenceManager([0, 1], 13, RngStreams(12))
+        demands = lambda e: {0: float("inf"), 1: float("inf")}  # noqa: E731
+        runner.run(5, manager, demands)
+        net = runner.net
+        expected = {
+            client.client_id: {
+                ap.ap_id: net.rx_rb_power_dbm(client.client_id, ap.ap_id)
+                for ap in runner.topology.aps
+            }
+            for client in runner.topology.clients
+        }
+        levels = runner._rsrp(runner.topology)
+        assert levels == expected
+        for cid, row in levels.items():
+            assert list(row) == list(expected[cid])
+            assert all(type(v) is float for v in row.values())

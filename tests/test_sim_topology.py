@@ -99,6 +99,17 @@ class TestTopologyQueries:
                 clients=[],
             )
 
+    def test_duplicate_client_ids_rejected(self):
+        with pytest.raises(ValueError, match="duplicate client ids"):
+            Topology(
+                area_m=100.0,
+                aps=[AccessPointSite(0, 0, 0), AccessPointSite(1, 1, 1)],
+                clients=[
+                    ClientSite(5, 1.0, 1.0, ap_id=0),
+                    ClientSite(5, 2.0, 2.0, ap_id=1),
+                ],
+            )
+
     def test_client_referencing_unknown_ap_rejected(self):
         with pytest.raises(ValueError):
             Topology(
