@@ -71,7 +71,8 @@ trace-smoke:
 bench:
 	$(PYTHON) benchmarks/bench_epoch.py --smoke
 
-# Full epoch benchmark: 10/50/200 cells, writes BENCH_epoch.json.
+# Full epoch benchmark: incremental at 10/50/200 cells, the scalar oracle
+# up to 50; writes BENCH_epoch.json.
 bench-full:
 	$(PYTHON) benchmarks/bench_epoch.py
 
@@ -80,8 +81,8 @@ bench-full:
 bench-obs:
 	$(PYTHON) benchmarks/bench_obs_overhead.py
 
-# Activity sweep: incremental vs dense vectorized backend at 200 cells;
-# writes BENCH_incremental.json.
+# Activity sweep: the incremental backend at 200 cells across activity
+# levels; writes BENCH_incremental.json.
 bench-incremental:
 	$(PYTHON) benchmarks/bench_epoch.py --activity-sweep --epochs 10
 

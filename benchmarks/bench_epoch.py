@@ -1,22 +1,21 @@
 #!/usr/bin/env python
-"""Benchmark the LTE epoch hot path: scalar vs vectorized vs incremental.
+"""Benchmark the LTE epoch hot path: scalar oracle vs incremental.
 
 Times ``LteNetworkSimulator.run_epoch`` under saturated demand on seeded
 random deployments at several cell counts, and writes the measurements to
 ``BENCH_epoch.json`` at the repository root.
 
-The scalar (reference) backend is quadratic in cells per subchannel and
-becomes very slow past ~50 cells, so by default it is only timed up to
-``--max-scalar-cells`` (50); larger sizes record the vectorized backend
-alone.  Both backends are bit-identical for the same seeds
-(``tests/test_lte_network_vectorized.py``), so the speedup is free.
+The default incremental backend is timed at every size.  The scalar
+(reference) backend is quadratic in cells per subchannel and becomes very
+slow past ~50 cells, so by default it is only timed up to
+``--max-scalar-cells`` (50).  Both backends are bit-identical for the same
+seeds (``tests/test_lte_network_vectorized.py``), so the speedup is free.
 
-``--activity-sweep`` instead benchmarks the *incremental* backend against
-the dense vectorized backend while sweeping per-epoch activity (the
-fraction of cells whose clients move and carry traffic each epoch),
-writing ``BENCH_incremental.json``.  With ``--smoke`` the sweep also runs
-the scalar oracle with the same culling horizon and asserts per-epoch
-digest equality plus dirty-counter sanity (the CI job).
+``--activity-sweep`` instead times the incremental backend while sweeping
+per-epoch activity (the fraction of cells whose clients move and carry
+traffic each epoch), writing ``BENCH_incremental.json``.  With ``--smoke``
+the sweep also runs the scalar oracle with the same culling horizon and
+asserts per-epoch digest equality plus dirty-counter sanity (the CI job).
 
 ``--city`` benchmarks the spatial shard engine
 (:class:`repro.sim.shard.ShardedNetwork`) on a city-scale deployment
@@ -55,7 +54,6 @@ import numpy as np
 from repro.lte.network import (
     BACKEND_INCREMENTAL,
     BACKEND_SCALAR,
-    BACKEND_VECTORIZED,
     AllSubchannelsPolicy,
     EpochResult,
     LteNetworkSimulator,
@@ -193,18 +191,18 @@ def run_benchmark(
     results = []
     for n_cells in sizes:
         entry: Dict = {"cells": n_cells, "clients": n_cells * CLIENTS_PER_AP}
-        net = build_network(n_cells, BACKEND_VECTORIZED)
-        entry["vectorized"] = time_epochs(net, n_epochs)
+        net = build_network(n_cells, BACKEND_INCREMENTAL)
+        entry["incremental"] = time_epochs(net, n_epochs)
         print(
-            f"{n_cells:4d} cells  vectorized  "
-            f"{entry['vectorized']['per_epoch_s'] * 1e3:9.1f} ms/epoch"
+            f"{n_cells:4d} cells  incremental "
+            f"{entry['incremental']['per_epoch_s'] * 1e3:9.1f} ms/epoch"
         )
         if n_cells <= max_scalar_cells:
             net = build_network(n_cells, BACKEND_SCALAR)
             entry["scalar"] = time_epochs(net, n_epochs)
             entry["speedup"] = (
                 entry["scalar"]["per_epoch_s"]
-                / entry["vectorized"]["per_epoch_s"]
+                / entry["incremental"]["per_epoch_s"]
             )
             print(
                 f"{n_cells:4d} cells  scalar      "
@@ -216,7 +214,7 @@ def run_benchmark(
             entry["note"] = (
                 f"scalar backend skipped above {max_scalar_cells} cells "
                 "(reference implementation is too slow; it is bit-identical "
-                "to the vectorized backend)"
+                "to the incremental backend)"
             )
         results.append(entry)
     return {
@@ -274,11 +272,11 @@ def _sweep_scenario(
     n_active = max(1, int(round(activity * n_cells)))
     rng = np.random.default_rng(SEED + 1)
     active_aps = sorted(rng.choice(n_cells, size=n_active, replace=False).tolist())
-    reference = build_network(n_cells, BACKEND_VECTORIZED)
+    topology = _bench_topology(n_cells)
     demands: Dict[int, float] = {}
     movers: List[int] = []
     for ap_id in active_aps:
-        clients = reference.topology.clients_of(ap_id)
+        clients = topology.clients_of(ap_id)
         for client in clients:
             demands[client.client_id] = SWEEP_DEMAND_BITS
         if clients:
@@ -379,7 +377,7 @@ def run_activity_sweep(
     check: bool,
     cull_loss_db: float = SWEEP_CULL_LOSS_DB,
 ) -> Dict:
-    """Benchmark incremental vs dense vectorized across activity levels.
+    """Time the incremental backend across activity levels.
 
     With ``check=True`` a scalar arm with the *same* culling horizon runs
     as the bit-identity oracle: its per-epoch digests must equal the
@@ -395,15 +393,8 @@ def run_activity_sweep(
             "active_cells": len(active_aps),
             "moving_clients": len(movers),
         }
-        entry["vectorized"] = _run_sweep_arm(
-            n_cells, BACKEND_VECTORIZED, None, demands, schedule, check
-        )
         entry["incremental"] = _run_sweep_arm(
             n_cells, BACKEND_INCREMENTAL, cull_loss_db, demands, schedule, check
-        )
-        entry["speedup_vs_vectorized"] = (
-            entry["vectorized"]["per_epoch_s"]
-            / entry["incremental"]["per_epoch_s"]
         )
         if check:
             scalar = _run_sweep_arm(
@@ -432,15 +423,13 @@ def run_activity_sweep(
                 )
             entry["dirty_counter_ok"] = True
             # Digest payloads served their purpose; keep the JSON small.
-            for arm in (entry["vectorized"], entry["incremental"]):
-                arm.pop("digests", None)
+            entry["incremental"].pop("digests", None)
         results.append(entry)
         check_note = "  digests ok" if check else ""
         print(
             f"activity {activity:5.2f}  ({len(active_aps):3d} cells)  "
-            f"vectorized {entry['vectorized']['per_epoch_s'] * 1e3:8.1f} ms  "
-            f"incremental {entry['incremental']['per_epoch_s'] * 1e3:8.1f} ms  "
-            f"speedup {entry['speedup_vs_vectorized']:5.1f}x{check_note}"
+            f"incremental {entry['incremental']['per_epoch_s'] * 1e3:8.1f} ms"
+            f"{check_note}"
         )
     return {
         "benchmark": "lte-epoch-incremental",
@@ -1235,8 +1224,8 @@ def main() -> None:
         "--activity-sweep",
         action="store_true",
         help=(
-            "benchmark the incremental backend against dense vectorized "
-            f"across activity levels; writes {INCREMENTAL_OUTPUT_PATH.name}"
+            "time the incremental backend across activity levels; "
+            f"writes {INCREMENTAL_OUTPUT_PATH.name}"
         ),
     )
     parser.add_argument(

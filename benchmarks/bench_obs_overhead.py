@@ -9,7 +9,7 @@ reference epoch timings in ``BENCH_epoch.json`` (recorded by
 alongside it), and measures what enabling metrics / tracing actually
 costs.  Results go to ``BENCH_obs.json`` at the repository root.
 
-Three configurations are timed on the vectorized backend:
+Three configurations are timed on the default incremental backend:
 
 * ``disabled``  -- no active Telemetry (the default for every run).
 * ``metrics``   -- counters/gauges/histograms collected, no tracer.
@@ -34,7 +34,7 @@ import pathlib
 import sys
 from typing import Dict, List, Optional
 
-from bench_epoch import BACKEND_VECTORIZED, build_network, time_epochs
+from bench_epoch import BACKEND_INCREMENTAL, build_network, time_epochs
 
 from repro.obs import Telemetry, activated
 
@@ -61,7 +61,7 @@ def _best_of(n_cells: int, n_epochs: int, repeats: int, factory) -> float:
     """
     best = float("inf")
     for _ in range(repeats):
-        net = build_network(n_cells, BACKEND_VECTORIZED)
+        net = build_network(n_cells, BACKEND_INCREMENTAL)
         if factory is None:
             timing = time_epochs(net, n_epochs)
         else:
@@ -72,15 +72,15 @@ def _best_of(n_cells: int, n_epochs: int, repeats: int, factory) -> float:
 
 
 def load_reference(path: pathlib.Path) -> Dict[int, float]:
-    """Vectorized per-epoch reference seconds by cell count."""
+    """Incremental per-epoch reference seconds by cell count."""
     if not path.exists():
         return {}
     payload = json.loads(path.read_text())
     reference: Dict[int, float] = {}
     for entry in payload.get("results", []):
-        vec = entry.get("vectorized")
-        if vec:
-            reference[int(entry["cells"])] = float(vec["per_epoch_s"])
+        timing = entry.get("incremental")
+        if timing:
+            reference[int(entry["cells"])] = float(timing["per_epoch_s"])
     return reference
 
 

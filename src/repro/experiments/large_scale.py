@@ -28,11 +28,7 @@ from repro.core.interference.manager import CellFiInterferenceManager
 from repro.experiments.common import Scenario, build_scenario
 from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.obs import runtime as _obs_runtime
-from repro.lte.network import (
-    BACKEND_INCREMENTAL,
-    BACKEND_VECTORIZED,
-    LteNetworkSimulator,
-)
+from repro.lte.network import BACKEND_INCREMENTAL, LteNetworkSimulator
 from repro.sim.shard import ChaosPolicy, ShardedNetwork, SupervisionConfig
 from repro.sim.topology import grid_partition
 from repro.sim.checkpoint import (
@@ -77,7 +73,7 @@ def _supervision_config(
 def _make_lte_net(
     scenario: Scenario,
     stream_label: str,
-    backend: str = BACKEND_VECTORIZED,
+    backend: str = BACKEND_INCREMENTAL,
     shards: int = 1,
     shard_mode: str = "auto",
     shard_supervise: bool = False,
@@ -92,6 +88,10 @@ def _make_lte_net(
             channel=scenario.channel,
             rngs=scenario.rngs.fork(stream_label),
             backend=backend,
+        )
+    if backend != BACKEND_INCREMENTAL:
+        raise ValueError(
+            f"shards > 1 requires the incremental backend, got {backend!r}"
         )
     # Sharded city-scale path: every worker rebuilds the same seeded
     # scenario (fork() is a pure seed derivation, so the parent's RNG
@@ -109,7 +109,7 @@ def _make_lte_net(
             grid=worker_scenario.grid(),
             channel=worker_scenario.channel,
             rngs=worker_scenario.rngs.fork(stream_label),
-            backend=BACKEND_INCREMENTAL,
+            backend=backend,
             shard_ap_ids=ap_ids,
         )
 
@@ -182,7 +182,7 @@ class SaturatedLteRun:
         n_aps: int,
         clients_per_ap: int = 6,
         epochs: int = 15,
-        backend: str = BACKEND_VECTORIZED,
+        backend: str = BACKEND_INCREMENTAL,
         scenario: Optional[Scenario] = None,
         shards: int = 1,
         shard_mode: str = "auto",
@@ -397,6 +397,11 @@ class SaturatedLteRun:
     def from_snapshot(cls, snapshot: Snapshot) -> "SaturatedLteRun":
         """Build-then-load: reconstruct from the embedded config, restore."""
         config = from_jsonable(snapshot.meta["config"])
+        # Snapshots from before the whole-matrix "vectorized" backend was
+        # folded into incremental still name it.  The rewrite is exact:
+        # the two were bit-identical and no backend cache is serialized.
+        if config.get("backend") == "vectorized":
+            config["backend"] = BACKEND_INCREMENTAL
         run = cls(**config)
         run.registry.restore(snapshot)
         return run
@@ -411,7 +416,7 @@ def run_lte_family_saturated(
     tech: str,
     scenario: Scenario,
     epochs: int = 15,
-    backend: str = BACKEND_VECTORIZED,
+    backend: str = BACKEND_INCREMENTAL,
 ) -> SaturatedRun:
     """Run CellFi / plain LTE / Oracle with backlogged traffic."""
     run = SaturatedLteRun(
@@ -796,7 +801,7 @@ def _run_lte_family_web(
     scenario: Scenario,
     pages: List[WebPage],
     duration_s: float,
-    backend: str = BACKEND_VECTORIZED,
+    backend: str = BACKEND_INCREMENTAL,
 ) -> tuple:
     """Epoch-driven web workload for an LTE-family technology."""
     net = _make_lte_net(scenario, f"web-{tech}", backend=backend)

@@ -20,23 +20,22 @@ Plain LTE uses :class:`AllSubchannelsPolicy`; CellFi plugs in its
 interference manager (:mod:`repro.core`); the centralized oracle plugs in a
 graph-coloring allocator (:mod:`repro.baselines.oracle`).
 
-Three interchangeable epoch backends compute the radio quantities:
+Two epoch backends compute the radio quantities:
 
-* ``backend="scalar"`` -- the reference implementation: per-link Python
-  loops, easy to audit against the formulas in ``docs/SIMULATION.md``;
-* ``backend="vectorized"`` (default) -- whole-matrix NumPy kernels over a
-  cached AP<->client gain matrix.  Interference sums accumulate in the
-  same per-interferer order and dB conversions go through the same
-  ``math.log10`` calls, so the two backends are *bit-identical* for the
-  same seeds (``tests/test_lte_network_vectorized.py`` enforces this);
-* ``backend="incremental"`` -- the vectorized kernels plus a dirty-row
-  tracker: per-AP SINR/CQI/rate blocks are cached and only recomputed
-  when an event (mobility, handover/re-attach, a hopping decision, an
-  activity change) invalidates them.  Interference from APs the cell
+* ``backend="scalar"`` -- the reference oracle: per-link Python loops,
+  easy to audit against the formulas in ``docs/SIMULATION.md``;
+* ``backend="incremental"`` (default, production) -- whole-matrix NumPy
+  kernels over a cached AP<->client gain matrix plus a dirty-row tracker:
+  per-AP SINR/CQI/rate blocks are cached and only recomputed when an
+  event (mobility, handover/re-attach, a hopping decision, an activity
+  change) invalidates them.  Interference sums accumulate in the same
+  per-interferer order and dB conversions go through the same
+  ``math.log10`` calls as the oracle; interference from APs the cell
   cannot hear (culled by the gain cache's path-loss horizon) is skipped
-  -- adding an exact ``0.0`` to an IEEE-754 sum is a bitwise no-op, so
-  the backend stays bit-identical to the scalar oracle
-  (``tests/test_lte_network_incremental.py`` enforces this).
+  -- adding an exact ``0.0`` to an IEEE-754 sum is a bitwise no-op.  The
+  backend is therefore *bit-identical* to the scalar oracle for the same
+  seeds (``tests/test_lte_network_incremental.py`` and
+  ``tests/test_lte_network_vectorized.py`` enforce this).
 """
 
 from __future__ import annotations
@@ -66,9 +65,8 @@ from repro.utils.dbmath import dbm_to_watt, linear_to_db, thermal_noise_dbm
 
 #: Epoch-kernel backend names.
 BACKEND_SCALAR = "scalar"
-BACKEND_VECTORIZED = "vectorized"
 BACKEND_INCREMENTAL = "incremental"
-_BACKENDS = (BACKEND_SCALAR, BACKEND_VECTORIZED, BACKEND_INCREMENTAL)
+_BACKENDS = (BACKEND_SCALAR, BACKEND_INCREMENTAL)
 
 #: SINR sentinel for links with exactly zero received signal power (a
 #: client beyond the culling horizon of its serving AP, or a signal that
@@ -149,7 +147,7 @@ def _elementwise_db(ratio: np.ndarray) -> np.ndarray:
 def _control_scale(sir_db: float) -> float:
     """Figure 7(b) goodput multiplier from a signal-to-interferer ratio.
 
-    Shared by all three epoch backends so the expression stays bit-for-bit
+    Shared by both epoch backends so the expression stays bit-for-bit
     identical.  ``sir_db`` may be infinite (one dead link) or NaN (both the
     serving and the strongest interfering link are dead); a dead serving
     link delivers zero rate anyway, so NaN resolves to "no control loss".
@@ -286,8 +284,8 @@ class LteNetworkSimulator:
         scheduler_factory: constructs one scheduler per AP.
         control_interference: apply the Figure 7(b) control-channel loss.
         epoch_s: epoch duration (the 1 s allocation interval).
-        backend: ``"vectorized"`` (default), ``"scalar"`` or
-            ``"incremental"``; all produce bit-identical results for the
+        backend: ``"incremental"`` (default) or ``"scalar"`` (the
+            reference oracle); both produce bit-identical results for the
             same seeds.
         gain_cache: optional pre-built :class:`GainMatrixCache` for this
             topology/channel (shared with other consumers); built
@@ -319,7 +317,7 @@ class LteNetworkSimulator:
         epoch_s: float = 1.0,
         detector_true_positive: float = CQI_DETECTOR_TRUE_POSITIVE,
         detector_false_positive: float = CQI_DETECTOR_FALSE_POSITIVE,
-        backend: str = BACKEND_VECTORIZED,
+        backend: str = BACKEND_INCREMENTAL,
         gain_cache: Optional[GainMatrixCache] = None,
         cull_loss_db: Optional[float] = None,
         gain_fill: str = FILL_BATCHED,
@@ -492,7 +490,7 @@ class LteNetworkSimulator:
         for ap in aps:
             self._rebuild_rows_of(ap.ap_id)
 
-        # Lookup tables for the vectorized kernel.  The rate table is built
+        # Lookup tables for the incremental kernels.  The rate table is built
         # through the very same scalar grid call the reference backend makes,
         # so table lookups are bit-identical to recomputation.
         n_subs = self.grid.n_subchannels
@@ -511,9 +509,9 @@ class LteNetworkSimulator:
         """(Re)build one AP's gain-matrix row index array.
 
         Called at build time and whenever a client's *serving* AP changes
-        (handover / re-attach): the vectorized and incremental backends
-        read the serving column through this mapping, so a stale entry
-        would feed them signal power from the old serving cell.
+        (handover / re-attach): the incremental backend reads the serving
+        column through this mapping, so a stale entry would feed it
+        signal power from the old serving cell.
         """
         self._rows_of_ap[ap_id] = np.array(
             [
@@ -836,9 +834,8 @@ class LteNetworkSimulator:
             ap.ap_id for ap in self.topology.aps if ap.ap_id in active_aps
         ]
 
-        scalar = self.backend == BACKEND_SCALAR
         incremental = self.backend == BACKEND_INCREMENTAL
-        if scalar:
+        if not incremental:
             # Per-subchannel interferer sets (only active cells interfere);
             # only the scalar backend consumes this dense map.
             interferers_on: Dict[int, List[int]] = {
@@ -859,7 +856,7 @@ class LteNetworkSimulator:
         detector_rng = self.rngs.stream("cqi-detector")
         rlf_rng = self.rngs.stream("rlf")
 
-        if not scalar and prach_counts is None:
+        if incremental and prach_counts is None:
             # Epoch-wide active-client mask in gain-matrix row order (the
             # demand-map pass above iterates the same client order), and
             # the per-AP PRACH contention counts it implies -- computed
@@ -941,15 +938,10 @@ class LteNetworkSimulator:
                     ap_demands, ap_active_demands, prach_counts,
                     rlf_rng, subs_keys, active_entries,
                 )
-            elif scalar:
+            else:
                 links = self._scalar_links(
                     ap, clients, allowed, interferers_on, co_channel,
                     ap_demands, ap_active_demands, demands_bits, rlf_rng,
-                )
-            else:
-                links = self._vector_links(
-                    ap, clients, allowed, active_aps, co_channel,
-                    ap_demands, ap_active_demands, prach_counts, rlf_rng,
                 )
             for cid in links.disconnected:
                 ap_active_demands.pop(cid, None)
@@ -1148,160 +1140,6 @@ class LteNetworkSimulator:
             rate_fn=rate_fn, disconnected=disconnected, observe=observe
         )
 
-    def _vector_links(
-        self,
-        ap,
-        clients,
-        allowed: Dict[int, Set[int]],
-        active_aps: Set[int],
-        co_channel: List[int],
-        ap_demands: Dict[int, float],
-        ap_active_demands: Dict[int, float],
-        prach_counts: np.ndarray,
-        rlf_rng: np.random.Generator,
-    ) -> _EpochLinks:
-        """Vectorized backend: whole-matrix kernels over the cached gains.
-
-        Bit-for-bit identical to :meth:`_scalar_links` by construction:
-
-        * interference accumulates per interferer in ``allowed`` iteration
-          order, exactly as the scalar per-subchannel sums do (adding an
-          exact ``0.0`` for subchannels an interferer does not hold is a
-          bitwise no-op on IEEE-754 positive sums);
-        * dB conversion uses the same ``10 * math.log10`` per element
-          (NumPy's SIMD ``log10`` is *not* bit-identical to libm);
-        * CQI quantisation via ``searchsorted(side="right")`` equals the
-          table walk in :func:`cqi_from_sinr`;
-        * rates come from a table prefilled with the scalar grid function,
-          and RNG draws are batched -- NumPy's batched ``random`` yields
-          the same doubles as repeated scalar draws.
-        """
-        ap_id = ap.ap_id
-        n_subs = self.grid.n_subchannels
-        rows = self._rows_of_ap[ap_id]
-        col = self._ap_col[ap_id]
-        W = self._rx_w_mat
-        m = len(rows)
-
-        signal_w = W[rows, col]                      # (m,)
-        interference_w = np.zeros((m, n_subs))       # (m, n_subs)
-        mask = np.empty(n_subs)
-        for other_id, subs in allowed.items():
-            if other_id == ap_id or other_id not in active_aps:
-                continue
-            mask[:] = 0.0
-            for sub in subs:
-                if 0 <= sub < n_subs:
-                    mask[sub] = 1.0
-            interference_w += W[rows, self._ap_col[other_id]][:, None] * mask
-
-        ratio = signal_w[:, None] / (self._rb_noise_w + interference_w)
-        sinr = _elementwise_db(ratio)
-        clean_db = _elementwise_db(signal_w / self._rb_noise_w)
-        cqi = np.searchsorted(self._cqi_min_sinr, sinr, side="right")
-        clean_cqi = np.searchsorted(self._cqi_min_sinr, clean_db, side="right")
-
-        # Rate matrix: table rate x HARQ scale x control-channel scale,
-        # in the same multiply order as the scalar rate_fn.
-        base = self._rate_table[cqi, np.arange(n_subs)]
-        harq = np.empty((m, n_subs))
-        sinr_rows = sinr.tolist()
-        cqi_rows = cqi.tolist()
-        for i in range(m):
-            sinr_i, cqi_i = sinr_rows[i], cqi_rows[i]
-            for k in range(n_subs):
-                harq[i, k] = self._harq_scale(sinr_i[k], cqi_i[k])
-        if not self.control_interference or not co_channel:
-            ctrl = np.ones(m)
-        else:
-            cols = np.array(
-                [self._ap_col[a] for a in co_channel], dtype=np.intp
-            )
-            strongest = self._rx_dbm_mat[rows[:, None], cols[None, :]].max(axis=1)
-            sir_db = (self._rx_dbm_mat[rows, col] - strongest).tolist()
-            ctrl = np.array([_control_scale(s) for s in sir_db])
-        rate = base * harq
-        rate *= ctrl[:, None]
-
-        # Radio link failure (same model and RNG draw order as the scalar
-        # backend: one draw per demanding client when co-channel data
-        # interference exists).
-        my_subs = allowed.get(ap_id, set())
-        disconnected: Set[int] = set()
-        if my_subs:
-            source_cols = []
-            weights = []
-            for other in co_channel:
-                overlap = len(my_subs & allowed.get(other, set()))
-                if overlap:
-                    source_cols.append(self._ap_col[other])
-                    weights.append(overlap / len(my_subs))
-            if source_cols:
-                weighted_w = np.zeros(m)
-                for c, w in zip(source_cols, weights):
-                    weighted_w += w * W[rows, c]
-                data_ratio = (
-                    signal_w / (self._rb_noise_w + weighted_w)
-                ).tolist()
-                for i, client in enumerate(clients):
-                    if ap_demands[client.client_id] <= 0.0:
-                        continue
-                    r = data_ratio[i]
-                    data_sinr = (
-                        10.0 * math.log10(r) if r > 0.0 else ZERO_SIGNAL_SINR_DB
-                    )
-                    if rlf_rng.random() < rlf_probability(data_sinr):
-                        disconnected.add(client.client_id)
-
-        rate_rows = {
-            clients[i].client_id: rate[i].tolist() for i in range(m)
-        }
-
-        def rate_fn(client_id: int, sub: int) -> float:
-            return rate_rows[client_id][sub]
-
-        # Lets the PF scheduler prefetch straight from the table.
-        rate_fn.rate_rows = rate_rows
-
-        def observe(allocation: Allocation, rng: np.random.Generator):
-            estimated = int(prach_counts[col])
-            draws = rng.random((m, n_subs))
-            best = np.maximum(self._max_cqi_vec[rows], cqi)
-            self._max_cqi_vec[rows] = best
-            truly_interfered = (clean_cqi[:, None] > 0) & (
-                cqi < INTERFERENCE_CQI_DROP_FRACTION * clean_cqi[:, None]
-            )
-            threshold = np.where(
-                truly_interfered,
-                self.detector_true_positive,
-                self.detector_false_positive,
-            )
-            flags = draws < threshold
-            best_rows = best.tolist()
-            flag_rows = flags.tolist()
-            client_obs: Dict[int, ClientObservation] = {}
-            for i in range(m):
-                cid = clients[i].client_id
-                fractions = {
-                    sub: allocation.fraction(cid, sub) for sub in range(n_subs)
-                }
-                client_obs[cid] = ClientObservation(
-                    subband_cqi=cqi_rows[i],
-                    max_subband_cqi=best_rows[i],
-                    interference_detected=flag_rows[i],
-                    scheduled_fraction=fractions,
-                )
-            return ApObservation(
-                ap_id=ap_id,
-                n_active_clients=len(ap_active_demands),
-                estimated_contenders=max(estimated, len(ap_active_demands), 1),
-                clients=client_obs,
-            )
-
-        return _EpochLinks(
-            rate_fn=rate_fn, disconnected=disconnected, observe=observe
-        )
-
     def _audible_columns(
         self, ap_id: int, rows: np.ndarray
     ) -> Tuple[np.ndarray, int]:
@@ -1366,7 +1204,7 @@ class LteNetworkSimulator:
         subchannels).  When neither changed, the cached block is reused
         verbatim; stochastic stages (RLF and detector draws, max-CQI
         tracking, the PRACH contention count) re-execute every epoch so
-        the RNG streams advance exactly as in the other backends.
+        the RNG streams advance exactly as in the scalar oracle.
         """
         ap_id = ap.ap_id
         n_subs = self.grid.n_subchannels
@@ -1470,10 +1308,10 @@ class LteNetworkSimulator:
         stats["total_columns"] += n_aps
 
         # Radio link failure draws happen every epoch, in the same order
-        # and count as the other backends: one draw per demanding client
+        # and count as the scalar oracle: one draw per demanding client
         # whenever *any* co-channel overlap source exists -- audible or
         # not (a culled source contributes zero interference but still
-        # gates the draw, exactly as the dense backends see it).
+        # gates the draw, exactly as the oracle sees it).
         disconnected: Set[int] = set()
         if has_rlf_sources and ap_active_demands:
             data_sinr = block["data_sinr"]
@@ -1498,6 +1336,8 @@ class LteNetworkSimulator:
 
         def observe(allocation: Allocation, rng: np.random.Generator):
             estimated = int(prach_counts[col])
+            # One batched draw: NumPy's batched ``random`` yields the same
+            # doubles as the oracle's repeated scalar draws.
             draws = rng.random((m, n_subs))
             best = np.maximum(self._max_cqi_vec[rows], cqi)
             self._max_cqi_vec[rows] = best
@@ -1669,9 +1509,18 @@ class LteNetworkSimulator:
     ) -> Dict[str, Any]:
         """One AP's deterministic epoch quantities (the cacheable block).
 
-        Identical arithmetic to :meth:`_vector_links`, restricted to the
-        audible neighbour set: skipped neighbours contribute exact zeros,
-        so results are bitwise equal to the dense accumulation.
+        Bit-for-bit identical to :meth:`_scalar_links` by construction:
+
+        * interference accumulates per interferer in grant order, exactly
+          as the scalar per-subchannel sums do; an interferer's exact
+          ``0.0`` on subchannels it does not hold, and every neighbour
+          outside the audible set, adds nothing to an IEEE-754 positive
+          sum, so skipping them is a bitwise no-op;
+        * dB conversion uses the same ``10 * math.log10`` per element
+          (NumPy's SIMD ``log10`` is *not* bit-identical to libm);
+        * CQI quantisation via ``searchsorted(side="right")`` equals the
+          table walk in :func:`cqi_from_sinr`;
+        * rates come from a table prefilled with the scalar grid function.
         """
         W = self._rx_w_mat
         signal_w = W[rows, col]

@@ -22,7 +22,8 @@ from repro.experiments.large_scale import (
     TECH_ORACLE,
     SaturatedLteRun,
 )
-from repro.sim.checkpoint import latest_checkpoint
+from repro.lte.network import BACKEND_INCREMENTAL
+from repro.sim.checkpoint import Snapshot, latest_checkpoint
 
 
 def _db_config(seed):
@@ -116,6 +117,34 @@ class TestSaturatedLteRoundtrip:
         assert result.connected_fraction == expected.connected_fraction
         assert resumed.run_digest() == baseline.run_digest()
 
+    def test_legacy_vectorized_snapshot_resumes_bit_identically(
+        self, tmp_path
+    ):
+        # Snapshots written while "vectorized" was the default backend
+        # still name it; restoring one must resume on incremental and
+        # finish exactly like the uninterrupted run.
+        kwargs = dict(
+            tech=TECH_CELLFI, seed=3, n_aps=3, clients_per_ap=3, epochs=6
+        )
+        baseline = SaturatedLteRun(**kwargs)
+        expected = baseline.run()
+
+        halted = SaturatedLteRun(**kwargs)
+        halted.run(checkpoint_dir=str(tmp_path), checkpoint_every=2, halt_at=3)
+        snapshot = Snapshot.load(latest_checkpoint(str(tmp_path)))
+        snapshot.meta["config"]["backend"] = "vectorized"
+
+        resumed = SaturatedLteRun.from_snapshot(snapshot)
+        assert resumed.config["backend"] == BACKEND_INCREMENTAL
+        result = resumed.run()
+        assert result.throughput_bps == expected.throughput_bps
+        assert result.connected_fraction == expected.connected_fraction
+        assert resumed.run_digest() == baseline.run_digest()
+
+        # Outside snapshot restore the old name is an unknown backend.
+        with pytest.raises(ValueError):
+            SaturatedLteRun(**kwargs, backend="vectorized")
+
     @pytest.mark.parametrize("tech", [TECH_LTE, TECH_CELLFI])
     def test_sharded_resume_matches_unsharded_straight_through(
         self, tech, tmp_path
@@ -197,8 +226,6 @@ class TestSnapshotHygiene:
         run = DbOutageRun(**_db_config(2))
         run.run_to_boot()
         path = run.save_checkpoint(str(tmp_path))
-        from repro.sim.checkpoint import Snapshot
-
         snapshot = Snapshot.load(path)
         assert snapshot.digest() == run.run_digest()
         assert snapshot.meta["driver"] == "db_outage"

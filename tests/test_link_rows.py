@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.lte.network import (
     BACKEND_INCREMENTAL,
-    BACKEND_VECTORIZED,
     PRACH_DETECTION_SNR_DB,
     PRACH_TARGET_RX_DBM,
     LteNetworkSimulator,
@@ -70,7 +69,7 @@ def make_net(cull_loss_db=None, shard_ap_ids=None):
         grid=ResourceGrid(5e6),
         channel=channel,
         rngs=RngStreams(SEED),
-        backend=BACKEND_VECTORIZED if shard_ap_ids is None else BACKEND_INCREMENTAL,
+        backend=BACKEND_INCREMENTAL,
         cull_loss_db=cull_loss_db,
         shard_ap_ids=shard_ap_ids,
     )

@@ -1,10 +1,10 @@
 """Incremental epoch backend: bit-identity, dirty tracking and culling.
 
 The incremental backend reuses cached per-AP blocks across epochs and
-skips interference from culled neighbours, so these tests hold it to the
-same standard as the vectorized backend: *exact* equality with the scalar
-oracle (no tolerances) under seeded mobility, handover and hopping churn
--- including zero-activity epochs, where the cache does all the work.
+skips interference from culled neighbours, so these tests hold it to
+*exact* equality with the scalar oracle (no tolerances) under seeded
+mobility, handover and hopping churn -- including zero-activity epochs,
+where the cache does all the work.
 
 Also pinned here: the hot-path bugfix sweep that rode along with the
 backend -- the ``_rows_of_ap`` handover staleness fix, the read-only
@@ -20,7 +20,6 @@ import pytest
 from repro.lte.network import (
     BACKEND_INCREMENTAL,
     BACKEND_SCALAR,
-    BACKEND_VECTORIZED,
     ZERO_SIGNAL_SINR_DB,
     AllSubchannelsPolicy,
     LteNetworkSimulator,
@@ -104,6 +103,23 @@ class RotatingSubsetPolicy:
         }
 
 
+def mixed_demand_fn(topology):
+    """Idle, bounded and saturated clients side by side."""
+    def fn(epoch):
+        demands = {}
+        for client in topology.clients:
+            cid = client.client_id
+            if cid % 5 == 0:
+                demands[cid] = 0.0
+            elif cid % 3 == 0:
+                demands[cid] = 2e6
+            else:
+                demands[cid] = float("inf")
+        return demands
+
+    return fn
+
+
 def assert_epochs_identical(results_a, results_b):
     assert len(results_a) == len(results_b)
     for a, b in zip(results_a, results_b):
@@ -142,21 +158,14 @@ def churn_run(net, n_epochs):
     policy = RotatingSubsetPolicy(
         [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
     )
+    demand_fn = mixed_demand_fn(net.topology)
     churn_rng = np.random.default_rng(7)
     results = []
     for epoch in range(n_epochs):
         if epoch % 4 == 3:
             demands = {c.client_id: 0.0 for c in net.topology.clients}
         else:
-            demands = {}
-            for c in net.topology.clients:
-                cid = c.client_id
-                if cid % 5 == 0:
-                    demands[cid] = 0.0
-                elif cid % 3 == 0:
-                    demands[cid] = 2e6
-                else:
-                    demands[cid] = float("inf")
+            demands = demand_fn(epoch)
         allowed = policy.decide(epoch, None)
         results.append(net.run_epoch(epoch, allowed, demands))
         # Mobility: jitter a couple of clients.
@@ -199,20 +208,13 @@ class TestBackendSelection:
 
 
 class TestBitForBitFuzz:
-    """Scalar vs vectorized vs incremental in lockstep over seeded churn."""
+    """Scalar oracle vs incremental in lockstep over seeded churn."""
 
-    def test_three_backends_identical_under_churn(self):
+    def test_backends_identical_under_churn(self):
         results = {
             backend: churn_run(make_net(backend), 8)
-            for backend in (
-                BACKEND_SCALAR,
-                BACKEND_VECTORIZED,
-                BACKEND_INCREMENTAL,
-            )
+            for backend in (BACKEND_SCALAR, BACKEND_INCREMENTAL)
         }
-        assert_epochs_identical(
-            results[BACKEND_SCALAR], results[BACKEND_VECTORIZED]
-        )
         assert_epochs_identical(
             results[BACKEND_SCALAR], results[BACKEND_INCREMENTAL]
         )
@@ -306,7 +308,7 @@ class TestReattachRegression:
     """The ``_rows_of_ap`` handover-staleness bug (diverged before the fix)."""
 
     def test_reattach_matches_fresh_simulator(self):
-        net = make_net(BACKEND_VECTORIZED)
+        net = make_net(BACKEND_INCREMENTAL)
         roamer = net.topology.clients[0]
         target = next(
             ap.ap_id for ap in net.topology.aps if ap.ap_id != roamer.ap_id
@@ -321,7 +323,7 @@ class TestReattachRegression:
             grid=ResourceGrid(5e6),
             channel=channel,
             rngs=RngStreams(SEED),
-            backend=BACKEND_VECTORIZED,
+            backend=BACKEND_INCREMENTAL,
         )
         for ap_id in net._rows_of_ap:
             assert np.array_equal(
@@ -349,7 +351,7 @@ class TestReattachRegression:
                 grid=ResourceGrid(5e6),
                 channel=channel,
                 rngs=RngStreams(SEED),
-                backend=BACKEND_VECTORIZED,
+                backend=BACKEND_INCREMENTAL,
             )
             if flavor == "reattached":
                 net.reattach_client(roamer_id, target)

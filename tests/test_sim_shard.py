@@ -19,7 +19,6 @@ import pytest
 from repro.lte.network import (
     BACKEND_INCREMENTAL,
     BACKEND_SCALAR,
-    BACKEND_VECTORIZED,
     AllSubchannelsPolicy,
     LteNetworkSimulator,
 )
@@ -179,8 +178,24 @@ class TestShardModeGuards:
                 grid=ResourceGrid(5e6),
                 channel=channel,
                 rngs=RngStreams(SEED),
-                backend=BACKEND_VECTORIZED,
+                backend=BACKEND_SCALAR,
                 shard_ap_ids=[0, 1],
+            )
+
+    def test_sharded_run_rejects_non_incremental_backend(self, monkeypatch):
+        # Shard workers only run incremental; a sharded run that asks for
+        # another backend must fail loudly before any worker is built.
+        import repro.experiments.large_scale as large_scale
+
+        def no_workers(*args, **kwargs):
+            raise AssertionError("shard workers built before the check")
+
+        monkeypatch.setattr(large_scale, "ShardedNetwork", no_workers)
+        with pytest.raises(ValueError, match="incremental"):
+            large_scale.SaturatedLteRun(
+                large_scale.TECH_LTE, seed=4, n_aps=4, clients_per_ap=3,
+                epochs=2, backend=BACKEND_SCALAR, shards=2,
+                shard_mode="inline",
             )
 
     def test_unknown_shard_ap_ids_rejected(self):
