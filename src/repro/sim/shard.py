@@ -35,7 +35,14 @@ its tile and the clients attached to them (see ``shard_ap_ids`` on
   owned AP draws the same doubles at the same stream offsets as the
   unsharded run.
 
-Epoch barrier protocol (per epoch):
+One op table, two transports, one barrier
+-----------------------------------------
+
+Every worker op is dispatched in one place, :data:`_OPS`, by
+:class:`_ShardServer`.  Both transports serve it: :class:`_ProcessWorker`
+pickles ops over a pipe to :func:`_worker_main`, :class:`_InlineWorker`
+calls the server directly.  The phase methods sit once on their common
+base.  :class:`ShardedNetwork` runs the only barrier (per epoch):
 
 1. parent pushes the epoch RNG stream states and the decision to every
    worker; each replies with its partial PRACH counts,
@@ -49,21 +56,24 @@ owner exports the client's cross-epoch max-CQI row, every replica applies
 the re-attach (disown / adopt on the two owners, topology-only elsewhere),
 and the new owner imports the row.
 
-Fault tolerance (see ``docs/ROBUSTNESS.md``)
---------------------------------------------
+Failures (see ``docs/ROBUSTNESS.md``)
+-------------------------------------
 
-:class:`ShardSupervisor` wraps the barrier with liveness tracking: every
-reply is read against a per-phase deadline derived from recent critical
-path timings, failures are classified (crash / hang / protocol error),
-and a failed worker is respawned from the last merged shard-agnostic
-snapshot plus a bounded journal of the event ops and epoch barriers since
--- so the recovered run digest stays bit-identical to a fault-free run.
-A per-worker retry budget with exponential backoff bounds the recovery
-cost; exhausting it folds the shard into inline execution (slower, still
-bit-identical) with a structured warning instead of aborting the run.
-:class:`ChaosPolicy` schedules deterministic fault injection (SIGKILL,
-SIGSTOP stalls, truncated replies, latency spikes) off epoch indices for
-the chaos test net and ``make chaos-smoke``.
+Every worker failure is one :class:`_WorkerFailure` with one handler,
+``ShardedNetwork._failed``.  An event op that raises is deferred and
+surfaces at the next replying op, as one ``worker-op-error`` event per
+``(shard, signature)``.  Unsupervised, the failure is raised as
+``RuntimeError``.  :class:`ShardSupervisor` recovers it instead: replies
+are read against per-phase deadlines, and a failed worker is respawned
+from the last merged shard-agnostic snapshot plus a bounded journal of
+the event ops and epoch barriers since -- so the recovered run digest
+stays bit-identical to a fault-free run.  A per-worker retry budget with
+exponential backoff bounds the recovery cost; exhausting it folds the
+shard into inline execution (slower, still bit-identical) with a
+structured warning instead of aborting the run.  :class:`ChaosPolicy`
+schedules deterministic fault injection (SIGKILL, SIGSTOP stalls,
+truncated replies, latency spikes) off epoch indices for the chaos test
+net and ``make chaos-smoke``.
 """
 
 from __future__ import annotations
@@ -150,14 +160,82 @@ def _apply_stream_states(rngs, states: Dict[str, Any]) -> None:
         rngs.stream(name).bit_generator.state = state
 
 
-class _InlineWorker:
-    """In-process worker: same protocol, no pipes (tests, fallback).
+# -- Worker side: the op table ------------------------------------------------
 
-    With ``tel_cfg`` set, the worker keeps its *own* telemetry instance
-    and activates it around every op, so an inline (or degraded) shard
-    records exactly like a process worker would -- into a shard-local
-    buffer shipped via payloads -- instead of leaking unprefixed metrics
-    into the parent registry.
+
+def _op_begin(server, epoch_index, allowed, demands_bits, rng_states):
+    _apply_stream_states(server.net.rngs, rng_states)
+    server.pending = (epoch_index, allowed, demands_bits)
+    return server.net.prach_partial_counts(demands_bits)
+
+
+def _op_commit(server, prach_total):
+    epoch_index, allowed, demands_bits = server.pending
+    server.pending = None
+    net = server.net
+    start = time.process_time()
+    result = net.run_epoch(
+        epoch_index, allowed, demands_bits, prach_counts=prach_total
+    )
+    compute_s = time.process_time() - start
+    outcome = (
+        result,
+        _epoch_stream_states(net.rngs),
+        dict(net.last_epoch_stats),
+        compute_s,
+    )
+    if server.shipper is not None:
+        # Telemetry piggybacks on the commit reply; with telemetry off the
+        # wire format is byte-identical to the untraced run (digest
+        # neutrality).
+        outcome += (server.shipper.payload("epoch", epoch_index),)
+    return outcome
+
+
+#: Every worker op, keyed by name; :meth:`_ShardServer.serve` is the only
+#: place that dispatches through it.
+_OPS: Dict[str, Callable[..., Any]] = {
+    "move": lambda s, cid, x, y: s.net.move_client(cid, x, y),
+    "reattach": lambda s, cid, ap_id: s.net.reattach_client(cid, ap_id),
+    "import": lambda s, cid, row: s.net.import_client_row(cid, row),
+    "export": lambda s, cid: s.net.export_client_row(cid),
+    "begin": _op_begin,
+    "commit": _op_commit,
+    "build_stats": lambda s: {
+        "gain_prefill_s": getattr(s.net, "gain_prefill_s", None)
+    },
+    "tel_flush": lambda s: (
+        s.shipper.payload("flush") if s.shipper is not None else None
+    ),
+    "state": lambda s: s.net.state_dict(),
+    "load": lambda s, state: s.net.load_state(state),
+}
+
+#: Fire-and-forget ops: no reply, failures deferred to the next reply.
+_EVENT_OPS = frozenset(("move", "reattach", "import"))
+
+#: Signature used for event ops skipped because the shard was already
+#: poisoned by an earlier failure (the state they would act on is suspect).
+_SKIPPED_SIG = "skipped: op arrived after an earlier event failure"
+
+
+class _ShardServer:
+    """One shard simulator behind the op table, for either transport.
+
+    ``serve(msg)`` runs one op and returns its ``("ok" | "error",
+    payload)`` reply, or ``None`` for an event op.  Event ops are
+    fire-and-forget so the parent can pipeline a whole inter-epoch event
+    batch without a round-trip each; any exception they raise is
+    deduplicated by signature (repeating identical failures only bump a
+    count) and the structured report answers the next replying op, which
+    every epoch barrier contains.  Once poisoned, further event ops are
+    skipped -- and counted -- rather than run against suspect state.
+
+    With ``tel_cfg`` the server keeps its own sim-clock-aware telemetry
+    (``run_epoch`` advances its clock) and activates it around every op,
+    so a shard records into a shard-local buffer shipped on commit
+    replies -- never into the parent registry; the ``tel_flush`` op
+    drains whatever is still buffered (recovery/degrade/close pulls it).
     """
 
     def __init__(
@@ -166,102 +244,50 @@ class _InlineWorker:
         ap_ids: Sequence[int],
         tel_cfg: Optional[Dict[str, bool]] = None,
     ) -> None:
-        self._tel, self._shipper = _worker_telemetry(tel_cfg)
+        self.tel, self.shipper = _worker_telemetry(tel_cfg)
         with self._scope():
             self.net = net_factory(list(ap_ids))
-        self._pending: Optional[tuple] = None
-        self._partial: Optional[np.ndarray] = None
-        self._result: Optional[tuple] = None
-        #: Chaos hook: a "killed" inline worker refuses every op until the
-        #: supervisor rebuilds it, mirroring a SIGKILL'd process worker.
-        self.dead = False
+        self.pending: Optional[tuple] = None
+        # signature -> [count, first full traceback]
+        self.deferred: Dict[str, List[Any]] = {}
 
     def _scope(self):
         """Activate the worker-local telemetry for one op (or no-op)."""
-        if self._tel is None:
+        if self.tel is None:
             return nullcontext()
-        return _obs_runtime.activated(self._tel)
+        return _obs_runtime.activated(self.tel)
 
-    def simulate_crash(self) -> None:
-        self.dead = True
-
-    def apply_move(self, client_id: int, x: float, y: float) -> None:
-        with self._scope():
-            self.net.move_client(client_id, x, y)
-
-    def apply_reattach(self, client_id: int, new_ap_id: int) -> None:
-        with self._scope():
-            self.net.reattach_client(client_id, new_ap_id)
-
-    def export_row(self, client_id: int) -> List[int]:
-        with self._scope():
-            return self.net.export_client_row(client_id)
-
-    def import_row(self, client_id: int, row: Sequence[int]) -> None:
-        with self._scope():
-            self.net.import_client_row(client_id, row)
-
-    def begin_epoch(self, epoch_index, allowed, demands_bits, rng_states) -> None:
-        with self._scope():
-            _apply_stream_states(self.net.rngs, rng_states)
-            self._pending = (epoch_index, allowed, demands_bits)
-            self._partial = self.net.prach_partial_counts(demands_bits)
-
-    def read_partial(self) -> np.ndarray:
-        partial, self._partial = self._partial, None
-        return partial
-
-    def commit_epoch(self, prach_total: np.ndarray) -> None:
-        epoch_index, allowed, demands_bits = self._pending
-        self._pending = None
-        with self._scope():
-            start = time.process_time()
-            result = self.net.run_epoch(
-                epoch_index, allowed, demands_bits, prach_counts=prach_total
-            )
-            compute_s = time.process_time() - start
-            outcome = (
-                result,
-                _epoch_stream_states(self.net.rngs),
-                dict(self.net.last_epoch_stats),
-                compute_s,
-            )
-            if self._shipper is not None:
-                outcome += (self._shipper.payload("epoch", epoch_index),)
-        self._result = outcome
-
-    def read_result(self) -> tuple:
-        result, self._result = self._result, None
-        return result
-
-    def flush_payload(self) -> Optional[Dict[str, Any]]:
-        """Drain buffered telemetry not yet shipped on a commit reply."""
-        if self._shipper is None:
+    def serve(self, msg: tuple) -> Optional[Tuple[str, Any]]:
+        op = msg[0]
+        if op in _EVENT_OPS:
+            if self.deferred:
+                self.deferred.setdefault(_SKIPPED_SIG, [0, "(not run)"])[0] += 1
+                return None
+            try:
+                with self._scope():
+                    _OPS[op](self, *msg[1:])
+            except Exception as exc:
+                sig = f"{op}: {type(exc).__name__}: {exc}"
+                entry = self.deferred.setdefault(sig, [0, traceback.format_exc()])
+                entry[0] += 1
             return None
-        return self._shipper.payload("flush")
-
-    def build_stats(self) -> Dict[str, Any]:
-        """Cache-build timings from the shard net (see ``gain_prefill_s``)."""
-        return {"gain_prefill_s": getattr(self.net, "gain_prefill_s", None)}
-
-    def state_dict(self) -> Dict[str, Any]:
-        with self._scope():
-            return self.net.state_dict()
-
-    def begin_load_state(self, state: Dict[str, Any]) -> None:
-        with self._scope():
-            self.net.load_state(state)
-
-    def finish_load_state(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-#: Signature used for event ops skipped because the shard was already
-#: poisoned by an earlier failure (the state they would act on is suspect).
-_SKIPPED_SIG = "skipped: op arrived after an earlier event failure"
+        if self.deferred:
+            return (
+                "error",
+                {
+                    "deferred_ops": [
+                        {"signature": sig, "count": count, "traceback": tb}
+                        for sig, (count, tb) in self.deferred.items()
+                    ]
+                },
+            )
+        try:
+            if op not in _OPS:
+                raise ValueError(f"unknown shard worker op {op!r}")
+            with self._scope():
+                return ("ok", _OPS[op](self, *msg[1:]))
+        except Exception:
+            return ("error", traceback.format_exc())
 
 
 def _worker_main(
@@ -270,120 +296,26 @@ def _worker_main(
     ap_ids: Sequence[int],
     tel_cfg: Optional[Dict[str, bool]] = None,
 ) -> None:
-    """Worker-process loop: build the shard simulator, serve barrier ops.
-
-    Event ops (``move`` / ``reattach`` / ``import``) are fire-and-forget so
-    the parent can pipeline a whole inter-epoch event batch without a
-    round-trip each; any exception they raise is deduplicated by signature
-    (repeating identical failures only bump a count) and the structured
-    report is surfaced at the next replying op, which every epoch barrier
-    contains.  Once poisoned, further event ops are skipped -- and counted
-    -- rather than run against suspect state.
-
-    With ``tel_cfg`` the worker runs its own sim-clock-aware telemetry
-    (``run_epoch`` advances its clock) and piggybacks incremental
-    payloads on every commit reply; the ``tel_flush`` op drains whatever
-    is still buffered (recovery/degrade/close pulls it).
-    """
+    """Worker-process loop: recv -> serve -> send, until ``stop`` or EOF."""
     # The fork start method clones the parent's activated telemetry into
-    # the child; drop it first so a worker never records into (a copy of)
-    # the parent registry, then activate a worker-local instance when the
-    # parent asked for one.
+    # the child; drop it so a worker never records into (a copy of) the
+    # parent registry -- the server activates its own instance per op.
     _obs_runtime.disable()
-    tel, shipper = _worker_telemetry(tel_cfg)
-    if tel is not None:
-        _obs_runtime.enable(tel)
-    net = net_factory(list(ap_ids))
-    pending: Optional[tuple] = None
-    # signature -> [count, first full traceback]
-    deferred: Dict[str, List[Any]] = {}
+    server = _ShardServer(net_factory, ap_ids, tel_cfg)
     while True:
         try:
             msg = conn.recv()
         except EOFError:
             return
-        op = msg[0]
-        if op == "stop":
+        if msg[0] == "stop":
             conn.close()
             return
-        if op in ("move", "reattach", "import"):
-            if deferred:
-                entry = deferred.setdefault(_SKIPPED_SIG, [0, "(not run)"])
-                entry[0] += 1
-                continue
-            try:
-                if op == "move":
-                    net.move_client(msg[1], msg[2], msg[3])
-                elif op == "reattach":
-                    net.reattach_client(msg[1], msg[2])
-                else:
-                    net.import_client_row(msg[1], msg[2])
-            except Exception as exc:
-                sig = f"{op}: {type(exc).__name__}: {exc}"
-                entry = deferred.setdefault(sig, [0, traceback.format_exc()])
-                entry[0] += 1
-            continue
-        if deferred:
-            conn.send(
-                (
-                    "error",
-                    {
-                        "deferred_ops": [
-                            {"signature": sig, "count": count, "traceback": tb}
-                            for sig, (count, tb) in deferred.items()
-                        ]
-                    },
-                )
-            )
-            continue
-        try:
-            if op == "export":
-                conn.send(("ok", net.export_client_row(msg[1])))
-            elif op == "begin":
-                _, epoch_index, allowed, demands_bits, rng_states = msg
-                _apply_stream_states(net.rngs, rng_states)
-                pending = (epoch_index, allowed, demands_bits)
-                conn.send(("ok", net.prach_partial_counts(demands_bits)))
-            elif op == "commit":
-                epoch_index, allowed, demands_bits = pending
-                pending = None
-                start = time.process_time()
-                result = net.run_epoch(
-                    epoch_index, allowed, demands_bits, prach_counts=msg[1]
-                )
-                compute_s = time.process_time() - start
-                outcome = (
-                    result,
-                    _epoch_stream_states(net.rngs),
-                    dict(net.last_epoch_stats),
-                    compute_s,
-                )
-                if shipper is not None:
-                    # Telemetry piggybacks on the commit reply; with
-                    # telemetry off the wire format is byte-identical to
-                    # the untraced run (digest neutrality).
-                    outcome += (shipper.payload("epoch", epoch_index),)
-                conn.send(("ok", outcome))
-            elif op == "build_stats":
-                conn.send(
-                    ("ok", {"gain_prefill_s": getattr(net, "gain_prefill_s", None)})
-                )
-            elif op == "tel_flush":
-                conn.send(
-                    (
-                        "ok",
-                        shipper.payload("flush") if shipper is not None else None,
-                    )
-                )
-            elif op == "state":
-                conn.send(("ok", net.state_dict()))
-            elif op == "load":
-                net.load_state(msg[1])
-                conn.send(("ok", None))
-            else:
-                raise ValueError(f"unknown shard worker op {op!r}")
-        except Exception:
-            conn.send(("error", traceback.format_exc()))
+        reply = server.serve(msg)
+        if reply is not None:
+            conn.send(reply)
+
+
+# -- Parent side: two transports on one base ----------------------------------
 
 
 def _format_worker_error(payload: Any) -> str:
@@ -403,8 +335,118 @@ def _format_worker_error(payload: Any) -> str:
     return str(payload)
 
 
-class _ProcessWorker:
-    """Pipe-connected worker process (``fork`` start method)."""
+class _WorkerFailure(Exception):
+    """One failed worker request.
+
+    ``kind`` is ``"crash"`` (worker dead, pipe closed), ``"hang"`` (no
+    reply before the deadline) or ``"protocol"`` (an undecodable or
+    invalid reply, or an error the worker reported, whose raw payload is
+    kept in ``payload``).
+    """
+
+    def __init__(self, kind: str, detail: str, payload: Any = None) -> None:
+        super().__init__(detail)
+        self.kind = kind
+        self.detail = detail
+        self.payload = payload
+
+
+class _Worker:
+    """Parent-side handle on one shard: the protocol, written once.
+
+    A transport supplies ``post(msg)`` (queue one op for the worker's op
+    table) and ``_take(timeout_s)`` (the next raw reply); both raise
+    :class:`_WorkerFailure`.  ``timeout_s=None`` waits without a
+    deadline.
+    """
+
+    def reply(self, timeout_s: Optional[float] = None) -> Any:
+        tag, payload = self._take(timeout_s)
+        if tag != "ok":
+            raise _WorkerFailure(
+                "protocol", f"worker error:\n{_format_worker_error(payload)}", payload
+            )
+        return payload
+
+    def call(self, msg: tuple, timeout_s: Optional[float] = None) -> Any:
+        self.post(msg)
+        return self.reply(timeout_s)
+
+    def begin_epoch(self, epoch_index, allowed, demands_bits, rng_states) -> None:
+        self.post(("begin", epoch_index, allowed, demands_bits, rng_states))
+
+    def read_partial(self, timeout_s: Optional[float] = None) -> np.ndarray:
+        return self.reply(timeout_s)
+
+    def commit_epoch(self, prach_total: np.ndarray) -> None:
+        self.post(("commit", prach_total))
+
+    def read_result(self, timeout_s: Optional[float] = None) -> tuple:
+        return self.reply(timeout_s)
+
+    def build_stats(self, timeout_s: Optional[float] = None) -> Dict[str, Any]:
+        """Cache-build timings from the shard net (see ``gain_prefill_s``)."""
+        return self.call(("build_stats",), timeout_s)
+
+    def state_dict(self, timeout_s: Optional[float] = None) -> Dict[str, Any]:
+        return self.call(("state",), timeout_s)
+
+    def begin_load_state(self, state: Dict[str, Any]) -> None:
+        self.post(("load", state))
+
+    def finish_load_state(self, timeout_s: Optional[float] = None) -> None:
+        self.reply(timeout_s)
+
+    def close(self) -> None:
+        pass
+
+
+class _InlineWorker(_Worker):
+    """In-process transport: calls the op table directly (tests, platforms
+    without fork, degraded shards) -- no pickling, no copies."""
+
+    def __init__(
+        self,
+        net_factory: NetFactory,
+        ap_ids: Sequence[int],
+        tel_cfg: Optional[Dict[str, bool]] = None,
+    ) -> None:
+        self.server = _ShardServer(net_factory, ap_ids, tel_cfg)
+        self.net = self.server.net
+        self._tel, self._shipper = self.server.tel, self.server.shipper
+        self._reply: Optional[Tuple[str, Any]] = None
+        #: Chaos hook: a "killed" inline worker fails every request until
+        #: the supervisor rebuilds it, mirroring a SIGKILL'd process worker.
+        self.dead = False
+
+    def post(self, msg: tuple) -> None:
+        if self.dead:
+            raise _WorkerFailure("crash", "inline worker killed")
+        reply = self.server.serve(msg)
+        if reply is not None:
+            self._reply = reply
+
+    def _take(self, timeout_s: Optional[float]) -> Tuple[str, Any]:
+        reply, self._reply = self._reply, None
+        if self.dead:
+            raise _WorkerFailure("crash", "inline worker killed")
+        if reply is None:
+            raise _WorkerFailure("protocol", "no reply pending")
+        return reply
+
+    def send_signal(self, sig: int) -> bool:
+        """Chaos: SIGKILL flips the dead flag; nothing else applies."""
+        if sig != signal.SIGKILL:
+            return False
+        self.dead = True
+        return True
+
+    def kill(self) -> None:
+        self.dead = True
+
+
+class _ProcessWorker(_Worker):
+    """Pipe transport to a forked worker process (``fork`` start method)."""
 
     def __init__(
         self,
@@ -413,10 +455,6 @@ class _ProcessWorker:
         ap_ids: Sequence[int],
         tel_cfg: Optional[Dict[str, bool]] = None,
     ) -> None:
-        #: Parent-side hook: called with the raw error payload of every
-        #: ``("error", ...)`` reply, before the exception is raised, so the
-        #: owning net can dedupe/record structured reports (obs layer).
-        self.on_error_report: Optional[Callable[[Any], None]] = None
         parent_conn, child_conn = ctx.Pipe()
         self.proc = ctx.Process(
             target=_worker_main,
@@ -427,62 +465,42 @@ class _ProcessWorker:
         child_conn.close()
         self.conn = parent_conn
 
-    def _recv(self):
-        tag, payload = self.conn.recv()
-        if tag == "error":
-            if self.on_error_report is not None:
-                self.on_error_report(payload)
-            raise RuntimeError(
-                f"shard worker failed:\n{_format_worker_error(payload)}"
-            )
-        return payload
+    def _gone(self) -> _WorkerFailure:
+        code = self.proc.exitcode
+        if code is not None and code < 0:
+            return _WorkerFailure("crash", f"worker killed by signal {-code}")
+        return _WorkerFailure("crash", f"worker pipe closed, exitcode {code}")
 
-    # -- Supervised primitives (used only by ShardSupervisor) ---------------
-
-    def is_alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def exitcode(self) -> Optional[int]:
-        return self.proc.exitcode
-
-    def send_safe(self, msg: tuple) -> bool:
-        """Best-effort send; ``False`` when the pipe is already broken."""
+    def post(self, msg: tuple) -> None:
         try:
             self.conn.send(msg)
-            return True
         except (BrokenPipeError, OSError):
-            return False
+            raise self._gone() from None
 
-    def try_recv(self, timeout_s: float) -> Tuple[str, Any]:
-        """Timed reply read with liveness polling.
-
-        Returns ``(status, payload)`` where status is the worker's own
-        ``"ok"``/``"error"`` tag, or ``"timeout"`` (deadline passed with
-        the worker still alive -- a hang), ``"eof"`` (pipe closed / worker
-        dead -- a crash), or ``"garbled"`` (the reply failed to decode --
-        a protocol error).
-        """
-        deadline = time.monotonic() + timeout_s
+    def _take(self, timeout_s: Optional[float]) -> Tuple[str, Any]:
+        """Read one reply, polling liveness while a deadline runs."""
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return ("timeout", None)
+            wait = None
+            if deadline is not None:
+                wait = deadline - time.monotonic()
+                if wait <= 0:
+                    raise _WorkerFailure("hang", f"no reply within {timeout_s:.3g}s")
+                wait = min(wait, 0.05)
             try:
-                ready = self.conn.poll(min(remaining, 0.05))
-            except (BrokenPipeError, OSError):
-                return ("eof", None)
-            if ready:
-                try:
-                    tag, payload = self.conn.recv()
-                except (EOFError, OSError):
-                    return ("eof", None)
-                except Exception:
-                    return ("garbled", traceback.format_exc(limit=2))
-                return (tag, payload)
-            if not self.proc.is_alive() and not self.conn.poll(0):
-                return ("eof", None)
+                if self.conn.poll(wait):
+                    return self.conn.recv()
+                alive = self.proc.is_alive() or self.conn.poll(0)
+            except (EOFError, OSError):
+                raise self._gone() from None
+            except Exception:
+                raise _WorkerFailure(
+                    "protocol", f"undecodable reply: {traceback.format_exc(limit=2)}"
+                ) from None
+            if not alive:
+                raise self._gone()
 
-    def signal_proc(self, sig: int) -> bool:
+    def send_signal(self, sig: int) -> bool:
         """Deliver a raw signal to the worker process (chaos injection)."""
         try:
             os.kill(self.proc.pid, sig)
@@ -496,51 +514,7 @@ class _ProcessWorker:
             self.proc.kill()
         except Exception:
             pass
-        self.proc.join(timeout=5.0)
-        try:
-            if not self.conn.closed:
-                self.conn.close()
-        except OSError:
-            pass
-
-    def apply_move(self, client_id: int, x: float, y: float) -> None:
-        self.conn.send(("move", client_id, x, y))
-
-    def apply_reattach(self, client_id: int, new_ap_id: int) -> None:
-        self.conn.send(("reattach", client_id, new_ap_id))
-
-    def export_row(self, client_id: int) -> List[int]:
-        self.conn.send(("export", client_id))
-        return self._recv()
-
-    def import_row(self, client_id: int, row: Sequence[int]) -> None:
-        self.conn.send(("import", client_id, list(row)))
-
-    def begin_epoch(self, epoch_index, allowed, demands_bits, rng_states) -> None:
-        self.conn.send(("begin", epoch_index, allowed, demands_bits, rng_states))
-
-    def read_partial(self) -> np.ndarray:
-        return self._recv()
-
-    def commit_epoch(self, prach_total: np.ndarray) -> None:
-        self.conn.send(("commit", prach_total))
-
-    def read_result(self) -> tuple:
-        return self._recv()
-
-    def build_stats(self) -> Dict[str, Any]:
-        self.conn.send(("build_stats",))
-        return self._recv()
-
-    def state_dict(self) -> Dict[str, Any]:
-        self.conn.send(("state",))
-        return self._recv()
-
-    def begin_load_state(self, state: Dict[str, Any]) -> None:
-        self.conn.send(("load", state))
-
-    def finish_load_state(self) -> None:
-        self._recv()
+        self.close()
 
     def close(self) -> None:
         if self.proc.is_alive():
@@ -834,18 +808,26 @@ def _corrupt_payload(payload: Any) -> Any:
     return "\x00garbage"
 
 
-class ShardSupervisor:
-    """Heartbeat, recovery, and chaos control for a :class:`ShardedNetwork`.
+def _validate_state(payload: Any) -> Optional[str]:
+    """Reply validation for a state gather."""
+    if isinstance(payload, dict) and "schedulers" in payload:
+        return None
+    return "invalid state payload"
 
-    The supervisor owns the barrier when attached: replies are read
-    against per-phase deadlines (hangs SIGKILLed and classified), every
-    reply is validated before it is merged, and any failure triggers
-    deterministic recovery -- respawn the worker from the last merged
-    shard-agnostic snapshot, replay the op journal (event ops and epoch
-    barriers recorded since the snapshot, with their exact RNG stream
-    states and PRACH totals), and rejoin the barrier bit-identically.
-    Failures beyond ``retry_budget`` degrade the shard to inline
-    execution with a :class:`ShardDegradedWarning` instead of aborting.
+
+class ShardSupervisor:
+    """Recovery for a :class:`ShardedNetwork`: deadlines, journal, snapshot,
+    respawn/replay, chaos and degrade.
+
+    The network runs the barrier; with a supervisor attached it reads
+    replies against per-phase deadlines, journals event ops and epoch
+    barriers here, and hands every worker failure to :meth:`_recover`:
+    respawn the worker from the last merged shard-agnostic snapshot,
+    replay the op journal (event ops and epoch barriers recorded since
+    the snapshot, with their exact RNG stream states and PRACH totals),
+    and rejoin the barrier bit-identically.  Failures beyond
+    ``retry_budget`` degrade the shard to inline execution with a
+    :class:`ShardDegradedWarning` instead of aborting.
     """
 
     def __init__(
@@ -862,7 +844,6 @@ class ShardSupervisor:
         self._failures = [0] * n
         self.degraded = [False] * n
         self._malform_next = [False] * n
-        self._replay_outcome: List[Optional[tuple]] = [None] * n
         self._journal: List[tuple] = []
         self._epochs_since_snapshot = 0
         self._recent_phase_s: Dict[str, Any] = {
@@ -884,11 +865,9 @@ class ShardSupervisor:
             "telemetry_dropped": 0,
         }
         # Baseline snapshot: a worker lost before the first periodic
-        # refresh must still be recoverable.  Workers are freshly built
-        # here, so plain (unguarded) gathers are fine.
-        self._snapshot = clone_state(
-            net._merge_states([worker.state_dict() for worker in net.workers])
-        )
+        # refresh must still be recoverable.  The net has no supervisor
+        # yet, so this gather is a plain (unguarded) one.
+        self._snapshot = clone_state(net.state_dict())
         self.stats["snapshots"] += 1
 
     # -- Plumbing -----------------------------------------------------------
@@ -896,83 +875,22 @@ class ShardSupervisor:
     def _now(self) -> float:
         return self.net._now
 
-    def _deadline(self, phase: str) -> float:
+    def deadline(self, where: str) -> float:
+        """Reply deadline for a barrier phase, or for any other request."""
+        if where not in self._recent_phase_s:
+            # Recovery and state ops are off the hot path, so erring
+            # generous beats spurious re-classification.
+            return max(self.deadline("commit"), _RECOVERY_MIN_DEADLINE_S)
         cfg = self.config
         if cfg.phase_timeout_s is not None:
             return cfg.phase_timeout_s
-        recent = self._recent_phase_s[phase]
+        recent = self._recent_phase_s[where]
         if not recent:
             return cfg.initial_deadline_s
         return max(cfg.min_deadline_s, cfg.deadline_factor * max(recent))
 
-    @staticmethod
-    def _inline_execute(worker: _InlineWorker, msg: tuple) -> Any:
-        """Run one pipe-protocol message against an inline worker."""
-        op = msg[0]
-        if op == "move":
-            return worker.apply_move(msg[1], msg[2], msg[3])
-        if op == "reattach":
-            return worker.apply_reattach(msg[1], msg[2])
-        if op == "import":
-            return worker.import_row(msg[1], msg[2])
-        if op == "export":
-            return worker.export_row(msg[1])
-        if op == "begin":
-            worker.begin_epoch(msg[1], msg[2], msg[3], msg[4])
-            return worker.read_partial()
-        if op == "commit":
-            worker.commit_epoch(msg[1])
-            return worker.read_result()
-        if op == "state":
-            return worker.state_dict()
-        if op == "load":
-            worker.begin_load_state(msg[1])
-            worker.finish_load_state()
-            return None
-        if op == "tel_flush":
-            return worker.flush_payload()
-        raise ValueError(f"unknown shard worker op {op!r}")
-
-    def _request(self, worker: Any, msg: tuple, timeout_s: float) -> Tuple[str, Any]:
-        """Send one replying op and read its reply, for either worker kind."""
-        if isinstance(worker, _ProcessWorker):
-            if not worker.send_safe(msg):
-                return ("eof", None)
-            return worker.try_recv(timeout_s)
-        if worker.dead:
-            return ("eof", None)
-        try:
-            return ("ok", self._inline_execute(worker, msg))
-        except Exception:
-            return ("error", traceback.format_exc())
-
-    def _send_barrier(self, k: int, msg: tuple) -> bool:
-        """Queue a barrier op; inline workers execute lazily at collect."""
-        worker = self.net.workers[k]
-        if isinstance(worker, _ProcessWorker):
-            return worker.send_safe(msg)
-        return True
-
-    def _classify(
-        self, k: int, status: str, payload: Any, where: str, deadline_s: float
-    ) -> Tuple[str, str]:
-        """Map a failed request status to (failure kind, detail)."""
-        if status == "timeout":
-            return ("hang", f"no reply within {deadline_s:.3g}s ({where})")
-        if status == "eof":
-            worker = self.net.workers[k]
-            code = (
-                worker.exitcode() if isinstance(worker, _ProcessWorker) else None
-            )
-            if code is not None and code < 0:
-                return ("crash", f"worker killed by signal {-code} ({where})")
-            return ("crash", f"worker pipe closed, exitcode {code} ({where})")
-        if status == "garbled":
-            return ("protocol", f"undecodable reply ({where}): {payload}")
-        return (
-            "protocol",
-            f"worker error ({where}):\n{_format_worker_error(payload)}",
-        )
+    def note_phase(self, phase: str, seconds: float) -> None:
+        self._recent_phase_s[phase].append(max(seconds, 1e-9))
 
     # -- Recovery -----------------------------------------------------------
 
@@ -982,19 +900,17 @@ class ShardSupervisor:
         kind: str,
         detail: str,
         expect_epoch: Optional[int] = None,
-    ) -> None:
+    ) -> Optional[tuple]:
         """Respawn worker ``k`` from snapshot + journal replay (with retries).
 
-        When ``expect_epoch`` names the epoch whose outcome the caller is
-        collecting and the journal already holds that barrier, the
-        replayed outcome is stashed for the caller -- a commit-phase
-        failure needs no re-commit, the replay *is* the epoch.
+        Returns the replayed outcome of epoch ``expect_epoch`` when the
+        journal already holds that barrier -- a commit-phase failure needs
+        no re-commit, the replay *is* the epoch -- and ``None`` otherwise.
         """
         cfg = self.config
         counter = {"crash": "crashes", "hang": "hangs", "protocol": "protocol_errors"}
         self.stats[counter[kind]] += 1
         self.log.record(self._now(), f"shard{k}", f"worker-{kind}", detail)
-        self._replay_outcome[k] = None
         self._malform_next[k] = False
         respawn_wall0 = time.perf_counter_ns()
         # Salvage the dying worker's buffered telemetry before the kill:
@@ -1004,9 +920,7 @@ class ShardSupervisor:
         self._salvage_telemetry(k)
         while True:
             self._failures[k] += 1
-            worker = self.net.workers[k]
-            if isinstance(worker, _ProcessWorker):
-                worker.kill()
+            self.net.workers[k].kill()
             degrade = self.degraded[k] or self._failures[k] > cfg.retry_budget
             if degrade and not self.degraded[k]:
                 self.degraded[k] = True
@@ -1071,12 +985,9 @@ class ShardSupervisor:
                     wall_ns=respawn_wall0,
                     wall_dur_ns=time.perf_counter_ns() - respawn_wall0,
                 )
-        if (
-            expect_epoch is not None
-            and outcome is not None
-            and outcome_epoch == expect_epoch
-        ):
-            self._replay_outcome[k] = outcome
+        if expect_epoch is not None and outcome_epoch == expect_epoch:
+            return outcome
+        return None
 
     def _salvage_telemetry(self, k: int) -> None:
         """Flush a dying worker's buffered telemetry, or count the loss.
@@ -1088,26 +999,17 @@ class ShardSupervisor:
         if self.net._tel_merger is None:
             return
         if self.net._flush_worker_telemetry(k, salvage=True):
-            self.stats["telemetry_salvaged"] += 1
-            # Mirrored into the ``shard.telemetry_salvaged`` counter.
-            self.log.record(
-                self._now(),
-                f"shard{k}",
-                "telemetry_salvaged",
-                "buffered worker telemetry flushed before respawn",
-            )
+            kind, detail = "telemetry_salvaged", "flushed before respawn"
         else:
-            self.stats["telemetry_dropped"] += 1
-            # EventLog mirrors the kind into the ``shard.telemetry_dropped``
-            # counter (plus a trace instant) for free.
-            self.log.record(
-                self._now(),
-                f"shard{k}",
-                "telemetry_dropped",
-                "buffered worker telemetry lost with the worker",
-            )
+            kind, detail = "telemetry_dropped", "lost with the worker"
+        self.stats[kind] += 1
+        # EventLog mirrors the kind into a ``shard.<kind>`` counter (plus
+        # a trace instant) for free.
+        self.log.record(
+            self._now(), f"shard{k}", kind, f"buffered worker telemetry {detail}"
+        )
 
-    def _replay(self, worker: Any, k: int) -> Tuple[Optional[tuple], Optional[int]]:
+    def _replay(self, worker: _Worker, k: int) -> Tuple[Optional[tuple], Optional[int]]:
         """Load the pinned snapshot into ``worker``, re-apply the journal.
 
         Returns ``(outcome, epoch_index)`` of the last replayed epoch
@@ -1115,49 +1017,42 @@ class ShardSupervisor:
         anomaly raises :class:`_RecoveryError` so the caller can retry the
         whole respawn under the budget.
         """
-        per_op_s = max(self._deadline("commit"), _RECOVERY_MIN_DEADLINE_S)
+        per_op_s = self.deadline("replay")
         replay_wall0 = time.perf_counter_ns()
 
-        def call(msg: tuple, step: str) -> Any:
-            status, payload = self._request(worker, msg, per_op_s)
-            if status != "ok":
-                detail = (
-                    _format_worker_error(payload) if status == "error" else status
-                )
-                raise _RecoveryError(f"replay {step} failed: {detail}")
-            return payload
-
-        def post(msg: tuple, step: str) -> None:
-            if isinstance(worker, _ProcessWorker):
-                if not worker.send_safe(msg):
-                    raise _RecoveryError(f"pipe closed during replay ({step})")
-                return
-            call(msg, step)
+        def send(msg: tuple, step: str) -> Any:
+            try:
+                worker.post(msg)
+                return None if msg[0] in _EVENT_OPS else worker.reply(per_op_s)
+            except _WorkerFailure as failure:
+                self.net._note_error_report(k, failure.payload)
+                raise _RecoveryError(
+                    f"replay {step} failed: {failure.detail}"
+                ) from None
 
         # Hand the worker a detached clone: the pinned snapshot must stay
         # byte-stable across retries, and an inline worker must never end
         # up aliasing arrays inside it (or inside a sibling worker).
-        call(("load", clone_state(self._snapshot)), "snapshot load")
+        send(("load", clone_state(self._snapshot)), "snapshot load")
         last: Tuple[Optional[tuple], Optional[int]] = (None, None)
         for entry in self._journal:
             op = entry[0]
             if op == "move":
-                _, cid, x, y = entry
-                post(("move", cid, x, y), "move")
+                send(entry, "move")
             elif op == "reattach":
                 _, cid, new_ap_id, row, new_shard = entry
-                post(("reattach", cid, new_ap_id), "reattach")
+                send(("reattach", cid, new_ap_id), "reattach")
                 if row is not None and new_shard == k:
-                    post(("import", cid, list(row)), "import")
+                    send(("import", cid, list(row)), "import")
             elif op == "epoch":
                 _, epoch_index, allowed, demands_bits, rng_states, total = entry
                 # The partial is discarded: the journaled exact total is
                 # authoritative (it came from the fault-free reduction).
-                call(
+                send(
                     ("begin", epoch_index, allowed, demands_bits, rng_states),
                     f"begin[{epoch_index}]",
                 )
-                outcome = call(("commit", total), f"commit[{epoch_index}]")
+                outcome = send(("commit", total), f"commit[{epoch_index}]")
                 error = _validate_outcome(
                     outcome, self.net._tel_merger is not None
                 )
@@ -1168,6 +1063,11 @@ class ShardSupervisor:
                 last = (outcome, epoch_index)
             else:  # pragma: no cover - journal is written by this class
                 raise _RecoveryError(f"unknown journal entry {op!r}")
+        # End on a replying op: an event op that failed after the last
+        # journaled epoch surfaces here, so a poisoned replacement is
+        # retried (and finally degraded) instead of rejoining the barrier
+        # only to fail the same way again.
+        send(("build_stats",), "final check")
         tel = _obs_runtime.active()
         if tel is not None and tel.tracer is not None:
             tel.tracer.complete(
@@ -1189,36 +1089,30 @@ class ShardSupervisor:
         if tel is not None:
             tel.gauge("shard.journal_depth", float(len(self._journal)))
 
-    def _append_epoch_entry(
-        self,
-        epoch_index: int,
-        allowed: Dict[int, Set[int]],
-        demands_bits: Dict[int, float],
-        rng_states: Dict[str, Any],
-        total: np.ndarray,
-    ) -> None:
-        self._journal.append(
-            (
-                "epoch",
-                epoch_index,
-                {ap_id: set(subs) for ap_id, subs in allowed.items()},
-                dict(demands_bits),
-                rng_states,
-                np.array(total, copy=True),
-            )
-        )
+    def journal(self, entry: tuple) -> None:
+        """Record one event op or epoch barrier for replay."""
+        self._journal.append(entry)
         self._note_journal_depth()
 
-    def _trim_journal(self) -> None:
+    def trim_journal(self) -> None:
         if len(self._journal) > self.config.journal_cap:
             self.take_snapshot()
 
+    def epoch_done(self) -> None:
+        """Count a merged epoch; refresh the snapshot on cadence."""
+        self._epochs_since_snapshot += 1
+        if self._epochs_since_snapshot >= self.config.checkpoint_every:
+            self.take_snapshot()
+        tel = _obs_runtime.active()
+        if tel is not None:
+            tel.gauge(
+                "shard.checkpoint_age_epochs",
+                float(self._epochs_since_snapshot),
+            )
+
     def take_snapshot(self) -> None:
         """Refresh the pinned merged snapshot and clear the journal."""
-        states = [self._worker_state(k) for k in range(self.net.n_shards)]
-        self._snapshot = clone_state(self.net._merge_states(states))
-        self._journal = []
-        self._epochs_since_snapshot = 0
+        self.restart_from(self.net.state_dict())
         self.stats["snapshots"] += 1
         self.log.record(
             self._now(),
@@ -1235,95 +1129,22 @@ class ShardSupervisor:
             tel.gauge(
                 "shard.checkpoint_refreshes", float(self.stats["snapshots"])
             )
+
+    def restart_from(self, state: Dict[str, Any]) -> None:
+        """A restore rewinds the run: pin ``state``, clear the journal."""
+        self._snapshot = clone_state(state)
+        self._journal = []
+        self._epochs_since_snapshot = 0
         self._note_journal_depth()
-
-    def _worker_state(self, k: int) -> Dict[str, Any]:
-        deadline_s = max(self._deadline("commit"), _RECOVERY_MIN_DEADLINE_S)
-        while True:
-            status, payload = self._request(
-                self.net.workers[k], ("state",), deadline_s
-            )
-            if status == "ok":
-                if isinstance(payload, dict) and "schedulers" in payload:
-                    return payload
-                kind, detail = "protocol", "invalid state payload"
-            else:
-                kind, detail = self._classify(k, status, payload, "state", deadline_s)
-            self._recover(k, kind, detail)
-
-    # -- Events (journaled, then broadcast) ---------------------------------
-
-    def _post_event(self, k: int, msg: tuple) -> None:
-        """Fire-and-forget event op; failures recover via journal replay."""
-        worker = self.net.workers[k]
-        if isinstance(worker, _ProcessWorker):
-            if worker.send_safe(msg):
-                return
-            # Replay re-applies the journaled op, so recovery is enough.
-            self._recover(k, "crash", f"pipe closed while sending {msg[0]!r}")
-            return
-        status, payload = self._request(worker, msg, 0.0)
-        if status != "ok":
-            kind, detail = self._classify(
-                k, status, payload, f"event {msg[0]!r}", 0.0
-            )
-            self._recover(k, kind, detail)
-
-    def move_client(self, client_id: int, x: float, y: float) -> None:
-        self.net.topology.move_client(client_id, x, y)
-        self._journal.append(("move", client_id, float(x), float(y)))
-        self._note_journal_depth()
-        for k in range(self.net.n_shards):
-            self._post_event(k, ("move", client_id, float(x), float(y)))
-        self._trim_journal()
-
-    def _export_row(self, k: int, client_id: int) -> List[int]:
-        deadline_s = max(self._deadline("commit"), _RECOVERY_MIN_DEADLINE_S)
-        while True:
-            status, payload = self._request(
-                self.net.workers[k], ("export", client_id), deadline_s
-            )
-            if status == "ok":
-                error = _validate_row(payload)
-                if error is None:
-                    return payload
-                kind, detail = "protocol", f"invalid exported row: {error}"
-            else:
-                kind, detail = self._classify(
-                    k, status, payload, "export", deadline_s
-                )
-            self._recover(k, kind, detail)
-
-    def reattach_client(self, client_id: int, new_ap_id: int) -> None:
-        net = self.net
-        old_ap_id = net.topology.client(client_id).ap_id
-        if old_ap_id == new_ap_id:
-            return
-        old_shard = net._shard_of_ap[old_ap_id]
-        new_shard = net._shard_of_ap[new_ap_id]
-        row: Optional[List[int]] = None
-        if old_shard != new_shard:
-            row = self._export_row(old_shard, client_id)
-        net.topology.reattach_client(client_id, new_ap_id)
-        self._journal.append(
-            (
-                "reattach",
-                client_id,
-                new_ap_id,
-                list(row) if row is not None else None,
-                new_shard if row is not None else None,
-            )
-        )
-        self._note_journal_depth()
-        for k in range(net.n_shards):
-            self._post_event(k, ("reattach", client_id, new_ap_id))
-        if row is not None:
-            self._post_event(new_shard, ("import", client_id, list(row)))
-        self._trim_journal()
 
     # -- Chaos injection ----------------------------------------------------
 
-    def _inject(self, events: Sequence[ChaosEvent], phase: str) -> None:
+    def chaos_events(self, epoch_index: int) -> List[ChaosEvent]:
+        if self.chaos is None:
+            return []
+        return self.chaos.events_for(epoch_index, self.net.n_shards)
+
+    def inject(self, events: Sequence[ChaosEvent], phase: str) -> None:
         for event in events:
             if event.phase != phase:
                 continue
@@ -1335,22 +1156,19 @@ class ShardSupervisor:
             )
             self.log.record(self._now(), f"shard{k}", f"chaos-{event.kind}", detail)
             if event.kind == "kill":
-                if isinstance(worker, _ProcessWorker):
-                    worker.signal_proc(signal.SIGKILL)
-                else:
-                    worker.simulate_crash()
+                worker.send_signal(signal.SIGKILL)
             elif event.kind in ("stall", "slow"):
-                if not isinstance(worker, _ProcessWorker):
+                if not worker.send_signal(signal.SIGSTOP):
                     self.log.record(
                         self._now(),
                         f"shard{k}",
                         "chaos-skip",
-                        f"{event.kind} needs a process worker (inline mode)",
+                        f"{event.kind} needs a live process worker",
                     )
                     continue
-                if worker.signal_proc(signal.SIGSTOP) and event.delay_s:
+                if event.delay_s:
                     timer = threading.Timer(
-                        event.delay_s, worker.signal_proc, args=(signal.SIGCONT,)
+                        event.delay_s, worker.send_signal, args=(signal.SIGCONT,)
                     )
                     timer.daemon = True
                     timer.start()
@@ -1358,201 +1176,12 @@ class ShardSupervisor:
             elif event.kind == "malformed":
                 self._malform_next[k] = True
 
-    # -- The supervised epoch barrier ---------------------------------------
-
-    def run_epoch(
-        self,
-        epoch_index: int,
-        allowed: Dict[int, Set[int]],
-        demands_bits: Dict[int, float],
-    ) -> EpochResult:
-        net = self.net
-        n = net.n_shards
-        chaos_events = (
-            self.chaos.events_for(epoch_index, n) if self.chaos is not None else []
-        )
-        tel = _obs_runtime.active()
-        barrier_t0 = time.monotonic()
-        self._inject(chaos_events, "partial")
-        rng_states = _epoch_stream_states(net.rngs)
-        begin_msg = ("begin", epoch_index, allowed, demands_bits, rng_states)
-        # Phase 1: push decision + epoch RNG states, gather PRACH partials.
-        pending = [self._send_barrier(k, begin_msg) for k in range(n)]
-        deadline_s = self._deadline("partial")
-        phase_t0 = time.monotonic()
-        with (
-            tel.span(
-                "shard.barrier.partial",
-                "supervisor",
-                args={"epoch": epoch_index, "deadline_s": deadline_s},
-            )
-            if tel is not None
-            else nullcontext()
-        ):
-            partials = [
-                self._collect_partial(k, begin_msg, pending, deadline_s)
-                for k in range(n)
-            ]
-        self._recent_phase_s["partial"].append(
-            max(time.monotonic() - phase_t0, 1e-9)
-        )
-        total: Optional[np.ndarray] = None
-        for partial in partials:
-            total = partial if total is None else total + partial
-        # Journal the barrier *before* commit: a worker lost during commit
-        # replays straight through this epoch and its replayed outcome is
-        # the epoch result.
-        self._append_epoch_entry(
-            epoch_index, allowed, demands_bits, rng_states, total
-        )
-        # Phase 2: broadcast the exact global counts, run the epoch slices.
-        self._inject(chaos_events, "commit")
-        commit_msg = ("commit", total)
-        committed = [self._send_barrier(k, commit_msg) for k in range(n)]
-        deadline_s = self._deadline("commit")
-        phase_t0 = time.monotonic()
-        with (
-            tel.span(
-                "shard.barrier.commit",
-                "supervisor",
-                args={"epoch": epoch_index, "deadline_s": deadline_s},
-            )
-            if tel is not None
-            else nullcontext()
-        ):
-            outcomes = [
-                self._collect_outcome(
-                    k, commit_msg, committed, deadline_s, epoch_index
-                )
-                for k in range(n)
-            ]
-        self._recent_phase_s["commit"].append(
-            max(time.monotonic() - phase_t0, 1e-9)
-        )
-        merged = net._merge_outcomes(epoch_index, outcomes)
-        if tel is not None:
-            tel.observe("shard.barrier_wait_s", time.monotonic() - barrier_t0)
-        self._epochs_since_snapshot += 1
-        if self._epochs_since_snapshot >= self.config.checkpoint_every:
-            self.take_snapshot()
-        if tel is not None:
-            tel.gauge(
-                "shard.checkpoint_age_epochs",
-                float(self._epochs_since_snapshot),
-            )
-        return merged
-
-    def _collect_partial(
-        self, k: int, begin_msg: tuple, pending: List[bool], deadline_s: float
-    ) -> np.ndarray:
-        n_aps = len(self.net.topology.aps)
-        while True:
-            worker = self.net.workers[k]
-            if not pending[k]:
-                if self._send_barrier(k, begin_msg):
-                    pending[k] = True
-                else:
-                    self._recover(k, "crash", "pipe closed before begin")
-                    continue
-            if isinstance(worker, _ProcessWorker):
-                status, payload = worker.try_recv(deadline_s)
-            else:
-                status, payload = self._request(worker, begin_msg, deadline_s)
-            if status == "ok":
-                if self._malform_next[k]:
-                    self._malform_next[k] = False
-                    payload = _corrupt_payload(payload)
-                error = _validate_partial(payload, n_aps)
-                if error is None:
-                    return payload
-                kind, detail = "protocol", f"invalid PRACH partial: {error}"
-            else:
-                kind, detail = self._classify(k, status, payload, "partial", deadline_s)
-            self._recover(k, kind, detail)
-            pending[k] = False
-
-    def _collect_outcome(
-        self,
-        k: int,
-        commit_msg: tuple,
-        committed: List[bool],
-        deadline_s: float,
-        epoch_index: int,
-    ) -> tuple:
-        while True:
-            if self._replay_outcome[k] is not None:
-                outcome, self._replay_outcome[k] = self._replay_outcome[k], None
-                return outcome
-            worker = self.net.workers[k]
-            if not committed[k]:
-                if self._send_barrier(k, commit_msg):
-                    committed[k] = True
-                else:
-                    self._recover(
-                        k,
-                        "crash",
-                        "pipe closed before commit",
-                        expect_epoch=epoch_index,
-                    )
-                    continue
-            if isinstance(worker, _ProcessWorker):
-                status, payload = worker.try_recv(deadline_s)
-            else:
-                status, payload = self._request(worker, commit_msg, deadline_s)
-            if status == "ok":
-                if self._malform_next[k]:
-                    self._malform_next[k] = False
-                    payload = _corrupt_payload(payload)
-                error = _validate_outcome(
-                    payload, self.net._tel_merger is not None
-                )
-                if error is None:
-                    return payload
-                kind, detail = "protocol", f"invalid epoch outcome: {error}"
-            else:
-                kind, detail = self._classify(k, status, payload, "commit", deadline_s)
-            self._recover(k, kind, detail, expect_epoch=epoch_index)
-            committed[k] = False
-
-    # -- Checkpoint plumbing (guarded state gather / load) -------------------
-
-    def state_dict(self) -> Dict[str, Any]:
-        return self.net._merge_states(
-            [self._worker_state(k) for k in range(self.net.n_shards)]
-        )
-
-    def load_workers(self, state: Dict[str, Any]) -> None:
-        """Push a merged state to every worker; reset recovery bookkeeping."""
-        self._snapshot = clone_state(state)
-        self._journal = []
-        self._epochs_since_snapshot = 0
-        self._replay_outcome = [None] * self.net.n_shards
-        self._note_journal_depth()
-        if self.net._tel_merger is not None:
-            # A restore rewinds the run: epochs will be re-run (and their
-            # payloads re-shipped), so the dedup horizon must forget them.
-            self.net._tel_merger.reset_horizon()
-        load_msg = ("load", self._snapshot)
-        deadline_s = max(self._deadline("commit"), _RECOVERY_MIN_DEADLINE_S)
-        pending = [
-            self._send_barrier(k, load_msg) for k in range(self.net.n_shards)
-        ]
-        for k in range(self.net.n_shards):
-            while True:
-                worker = self.net.workers[k]
-                if not pending[k]:
-                    # Recovery loads the (new) snapshot itself.
-                    self._recover(k, "crash", "pipe closed before load")
-                    break
-                if isinstance(worker, _ProcessWorker):
-                    status, payload = worker.try_recv(deadline_s)
-                else:
-                    status, payload = self._request(worker, load_msg, deadline_s)
-                if status == "ok":
-                    break
-                kind, detail = self._classify(k, status, payload, "load", deadline_s)
-                self._recover(k, kind, detail)
-                break
+    def corrupt_if_scheduled(self, k: int, payload: Any) -> Any:
+        """Truncate ``payload`` when chaos scheduled a malformed reply."""
+        if not self._malform_next[k]:
+            return payload
+        self._malform_next[k] = False
+        return _corrupt_payload(payload)
 
     # -- Lifecycle ----------------------------------------------------------
 
@@ -1661,7 +1290,8 @@ class ShardedNetwork:
                 "profile": tel.profiler is not None,
             }
             self._tel_merger = ShardTelemetryMerger()
-        self.workers: List[Any] = [
+        self.supervisor: Optional[ShardSupervisor] = None
+        self.workers: List[_Worker] = [
             self._build_worker(k) for k in range(len(plan))
         ]
         self.last_epoch_stats: Dict[str, int] = {}
@@ -1670,24 +1300,19 @@ class ShardedNetwork:
         # core do not inflate it); max() is the critical-path epoch time
         # a one-worker-per-core host waits on.
         self.last_epoch_compute_s: List[float] = []
-        self.supervisor: Optional[ShardSupervisor] = None
         if supervise or supervision is not None or chaos is not None:
             self.supervisor = ShardSupervisor(self, supervision, chaos=chaos)
 
-    def _build_worker(self, shard_index: int, inline: bool = False) -> Any:
+    def _build_worker(self, shard_index: int, inline: bool = False) -> _Worker:
         """Build (or rebuild, for recovery) the worker for one shard."""
         ap_ids = self.shard_plan[shard_index]
         if inline or self.mode == "inline":
             return _InlineWorker(
                 self._net_factory, ap_ids, tel_cfg=self._worker_tel_cfg
             )
-        worker = _ProcessWorker(
+        return _ProcessWorker(
             self._ctx, self._net_factory, ap_ids, tel_cfg=self._worker_tel_cfg
         )
-        worker.on_error_report = (
-            lambda payload, _k=shard_index: self._note_error_report(_k, payload)
-        )
-        return worker
 
     def _note_error_report(self, shard_index: int, payload: Any) -> None:
         """Dedupe structured deferred-op reports into single obs events.
@@ -1726,36 +1351,149 @@ class ShardedNetwork:
         gain-fill kernels attack; see BENCH_shard_smoke.json).  After a
         supervised respawn the figure reflects the most recent rebuild.
         """
-        return [worker.build_stats() for worker in self.workers]
+        return self._round(
+            "build_stats", range(self.n_shards), None,
+            lambda worker, t: worker.build_stats(t),
+        )
+
+    # -- The one failure path -----------------------------------------------
+
+    def _failed(
+        self,
+        k: int,
+        failure: _WorkerFailure,
+        where: str,
+        expect_epoch: Optional[int] = None,
+        repeat: bool = False,
+    ) -> Optional[tuple]:
+        """Record a failed request of worker ``k``, then raise or recover.
+
+        Without a supervisor the failure is raised; with one, the worker
+        is respawned and this returns the replayed outcome of
+        ``expect_epoch`` if the replay produced it (else ``None``).
+        ``repeat`` marks a request that failed before: on a degraded
+        (inline) shard, whose replay just succeeded, that failure is
+        deterministic and is raised too.
+        """
+        self._note_error_report(k, failure.payload)
+        detail = f"{where}: {failure.detail}"
+        if self.supervisor is None:
+            raise RuntimeError(f"shard worker failed: {detail}") from None
+        if repeat and self.supervisor.degraded[k]:
+            raise RuntimeError(
+                f"shard {k} failed even after degrading to inline "
+                f"execution:\n{detail}"
+            ) from None
+        return self.supervisor._recover(k, failure.kind, detail, expect_epoch)
+
+    def _deadline(self, where: str) -> Optional[float]:
+        if self.supervisor is None:
+            return None
+        return self.supervisor.deadline(where)
+
+    def _start(self, k: int, start) -> Optional[_WorkerFailure]:
+        if start is not None:
+            try:
+                start(self.workers[k])
+            except _WorkerFailure as failure:
+                return failure
+        return None
+
+    def _round(
+        self,
+        where: str,
+        shards: Sequence[int],
+        start: Optional[Callable[[_Worker], None]],
+        finish: Callable[[_Worker, Optional[float]], Any],
+        check: Optional[Callable[[Any], Optional[str]]] = None,
+        expect_epoch: Optional[int] = None,
+    ) -> List[Any]:
+        """One request to each of ``shards``: post them all, then read.
+
+        ``start(worker)`` posts (``None``: nothing to post up front),
+        ``finish(worker, timeout_s)`` returns the reply and
+        ``check(reply)`` names what is wrong with it, if anything.  A
+        failed request goes to :meth:`_failed`; after a recovery the
+        request is posted again, unless the journal replay already
+        produced this epoch's outcome.
+        """
+        deadline_s = self._deadline(where)
+        sup = self.supervisor
+        failures = {k: self._start(k, start) for k in shards}
+        replies = []
+        for k in shards:
+            failure = failures[k]
+            repeat = False
+            while True:
+                if failure is None:
+                    try:
+                        reply = finish(self.workers[k], deadline_s)
+                    except _WorkerFailure as exc:
+                        failure = exc
+                    else:
+                        if sup is not None:
+                            reply = sup.corrupt_if_scheduled(k, reply)
+                        error = check(reply) if check is not None else None
+                        if error is None:
+                            replies.append(reply)
+                            break
+                        failure = _WorkerFailure("protocol", f"invalid reply: {error}")
+                replayed = self._failed(k, failure, where, expect_epoch, repeat)
+                repeat = True
+                if replayed is not None:
+                    replies.append(replayed)
+                    break
+                failure = self._start(k, start)
+        return replies
 
     # -- Events (applied between epochs, i.e. at the barrier) ---------------
 
+    def _event(self, entry: tuple, sends: Sequence[Tuple[int, tuple]]) -> None:
+        """Journal one event (when supervised), then post its worker ops.
+
+        Event ops are fire-and-forget; a worker that cannot take one
+        fails here, and under supervision its journal replay re-applies
+        the op, so recovery is enough.
+        """
+        sup = self.supervisor
+        if sup is not None:
+            sup.journal(entry)
+        for k, msg in sends:
+            try:
+                self.workers[k].post(msg)
+            except _WorkerFailure as failure:
+                self._failed(k, failure, f"event {msg[0]!r}")
+        if sup is not None:
+            sup.trim_journal()
+
     def move_client(self, client_id: int, x: float, y: float) -> None:
-        if self.supervisor is not None:
-            self.supervisor.move_client(client_id, x, y)
-            return
         self.topology.move_client(client_id, x, y)
-        for worker in self.workers:
-            worker.apply_move(client_id, x, y)
+        msg = ("move", client_id, float(x), float(y))
+        self._event(msg, [(k, msg) for k in range(self.n_shards)])
 
     def reattach_client(self, client_id: int, new_ap_id: int) -> None:
-        if self.supervisor is not None:
-            self.supervisor.reattach_client(client_id, new_ap_id)
-            return
         old_ap_id = self.topology.client(client_id).ap_id
         if old_ap_id == new_ap_id:
             return
         old_shard = self._shard_of_ap[old_ap_id]
         new_shard = self._shard_of_ap[new_ap_id]
-        payload = None
+        row: Optional[List[int]] = None
         if old_shard != new_shard:
             # Export before the old owner disowns (which zeroes the row).
-            payload = self.workers[old_shard].export_row(client_id)
+            (row,) = self._round(
+                "export", [old_shard], None,
+                lambda worker, t: worker.call(("export", client_id), t),
+                _validate_row,
+            )
         self.topology.reattach_client(client_id, new_ap_id)
-        for worker in self.workers:
-            worker.apply_reattach(client_id, new_ap_id)
-        if payload is not None:
-            self.workers[new_shard].import_row(client_id, payload)
+        msg = ("reattach", client_id, new_ap_id)
+        sends = [(k, msg) for k in range(self.n_shards)]
+        if row is not None:
+            sends.append((new_shard, ("import", client_id, list(row))))
+        self._event(
+            msg + ((list(row), new_shard) if row is not None else (None, None)),
+            sends,
+        )
 
     # -- Epoch barrier ------------------------------------------------------
 
@@ -1769,26 +1507,78 @@ class ShardedNetwork:
         tel = _obs_runtime.active()
         if tel is not None:
             # Workers advance their own clocks inside run_epoch; the parent
-            # mirrors the timeline so supervisor spans and merged metric
+            # mirrors the timeline so barrier spans and merged metric
             # ticks line up with the shipped worker records.
             tel.set_time(epoch_index * self.epoch_s)
-        if self.supervisor is not None:
-            return self.supervisor.run_epoch(epoch_index, allowed, demands_bits)
+        sup = self.supervisor
+        chaos = sup.chaos_events(epoch_index) if sup is not None else []
+        barrier_t0 = time.monotonic()
         # Phase 1: push decision + epoch RNG states, gather PRACH partials.
         # The push is normally a no-op (workers advanced in lockstep) but
         # makes a freshly restored parent authoritative for free.
         rng_states = _epoch_stream_states(self.rngs)
-        for worker in self.workers:
-            worker.begin_epoch(epoch_index, allowed, demands_bits, rng_states)
-        total: Optional[np.ndarray] = None
-        for worker in self.workers:
-            partial = worker.read_partial()
-            total = partial if total is None else total + partial
+        n_aps = len(self.topology.aps)
+        partials = self._phase(
+            "partial", epoch_index, chaos,
+            lambda w: w.begin_epoch(epoch_index, allowed, demands_bits, rng_states),
+            lambda w, t: w.read_partial(t),
+            lambda partial: _validate_partial(partial, n_aps),
+        )
+        total = partials[0]
+        for partial in partials[1:]:
+            total = total + partial
+        if sup is not None:
+            # Journal the barrier *before* commit: a worker lost during
+            # commit replays straight through this epoch and its replayed
+            # outcome is the epoch result.
+            sup.journal(
+                (
+                    "epoch",
+                    epoch_index,
+                    {ap_id: set(subs) for ap_id, subs in allowed.items()},
+                    dict(demands_bits),
+                    rng_states,
+                    np.array(total, copy=True),
+                )
+            )
         # Phase 2: broadcast the exact global counts, run the epoch slices.
-        for worker in self.workers:
-            worker.commit_epoch(total)
-        outcomes = [worker.read_result() for worker in self.workers]
-        return self._merge_outcomes(epoch_index, outcomes)
+        traced = self._tel_merger is not None
+        outcomes = self._phase(
+            "commit", epoch_index, chaos,
+            lambda w: w.commit_epoch(total),
+            lambda w, t: w.read_result(t),
+            lambda outcome: _validate_outcome(outcome, traced),
+        )
+        merged = self._merge_outcomes(epoch_index, outcomes)
+        if tel is not None:
+            tel.observe("shard.barrier_wait_s", time.monotonic() - barrier_t0)
+        if sup is not None:
+            sup.epoch_done()
+        return merged
+
+    def _phase(self, phase, epoch_index, chaos, start, finish, check) -> List[Any]:
+        """One barrier phase over every shard: chaos, span, round, timing."""
+        sup = self.supervisor
+        if sup is not None:
+            sup.inject(chaos, phase)
+        tel = _obs_runtime.active()
+        phase_t0 = time.monotonic()
+        with (
+            tel.span(
+                f"shard.barrier.{phase}",
+                "supervisor",
+                args={"epoch": epoch_index, "deadline_s": self._deadline(phase)},
+            )
+            if tel is not None
+            else nullcontext()
+        ):
+            replies = self._round(
+                phase, range(self.n_shards), start, finish, check,
+                expect_epoch=epoch_index if phase == "commit" else None,
+            )
+        if sup is not None:
+            sup.note_phase(phase, time.monotonic() - phase_t0)
+        return replies
 
     def _merge_outcomes(
         self, epoch_index: int, outcomes: Sequence[tuple]
@@ -1797,16 +1587,11 @@ class ShardedNetwork:
         # fold each shard's payload into the parent (the merger's epoch
         # horizon drops re-shipped duplicates from journal replay) and
         # strip it before the sim-semantic merge below.
-        if any(len(outcome) > 4 for outcome in outcomes):
+        if self._tel_merger is not None:
             tel = _obs_runtime.active()
-            stripped = []
             for k, outcome in enumerate(outcomes):
-                if len(outcome) > 4:
-                    if self._tel_merger is not None:
-                        self._tel_merger.merge(k, outcome[4], tel)
-                    outcome = outcome[:4]
-                stripped.append(outcome)
-            outcomes = stripped
+                self._tel_merger.merge(k, outcome[4], tel)
+            outcomes = [outcome[:4] for outcome in outcomes]
         # Phase 3: merge.  Key sets are disjoint by ownership, and every
         # AP/client is owned by exactly one shard, so the merged dicts have
         # exactly the unsharded key population.
@@ -1866,10 +1651,12 @@ class ShardedNetwork:
         therefore produces the same subsystem hash -- and the same run
         digest -- as the single-process run.
         """
-        if self.supervisor is not None:
-            return self.supervisor.state_dict()
         return self._merge_states(
-            [worker.state_dict() for worker in self.workers]
+            self._round(
+                "state", range(self.n_shards), None,
+                lambda worker, t: worker.state_dict(t),
+                _validate_state,
+            )
         )
 
     def _merge_states(
@@ -1906,18 +1693,22 @@ class ShardedNetwork:
             cid, ap_id = int(cid), int(ap_id)
             if self.topology.client(cid).ap_id != ap_id:
                 self.topology.reattach_client(cid, ap_id)
+        if self.supervisor is not None:
+            self.supervisor.restart_from(state)
+        if self._tel_merger is not None:
+            # A restore rewinds the run: epochs will be re-run (and their
+            # payloads re-shipped), so the dedup horizon must forget them.
+            self._tel_merger.reset_horizon()
         # Every worker gets the full merged state: each applies the same
         # topology diffs, loads its owned schedulers (foreign entries are
         # skipped) and the full max-CQI matrix (only owned rows are live).
-        if self.supervisor is not None:
-            self.supervisor.load_workers(state)
-        else:
-            for worker in self.workers:
-                worker.begin_load_state(state)
-            for worker in self.workers:
-                worker.finish_load_state()
-            if self._tel_merger is not None:
-                self._tel_merger.reset_horizon()
+        # A worker recovered mid-load has loaded the new snapshot already;
+        # loading the same state once more is a no-op.
+        self._round(
+            "load", range(self.n_shards),
+            lambda worker: worker.begin_load_state(state),
+            lambda worker, t: worker.finish_load_state(t),
+        )
         self.last_epoch_stats = {}
 
     # -- Telemetry plumbing -------------------------------------------------
@@ -1938,20 +1729,10 @@ class ShardedNetwork:
         tel = _obs_runtime.active()
         if tel is None:
             return True
-        worker = self.workers[k]
-        if isinstance(worker, _ProcessWorker):
-            if not worker.is_alive() or not worker.send_safe(("tel_flush",)):
-                return False
-            status, payload = worker.try_recv(_TEL_FLUSH_DEADLINE_S)
-            if status != "ok":
-                return False
-        else:
-            if worker.dead:
-                return False
-            try:
-                payload = worker.flush_payload()
-            except Exception:
-                return False
+        try:
+            payload = self.workers[k].call(("tel_flush",), _TEL_FLUSH_DEADLINE_S)
+        except _WorkerFailure:
+            return False
         if not isinstance(payload, dict) or payload.get("kind") != "flush":
             return False
         return self._tel_merger.merge(k, payload, tel, salvage=salvage)
