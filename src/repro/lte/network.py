@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Set,
 
 import numpy as np
 
-from repro.lte.scheduler import Allocation, ProportionalFairScheduler, Scheduler
+from repro.lte.scheduler import Allocation, ProportionalFairScheduler
 from repro.obs import runtime as _obs_runtime
 from repro.phy.harq import harq_goodput_scale
 from repro.phy.mcs import (
@@ -281,7 +281,6 @@ class LteNetworkSimulator:
         ap_tx_power_dbm: per-cell conducted power (paper sims: 30 dBm).
         ue_tx_power_dbm: client power (TVWS cap: 20 dBm).
         noise_figure_db: client receiver noise figure.
-        scheduler_factory: constructs one scheduler per AP.
         control_interference: apply the Figure 7(b) control-channel loss.
         epoch_s: epoch duration (the 1 s allocation interval).
         backend: ``"incremental"`` (default) or ``"scalar"`` (the
@@ -312,7 +311,6 @@ class LteNetworkSimulator:
         ap_tx_power_dbm: float = 30.0,
         ue_tx_power_dbm: float = 20.0,
         noise_figure_db: float = 7.0,
-        scheduler_factory: Callable[[], Scheduler] = ProportionalFairScheduler,
         control_interference: bool = True,
         epoch_s: float = 1.0,
         detector_true_positive: float = CQI_DETECTOR_TRUE_POSITIVE,
@@ -372,8 +370,8 @@ class LteNetworkSimulator:
         else:
             self.shard_ap_ids = None
             self._owned_clients = None
-        self.schedulers: Dict[int, Scheduler] = {
-            ap.ap_id: scheduler_factory()
+        self.schedulers: Dict[int, ProportionalFairScheduler] = {
+            ap.ap_id: ProportionalFairScheduler()
             for ap in topology.aps
             if self._owns_ap(ap.ap_id)
         }
@@ -902,7 +900,18 @@ class LteNetworkSimulator:
         # must still advance the shared streams: the counts are accumulated
         # and discarded in one batched ``rng.random(n)`` per stream, which
         # advances PCG64 to exactly the offset n scalar draws would reach.
+        #
+        # The epoch runs in three passes over the APs: links (every RLF
+        # draw), one batched PF schedule, then results and ``observe``
+        # (every detector draw).  The two streams are independent
+        # generators and each pass keeps the topology order, so every
+        # stream sees the same draws at the same offsets as one interleaved
+        # per-AP loop.
         sharded = self.shard_ap_ids is not None
+        # Per owned AP: (ap_id, clients, links, foreign detector draws to
+        # discard before its observe, index of its job in ``jobs`` or None).
+        owned: List[Tuple[int, List[Any], _EpochLinks, int, Optional[int]]] = []
+        jobs = []
         pending_rlf = 0
         pending_det = 0
         n_subs_total = self.grid.n_subchannels
@@ -919,9 +928,6 @@ class LteNetworkSimulator:
             if pending_rlf:
                 rlf_rng.random(pending_rlf)
                 pending_rlf = 0
-            if pending_det:
-                detector_rng.random(pending_det)
-                pending_det = 0
             clients = self.topology.clients_of(ap.ap_id)
             ap_demands = ap_demand_map[ap.ap_id]
             ap_active_demands = ap_active_map[ap.ap_id]
@@ -945,17 +951,32 @@ class LteNetworkSimulator:
                 )
             for cid in links.disconnected:
                 ap_active_demands.pop(cid, None)
-
+            job = None
             if ap_active_demands and ap.ap_id in active_aps:
-                allocation = self.schedulers[ap.ap_id].allocate(
+                job = len(jobs)
+                jobs.append((
+                    self.schedulers[ap.ap_id],
                     sorted(allowed.get(ap.ap_id, set())),
                     ap_active_demands,
                     links.rate_fn,
-                    self.epoch_s,
-                )
+                ))
+            owned.append((ap.ap_id, clients, links, pending_det, job))
+            pending_det = 0
+        # Flush trailing foreign-AP discards so the stream state at the
+        # epoch barrier matches the unsharded run exactly.
+        if pending_rlf:
+            rlf_rng.random(pending_rlf)
+
+        scheduled = ProportionalFairScheduler.allocate_batch(jobs, self.epoch_s)
+        for ap_id, clients, links, foreign_det, job in owned:
+            if foreign_det:
+                detector_rng.random(foreign_det)
+            ap_demands = ap_demand_map[ap_id]
+            if job is not None:
+                allocation = scheduled[job]
             else:
                 allocation = Allocation(epoch_s=self.epoch_s)
-            allocations[ap.ap_id] = allocation
+            allocations[ap_id] = allocation
 
             if allocation.served_bits:
                 for client in clients:
@@ -982,12 +1003,8 @@ class LteNetworkSimulator:
                     throughput[cid] = 0.0
                     connected[cid] = ap_demands[cid] <= 0.0
 
-            observations[ap.ap_id] = links.observe(allocation, detector_rng)
-
-        # Flush trailing foreign-AP discards so the stream state at the
-        # epoch barrier matches the unsharded run exactly.
-        if pending_rlf:
-            rlf_rng.random(pending_rlf)
+            observations[ap_id] = links.observe(allocation, detector_rng)
+        # Trailing foreign-AP detector discards, as for the RLF stream.
         if pending_det:
             detector_rng.random(pending_det)
 
@@ -1700,11 +1717,7 @@ class LteNetworkSimulator:
         clients = sorted(self.topology.clients, key=lambda c: c.client_id)
         return {
             "schedulers": {
-                ap_id: (
-                    scheduler.state_dict()
-                    if hasattr(scheduler, "state_dict")
-                    else None
-                )
+                ap_id: scheduler.state_dict()
                 for ap_id, scheduler in self.schedulers.items()
             },
             "max_cqi_state": [
@@ -1723,7 +1736,7 @@ class LteNetworkSimulator:
             scheduler = self.schedulers.get(int(ap_id))
             if scheduler is None:
                 continue
-            if sched_state is not None and hasattr(scheduler, "load_state"):
+            if sched_state is not None:
                 scheduler.load_state(sched_state)
         self._max_cqi_state = {
             (int(cid), int(sub)): int(cqi)

@@ -12,19 +12,36 @@ management period): an epoch is divided into mini-slots and each allowed
 subchannel is assigned to one client per mini-slot.  This captures
 time-sharing, finite demands and per-subchannel rate differences without
 simulating every 1 ms TTI.
+
+Every AP of the system-level simulator runs the same PF scheduler, so
+:meth:`ProportionalFairScheduler.allocate_batch` schedules all of an
+epoch's APs in one lockstep NumPy kernel, bit-identical to scheduling
+them one at a time; :meth:`ProportionalFairScheduler.allocate` is a batch
+of one.  :class:`RoundRobinScheduler` keeps the generic per-pick engine
+of :class:`Scheduler`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.obs import runtime as _obs_runtime
 
 #: Mini-slots per scheduling epoch.  50 slots x 1 s epoch = 20 ms granularity,
 #: fine enough for fairness yet ~20x cheaper than per-TTI simulation.
 MINISLOTS_PER_EPOCH = 50
+
+#: ``_REPEATED_FRACTION[k]``: the airtime fraction of ``k`` mini-slots,
+#: summed as ``k`` repeated ``+= 1 / MINISLOTS_PER_EPOCH`` from ``0.0``.
+_REPEATED_FRACTION = np.array(
+    list(accumulate([1.0 / MINISLOTS_PER_EPOCH] * MINISLOTS_PER_EPOCH, initial=0.0))
+)
+_REPEATED_FRACTION.flags.writeable = False
 
 
 @dataclass
@@ -186,6 +203,11 @@ class RoundRobinScheduler(Scheduler):
         )
 
 
+#: One PF scheduling job: the AP's scheduler, its allowed subchannels (in
+#: pick order), its per-client demands and its rate function.
+PfJob = Tuple["ProportionalFairScheduler", Sequence[int], Dict[int, float], RateFn]
+
+
 class ProportionalFairScheduler(Scheduler):
     """Classic proportional fairness: maximise ``rate / smoothed average``.
 
@@ -214,48 +236,51 @@ class ProportionalFairScheduler(Scheduler):
         rate_fn: RateFn,
         epoch_s: float = 1.0,
     ) -> Allocation:
-        for client in demands_bits:
-            self._average_bps.setdefault(client, self.floor_bps)
-        allocation = self._fast_allocate(
-            allowed_subchannels, demands_bits, rate_fn, epoch_s
-        )
-        # Update the smoothed averages from realised epoch throughput.
-        for client in demands_bits:
-            realised = allocation.served_bits.get(client, 0.0) / epoch_s
-            self._average_bps[client] = (
-                (1.0 - self.smoothing) * self._average_bps[client]
-                + self.smoothing * max(realised, self.floor_bps)
-            )
-        return allocation
+        return self.allocate_batch(
+            [(self, allowed_subchannels, demands_bits, rate_fn)], epoch_s
+        )[0]
 
-    def _fast_allocate(
-        self,
-        allowed_subchannels: Sequence[int],
-        demands_bits: Dict[int, float],
-        rate_fn: RateFn,
-        epoch_s: float,
-    ) -> Allocation:
-        """Inlined mini-slot engine for the PF pick rule.
+    @staticmethod
+    def allocate_batch(jobs: Sequence[PfJob], epoch_s: float = 1.0) -> List[Allocation]:
+        """Schedule one epoch for many independent APs in lockstep.
 
-        The scheduler is the hottest per-epoch loop of the system-level
-        simulator (one pick per mini-slot per subchannel per AP), so the
-        generic :meth:`Scheduler._slot_allocate` + pick-closure pair is
-        specialised here: ``rate_fn`` is constant within an epoch and is
-        prefetched once per (subchannel, client), and the per-pick history
-        term is hoisted out of the slot loop.  Every floating-point
-        expression, iteration order and tie-break below replicates the
-        classic pick closure running inside ``_slot_allocate`` exactly --
-        ``tests/test_lte_scheduler.py`` pins the bit-identity against a
-        reference copy of that closure.
+        Each job is ``(scheduler, allowed_subchannels, demands_bits,
+        rate_fn)`` with its own scheduler; the result holds one
+        :class:`Allocation` per job, and every job's scheduler gets its
+        smoothed averages updated.
+
+        Within one AP a pick depends on the bits served by the previous
+        picks (mini-slot by mini-slot, subchannel by subchannel), but APs
+        are independent.  So the kernel walks (mini-slot, position in the
+        AP's allowed list) once, and each step makes the next pick of
+        every AP at once over padded ``(n_aps, 1 + max_clients)`` arrays.
+        The result is bit-identical to scheduling the APs one by one:
+
+        * the pick is the first client with the largest ``rate / denom``
+          if that is ``> 0`` -- ``argmax`` returns the first maximum, and
+          exhausted or padding clients carry an infinite denominator
+          (metric ``0.0``), as does the idle sentinel in column 0 that
+          wins whenever no client's metric is positive;
+        * ``denom = max(served + history, floor)`` is kept per client and
+          refreshed only at the picked entry, with the same operations;
+        * a pick that would serve ``bits <= 0`` changes nothing, and once
+          no AP progressed during a mini-slot every later slot would be
+          the same no-op, so the walk stops;
+        * ``time_fraction`` grows by repeated ``+= 1/MINISLOTS_PER_EPOCH``.
+
+        ``tests/test_lte_scheduler.py`` pins this against the per-AP loop.
         """
+        if not jobs:
+            return []
         tel = _obs_runtime.active()
         span = (
             tel.span(
                 "scheduler.allocate",
                 cat="scheduler",
                 args={
-                    "clients": len(demands_bits),
-                    "subchannels": len(allowed_subchannels),
+                    "aps": len(jobs),
+                    "clients": sum(len(job[2]) for job in jobs),
+                    "subchannels": sum(len(job[1]) for job in jobs),
                 },
             )
             if tel is not None
@@ -263,100 +288,132 @@ class ProportionalFairScheduler(Scheduler):
         )
         if span is not None:
             span.__enter__()
-        allocation = Allocation(epoch_s=epoch_s)
-        remaining = dict(demands_bits)
-        served: Dict[int, float] = {c: 0.0 for c in demands_bits}
-        slot_s = epoch_s / MINISLOTS_PER_EPOCH
-        slot_fraction = 1.0 / MINISLOTS_PER_EPOCH
-        floor_denom = self.floor_bps * epoch_s / 100.0
-        # Denominator mixes historical average with bits already served
-        # *this epoch*, so fairness acts within the epoch too (otherwise
-        # one client would win every mini-slot).
-        averages = self._average_bps
-        history = {
-            client: self.smoothing * averages[client] * epoch_s
-            for client in remaining
-        }
-        # Backends that precompute per-client rate rows expose them as an
-        # attribute on the closure; prefetching from the table skips one
-        # function call per (subchannel, client) pair.  The table holds
-        # the exact floats ``rate_fn`` would return, so the allocation is
-        # unchanged.
-        rate_rows = getattr(rate_fn, "rate_rows", None)
-        per_sub = []
-        if rate_rows is None:
-            for sub in allowed_subchannels:
-                pairs = []
-                for client in remaining:
-                    rate = rate_fn(client, sub)
-                    if rate > 0.0:
-                        pairs.append((client, rate))
-                per_sub.append((sub, pairs))
-        else:
-            client_rows = [(c, rate_rows[c]) for c in remaining]
-            for sub in allowed_subchannels:
-                pairs = []
-                for client, row in client_rows:
-                    rate = row[sub]
-                    if rate > 0.0:
-                        pairs.append((client, rate))
-                per_sub.append((sub, pairs))
-        time_fraction = allocation.time_fraction
-        # A mini-slot that allocates nothing leaves (served, remaining)
-        # untouched, so every later slot would be the same no-op: the
-        # remaining slots are skipped wholesale.  This triggers once all
-        # demand is exhausted (or only zero-rate backlog is left), so
-        # finite-demand epochs stop paying for empty slots while the
-        # produced allocation stays identical.
-        n_live = sum(1 for left in remaining.values() if left > 0.0)
-        progressed = True
+        n_jobs = len(jobs)
+        client_ids = [list(job[2]) for job in jobs]
+        sub_lists = [list(job[1]) for job in jobs]
+        # Padded state, one row per AP; rate[p] holds every AP's rates on
+        # its p-th allowed subchannel.  Clients sit at columns 1..n and
+        # column 0 is the idle sentinel: zero rate and zero demand like
+        # the padding, so picking it serves min(0, 0) = 0 bits, a no-op.
+        n_cols = 1 + max(len(c) for c in client_ids)
+        n_pos = max(len(s) for s in sub_lists)
+        rate = np.zeros((n_pos, n_jobs, n_cols))
+        remaining = np.zeros((n_jobs, n_cols))
+        history = np.zeros((n_jobs, n_cols))
+        floor_denom = np.empty(n_jobs)
+        for b, (scheduler, _, demands, rate_fn) in enumerate(jobs):
+            cids = client_ids[b]
+            subs = sub_lists[b]
+            averages = scheduler._average_bps
+            for client in cids:
+                averages.setdefault(client, scheduler.floor_bps)
+            end = 1 + len(cids)
+            floor_denom[b] = scheduler.floor_bps * epoch_s / 100.0
+            # Denominator mixes historical average with bits already served
+            # *this epoch*, so fairness acts within the epoch too (otherwise
+            # one client would win every mini-slot).
+            smoothing = scheduler.smoothing
+            history[b, 1:end] = [smoothing * averages[c] * epoch_s for c in cids]
+            remaining[b, 1:end] = [demands[c] for c in cids]
+            if not subs or not cids:
+                continue
+            # Backends that precompute per-client rate rows expose them as
+            # an attribute on the closure; reading the table skips one
+            # function call per (subchannel, client) pair.
+            rate_rows = getattr(rate_fn, "rate_rows", None)
+            if rate_rows is None:
+                table = [[rate_fn(c, s) for c in cids] for s in subs]
+            else:
+                rows = [rate_rows[c] for c in cids]
+                table = [[row[s] for row in rows] for s in subs]
+            rate[: len(subs), b, 1:end] = table
+
+        n_entries = n_jobs * n_cols
+        served = np.zeros((n_jobs, n_cols))
+        served_flat = served.reshape(-1)
+        remaining_flat = remaining.reshape(-1)
+        history_flat = history.reshape(-1)
+        denom = np.where(
+            remaining > 0.0,
+            np.maximum(served + history, floor_denom[:, None]),
+            np.inf,
+        )
+        denom_flat = denom.reshape(-1)
+        # Bits one mini-slot carries, per (position, AP, column).
+        slot_bits = rate.reshape(n_pos, n_entries) * (epoch_s / MINISLOTS_PER_EPOCH)
+        row_base = np.arange(n_jobs) * n_cols
+        # One slot's picks (flat entries) and the bits they served, then
+        # the count of serving picks per (position, AP, column) entry.
+        picks = np.empty((n_pos, n_jobs), dtype=np.intp)
+        moved = np.empty((n_pos, n_jobs))
+        pos_base = (np.arange(n_pos) * n_entries)[:, None]
+        counts = np.zeros(n_pos * n_entries, dtype=np.intp)
         for _ in range(MINISLOTS_PER_EPOCH):
-            if n_live == 0 or not progressed:
-                break
-            progressed = False
-            for sub, pairs in per_sub:
-                best_client = -1
-                best_rate = 0.0
-                best_metric = 0.0
-                for client, rate in pairs:
-                    if remaining[client] <= 0.0:
-                        continue
-                    denom = served[client] + history[client]
-                    if denom < floor_denom:
-                        denom = floor_denom
-                    metric = rate / denom
-                    if metric > best_metric:
-                        best_metric = metric
-                        best_client = client
-                        best_rate = rate
-                if best_client < 0:
-                    continue
-                left = remaining[best_client]
-                bits = best_rate * slot_s
-                if bits > left:
-                    bits = left
-                if bits <= 0.0:
-                    continue
+            for p in range(n_pos):
+                picked = picks[p]
+                bits = moved[p]
+                (rate[p] / denom).argmax(axis=1, out=picked)
+                picked += row_base
+                left = remaining_flat.take(picked)
+                np.minimum(slot_bits[p].take(picked), left, out=bits)
                 left -= bits
-                remaining[best_client] = left
-                if left <= 0.0:
-                    n_live -= 1
-                progressed = True
-                served[best_client] += bits
-                key = (best_client, sub)
-                got = time_fraction.get(key)
-                time_fraction[key] = (
-                    slot_fraction if got is None else got + slot_fraction
+                got = served_flat.take(picked)
+                got += bits
+                remaining_flat[picked] = left
+                served_flat[picked] = got
+                got += history_flat.take(picked)
+                np.maximum(got, floor_denom, out=got)
+                got[left <= 0.0] = np.inf
+                denom_flat[picked] = got
+            serving = moved > 0.0
+            # A mini-slot that served nothing left every AP's state as it
+            # was, so every later slot would be the same no-op.
+            if not serving.any():
+                break
+            counts[(picks + pos_base)[serving]] += 1
+        # The fraction of k serving picks is k repeated
+        # ``+= 1/MINISLOTS_PER_EPOCH``, as the per-pick loop accumulated it.
+        fraction = _REPEATED_FRACTION[counts].reshape(n_pos, n_jobs, n_cols)
+
+        # Per-job allocations from the padded state, then the averages.
+        served_rows = served[:, 1:].tolist()
+        allocations = []
+        for b, (scheduler, _, _, _) in enumerate(jobs):
+            cids = client_ids[b]
+            subs = sub_lists[b]
+            got = served_rows[b]
+            block = fraction[: len(subs), b, 1 : 1 + len(cids)]
+            pos, col = np.nonzero(block)
+            allocations.append(
+                Allocation(
+                    epoch_s=epoch_s,
+                    served_bits=dict(zip(cids, got)),
+                    time_fraction={
+                        (cids[c], subs[p]): f
+                        for p, c, f in zip(
+                            pos.tolist(), col.tolist(), block[pos, col].tolist()
+                        )
+                    },
                 )
-                if n_live == 0:
-                    break
-        allocation.served_bits = served
+            )
+            # Update the smoothed averages from realised epoch throughput.
+            averages = scheduler._average_bps
+            smoothing = scheduler.smoothing
+            floor_bps = scheduler.floor_bps
+            for client, bits in zip(cids, got):
+                realised = bits / epoch_s
+                averages[client] = (
+                    (1.0 - smoothing) * averages[client]
+                    + smoothing * max(realised, floor_bps)
+                )
         if span is not None:
             span.__exit__(None, None, None)
-            tel.inc("scheduler.allocations")
-            tel.inc("scheduler.served_bits", sum(served.values()))
-            tel.inc(
-                "scheduler.clients_served",
-                sum(1 for bits in served.values() if bits > 0.0),
-            )
-        return allocation
+            tel.inc("scheduler.allocations", n_jobs)
+            for allocation in allocations:
+                served_bits = allocation.served_bits
+                tel.inc("scheduler.served_bits", sum(served_bits.values()))
+                tel.inc(
+                    "scheduler.clients_served",
+                    sum(1 for bits in served_bits.values() if bits > 0.0),
+                )
+        return allocations
