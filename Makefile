@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test coverage checkpoint-smoke bench bench-full bench-obs bench-incremental bench-incremental-smoke bench-city bench-gainfill bench-gainfill-smoke shard-smoke chaos-smoke sweep-smoke faults-smoke trace-smoke obs-shard-smoke
+.PHONY: test coverage checkpoint-smoke bench bench-full bench-obs bench-incremental bench-incremental-smoke bench-city bench-gainfill bench-gainfill-smoke shard-nets sweep-smoke faults-smoke trace-smoke
 
 # CPU-feature mask under which numpy's transcendental inner loops fall
 # back to their libm-calling baseline, which is bit-identical to the
@@ -68,6 +68,7 @@ trace-smoke:
 	$(PYTHON) -m repro.obs.validate trace-smoke.json trace-smoke.jsonl
 
 # Quick epoch benchmark (small sizes, few epochs) -- suitable for CI.
+# Writes the untracked BENCH_epoch_smoke.json, never the reference.
 bench:
 	$(PYTHON) benchmarks/bench_epoch.py --smoke
 
@@ -118,29 +119,21 @@ bench-gainfill-smoke:
 		--bench BENCH_gainfill_smoke.json bench-gainfill-current.json \
 		--tolerance 2.0
 
-# CI-sized shard gate: a 2-shard process-mode run under mobility and
-# cross-shard handover churn must digest-equal the unsharded incremental
-# backend; writes BENCH_shard_smoke.json.
-shard-smoke:
-	$(PYTHON) benchmarks/bench_epoch.py --shard-smoke
-
-# Chaos gate: a supervised 2-shard process-mode run with a scheduled
-# worker kill must respawn from checkpoint, replay its journal, and stay
-# digest-equal to the fault-free run; a zero-retry-budget kill must
-# degrade the shard to inline execution with a structured warning.
-# Writes BENCH_chaos_smoke.json (see docs/ROBUSTNESS.md).
-chaos-smoke:
-	$(PYTHON) benchmarks/bench_epoch.py --chaos-smoke
-
-# Cross-shard telemetry gate: a traced supervised 2-shard run with a
-# scheduled worker kill must digest-equal its untraced twin and merge
-# every worker's telemetry (plus supervisor barrier/recovery spans) into
-# one shard-tagged timeline; the merged exports must validate against
-# the trace_event schema, and obs-report must run its barrier/straggler
-# analytics plus a BENCH_obs.json regression diff cleanly
-# (see docs/OBSERVABILITY.md).
-obs-shard-smoke:
-	$(PYTHON) benchmarks/bench_epoch.py --obs-shard-smoke --shard-mode process
-	$(PYTHON) -m repro.obs.validate obs-shard-smoke-trace.json obs-shard-smoke.jsonl
-	$(PYTHON) -m repro.cli obs-report --trace-jsonl obs-shard-smoke.jsonl \
+# CI-sized shard gate: one 20-cell churn scenario (mobility plus
+# cross-shard handovers) driven 7 times -- unsharded batched fill, the
+# scalar fill oracle, bare 2-shard process workers, supervised, a
+# supervised scheduled worker kill (untraced, then traced) and a
+# zero-retry-budget kill -- and every run must digest-equal the unsharded
+# incremental backend.  The kill must respawn from checkpoint and replay
+# its journal; the budget-0 kill must degrade the shard inline with a
+# structured warning; the traced kill must merge every worker's telemetry
+# plus supervisor barrier/recovery spans into one shard-tagged timeline.
+# The merged exports must validate against the trace_event schema, and
+# obs-report must run its barrier/straggler analytics plus a
+# BENCH_obs.json regression diff cleanly.  Writes BENCH_shard_nets.json
+# (see docs/SIMULATION.md, docs/ROBUSTNESS.md, docs/OBSERVABILITY.md).
+shard-nets:
+	$(PYTHON) benchmarks/bench_epoch.py --shard-nets
+	$(PYTHON) -m repro.obs.validate shard-nets-trace.json shard-nets.jsonl
+	$(PYTHON) -m repro.cli obs-report --trace-jsonl shard-nets.jsonl \
 		--bench BENCH_obs.json BENCH_obs.json --tolerance 1.03

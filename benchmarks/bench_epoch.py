@@ -7,9 +7,11 @@ random deployments at several cell counts, and writes the measurements to
 
 The default incremental backend is timed at every size.  The scalar
 (reference) backend is quadratic in cells per subchannel and becomes very
-slow past ~50 cells, so by default it is only timed up to
-``--max-scalar-cells`` (50).  Both backends are bit-identical for the same
-seeds (``tests/test_lte_network_vectorized.py``), so the speedup is free.
+slow past ~50 cells, so it is only timed up to ``MAX_SCALAR_CELLS`` (50).
+Both backends are bit-identical for the same seeds
+(``tests/test_lte_network_vectorized.py``), so the speedup is free.
+``--smoke`` runs small sizes into the untracked ``BENCH_epoch_smoke.json``
+so it never replaces the reference the telemetry-overhead gate reads.
 
 ``--activity-sweep`` instead times the incremental backend while sweeping
 per-epoch activity (the fraction of cells whose clients move and carry
@@ -20,10 +22,11 @@ asserts per-epoch digest equality plus dirty-counter sanity (the CI job).
 ``--city`` benchmarks the spatial shard engine
 (:class:`repro.sim.shard.ShardedNetwork`) on a city-scale deployment
 (1000 APs x 10000 UEs) across shard counts, asserting cross-arm digest
-equality and writing ``BENCH_city.json``.  ``--shard-smoke`` is the
-CI-sized variant: a 2-shard process-mode run with mobility *and*
-cross-shard handover churn whose per-epoch digests must equal the
-unsharded incremental backend's.
+equality and writing ``BENCH_city.json``.  ``--shard-nets`` is the CI
+gate: one 20-cell churn scenario (mobility *and* cross-shard handovers)
+driven through bare, supervised, killed, traced and degraded 2-shard
+process-mode runs whose per-epoch digests must all equal the unsharded
+incremental backend's, writing ``BENCH_shard_nets.json``.
 
 Usage::
 
@@ -31,7 +34,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_epoch.py --smoke            # quick CI run
     PYTHONPATH=src python benchmarks/bench_epoch.py --activity-sweep   # incremental
     PYTHONPATH=src python benchmarks/bench_epoch.py --city             # shard sweep
-    PYTHONPATH=src python benchmarks/bench_epoch.py --shard-smoke      # shard CI gate
+    PYTHONPATH=src python benchmarks/bench_epoch.py --shard-nets       # shard CI gate
     PYTHONPATH=src python benchmarks/bench_epoch.py --gain-fill        # fill kernels
 """
 
@@ -85,17 +88,18 @@ from repro.sim.topology import (
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_epoch.json"
+SMOKE_OUTPUT_PATH = REPO_ROOT / "BENCH_epoch_smoke.json"
 INCREMENTAL_OUTPUT_PATH = REPO_ROOT / "BENCH_incremental.json"
 CITY_OUTPUT_PATH = REPO_ROOT / "BENCH_city.json"
-SHARD_SMOKE_OUTPUT_PATH = REPO_ROOT / "BENCH_shard_smoke.json"
-CHAOS_SMOKE_OUTPUT_PATH = REPO_ROOT / "BENCH_chaos_smoke.json"
-OBS_SHARD_SMOKE_OUTPUT_PATH = REPO_ROOT / "BENCH_obs_shard_smoke.json"
-OBS_SHARD_TRACE_PATH = REPO_ROOT / "obs-shard-smoke-trace.json"
-OBS_SHARD_JSONL_PATH = REPO_ROOT / "obs-shard-smoke.jsonl"
+SHARD_NETS_OUTPUT_PATH = REPO_ROOT / "BENCH_shard_nets.json"
+SHARD_NETS_TRACE_PATH = REPO_ROOT / "shard-nets-trace.json"
+SHARD_NETS_JSONL_PATH = REPO_ROOT / "shard-nets.jsonl"
 GAINFILL_OUTPUT_PATH = REPO_ROOT / "BENCH_gainfill.json"
 GAINFILL_SMOKE_OUTPUT_PATH = REPO_ROOT / "BENCH_gainfill_smoke.json"
 
 DEFAULT_SIZES = (10, 50, 200)
+#: Largest size at which the scalar oracle is also timed.
+MAX_SCALAR_CELLS = 50
 DEFAULT_ACTIVITIES = (0.05, 0.10, 0.25, 1.00)
 SWEEP_CELLS = 200
 SMOKE_SWEEP_CELLS = 20
@@ -185,9 +189,7 @@ def time_epochs(net: LteNetworkSimulator, n_epochs: int) -> Dict[str, float]:
     }
 
 
-def run_benchmark(
-    sizes: List[int], n_epochs: int, max_scalar_cells: int
-) -> Dict:
+def run_benchmark(sizes: List[int], n_epochs: int) -> Dict:
     results = []
     for n_cells in sizes:
         entry: Dict = {"cells": n_cells, "clients": n_cells * CLIENTS_PER_AP}
@@ -197,7 +199,7 @@ def run_benchmark(
             f"{n_cells:4d} cells  incremental "
             f"{entry['incremental']['per_epoch_s'] * 1e3:9.1f} ms/epoch"
         )
-        if n_cells <= max_scalar_cells:
+        if n_cells <= MAX_SCALAR_CELLS:
             net = build_network(n_cells, BACKEND_SCALAR)
             entry["scalar"] = time_epochs(net, n_epochs)
             entry["speedup"] = (
@@ -212,7 +214,7 @@ def run_benchmark(
         else:
             entry["scalar"] = None
             entry["note"] = (
-                f"scalar backend skipped above {max_scalar_cells} cells "
+                f"scalar backend skipped above {MAX_SCALAR_CELLS} cells "
                 "(reference implementation is too slow; it is bit-identical "
                 "to the incremental backend)"
             )
@@ -445,7 +447,7 @@ def run_activity_sweep(
 
 
 # ---------------------------------------------------------------------------
-# City-scale shard sweep (--city) and the CI shard gate (--shard-smoke)
+# City-scale shard sweep (--city) and the CI shard gate (--shard-nets)
 # ---------------------------------------------------------------------------
 
 
@@ -470,7 +472,6 @@ def build_city_network(
     clients_per_ap: int,
     area_m: float,
     cull_loss_db: float,
-    mode: str,
 ) -> ShardedNetwork:
     def factory(ap_ids):
         return LteNetworkSimulator(
@@ -490,7 +491,6 @@ def build_city_network(
         factory,
         RngStreams(SEED),
         ResourceGrid(5e6),
-        mode=mode,
     )
 
 
@@ -500,7 +500,6 @@ def _run_city_arm(
     clients_per_ap: int,
     area_m: float,
     cull_loss_db: float,
-    mode: str,
     schedule: List[List[Tuple[int, float, float]]],
 ) -> Dict:
     """Time the city epoch loop for one shard count.
@@ -513,7 +512,7 @@ def _run_city_arm(
     """
     build_start = time.perf_counter()
     net = build_city_network(
-        n_shards, n_cells, clients_per_ap, area_m, cull_loss_db, mode
+        n_shards, n_cells, clients_per_ap, area_m, cull_loss_db
     )
     try:
         policy = AllSubchannelsPolicy(
@@ -562,12 +561,10 @@ def _run_city_arm(
 
 
 def run_city_bench(
-    shard_counts: Sequence[int],
     n_epochs: int,
     n_cells: int = CITY_CELLS,
     clients_per_ap: int = CITY_CLIENTS_PER_AP,
     cull_loss_db: float = SWEEP_CULL_LOSS_DB,
-    mode: str = "auto",
 ) -> Dict:
     """Benchmark the shard engine across shard counts on one city map.
 
@@ -585,10 +582,9 @@ def run_city_bench(
     ]
     schedule = _movement_schedule(topology, movers, n_epochs, area_m=area_m)
     arms: List[Dict] = []
-    for n_shards in shard_counts:
+    for n_shards in CITY_SHARDS:
         arm = _run_city_arm(
-            n_shards, n_cells, clients_per_ap, area_m, cull_loss_db, mode,
-            schedule,
+            n_shards, n_cells, clients_per_ap, area_m, cull_loss_db, schedule
         )
         arms.append(arm)
         print(
@@ -646,7 +642,7 @@ def run_city_bench(
 def _churn_smoke_scenario(
     n_cells: int, n_shards: int, n_epochs: int
 ) -> Tuple[Dict, List, List, List[Tuple[int, int]], int]:
-    """Mobility + forced-handover churn shared by the shard/chaos gates."""
+    """Mobility + forced-handover churn driven by the shard-nets gate."""
     _, demands, movers = _sweep_scenario(n_cells, 0.5)
     topology = _bench_topology(n_cells)
     schedule = _movement_schedule(topology, movers, n_epochs)
@@ -817,317 +813,145 @@ def run_gainfill_bench(smoke: bool = False) -> Dict:
     }
 
 
-def run_shard_smoke(
+def _first_divergence(digests: List[str], reference: List[str]) -> int:
+    """1-based index of the first epoch whose digests differ."""
+    return next(
+        i for i, (a, b) in enumerate(zip(digests, reference), 1) if a != b
+    )
+
+
+def run_shard_nets(
     n_cells: int = SMOKE_SWEEP_CELLS,
     n_shards: int = 2,
     n_epochs: int = 6,
     cull_loss_db: float = SWEEP_CULL_LOSS_DB,
-    mode: str = "auto",
 ) -> Dict:
-    """CI gate: a sharded run must digest-equal the unsharded incremental.
+    """CI gate: sharded, supervised and traced runs stay bit-identical.
 
-    Drives identical churn through both engines -- mobility every epoch
-    plus one forced re-attachment per epoch, some crossing shard
-    boundaries so the max-CQI row migration travels through real worker
-    pipes -- and requires bitwise-equal per-epoch digests.
+    Builds one churn scenario -- mobility every epoch plus one forced
+    re-attachment per epoch, some crossing shard boundaries so the
+    max-CQI row migration travels through real worker pipes -- and
+    drives it through seven engines, each of which must reproduce the
+    unsharded per-epoch digests bitwise:
+
+    1. unsharded, batched gain fill (the reference);
+    2. unsharded, scalar fill oracle (pins the kernels end to end);
+    3. bare process-mode shards;
+    4. supervised, fault-free (what supervision costs);
+    5. supervised with one scheduled worker kill (SIGKILL), which must
+       respawn from checkpoint and replay its journal;
+    6. run 5 again under tracing, which must merge every worker's
+       telemetry plus the supervisor's barrier and recovery spans into
+       one shard-tagged timeline, counting each epoch exactly once;
+    7. the kill under a zero retry budget, which must degrade the shard
+       to inline execution with a ``ShardDegradedWarning``.
+
+    Writes the merged timeline (Chrome trace + JSONL) for
+    ``repro.obs.validate`` and ``repro.cli obs-report`` to consume
+    (``make shard-nets``).
     """
+    from repro.obs import Telemetry, activated
+
     demands, schedule, plan, reattaches, cross_shard = _churn_smoke_scenario(
         n_cells, n_shards, n_epochs
     )
+    kill_epoch = max(1, n_epochs // 2)
+    kill = ChaosPolicy(events=(ChaosEvent("kill", kill_epoch, n_shards - 1),))
 
     def drive(net) -> List[str]:
         return _drive_churn(net, demands, schedule, reattaches)
 
-    # Unsharded reference twice: once through the batched gain-fill
-    # kernels (the default every arm below also uses) and once through
-    # the scalar fill oracle.  Their digests must match exactly -- this
-    # is the smoke gate that pins the kernels bit-identical end to end,
-    # not just at the matrix level -- and their prefill seconds record
-    # what the kernels buy on this population.
+    def drive_sharded(
+        retry_budget: Optional[int] = None, chaos: Optional[ChaosPolicy] = None
+    ) -> Dict:
+        """One process-mode sharded run, supervised iff given a budget."""
+        net = ShardedNetwork(
+            _bench_topology(n_cells),
+            plan,
+            lambda ap_ids: build_network(
+                n_cells, BACKEND_INCREMENTAL, cull_loss_db, shard_ap_ids=ap_ids
+            ),
+            RngStreams(SEED),
+            ResourceGrid(5e6),
+            mode="process",
+            supervision=None
+            if retry_budget is None
+            else SupervisionConfig(retry_budget=retry_budget, checkpoint_every=2),
+            chaos=chaos,
+        )
+        try:
+            t0 = time.perf_counter()
+            digests = drive(net)
+            return {
+                "digests": digests,
+                "wall_s": time.perf_counter() - t0,
+                "mode": net.mode,
+                "stats": dict(net.supervisor.stats) if net.supervisor else {},
+                "build": net.worker_build_stats(),
+            }
+        finally:
+            net.close()
+
+    # Unsharded reference twice: through the batched gain-fill kernels
+    # (the default every sharded run also uses) and through the scalar
+    # fill oracle.  Their prefill seconds record what the kernels buy on
+    # this population.  The once-per-process exactness probes run first
+    # so their cost does not land in the batched arm's prefill.
+    vecmath.vectorized_report()
     batched_net = build_network(n_cells, BACKEND_INCREMENTAL, cull_loss_db)
-    batched_prefill_s = batched_net.gain_prefill_s
     unsharded = drive(batched_net)
     scalar_net = build_network(
         n_cells, BACKEND_INCREMENTAL, cull_loss_db, gain_fill=FILL_SCALAR
     )
-    scalar_prefill_s = scalar_net.gain_prefill_s
     if drive(scalar_net) != unsharded:
         raise SystemExit(
             "shard smoke digest mismatch: the batched gain-fill run "
             "diverged from the scalar fill oracle"
         )
 
-    def build_sharded(**kwargs) -> ShardedNetwork:
-        return ShardedNetwork(
-            _bench_topology(n_cells),
-            plan,
-            lambda ap_ids: build_network(
-                n_cells, BACKEND_INCREMENTAL, cull_loss_db, shard_ap_ids=ap_ids
-            ),
-            RngStreams(SEED),
-            ResourceGrid(5e6),
-            mode=mode,
-            **kwargs,
-        )
-
-    def timed_drive(net) -> Tuple[List[str], float, str, List[Dict]]:
-        try:
-            t0 = time.perf_counter()
-            digests = drive(net)
-            stats = net.worker_build_stats()
-            return digests, time.perf_counter() - t0, net.mode, stats
-        finally:
-            net.close()
-
-    sharded, bare_s, worker_mode, worker_stats = timed_drive(build_sharded())
-    if sharded != unsharded:
-        first = next(
-            i for i, (a, b) in enumerate(zip(sharded, unsharded)) if a != b
-        )
+    bare = drive_sharded()
+    if bare["digests"] != unsharded:
         raise SystemExit(
             f"shard smoke digest mismatch: the {n_shards}-shard run "
             f"diverged from the unsharded incremental backend at epoch "
-            f"{first + 1}"
+            f"{_first_divergence(bare['digests'], unsharded)}"
         )
-    # Supervised arm: same run under the fault-tolerant supervisor (no
-    # chaos), recording what heartbeat tracking, journaling and periodic
-    # recovery checkpoints cost on top of the bare shard engine.
-    supervised, supervised_s, _, _ = timed_drive(build_sharded(supervise=True))
-    if supervised != unsharded:
+    # Same run under the fault-tolerant supervisor (no chaos): heartbeat
+    # tracking, journaling and periodic recovery checkpoints on top of the
+    # bare shard engine.
+    supervised = drive_sharded(retry_budget=3)
+    if supervised["digests"] != unsharded:
         raise SystemExit(
             "shard smoke digest mismatch: the supervised run diverged "
             "from the unsharded incremental backend"
         )
-    overhead_frac = supervised_s / bare_s - 1.0 if bare_s > 0 else 0.0
-    print(
-        f"shard smoke: {n_shards} shards ({worker_mode} workers), "
-        f"{n_cells} cells, {n_epochs} epochs, "
-        f"{cross_shard} cross-shard handovers -- digests ok; "
-        f"supervision overhead {overhead_frac * 100:+.1f}% "
-        f"({bare_s:.2f}s -> {supervised_s:.2f}s)"
-    )
-    return {
-        "benchmark": "lte-epoch-shard-smoke",
-        "seed": SEED,
-        "cells": n_cells,
-        "clients": n_cells * CLIENTS_PER_AP,
-        "shards": n_shards,
-        "worker_mode": worker_mode,
-        "cull_loss_db": cull_loss_db,
-        "epochs": n_epochs,
-        "cross_shard_handovers": cross_shard,
-        "digest_match": True,
-        "wall_s": round(bare_s, 4),
-        "supervised": {
-            "digest_match": True,
-            "wall_s": round(supervised_s, 4),
-            "overhead_frac": round(overhead_frac, 4),
-        },
-        "gain_fill": {
-            "scalar_oracle_digest_match": True,
-            "unsharded_batched_prefill_s": round(batched_prefill_s, 4),
-            "unsharded_scalar_prefill_s": round(scalar_prefill_s, 4),
-            "prefill_speedup": round(
-                scalar_prefill_s / batched_prefill_s, 2
-            )
-            if batched_prefill_s > 0
-            else None,
-            "worker_prefill_s": [
-                round(s["gain_prefill_s"], 4)
-                if s.get("gain_prefill_s") is not None
-                else None
-                for s in worker_stats
-            ],
-        },
-    }
 
-
-def run_chaos_smoke(
-    n_cells: int = SMOKE_SWEEP_CELLS,
-    n_shards: int = 2,
-    n_epochs: int = 6,
-    cull_loss_db: float = SWEEP_CULL_LOSS_DB,
-    mode: str = "auto",
-) -> Dict:
-    """CI gate: a worker killed mid-run must recover bit-identically.
-
-    Three supervised arms over the same churn scenario as the shard
-    smoke: fault-free (the digest reference), one scheduled worker kill
-    (SIGKILL under process workers) that must respawn from checkpoint and
-    replay its journal, and a zero-retry-budget kill that must degrade
-    the shard to inline execution with a structured warning -- all three
-    digest-equal to the unsharded incremental backend.
-    """
-    demands, schedule, plan, reattaches, cross_shard = _churn_smoke_scenario(
-        n_cells, n_shards, n_epochs
-    )
-    kill_epoch = max(1, n_epochs // 2)
-    chaos = ChaosPolicy(events=(ChaosEvent("kill", kill_epoch, n_shards - 1),))
-
-    def drive_supervised(
-        retry_budget: int, with_chaos: bool
-    ) -> Tuple[List[str], Dict[str, int], str]:
-        net = ShardedNetwork(
-            _bench_topology(n_cells),
-            plan,
-            lambda ap_ids: build_network(
-                n_cells, BACKEND_INCREMENTAL, cull_loss_db, shard_ap_ids=ap_ids
-            ),
-            RngStreams(SEED),
-            ResourceGrid(5e6),
-            mode=mode,
-            supervision=SupervisionConfig(
-                retry_budget=retry_budget, checkpoint_every=2
-            ),
-            chaos=chaos if with_chaos else None,
-        )
-        try:
-            digests = _drive_churn(net, demands, schedule, reattaches)
-            return digests, dict(net.supervisor.stats), net.mode
-        finally:
-            net.close()
-
-    unsharded = _drive_churn(
-        build_network(n_cells, BACKEND_INCREMENTAL, cull_loss_db),
-        demands,
-        schedule,
-        reattaches,
-    )
-    fault_free, _, worker_mode = drive_supervised(3, with_chaos=False)
-    if fault_free != unsharded:
-        raise SystemExit(
-            "chaos smoke: fault-free supervised digests diverged from the "
-            "unsharded incremental backend"
-        )
-    killed, stats, _ = drive_supervised(3, with_chaos=True)
-    if killed != unsharded:
-        first = next(
-            i for i, (a, b) in enumerate(zip(killed, unsharded)) if a != b
-        )
+    killed = drive_sharded(retry_budget=3, chaos=kill)
+    stats = killed["stats"]
+    if killed["digests"] != unsharded:
         raise SystemExit(
             f"chaos smoke: recovery after the epoch-{kill_epoch} worker "
-            f"kill diverged from the fault-free run at epoch {first + 1}"
+            f"kill diverged from the fault-free run at epoch "
+            f"{_first_divergence(killed['digests'], unsharded)}"
         )
     if stats["restarts"] < 1 or stats["crashes"] < 1:
         raise SystemExit(
             f"chaos smoke: the scheduled kill was not recovered as a "
             f"crash (stats: {stats})"
         )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        degraded, degraded_stats, _ = drive_supervised(0, with_chaos=True)
-    degrade_warned = any(
-        issubclass(w.category, ShardDegradedWarning) for w in caught
-    )
-    if degraded != unsharded:
-        raise SystemExit(
-            "chaos smoke: the degraded-to-inline run diverged from the "
-            "fault-free run"
-        )
-    if degraded_stats["degraded"] < 1 or not degrade_warned:
-        raise SystemExit(
-            f"chaos smoke: exhausting a zero retry budget must degrade "
-            f"the shard inline with a ShardDegradedWarning "
-            f"(stats: {degraded_stats}, warned: {degrade_warned})"
-        )
-    print(
-        f"chaos smoke: {n_shards} shards ({worker_mode} workers), "
-        f"kill@{kill_epoch} recovered (restarts={stats['restarts']}, "
-        f"replayed_ops={stats['replayed_ops']}), budget-0 degraded "
-        f"inline with warning -- digests ok"
-    )
-    return {
-        "benchmark": "lte-epoch-chaos-smoke",
-        "seed": SEED,
-        "cells": n_cells,
-        "clients": n_cells * CLIENTS_PER_AP,
-        "shards": n_shards,
-        "worker_mode": worker_mode,
-        "cull_loss_db": cull_loss_db,
-        "epochs": n_epochs,
-        "cross_shard_handovers": cross_shard,
-        "kill_epoch": kill_epoch,
-        "digest_match": True,
-        "recovery": {key: int(value) for key, value in sorted(stats.items())},
-        "degraded": {
-            key: int(value) for key, value in sorted(degraded_stats.items())
-        },
-        "degrade_warning": True,
-    }
 
-
-def run_obs_shard_smoke(
-    n_cells: int = SMOKE_SWEEP_CELLS,
-    n_shards: int = 2,
-    n_epochs: int = 6,
-    cull_loss_db: float = SWEEP_CULL_LOSS_DB,
-    mode: str = "auto",
-) -> Dict:
-    """CI gate for the cross-shard telemetry plane.
-
-    Runs the chaos-smoke scenario (supervised 2-shard run with one
-    scheduled worker kill) twice -- untraced and traced -- and asserts:
-
-    * the traced run's per-epoch digests equal the untraced run's
-      (telemetry is digest-neutral even across a kill + replay);
-    * the merged timeline contains spans shipped from *every* shard
-      worker, supervisor barrier-phase spans, and the respawn/replay
-      recovery spans;
-    * merged per-shard metric totals account for every epoch exactly
-      once despite the journal replay.
-
-    Writes the merged timeline (Chrome trace + JSONL) next to
-    ``BENCH_obs_shard_smoke.json`` for ``repro.obs.validate`` and
-    ``repro.cli obs-report`` to consume (``make obs-shard-smoke``).
-    """
-    from repro.obs import Telemetry, activated
-    from repro.obs.report import barrier_report
-
-    demands, schedule, plan, reattaches, cross_shard = _churn_smoke_scenario(
-        n_cells, n_shards, n_epochs
-    )
-    kill_epoch = max(1, n_epochs // 2)
-    chaos = ChaosPolicy(events=(ChaosEvent("kill", kill_epoch, n_shards - 1),))
-
-    def drive_supervised(tel) -> Tuple[List[str], Dict[str, int], str, float]:
-        net = ShardedNetwork(
-            _bench_topology(n_cells),
-            plan,
-            lambda ap_ids: build_network(
-                n_cells, BACKEND_INCREMENTAL, cull_loss_db, shard_ap_ids=ap_ids
-            ),
-            RngStreams(SEED),
-            ResourceGrid(5e6),
-            mode=mode,
-            supervision=SupervisionConfig(retry_budget=3, checkpoint_every=2),
-            chaos=chaos,
-        )
-        try:
-            t0 = time.perf_counter()
-            digests = _drive_churn(net, demands, schedule, reattaches)
-            wall = time.perf_counter() - t0
-            stats = dict(net.supervisor.stats)
-            worker_mode = net.mode
-        finally:
-            net.close()
-        return digests, stats, worker_mode, wall
-
-    untraced, _, worker_mode, untraced_s = drive_supervised(None)
     tel = Telemetry(trace=True)
     with activated(tel):
-        traced, stats, _, traced_s = drive_supervised(tel)
-    if traced != untraced:
-        first = next(
-            i for i, (a, b) in enumerate(zip(traced, untraced)) if a != b
-        )
+        traced = drive_sharded(retry_budget=3, chaos=kill)
+    if traced["digests"] != killed["digests"]:
         raise SystemExit(
             f"obs shard smoke: tracing changed the run -- digests diverged "
-            f"at epoch {first + 1}"
+            f"at epoch {_first_divergence(traced['digests'], killed['digests'])}"
         )
-    if stats["restarts"] < 1:
+    if traced["stats"]["restarts"] < 1:
         raise SystemExit(
             f"obs shard smoke: the scheduled kill was not recovered "
-            f"(stats: {stats})"
+            f"(stats: {traced['stats']})"
         )
     names = {r.name for r in tel.tracer.records}
     for required in (
@@ -1164,20 +988,47 @@ def run_obs_shard_smoke(
                 f"ticks, expected {n_epochs + 1} (duplicated or dropped "
                 f"payloads)"
             )
-    tel.tracer.write_chrome(str(OBS_SHARD_TRACE_PATH))
-    tel.tracer.write_jsonl(str(OBS_SHARD_JSONL_PATH))
-    report = barrier_report([r.to_dict() for r in tel.tracer.records])
-    overhead_frac = traced_s / untraced_s - 1.0 if untraced_s > 0 else 0.0
-    print(
-        f"obs shard smoke: {n_shards} shards ({worker_mode} workers), "
-        f"kill@{kill_epoch} -- digests ok, {len(tel.tracer)} merged trace "
-        f"records from shards {shards_seen} + supervisor; tracing overhead "
-        f"{overhead_frac * 100:+.1f}% ({untraced_s:.2f}s -> {traced_s:.2f}s)"
+    tel.tracer.write_chrome(str(SHARD_NETS_TRACE_PATH))
+    tel.tracer.write_jsonl(str(SHARD_NETS_JSONL_PATH))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        degraded = drive_sharded(retry_budget=0, chaos=kill)
+    degraded_stats = degraded["stats"]
+    degrade_warned = any(
+        issubclass(w.category, ShardDegradedWarning) for w in caught
     )
-    print(f"merged chrome trace: {OBS_SHARD_TRACE_PATH}")
-    print(f"merged trace jsonl : {OBS_SHARD_JSONL_PATH}")
+    if degraded["digests"] != unsharded:
+        raise SystemExit(
+            "chaos smoke: the degraded-to-inline run diverged from the "
+            "fault-free run"
+        )
+    if degraded_stats["degraded"] < 1 or not degrade_warned:
+        raise SystemExit(
+            f"chaos smoke: exhausting a zero retry budget must degrade "
+            f"the shard inline with a ShardDegradedWarning "
+            f"(stats: {degraded_stats}, warned: {degrade_warned})"
+        )
+
+    # Supervision cost over the bare engine; tracing cost over the
+    # untraced kill run.
+    supervision_frac = supervised["wall_s"] / bare["wall_s"] - 1.0
+    tracing_frac = traced["wall_s"] / killed["wall_s"] - 1.0
+    worker_mode = bare["mode"]
+    print(
+        f"shard nets: {n_shards} shards ({worker_mode} workers), {n_cells} "
+        f"cells, {n_epochs} epochs, {cross_shard} cross-shard handovers, "
+        f"kill@{kill_epoch} recovered (restarts={stats['restarts']}, "
+        f"replayed_ops={stats['replayed_ops']}), budget-0 degraded inline "
+        f"with warning, {len(tel.tracer)} merged trace records from shards "
+        f"{shards_seen} -- digests ok on all 7 runs; overhead: supervision "
+        f"{supervision_frac * 100:+.1f}%, tracing {tracing_frac * 100:+.1f}%"
+    )
+    print(f"merged trace: {SHARD_NETS_TRACE_PATH}, {SHARD_NETS_JSONL_PATH}")
+    batched_prefill_s = batched_net.gain_prefill_s
+    scalar_prefill_s = scalar_net.gain_prefill_s
     return {
-        "benchmark": "lte-epoch-obs-shard-smoke",
+        "benchmark": "lte-epoch-shard-nets",
         "seed": SEED,
         "cells": n_cells,
         "clients": n_cells * CLIENTS_PER_AP,
@@ -1188,12 +1039,37 @@ def run_obs_shard_smoke(
         "cross_shard_handovers": cross_shard,
         "kill_epoch": kill_epoch,
         "digest_match": True,
-        "trace_records": len(tel.tracer),
-        "untraced_wall_s": round(untraced_s, 4),
-        "traced_wall_s": round(traced_s, 4),
-        "tracing_overhead_frac": round(overhead_frac, 4),
+        "wall_s": round(bare["wall_s"], 4),
+        "supervised": {
+            "digest_match": True,
+            "wall_s": round(supervised["wall_s"], 4),
+            "overhead_frac": round(supervision_frac, 4),
+        },
+        "gain_fill": {
+            "scalar_oracle_digest_match": True,
+            "unsharded_batched_prefill_s": round(batched_prefill_s, 4),
+            "unsharded_scalar_prefill_s": round(scalar_prefill_s, 4),
+            "prefill_speedup": round(scalar_prefill_s / batched_prefill_s, 2)
+            if batched_prefill_s > 0
+            else None,
+            "worker_prefill_s": [
+                round(s["gain_prefill_s"], 4)
+                if s.get("gain_prefill_s") is not None
+                else None
+                for s in bare["build"]
+            ],
+        },
         "recovery": {key: int(value) for key, value in sorted(stats.items())},
-        "barrier_report": report,
+        "degraded": {
+            key: int(value) for key, value in sorted(degraded_stats.items())
+        },
+        "degrade_warning": True,
+        "traced": {
+            "digest_match": True,
+            "trace_records": len(tel.tracer),
+            "wall_s": round(traced["wall_s"], 4),
+            "overhead_frac": round(tracing_frac, 4),
+        },
     }
 
 
@@ -1202,7 +1078,10 @@ def main() -> None:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="quick mode: small sizes and few epochs (CI / make bench)",
+        help=(
+            "quick mode for the default run, --activity-sweep and "
+            "--gain-fill: small sizes and few epochs (CI / make bench)"
+        ),
     )
     parser.add_argument(
         "--sizes",
@@ -1215,35 +1094,13 @@ def main() -> None:
         "--epochs", type=int, default=None, help="epochs to time per run"
     )
     parser.add_argument(
-        "--max-scalar-cells",
-        type=int,
-        default=50,
-        help="largest size at which the scalar backend is also timed",
-    )
-    parser.add_argument(
         "--activity-sweep",
         action="store_true",
         help=(
-            "time the incremental backend across activity levels; "
-            f"writes {INCREMENTAL_OUTPUT_PATH.name}"
-        ),
-    )
-    parser.add_argument(
-        "--activities",
-        type=float,
-        nargs="+",
-        default=None,
-        help=(
-            "per-epoch activity fractions for --activity-sweep "
-            f"(default {list(DEFAULT_ACTIVITIES)})"
-        ),
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "with --activity-sweep: also run the culled scalar oracle and "
-            "assert digest equality (implied by --smoke)"
+            "time the incremental backend across activity levels "
+            f"{list(DEFAULT_ACTIVITIES)}; writes {INCREMENTAL_OUTPUT_PATH.name} "
+            "(with --smoke: 20 cells, digest-checked against the scalar "
+            "oracle)"
         ),
     )
     parser.add_argument(
@@ -1252,39 +1109,18 @@ def main() -> None:
         help=(
             "benchmark the spatial shard engine on a city-scale deployment "
             f"({CITY_CELLS} APs x {CITY_CELLS * CITY_CLIENTS_PER_AP} UEs) "
-            f"across shard counts; writes {CITY_OUTPUT_PATH.name}"
+            f"across {list(CITY_SHARDS)} shards; writes {CITY_OUTPUT_PATH.name}"
         ),
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        nargs="+",
-        default=None,
-        help=f"shard counts for --city (default {list(CITY_SHARDS)})",
-    )
-    parser.add_argument(
-        "--shard-mode",
-        choices=("auto", "process", "inline"),
-        default="auto",
-        help="worker mode for --city / --shard-smoke workers",
-    )
-    parser.add_argument(
-        "--shard-smoke",
+        "--shard-nets",
         action="store_true",
         help=(
-            "CI gate: a 2-shard run under mobility and cross-shard "
-            "handover churn must digest-equal the unsharded incremental "
-            f"backend; writes {SHARD_SMOKE_OUTPUT_PATH.name}"
-        ),
-    )
-    parser.add_argument(
-        "--chaos-smoke",
-        action="store_true",
-        help=(
-            "CI gate: a supervised 2-shard run with a scheduled worker "
-            "kill must recover bit-identically, and a zero-retry-budget "
-            "kill must degrade inline with a warning; writes "
-            f"{CHAOS_SMOKE_OUTPUT_PATH.name}"
+            "CI gate: bare, supervised, killed, traced and degraded 2-shard "
+            "runs under mobility and cross-shard handover churn must "
+            "digest-equal the unsharded incremental backend; writes "
+            f"{SHARD_NETS_OUTPUT_PATH.name} plus {SHARD_NETS_TRACE_PATH.name} "
+            f"/ {SHARD_NETS_JSONL_PATH.name}"
         ),
     )
     parser.add_argument(
@@ -1298,83 +1134,45 @@ def main() -> None:
         ),
     )
     parser.add_argument(
-        "--obs-shard-smoke",
-        action="store_true",
-        help=(
-            "CI gate: a traced supervised 2-shard run with a scheduled "
-            "worker kill must digest-equal its untraced twin and merge "
-            "every worker's telemetry into one shard-tagged timeline; "
-            f"writes {OBS_SHARD_SMOKE_OUTPUT_PATH.name} plus "
-            f"{OBS_SHARD_TRACE_PATH.name} / {OBS_SHARD_JSONL_PATH.name}"
-        ),
-    )
-    parser.add_argument(
         "--output",
         type=pathlib.Path,
         default=None,
         help=f"result file (default {OUTPUT_PATH} / {INCREMENTAL_OUTPUT_PATH})",
     )
     args = parser.parse_args()
+    # Smoke runs are correctness gates, not performance records: none of
+    # them may clobber a full-scale BENCH_*.json.
     if args.gain_fill:
         payload = run_gainfill_bench(smoke=args.smoke)
-        # Like the other smokes, the CI-sized run must not clobber the
-        # full-scale performance record.
         output = args.output or (
             GAINFILL_SMOKE_OUTPUT_PATH if args.smoke else GAINFILL_OUTPUT_PATH
         )
-    elif args.obs_shard_smoke:
-        payload = run_obs_shard_smoke(
-            n_epochs=args.epochs or 6, mode=args.shard_mode
-        )
-        output = args.output or OBS_SHARD_SMOKE_OUTPUT_PATH
-    elif args.chaos_smoke:
-        payload = run_chaos_smoke(
-            n_epochs=args.epochs or 6, mode=args.shard_mode
-        )
-        output = args.output or CHAOS_SMOKE_OUTPUT_PATH
-    elif args.shard_smoke:
-        payload = run_shard_smoke(
-            n_epochs=args.epochs or 6, mode=args.shard_mode
-        )
-        output = args.output or SHARD_SMOKE_OUTPUT_PATH
+    elif args.shard_nets:
+        payload = run_shard_nets(n_epochs=args.epochs or 6)
+        output = args.output or SHARD_NETS_OUTPUT_PATH
     elif args.city:
-        n_cells = (
-            args.sizes[0]
-            if args.sizes
-            else (100 if args.smoke else CITY_CELLS)
-        )
-        n_epochs = args.epochs or (3 if args.smoke else 5)
         payload = run_city_bench(
-            args.shards or list(CITY_SHARDS),
-            n_epochs,
-            n_cells=n_cells,
-            mode=args.shard_mode,
+            args.epochs or 5,
+            n_cells=args.sizes[0] if args.sizes else CITY_CELLS,
         )
-        output = args.output or (
-            (REPO_ROOT / "BENCH_city_smoke.json")
-            if args.smoke
-            else CITY_OUTPUT_PATH
-        )
+        output = args.output or CITY_OUTPUT_PATH
     elif args.activity_sweep:
         if args.smoke:
             n_cells = SMOKE_SWEEP_CELLS
             n_epochs = args.epochs or 3
-            activities = args.activities or [0.10, 0.50]
+            activities = [0.10, 0.50]
         else:
             n_cells = args.sizes[0] if args.sizes else SWEEP_CELLS
             n_epochs = args.epochs or 5
-            activities = args.activities or list(DEFAULT_ACTIVITIES)
+            activities = list(DEFAULT_ACTIVITIES)
         payload = run_activity_sweep(
-            n_cells, activities, n_epochs, check=args.check or args.smoke
+            n_cells, activities, n_epochs, check=args.smoke
         )
-        # Smoke mode is a correctness gate, not a performance record: keep
-        # it from clobbering the full-scale BENCH_incremental.json.
-        if args.smoke:
-            output = args.output or (
-                REPO_ROOT / "BENCH_incremental_smoke.json"
-            )
-        else:
-            output = args.output or INCREMENTAL_OUTPUT_PATH
+        output = args.output or (
+            (REPO_ROOT / "BENCH_incremental_smoke.json")
+            if args.smoke
+            else INCREMENTAL_OUTPUT_PATH
+        )
     else:
         if args.smoke:
             sizes = args.sizes or [10, 20]
@@ -1382,11 +1180,10 @@ def main() -> None:
         else:
             sizes = args.sizes or list(DEFAULT_SIZES)
             n_epochs = args.epochs or 5
-        payload = run_benchmark(sizes, n_epochs, args.max_scalar_cells)
-        output = args.output or OUTPUT_PATH
+        payload = run_benchmark(sizes, n_epochs)
+        output = args.output or (SMOKE_OUTPUT_PATH if args.smoke else OUTPUT_PATH)
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {output}")
-
 
 if __name__ == "__main__":
     main()

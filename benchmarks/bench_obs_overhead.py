@@ -17,8 +17,9 @@ Three configurations are timed on the default incremental backend:
 
 The disabled configuration must stay within ``--tolerance`` (default
 3%) of the ``BENCH_epoch.json`` reference per-epoch time; the run exits
-non-zero if it regresses.  ``--smoke`` skips the assertion (shared CI
-runners are too noisy for a 3% gate) but still records the ratios.
+non-zero if it regresses or if a gated size has no reference entry.
+``--smoke`` skips the assertion (shared CI runners are too noisy for a
+3% gate) but still records the ratios.
 
 Usage::
 
@@ -101,6 +102,13 @@ def run_benchmark(
         for name, _ in CONFIGS[1:]:
             entry[name]["vs_disabled"] = entry[name]["per_epoch_s"] / disabled_s
         ref_s: Optional[float] = reference.get(n_cells)
+        if check and not ref_s:
+            # A gate with nothing to compare against must fail loudly, not
+            # pass by skipping the size.
+            failures.append(
+                f"{n_cells} cells: no incremental reference entry in "
+                f"{REFERENCE_PATH.name}"
+            )
         if ref_s:
             entry["reference_per_epoch_s"] = ref_s
             entry["disabled"]["vs_reference"] = disabled_s / ref_s

@@ -931,22 +931,15 @@ class LteNetworkSimulator:
             clients = self.topology.clients_of(ap.ap_id)
             ap_demands = ap_demand_map[ap.ap_id]
             ap_active_demands = ap_active_map[ap.ap_id]
-            # Inactive APs never appear in the active list, so the hoisted
-            # list doubles as their co-channel view (callees only read it).
-            if ap.ap_id in active_aps:
-                co_channel = [a for a in active_list if a != ap.ap_id]
-            else:
-                co_channel = active_list
-
             if incremental:
                 links = self._incremental_links(
-                    ap, clients, allowed, active_aps, co_channel,
+                    ap, clients, allowed, active_aps, active_list,
                     ap_demands, ap_active_demands, prach_counts,
                     rlf_rng, subs_keys, active_entries,
                 )
             else:
                 links = self._scalar_links(
-                    ap, clients, allowed, interferers_on, co_channel,
+                    ap, clients, allowed, interferers_on, active_list,
                     ap_demands, ap_active_demands, demands_bits, rlf_rng,
                 )
             for cid in links.disconnected:
@@ -1080,13 +1073,14 @@ class LteNetworkSimulator:
         clients,
         allowed: Dict[int, Set[int]],
         interferers_on: Dict[int, List[int]],
-        co_channel: List[int],
+        active_list: List[int],
         ap_demands: Dict[int, float],
         ap_active_demands: Dict[int, float],
         demands_bits: Dict[int, float],
         rlf_rng: np.random.Generator,
     ) -> _EpochLinks:
         """Reference backend: per-link loops, one SINR query at a time."""
+        co_channel = [a for a in active_list if a != ap.ap_id]
         # SINR per (client, subchannel), with and without interference.
         sinr_map: Dict[Tuple[int, int], float] = {}
         clean_map: Dict[int, float] = {}
@@ -1203,7 +1197,7 @@ class LteNetworkSimulator:
         clients,
         allowed: Dict[int, Set[int]],
         active_aps: Set[int],
-        co_channel: List[int],
+        active_list: List[int],
         ap_demands: Dict[int, float],
         ap_active_demands: Dict[int, float],
         prach_counts: np.ndarray,
@@ -1267,12 +1261,19 @@ class LteNetworkSimulator:
                     for entry in active_entries
                     if entry[0] != ap_id and audible[ap_cols[entry[0]]]
                 )
-                co_audible = [a for a in co_channel if audible[ap_cols[a]]]
+                # Only a signature miss walks the active list, skipping
+                # the AP's own id the way ``_foreign_rlf_gate`` does.
+                co_audible = [
+                    a for a in active_list
+                    if a != ap_id and audible[ap_cols[a]]
+                ]
                 my_subs = allowed.get(ap_id, set())
                 has_rlf_sources = False
                 rlf_entries: List[Tuple[int, int]] = []
                 if my_subs:
-                    for other in co_channel:
+                    for other in active_list:
+                        if other == ap_id:
+                            continue
                         overlap = len(my_subs & allowed.get(other, set()))
                         if overlap:
                             has_rlf_sources = True

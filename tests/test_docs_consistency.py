@@ -63,3 +63,26 @@ class TestExperimentsDoc:
         assert len(benches) >= 12, "every figure needs a bench"
         for path in benches:
             assert (REPO_ROOT / path).is_file(), f"{path} missing"
+
+
+class TestMakeTargets:
+    #: ``make <target>`` where a command can stand: an inline code span, a
+    #: CI step name in parentheses, a ``run:`` line or a code-block line.
+    MAKE_CALL = re.compile(r"(?:^[ \t]*|[`(]|run: )make ([a-z][\w-]*)", re.M)
+
+    def test_every_named_make_target_exists(self):
+        defined = set(
+            re.findall(r"^([\w-]+):(?!=)", _read("Makefile"), re.M)
+        )
+        sources = ["DESIGN.md", ".github/workflows/ci.yml"] + sorted(
+            str(p.relative_to(REPO_ROOT))
+            for p in (REPO_ROOT / "docs").glob("*.md")
+        )
+        named = {
+            (source, target)
+            for source in sources
+            for target in self.MAKE_CALL.findall(_read(source))
+        }
+        assert len(named) >= 10, "the target scan found too little"
+        missing = sorted(f"{s}: make {t}" for s, t in named if t not in defined)
+        assert not missing, f"targets missing from the Makefile: {missing}"
