@@ -78,7 +78,9 @@ bench-full:
 	$(PYTHON) benchmarks/bench_epoch.py
 
 # Telemetry overhead benchmark: asserts the disabled-telemetry epoch
-# stays within 3% of the BENCH_epoch.json reference; writes BENCH_obs.json.
+# stays within 3% of the BENCH_epoch.json reference; writes the untracked
+# bench-obs-current.json (re-record the committed BENCH_obs.json with
+# --output BENCH_obs.json).
 bench-obs:
 	$(PYTHON) benchmarks/bench_obs_overhead.py
 

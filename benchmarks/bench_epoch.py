@@ -144,7 +144,8 @@ def _bench_topology(n_cells: int) -> Topology:
         area_m=AREA_M,
         client_range_m=600.0,
     )
-    return reassociate_strongest(topology, _bench_channel().loss_db)
+    topology, _ = reassociate_strongest(topology, _bench_channel())
+    return topology
 
 
 def build_network(

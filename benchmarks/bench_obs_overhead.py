@@ -7,7 +7,9 @@ disabled: every instrumentation site is a module-global lookup plus a
 reference epoch timings in ``BENCH_epoch.json`` (recorded by
 ``bench_epoch.py`` before the telemetry layer existed and refreshed
 alongside it), and measures what enabling metrics / tracing actually
-costs.  Results go to ``BENCH_obs.json`` at the repository root.
+costs.  Results go to the untracked ``bench-obs-current.json`` at the
+repository root; only an explicit ``--output BENCH_obs.json`` re-records
+the committed reference that ``make shard-nets`` reads.
 
 Three configurations are timed on the default incremental backend:
 
@@ -25,6 +27,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py           # full
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py --smoke   # CI
+    PYTHONPATH=src python benchmarks/bench_obs_overhead.py --output BENCH_obs.json
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from bench_epoch import BACKEND_INCREMENTAL, build_network, time_epochs
 from repro.obs import Telemetry, activated
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-OUTPUT_PATH = REPO_ROOT / "BENCH_obs.json"
+OUTPUT_PATH = REPO_ROOT / "bench-obs-current.json"
 REFERENCE_PATH = REPO_ROOT / "BENCH_epoch.json"
 
 DEFAULT_SIZES = (10, 50)

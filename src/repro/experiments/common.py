@@ -10,16 +10,24 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.phy.propagation import (
     CompositeChannel,
+    GainMatrixCache,
     LogNormalShadowing,
     UrbanHataPathLoss,
 )
 from repro.phy.resource_grid import ResourceGrid
 from repro.sim.rng import RngStreams
-from repro.sim.topology import Topology, random_topology, reassociate_strongest
+from repro.sim.topology import (
+    ClientSite,
+    Topology,
+    random_topology,
+    reassociate_strongest,
+)
 
 #: Simulation area side (paper: "We simulate an area of 2 km x 2 km").
 AREA_M = 2000.0
@@ -54,6 +62,12 @@ class Scenario:
 
     Construct via :func:`build_scenario` so all technologies share the
     association and shadowing draws.
+
+    ``loss_block`` is the read-only ``(n_clients, n_aps)`` channel-loss
+    matrix the association was decided on, over ``build_clients`` (the
+    build-time client sites, in ``topology.clients`` order).  Runs move
+    clients in the shared ``topology``; the build-time pair stays as
+    built, so every gain cache and shard worker can start from it.
     """
 
     seed: int
@@ -62,6 +76,8 @@ class Scenario:
     topology: Topology
     channel: CompositeChannel
     rngs: RngStreams
+    loss_block: np.ndarray
+    build_clients: Tuple[ClientSite, ...]
 
     @property
     def ap_ids(self) -> List[int]:
@@ -71,6 +87,18 @@ class Scenario:
     def grid(self) -> ResourceGrid:
         """A fresh LTE resource grid for this scenario."""
         return ResourceGrid(LTE_BANDWIDTH_HZ)
+
+    def gain_cache(self) -> GainMatrixCache:
+        """A fresh gain cache over ``topology``, seeded from ``loss_block``.
+
+        Each run gets its own copy (see :meth:`GainMatrixCache.seed`);
+        rows of clients moved since the build refill through the channel.
+        """
+        cache = GainMatrixCache(
+            self.channel, self.topology.aps, self.topology.clients
+        )
+        cache.seed(self.loss_block, self.build_clients)
+        return cache
 
 
 def build_scenario(
@@ -99,7 +127,8 @@ def build_scenario(
         area_m=area_m,
         client_range_m=client_range_m,
     )
-    topology = reassociate_strongest(topology, channel.loss_db)
+    topology, loss_block = reassociate_strongest(topology, channel)
+    loss_block.setflags(write=False)
     return Scenario(
         seed=seed,
         n_aps=n_aps,
@@ -107,4 +136,6 @@ def build_scenario(
         topology=topology,
         channel=channel,
         rngs=rngs,
+        loss_block=loss_block,
+        build_clients=tuple(topology.clients),
     )

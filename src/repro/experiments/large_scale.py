@@ -25,12 +25,15 @@ import numpy as np
 from repro.baselines.oracle import OracleAllocator
 from repro.baselines.plain_lte import PlainLtePolicy
 from repro.core.interference.manager import CellFiInterferenceManager
-from repro.experiments.common import Scenario, build_scenario
+from repro.experiments.common import LTE_BANDWIDTH_HZ, Scenario, build_scenario
 from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.obs import runtime as _obs_runtime
 from repro.lte.network import BACKEND_INCREMENTAL, LteNetworkSimulator
 from repro.sim.shard import ChaosPolicy, ShardedNetwork, SupervisionConfig
-from repro.sim.topology import grid_partition
+from repro.phy.propagation import CompositeChannel, GainMatrixCache
+from repro.phy.resource_grid import ResourceGrid
+from repro.sim.rng import RngStreams
+from repro.sim.topology import Topology, grid_partition
 from repro.sim.checkpoint import (
     CheckpointRegistry,
     Snapshot,
@@ -88,28 +91,43 @@ def _make_lte_net(
             channel=scenario.channel,
             rngs=scenario.rngs.fork(stream_label),
             backend=backend,
+            gain_cache=scenario.gain_cache(),
         )
     if backend != BACKEND_INCREMENTAL:
         raise ValueError(
             f"shards > 1 requires the incremental backend, got {backend!r}"
         )
-    # Sharded city-scale path: every worker rebuilds the same seeded
-    # scenario (fork() is a pure seed derivation, so the parent's RNG
-    # mirror and each worker's streams are identical objects-by-value) and
-    # owns one rectangular tile of APs.  Only default-geometry scenarios
-    # shard faithfully, matching the snapshot-restore contract below.
-    seed = scenario.seed
-    n_aps = scenario.n_aps
-    clients_per_ap = scenario.clients_per_ap
+    # Sharded city-scale path: every worker owns one rectangular tile of
+    # APs over a replica of the scenario as built -- the AP list, the
+    # reassociated client sites and the loss block, captured here.  The
+    # factory must not hold the live ``scenario.topology``: the parent
+    # mutates it, and a supervised respawn starts from build-time state
+    # before it replays its journal.  Each worker gets its own topology,
+    # gain-cache copy and channel (the channel memoizes its AP-side
+    # arrays per AP list, so sharing one would thrash between workers);
+    # process workers inherit the block through fork.
+    # ``RngStreams.fork()`` is a pure seed derivation, so the parent's RNG
+    # mirror and each worker's streams are identical objects-by-value.
+    area_m = scenario.topology.area_m
+    aps = list(scenario.topology.aps)
+    clients = list(scenario.build_clients)
+    loss_block = scenario.loss_block
+    path_loss = scenario.channel.path_loss
+    shadowing = scenario.channel.shadowing
+    rng_seed = scenario.seed
 
     def factory(ap_ids):
-        worker_scenario = build_scenario(seed, n_aps, clients_per_ap)
+        topology = Topology(area_m=area_m, aps=list(aps), clients=list(clients))
+        channel = CompositeChannel(path_loss, shadowing)
+        gain_cache = GainMatrixCache(channel, topology.aps, topology.clients)
+        gain_cache.seed(loss_block, clients)
         return LteNetworkSimulator(
-            topology=worker_scenario.topology,
-            grid=worker_scenario.grid(),
-            channel=worker_scenario.channel,
-            rngs=worker_scenario.rngs.fork(stream_label),
+            topology=topology,
+            grid=ResourceGrid(LTE_BANDWIDTH_HZ),
+            channel=channel,
+            rngs=RngStreams(rng_seed).fork(stream_label),
             backend=backend,
+            gain_cache=gain_cache,
             shard_ap_ids=ap_ids,
         )
 

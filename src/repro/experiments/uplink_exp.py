@@ -60,6 +60,7 @@ def run_uplink_comparison(
         net = LteNetworkSimulator(
             scenario.topology, scenario.grid(), scenario.channel,
             scenario.rngs.fork(f"ul-{tech}"),
+            gain_cache=scenario.gain_cache(),
         )
         if tech == "CellFi":
             policy = CellFiInterferenceManager(

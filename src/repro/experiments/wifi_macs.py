@@ -151,7 +151,7 @@ def run_fig2(
         area_m=area_m,
         client_range_m=client_range_m,
     )
-    af_topology = reassociate_strongest(af_topology, outdoor_channel.loss_db)
+    af_topology, _ = reassociate_strongest(af_topology, outdoor_channel)
     scale = calibrate_client_scale(af_topology, outdoor_channel, indoor_channel)
     ac_topology = _shrink_clients(af_topology, scale)
 

@@ -544,6 +544,40 @@ class GainMatrixCache:
             self._loss[chunk] = block
             self._row_valid[chunk] = True
 
+    def seed(self, block: np.ndarray, sites: Sequence) -> None:
+        """Start from a precomputed channel-loss block; copies, never adopts.
+
+        ``block`` must be this cache's channel's ``loss_db_rows`` over its
+        APs (in column order) and ``sites`` -- e.g. the block
+        :func:`repro.sim.topology.reassociate_strongest` returns.  Row
+        ``i`` is copied in and marked valid iff the cache still holds
+        ``sites[i]`` itself: sites are immutable and a move replaces
+        them, so a client that moved since the block was computed keeps
+        a stale row and refills through the channel.  The block is
+        copied because one scenario's block seeds many caches, and a
+        move rewrites cache rows in place.
+
+        Raises:
+            ValueError: if the cache has AP antennas (the block holds
+                channel loss only) or the block's shape does not match.
+        """
+        if self.ap_antennas:
+            raise ValueError(
+                "a channel-loss block cannot seed a cache with AP antennas"
+            )
+        if block.shape != self._loss.shape or len(sites) != len(self._clients):
+            raise ValueError(
+                f"loss block {block.shape} over {len(sites)} sites does not "
+                f"match the cache's {self._loss.shape}"
+            )
+        same = np.fromiter(
+            (held is site for held, site in zip(self._clients, sites)),
+            dtype=bool,
+            count=len(sites),
+        )
+        np.copyto(self._loss, block, where=same[:, np.newaxis])
+        self._row_valid |= same
+
     def prefill(self, client_ids: Optional[Sequence[int]] = None) -> None:
         """Eagerly fill stale rows (all, or a client subset) in bulk.
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -88,12 +88,12 @@ class _ProbedUnary:
     """A NumPy ufunc gated behind a bit-identity probe vs ``math.*``.
 
     The probe runs once per process on first use: the ufunc output over
-    deterministic domain samples (several sizes, so remainder loops are
-    exercised too) must equal the scalar loop bit-for-bit.  NumPy picks
-    its inner loop (SIMD vs libm baseline) at import time, so a passing
-    probe means the dispatch *is* the element-by-element libm loop and
-    the ufunc is safe for every input; a failing probe routes every call
-    through the scalar map.
+    deterministic domain samples (odd sizes, so remainder loops are
+    exercised too, then every sample in fixed slices) must equal the
+    scalar loop bit-for-bit.  NumPy picks its inner loop (SIMD vs libm
+    baseline) at import time, so a passing probe means the dispatch *is*
+    the element-by-element libm loop and the ufunc is safe for every
+    input; a failing probe routes every call through the scalar map.
     """
 
     def __init__(
@@ -101,7 +101,7 @@ class _ProbedUnary:
         name: str,
         np_fn: Callable[[np.ndarray], np.ndarray],
         py_fn: Callable[[float], float],
-        samples: Callable[[], Iterable[np.ndarray]],
+        samples: Callable[[], np.ndarray],
     ) -> None:
         self.name = name
         self._np_fn = np_fn
@@ -117,7 +117,7 @@ class _ProbedUnary:
             else:
                 self._ok = all(
                     np.array_equal(self._np_fn(arr), _scalar_map(self._py_fn, arr))
-                    for arr in self._samples()
+                    for arr in _probe_slices(self._samples())
                 )
         return self._ok
 
@@ -127,12 +127,25 @@ class _ProbedUnary:
         return _scalar_map(self._py_fn, values)
 
 
-def _probe_sizes(flat: np.ndarray) -> List[np.ndarray]:
-    """Split one sample pool into several sizes (SIMD remainder coverage)."""
-    return [flat[:7], flat[7:1007], flat]
+#: Probes compare at most this many samples at once, which bounds their
+#: temporaries (the hypot path keeps ~60 of them, the scalar side a list
+#: of Python floats) however large the sample pools are.
+_PROBE_SLICE = 4096
 
 
-def _log_samples() -> List[np.ndarray]:
+def _probe_slices(flat: np.ndarray) -> Iterator[np.ndarray]:
+    """Probe inputs drawn from one sample pool.
+
+    7- and 1000-element slices exercise the SIMD remainder loops; then
+    every sample of ``flat`` is compared, ``_PROBE_SLICE`` at a time.
+    """
+    yield flat[:7]
+    yield flat[7:1007]
+    for start in range(0, flat.size, _PROBE_SLICE):
+        yield flat[start : start + _PROBE_SLICE]
+
+
+def _log_samples() -> np.ndarray:
     rng = np.random.default_rng(20170607)
     pools = [
         rng.uniform(1e-3, 5e4, 1 << 15),  # d_km / metre working range
@@ -140,16 +153,16 @@ def _log_samples() -> List[np.ndarray]:
         rng.uniform(np.nextafter(0.0, 1.0), 1.0, 1 << 15),  # u1 domain
         1.0 + rng.uniform(-1e-6, 1e-6, 1 << 12),  # near-one cancellation
     ]
-    return _probe_sizes(np.concatenate(pools))
+    return np.concatenate(pools)
 
 
-def _cos_samples() -> List[np.ndarray]:
+def _cos_samples() -> np.ndarray:
     rng = np.random.default_rng(20170608)
     pools = [
         rng.uniform(0.0, 2.0 * math.pi, 1 << 16),  # Box-Muller phase domain
         np.array([0.0, math.pi / 2.0, math.pi, 2.0 * math.pi]),
     ]
-    return _probe_sizes(np.concatenate(pools))
+    return np.concatenate(pools)
 
 
 vec_log10 = _ProbedUnary("log10", np.log10, math.log10, _log_samples)
@@ -200,7 +213,7 @@ class _ProbedBearing:
                 )
                 self._ok = all(
                     np.array_equal(self._np_fn(y, x), self._scalar(y, x))
-                    for y, x in zip(_probe_sizes(ys), _probe_sizes(xs))
+                    for y, x in zip(_probe_slices(ys), _probe_slices(xs))
                 )
         return self._ok
 
@@ -269,6 +282,10 @@ def _vec_hypot_core(ax: np.ndarray, ay: np.ndarray, scale: np.ndarray):
     frac2 = frac2 + sml
     x = smh - 1.0 + (frac1 + frac2)
     return (h + x / (2.0 * h)) / scale
+
+
+def _same_or_both_nan(got: np.ndarray, ref: np.ndarray) -> bool:
+    return bool(((got == ref) | (np.isnan(got) & np.isnan(ref))).all())
 
 
 class _HypotPath:
@@ -341,12 +358,13 @@ class _HypotPath:
                     rng.uniform(-1.0, 1.0, 1 << 14) * mag[::-1],
                     np.array([1.0, 0.0, 1.0, np.nan, -2.0, 5e-324, -1e300]),
                 ]
-                xs = np.concatenate(pools_x)
-                ys = np.concatenate(pools_y)
-                got = self._vector(xs, ys)
-                ref = self._scalar(xs, ys)
-                eq = (got == ref) | (np.isnan(got) & np.isnan(ref))
-                self._ok = bool(eq.all())
+                self._ok = all(
+                    _same_or_both_nan(self._vector(x, y), self._scalar(x, y))
+                    for x, y in zip(
+                        _probe_slices(np.concatenate(pools_x)),
+                        _probe_slices(np.concatenate(pools_y)),
+                    )
+                )
         return self._ok
 
     def __call__(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:

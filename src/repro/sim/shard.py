@@ -1204,9 +1204,10 @@ class ShardedNetwork:
         shard_plan: AP-id lists, one per shard -- disjoint and covering
             every AP (see :func:`repro.sim.topology.grid_partition`).
         net_factory: builds one shard simulator given its owned AP ids.
-            Must rebuild the *same* deterministic scenario in every worker
-            (same seed-derived topology/channel/RNG streams); with
-            ``None`` it must build the plain unsharded simulator.
+            Must build the *same* deterministic scenario, as built, in
+            every worker and on every respawn (same build-time topology,
+            channel and seed-derived RNG streams); with ``None`` it must
+            build the plain unsharded simulator.
         rngs: the parent's mirror of the simulators' RNG streams (the
             object a checkpoint registry should register as the network
             RNG subsystem).

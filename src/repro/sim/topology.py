@@ -15,6 +15,8 @@ from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
+from repro.phy.propagation import _CHUNK_LINKS
+
 
 @dataclass(frozen=True)
 class AccessPointSite:
@@ -282,9 +284,7 @@ def _draw_annulus_point(
     return min(max(x, 0.0), area_m), min(max(y, 0.0), area_m)
 
 
-def reassociate_strongest(
-    topology: Topology, loss_db: Callable[[AccessPointSite, ClientSite], float]
-) -> Topology:
+def reassociate_strongest(topology: Topology, channel) -> Tuple[Topology, np.ndarray]:
     """Re-associate every client with the AP it receives most strongly.
 
     Real UEs camp on the strongest cell they can hear, not the one whose
@@ -292,24 +292,47 @@ def reassociate_strongest(
     experiments apply this before comparing technologies so association is
     identical for all of them.
 
+    The whole ``(n_clients, n_aps)`` loss block is computed through
+    ``channel.loss_db_rows`` in chunks of ~``_CHUNK_LINKS`` links (which
+    bounds the shadowing key lists), and each row's ``argmin`` picks the
+    serving AP.  ``loss_db_rows`` is bit-identical to ``loss_db`` per
+    link, and ``argmin`` takes the first index on ties exactly as
+    ``min(aps, key=...)`` does, so the association is that of the
+    per-link scan.
+
     Args:
         topology: the original layout.
-        loss_db: propagation loss in dB between an AP and a client
-            (typically ``CompositeChannel(...).loss_db``).
+        channel: the propagation model (a
+            :class:`~repro.phy.propagation.CompositeChannel` or anything
+            with its ``loss_db_rows(aps, clients)``).
+
+    Returns:
+        The re-associated topology, and the loss block it was decided on:
+        rows in client order, columns in AP order.  Losses depend on
+        positions only, so the block is also the channel-loss matrix of
+        the new topology -- what a
+        :class:`~repro.phy.propagation.GainMatrixCache` can start from.
     """
-    new_clients = []
-    for client in topology.clients:
-        best_ap = min(topology.aps, key=lambda ap: loss_db(ap, client))
-        new_clients.append(
-            ClientSite(
-                client_id=client.client_id,
-                x=client.x,
-                y=client.y,
-                ap_id=best_ap.ap_id,
-                height_m=client.height_m,
-            )
+    aps = list(topology.aps)
+    clients = topology.clients
+    block = np.empty((len(clients), len(aps)))
+    step = max(1, _CHUNK_LINKS // max(1, len(aps)))
+    for start in range(0, len(clients), step):
+        block[start : start + step] = channel.loss_db_rows(
+            aps, clients[start : start + step]
         )
-    return Topology(area_m=topology.area_m, aps=list(topology.aps), clients=new_clients)
+    best = block.argmin(axis=1).tolist() if clients else []
+    new_clients = [
+        ClientSite(
+            client_id=client.client_id,
+            x=client.x,
+            y=client.y,
+            ap_id=aps[col].ap_id,
+            height_m=client.height_m,
+        )
+        for client, col in zip(clients, best)
+    ]
+    return Topology(area_m=topology.area_m, aps=aps, clients=new_clients), block
 
 
 def grid_topology(

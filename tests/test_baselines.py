@@ -114,8 +114,8 @@ class TestPfOracle:
         # improvements; realised throughput must not regress.
         rngs = RngStreams(5)
         topo = random_topology(rngs.stream("t"), n_aps=5, clients_per_ap=3)
-        topo = reassociate_strongest(
-            topo, CompositeChannel(UrbanHataPathLoss()).loss_db
+        topo, _ = reassociate_strongest(
+            topo, CompositeChannel(UrbanHataPathLoss())
         )
         demands = {c.client_id: float("inf") for c in topo.clients}
 

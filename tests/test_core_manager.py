@@ -29,7 +29,7 @@ def _scenario(seed=7, n_aps=5):
     topo = random_topology(
         rngs.stream("topo"), n_aps=n_aps, clients_per_ap=4, client_range_m=800.0
     )
-    topo = reassociate_strongest(topo, channel.loss_db)
+    topo, _ = reassociate_strongest(topo, channel)
     net = LteNetworkSimulator(topo, ResourceGrid(5e6), channel, rngs.fork("net"))
     return topo, net
 

@@ -59,7 +59,8 @@ def make_topology(channel):
         area_m=AREA_M,
         client_range_m=600.0,
     )
-    return reassociate_strongest(topology, channel.loss_db)
+    topology, _ = reassociate_strongest(topology, channel)
+    return topology
 
 
 def make_net(cull_loss_db=None, shard_ap_ids=None):

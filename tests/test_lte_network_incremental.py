@@ -62,7 +62,8 @@ def make_topology(channel):
         area_m=2000.0,
         client_range_m=600.0,
     )
-    return reassociate_strongest(topology, channel.loss_db)
+    topology, _ = reassociate_strongest(topology, channel)
+    return topology
 
 
 def make_net(backend, cull_loss_db=None):

@@ -317,7 +317,7 @@ class TestPrachReduction:
     )
     def test_partials_sum_to_unsharded_counts(self, seed, n_shards, data):
         channel = make_channel()
-        topology = reassociate_strongest(
+        topology, _ = reassociate_strongest(
             random_topology(
                 np.random.default_rng(seed),
                 n_aps=12,
@@ -325,7 +325,7 @@ class TestPrachReduction:
                 area_m=2000.0,
                 client_range_m=600.0,
             ),
-            channel.loss_db,
+            channel,
         )
         mask = data.draw(
             st.lists(

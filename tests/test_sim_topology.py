@@ -155,6 +155,16 @@ class TestGridTopology:
             grid_topology(0, 1, 100.0)
 
 
+class _DistanceChannel:
+    """Ground distance as a monotone loss surrogate."""
+
+    @staticmethod
+    def loss_db_rows(aps, clients):
+        return np.array(
+            [[ap.distance_to(c) for ap in aps] for c in clients]
+        ).reshape(len(clients), len(aps))
+
+
 class TestReassociation:
     def test_reassociates_to_lowest_loss(self):
         aps = [AccessPointSite(0, 0.0, 0.0), AccessPointSite(1, 1000.0, 0.0)]
@@ -162,15 +172,13 @@ class TestReassociation:
         clients = [ClientSite(0, 990.0, 0.0, ap_id=0)]
         topo = Topology(area_m=1000.0, aps=aps, clients=clients)
 
-        def loss(ap, client):
-            return ap.distance_to(client)  # Monotone surrogate.
-
-        new = reassociate_strongest(topo, loss)
+        new, block = reassociate_strongest(topo, _DistanceChannel())
         assert new.clients[0].ap_id == 1
+        assert block.tolist() == [[990.0, 10.0]]
 
     def test_preserves_positions_and_count(self):
         topo = random_topology(_rng(), n_aps=4, clients_per_ap=5)
-        new = reassociate_strongest(topo, lambda ap, c: ap.distance_to(c))
+        new, _ = reassociate_strongest(topo, _DistanceChannel())
         assert len(new.clients) == len(topo.clients)
         assert [(c.x, c.y) for c in new.clients] == [
             (c.x, c.y) for c in topo.clients
@@ -178,6 +186,6 @@ class TestReassociation:
 
     def test_distance_association_is_stable(self):
         topo = random_topology(_rng(), n_aps=4, clients_per_ap=5)
-        once = reassociate_strongest(topo, lambda ap, c: ap.distance_to(c))
-        twice = reassociate_strongest(once, lambda ap, c: ap.distance_to(c))
+        once, _ = reassociate_strongest(topo, _DistanceChannel())
+        twice, _ = reassociate_strongest(once, _DistanceChannel())
         assert [c.ap_id for c in once.clients] == [c.ap_id for c in twice.clients]
