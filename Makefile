@@ -132,7 +132,9 @@ bench-gainfill-smoke:
 # plus supervisor barrier/recovery spans into one shard-tagged timeline.
 # The merged exports must validate against the trace_event schema, and
 # obs-report must run its barrier/straggler analytics plus a
-# BENCH_obs.json regression diff cleanly.  Writes BENCH_shard_nets.json
+# BENCH_obs.json regression diff cleanly.  Writes the untracked
+# bench-shard-nets-current.json; re-record the committed
+# BENCH_shard_nets.json with --output BENCH_shard_nets.json
 # (see docs/SIMULATION.md, docs/ROBUSTNESS.md, docs/OBSERVABILITY.md).
 shard-nets:
 	$(PYTHON) benchmarks/bench_epoch.py --shard-nets

@@ -26,7 +26,8 @@ equality and writing ``BENCH_city.json``.  ``--shard-nets`` is the CI
 gate: one 20-cell churn scenario (mobility *and* cross-shard handovers)
 driven through bare, supervised, killed, traced and degraded 2-shard
 process-mode runs whose per-epoch digests must all equal the unsharded
-incremental backend's, writing ``BENCH_shard_nets.json``.
+incremental backend's, writing the untracked ``bench-shard-nets-current.json``
+(``--output BENCH_shard_nets.json`` re-records the committed reference).
 
 Usage::
 
@@ -91,7 +92,7 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_epoch.json"
 SMOKE_OUTPUT_PATH = REPO_ROOT / "BENCH_epoch_smoke.json"
 INCREMENTAL_OUTPUT_PATH = REPO_ROOT / "BENCH_incremental.json"
 CITY_OUTPUT_PATH = REPO_ROOT / "BENCH_city.json"
-SHARD_NETS_OUTPUT_PATH = REPO_ROOT / "BENCH_shard_nets.json"
+SHARD_NETS_OUTPUT_PATH = REPO_ROOT / "bench-shard-nets-current.json"
 SHARD_NETS_TRACE_PATH = REPO_ROOT / "shard-nets-trace.json"
 SHARD_NETS_JSONL_PATH = REPO_ROOT / "shard-nets.jsonl"
 GAINFILL_OUTPUT_PATH = REPO_ROOT / "BENCH_gainfill.json"
@@ -1120,8 +1121,9 @@ def main() -> None:
             "CI gate: bare, supervised, killed, traced and degraded 2-shard "
             "runs under mobility and cross-shard handover churn must "
             "digest-equal the unsharded incremental backend; writes "
-            f"{SHARD_NETS_OUTPUT_PATH.name} plus {SHARD_NETS_TRACE_PATH.name} "
-            f"/ {SHARD_NETS_JSONL_PATH.name}"
+            f"{SHARD_NETS_OUTPUT_PATH.name} (--output BENCH_shard_nets.json "
+            "re-records the committed reference) plus "
+            f"{SHARD_NETS_TRACE_PATH.name} / {SHARD_NETS_JSONL_PATH.name}"
         ),
     )
     parser.add_argument(

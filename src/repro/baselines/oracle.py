@@ -210,9 +210,8 @@ class OracleAllocator:
                 rate = self.net.grid.subchannel_downlink_rate_bps(
                     efficiency_from_cqi(cqi), sub
                 )
-                rates[cid] = (
-                    rate * self.net._harq_scale(sinr, cqi) / len(clients)
-                )
+                scale = net._harq_rows([[sinr]], [[cqi]])[0][0]
+                rates[cid] = rate * scale / len(clients)
         return rates
 
     def _objective(self, column_rates: Dict[int, Dict[int, float]]) -> float:

@@ -61,7 +61,12 @@ from repro.phy.resource_grid import RB_BANDWIDTH_HZ, ResourceGrid
 from repro.sim.checkpoint import register_dataclass
 from repro.sim.rng import RngStreams
 from repro.sim.topology import Topology
-from repro.utils.dbmath import dbm_to_watt, linear_to_db, thermal_noise_dbm
+from repro.utils.dbmath import (
+    dbm_to_watt,
+    dbm_to_watt_array,
+    linear_to_db,
+    thermal_noise_dbm,
+)
 
 #: Epoch-kernel backend names.
 BACKEND_SCALAR = "scalar"
@@ -92,6 +97,10 @@ PRACH_DETECTION_SNR_DB = -10.0
 #: path loss to it is within ~a dozen dB of their serving-cell path loss --
 #: the clients its downlink would actually disturb.
 PRACH_TARGET_RX_DBM = -104.0
+
+#: Link-row refreshes run in chunks of about this many links, which bounds
+#: their temporaries (one Python float per link for the watts).
+_LINK_CHUNK = 16384
 
 #: Interference-detection quality measured on the testbed (Section 6.3.2)
 #: and injected into the large-scale simulation, as the paper did.
@@ -447,9 +456,10 @@ class LteNetworkSimulator:
         The dense ``(n_clients, n_aps)`` link matrices -- per-RB received
         dBm, the same in watts, and PRACH audibility -- are the only
         derived link store: every backend and every per-link accessor
-        reads them.  They fill from :class:`GainMatrixCache` rows, one
-        client row at a time (see :meth:`_refresh_client_links`), so a
-        mobility update refreshes exactly one row of each.
+        reads them.  They fill from :class:`GainMatrixCache` rows through
+        :meth:`_refresh_rows`, the one refresh path: here for every owned
+        row, later for the rows that client events left pending (see
+        :attr:`_rx_dbm_mat`).
         """
         # Power spectral density: total power spread across all RBs.
         psd_offset_db = 10.0 * math.log10(self.grid.n_rbs)
@@ -470,19 +480,21 @@ class LteNetworkSimulator:
         self._ap_col: Dict[int, int] = dict(self.gain_cache.ap_index)
         n_clients, n_aps = len(clients), len(aps)
 
-        self._rx_dbm_mat = np.zeros((n_clients, n_aps))
-        self._rx_w_mat = np.zeros((n_clients, n_aps))
-        self._prach_mat = np.zeros((n_clients, n_aps), dtype=bool)
-        # Bulk-fill every owned row up front so the per-client refresh
-        # below only reads cached losses; the wall-clock of this fill is
-        # what the ``--gain-fill`` benchmark arm and the shard smoke
-        # gate's cache-build seconds measure.
-        owned = [c for c in clients if self._owns_client(c.client_id)]
+        self._rx_dbm_rows = np.zeros((n_clients, n_aps))
+        self._rx_w_rows = np.zeros((n_clients, n_aps))
+        self._prach_rows = np.zeros((n_clients, n_aps), dtype=bool)
+        # Owned clients whose link rows a move or re-attach left stale;
+        # the first read of a link matrix refreshes them all at once.
+        self._pending_links: Set[int] = set()
+        # Bulk-fill every owned row up front so the refresh below only
+        # reads cached losses; the wall-clock of this fill is what the
+        # ``--gain-fill`` benchmark arm and the shard smoke gate's
+        # cache-build seconds measure.
+        owned = [c.client_id for c in clients if self._owns_client(c.client_id)]
         fill_start = time.perf_counter()
-        self.gain_cache.prefill([c.client_id for c in owned])
+        self.gain_cache.prefill(owned)
         self.gain_prefill_s = time.perf_counter() - fill_start
-        for client in owned:
-            self._refresh_client_links(client)
+        self._refresh_rows(owned)
 
         self._rows_of_ap: Dict[int, np.ndarray] = {}
         for ap in aps:
@@ -500,7 +512,10 @@ class LteNetworkSimulator:
                 self._rate_table[cqi, sub] = self.grid.subchannel_downlink_rate_bps(
                     eff, sub
                 )
+        # HARQ memo in two generations: this epoch's keys and the previous
+        # epoch's (see :meth:`_harq_rows`).
         self._harq_cache: Dict[Tuple[float, int], float] = {}
+        self._harq_prev: Dict[Tuple[float, int], float] = {}
         self._max_cqi_vec = np.zeros((n_clients, n_subs), dtype=np.int64)
 
     def _rebuild_rows_of(self, ap_id: int) -> None:
@@ -519,16 +534,18 @@ class LteNetworkSimulator:
             dtype=np.intp,
         )
 
-    def _refresh_client_links(self, client) -> None:
-        """(Re)compute one client's row of every link matrix.
+    def _refresh_rows(self, client_ids: Sequence[int]) -> None:
+        """(Re)compute the given clients' rows of every link matrix.
 
-        Used for the initial fill and after :meth:`move_client` /
-        :meth:`reattach_client`.  All losses come from the gain cache; the
-        channel is reciprocal so one cached entry serves the downlink data
-        path and the uplink PRACH path.  The row is computed with the same
-        IEEE subtracts and compares per link as a scalar evaluation, and
-        watts go through the scalar :func:`dbm_to_watt` per link (a vector
-        power may differ from libm in the last ulp).
+        Used for the initial fill and for the rows that :meth:`move_client`
+        / :meth:`reattach_client` left pending.  Losses come from one
+        batched gain-cache read per chunk of rows; the channel is
+        reciprocal, so one cached entry serves the downlink data path and
+        the uplink PRACH path, whose open-loop power control targets each
+        client's current serving cell.  Every link gets the same IEEE
+        subtracts and compares as a scalar evaluation, and watts go
+        through :func:`dbm_to_watt_array`, bit-identical to the scalar
+        :func:`dbm_to_watt` per link.
 
         Links beyond the gain cache's culling horizon are stored as dead:
         ``-inf`` dBm, exactly ``0.0`` W (``10.0 ** -inf``) and inaudible
@@ -536,33 +553,75 @@ class LteNetworkSimulator:
         the physics for all of them identically (the scalar oracle
         included).
         """
-        cid = client.client_id
-        row = self._client_row[cid]
-        loss = self.gain_cache.rows([cid])[0]
-        # Uplink PRACH open-loop power control toward the *serving* cell.
-        serving_loss = loss.item(self._ap_col[client.ap_id])
-        prach_tx_dbm = min(self.ue_tx_power_dbm, PRACH_TARGET_RX_DBM + serving_loss)
-        rx_dbm = self._per_rb_tx_dbm - loss
-        snr = prach_tx_dbm - loss - self._prach_noise_dbm
-        audible = snr >= PRACH_DETECTION_SNR_DB
+        n_aps = len(self._ap_col)
+        step = max(1, _LINK_CHUNK // max(1, n_aps))
         horizon = self.gain_cache.cull_loss_db
-        if horizon is not None:
-            culled = loss > horizon
-            rx_dbm[culled] = -np.inf
-            audible[culled] = False
-        self._rx_dbm_mat[row] = rx_dbm
-        self._rx_w_mat[row] = list(map(dbm_to_watt, rx_dbm.tolist()))
-        self._prach_mat[row] = audible
+        for start in range(0, len(client_ids), step):
+            cids = client_ids[start : start + step]
+            rows = [self._client_row[cid] for cid in cids]
+            loss = self.gain_cache.rows(cids)
+            serving = [
+                self._ap_col[self.topology.client(cid).ap_id] for cid in cids
+            ]
+            serving_loss = loss[np.arange(len(cids)), serving]
+            prach_tx_dbm = np.minimum(
+                self.ue_tx_power_dbm, PRACH_TARGET_RX_DBM + serving_loss
+            )
+            rx_dbm = self._per_rb_tx_dbm - loss
+            snr = prach_tx_dbm[:, np.newaxis] - loss - self._prach_noise_dbm
+            audible = snr >= PRACH_DETECTION_SNR_DB
+            if horizon is not None:
+                culled = loss > horizon
+                rx_dbm[culled] = -np.inf
+                audible[culled] = False
+            self._rx_dbm_rows[rows] = rx_dbm
+            self._rx_w_rows[rows] = dbm_to_watt_array(rx_dbm)
+            self._prach_rows[rows] = audible
+
+    def _flush_links(self) -> None:
+        """Refresh every pending link row in one batched pass."""
+        pending = sorted(self._pending_links)
+        self._pending_links.clear()
+        self._refresh_rows(pending)
+
+    # The three link matrices read through these properties, the single
+    # flush point of the deferred refresh: whoever reads first after a
+    # batch of client events (the epoch, an accessor, the shard barrier's
+    # PRACH counts, the oracle baseline) refreshes all pending rows, so
+    # no reader ever sees a stale row.
+
+    @property
+    def _rx_dbm_mat(self) -> np.ndarray:
+        """Per-RB received power in dBm, ``(n_clients, n_aps)``."""
+        if self._pending_links:
+            self._flush_links()
+        return self._rx_dbm_rows
+
+    @property
+    def _rx_w_mat(self) -> np.ndarray:
+        """Per-RB received power in watts, ``(n_clients, n_aps)``."""
+        if self._pending_links:
+            self._flush_links()
+        return self._rx_w_rows
+
+    @property
+    def _prach_mat(self) -> np.ndarray:
+        """PRACH audibility per (client, AP), ``(n_clients, n_aps)`` bool."""
+        if self._pending_links:
+            self._flush_links()
+        return self._prach_rows
 
     def _mark_rows_dirty(self, ap_id: int) -> None:
         """Bump an AP's row-set version: its cached epoch block is stale."""
         self._rows_version[ap_id] += 1
 
     def move_client(self, client_id: int, x: float, y: float) -> None:
-        """Relocate a client (mobility step) and refresh its cached links.
+        """Relocate a client (mobility step); its cached links go stale.
 
         Invalidates exactly one row of the gain cache and of every derived
-        power table; all other links stay untouched.  Only the serving
+        power table; all other links stay untouched.  An owned client's
+        link rows are refreshed lazily, together with every other pending
+        row, on the next read of a link matrix.  Only the serving
         AP's cached epoch block is dirtied: the moved row feeds signal and
         control-channel terms of the serving cell alone, while its uplink
         audibility (used by the PRACH contention estimate) is re-read
@@ -571,7 +630,7 @@ class LteNetworkSimulator:
         site = self.topology.move_client(client_id, x, y)
         self.gain_cache.invalidate_client(client_id, site)
         if self._owns_client(client_id):
-            self._refresh_client_links(site)
+            self._pending_links.add(client_id)
         self._mark_rows_dirty(site.ap_id)
         dirty = self._dirty_rows[site.ap_id]
         if dirty is not None:
@@ -580,17 +639,18 @@ class LteNetworkSimulator:
     def reattach_client(self, client_id: int, new_ap_id: int) -> None:
         """Hand a client over to another serving AP.
 
-        Refreshes the client's cached links (PRACH power control targets
-        the new serving cell) and rebuilds the row mapping of both the old
-        and the new serving AP -- the fix for the stale ``_rows_of_ap``
-        handover bug.  Both APs' cached epoch blocks are dirtied.
+        Marks the client's cached links pending (PRACH power control
+        targets the new serving cell) and rebuilds the row mapping of both
+        the old and the new serving AP -- the fix for the stale
+        ``_rows_of_ap`` handover bug.  Both APs' cached epoch blocks are
+        dirtied.
         """
         old_ap_id = self.topology.client(client_id).ap_id
         if old_ap_id == new_ap_id:
             return
         site = self.topology.reattach_client(client_id, new_ap_id)
         if self._owned_clients is None:
-            self._refresh_client_links(site)
+            self._pending_links.add(client_id)
         else:
             was_owned = client_id in self._owned_clients
             now_owned = new_ap_id in self.shard_ap_ids
@@ -599,14 +659,15 @@ class LteNetworkSimulator:
                 # Its cross-epoch max-CQI row travels separately (see
                 # import_client_row / repro.sim.shard).
                 self._owned_clients.add(client_id)
-                self._refresh_client_links(site)
+                self._pending_links.add(client_id)
             elif was_owned and not now_owned:
                 # Disown: zero the link rows back to the dead-link state
                 # the culling contract guarantees for foreign clients.
                 self._owned_clients.discard(client_id)
+                self._pending_links.discard(client_id)
                 self._clear_client_links(site)
             elif was_owned:
-                self._refresh_client_links(site)
+                self._pending_links.add(client_id)
             # Foreign-to-foreign handover touches only the replicated
             # topology and the version stamps below.
         for ap_id in (old_ap_id, new_ap_id):
@@ -617,9 +678,9 @@ class LteNetworkSimulator:
     def _clear_client_links(self, client) -> None:
         """Reset a disowned client's cached links to the dead-link state."""
         row = self._client_row[client.client_id]
-        self._rx_dbm_mat[row, :] = 0.0
-        self._rx_w_mat[row, :] = 0.0
-        self._prach_mat[row, :] = False
+        self._rx_dbm_rows[row, :] = 0.0
+        self._rx_w_rows[row, :] = 0.0
+        self._prach_rows[row, :] = False
         self._max_cqi_vec[row, :] = 0
 
     def export_client_row(self, client_id: int) -> List[int]:
@@ -798,6 +859,8 @@ class LteNetworkSimulator:
                 "sharded simulators need externally merged prach_counts "
                 "(drive them through repro.sim.shard.ShardedNetwork)"
             )
+        self._harq_prev = self._harq_cache
+        self._harq_cache = {}
         tel = _obs_runtime.active()
         span = None
         if tel is not None:
@@ -1052,20 +1115,37 @@ class LteNetworkSimulator:
 
     # -- Epoch backends ----------------------------------------------------------
 
-    def _harq_scale(self, sinr_db: float, cqi: int) -> float:
-        """:func:`harq_goodput_scale` memoised on (SINR, CQI).
+    def _harq_rows(
+        self, sinr_rows: Sequence[Sequence[float]], cqi_rows: Sequence[Sequence[int]]
+    ) -> List[List[float]]:
+        """:func:`harq_goodput_scale` per (SINR, CQI) pair, memoised.
 
         SINRs repeat heavily within an epoch (one value per client-subchannel
         link, stable while the interferer sets are stable), so the cache hit
         rate is high.  Cached values are the exact function outputs, keeping
         both backends bit-identical to direct evaluation.
+
+        The memo keeps two generations, this epoch's keys and the previous
+        epoch's (:meth:`run_epoch` rotates them), and promotes a hit from
+        the previous one: static runs keep their hits across epochs, while
+        mobile runs, whose SINRs move every epoch, hold at most two epochs
+        of keys instead of every key ever seen.
         """
-        key = (sinr_db, cqi)
-        value = self._harq_cache.get(key)
-        if value is None:
-            value = harq_goodput_scale(sinr_db, cqi)
-            self._harq_cache[key] = value
-        return value
+        cache = self._harq_cache
+        prev = self._harq_prev
+        out = []
+        for sinr_row, cqi_row in zip(sinr_rows, cqi_rows):
+            values = []
+            for key in zip(sinr_row, cqi_row):
+                value = cache.get(key)
+                if value is None:
+                    value = prev.get(key)
+                    if value is None:
+                        value = harq_goodput_scale(*key)
+                    cache[key] = value
+                values.append(value)
+            out.append(values)
+        return out
 
     def _scalar_links(
         self,
@@ -1190,6 +1270,25 @@ class LteNetworkSimulator:
             mask.setflags(write=False)
             self._sub_masks[subs_key] = mask
         return mask
+
+    def _inter_columns(
+        self, inter_sig: Tuple[Tuple[int, tuple], ...]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Interferer columns and their stacked 0/1 masks, in grant order.
+
+        Block compute and patch sum the interferers' contributions with
+        ``np.add.accumulate`` along the interferer axis: a strictly
+        sequential left-to-right sum, i.e. the same IEEE adds in the same
+        order as adding one interferer at a time onto zeros (the first
+        add, ``0.0 + p``, returns ``p`` exactly since every contribution
+        is a non-negative power).
+        """
+        cols = np.array(
+            [self._ap_col[other_id] for other_id, _ in inter_sig],
+            dtype=np.intp,
+        )
+        masks = np.array([self._sub_mask(subs_key) for _, subs_key in inter_sig])
+        return cols, masks
 
     def _incremental_links(
         self,
@@ -1432,13 +1531,7 @@ class LteNetworkSimulator:
         # exactly.
         n_inter = len(inter_sig)
         if n_inter:
-            inter_cols = np.array(
-                [ap_cols[other_id] for other_id, _ in inter_sig],
-                dtype=np.intp,
-            )
-            mask_mat = np.vstack(
-                [self._sub_mask(subs_key) for _, subs_key in inter_sig]
-            )
+            inter_cols, mask_mat = self._inter_columns(inter_sig)
         sub_range = np.arange(n_subs)
         cols = None
         patched = 0
@@ -1449,11 +1542,11 @@ class LteNetworkSimulator:
             patched += 1
             r = rows[i]
             signal = W[r, col]
-            inter = np.zeros(n_subs)
             if n_inter:
                 contribs = W[r, inter_cols][:, None] * mask_mat
-                for j in range(n_inter):
-                    inter += contribs[j]
+                inter = np.add.accumulate(contribs, axis=0)[-1]
+            else:
+                inter = np.zeros(n_subs)
             ratio = signal / (self._rb_noise_w + inter)
             sinr_row = _elementwise_db(ratio)
             clean_ratio = signal / self._rb_noise_w
@@ -1469,10 +1562,8 @@ class LteNetworkSimulator:
                 self._cqi_min_sinr, clean_db, side="right"
             )
             base = self._rate_table[cqi_row, sub_range]
-            harq = np.empty(n_subs)
             sinr_list, cqi_list = sinr_row.tolist(), cqi_row.tolist()
-            for k in range(n_subs):
-                harq[k] = self._harq_scale(sinr_list[k], cqi_list[k])
+            harq = np.array(self._harq_rows([sinr_list], [cqi_list])[0])
             if not self.control_interference or not co_audible:
                 ctrl = 1.0
             else:
@@ -1542,10 +1633,12 @@ class LteNetworkSimulator:
         """
         W = self._rx_w_mat
         signal_w = W[rows, col]
-        interference_w = np.zeros((m, n_subs))
-        for other_id, subs_key in inter_sig:
-            mask = self._sub_mask(subs_key)
-            interference_w += W[rows, self._ap_col[other_id]][:, None] * mask
+        if inter_sig:
+            inter_cols, mask_mat = self._inter_columns(inter_sig)
+            contribs = W[rows[:, None], inter_cols][:, :, None] * mask_mat
+            interference_w = np.add.accumulate(contribs, axis=1)[:, -1]
+        else:
+            interference_w = np.zeros((m, n_subs))
 
         ratio = signal_w[:, None] / (self._rb_noise_w + interference_w)
         sinr = _elementwise_db(ratio)
@@ -1554,13 +1647,10 @@ class LteNetworkSimulator:
         clean_cqi = np.searchsorted(self._cqi_min_sinr, clean_db, side="right")
 
         base = self._rate_table[cqi, np.arange(n_subs)]
-        harq = np.empty((m, n_subs))
-        sinr_rows = sinr.tolist()
         cqi_rows = cqi.tolist()
-        for i in range(m):
-            sinr_i, cqi_i = sinr_rows[i], cqi_rows[i]
-            for k in range(n_subs):
-                harq[i, k] = self._harq_scale(sinr_i[k], cqi_i[k])
+        harq = np.array(
+            self._harq_rows(sinr.tolist(), cqi_rows), dtype=np.float64
+        ).reshape(m, n_subs)
         if not self.control_interference or not co_audible:
             ctrl = np.ones(m)
         else:
@@ -1703,7 +1793,7 @@ class LteNetworkSimulator:
     def state_dict(self) -> Dict[str, Any]:
         """Cross-epoch mutable state.
 
-        ``_harq_cache``, ``_ap_blocks`` and ``_audible_cols`` are excluded
+        The HARQ memo, ``_ap_blocks`` and ``_audible_cols`` are excluded
         on purpose: they memoise deterministic functions of serialized
         state, so a cold cache recomputes bit-identical values (and
         serializing them would make a resumed run's digest depend on cache
@@ -1766,6 +1856,7 @@ class LteNetworkSimulator:
         self._ap_blocks.clear()
         self._audible_cols.clear()
         self._harq_cache.clear()
+        self._harq_prev.clear()
         self._block_fast.clear()
         self._sig_cache.clear()
         self._epoch_ctx = None

@@ -34,6 +34,11 @@ TARGET_BLER = 0.1
 _BLER_SLOPE_PER_DB = 1.6
 
 
+#: Offset such that ``bler(threshold) == TARGET_BLER``; a constant, so it
+#: is evaluated once here instead of once per BLER.
+_BLER_OFFSET_DB = math.log(1.0 / TARGET_BLER - 1.0) / _BLER_SLOPE_PER_DB
+
+
 def block_error_rate(sinr_db: float, cqi: int) -> float:
     """BLER of one transmission at ``sinr_db`` using the MCS of ``cqi``.
 
@@ -42,10 +47,12 @@ def block_error_rate(sinr_db: float, cqi: int) -> float:
     """
     if cqi == CQI_OUT_OF_RANGE:
         return 1.0
-    threshold = entry_for_cqi(cqi).min_sinr_db
-    # Offset such that bler(threshold) == TARGET_BLER.
-    offset = math.log(1.0 / TARGET_BLER - 1.0) / _BLER_SLOPE_PER_DB
-    x = _BLER_SLOPE_PER_DB * (sinr_db - threshold - (-offset))
+    return _waterfall(sinr_db, entry_for_cqi(cqi).min_sinr_db)
+
+
+def _waterfall(sinr_db: float, threshold: float) -> float:
+    """The logistic BLER curve of a CQI whose switching threshold is given."""
+    x = _BLER_SLOPE_PER_DB * (sinr_db - threshold - (-_BLER_OFFSET_DB))
     # Guard the exponent to avoid overflow on extreme SINRs.
     if x > 40.0:
         return 0.0
@@ -165,11 +172,23 @@ def harq_goodput_scale(sinr_db: float, cqi: int) -> float:
     Effective goodput = nominal rate x delivered fraction / mean attempts.
     This is what the system-level LTE simulator multiplies into per-CQI
     rates instead of simulating every block.
+
+    Equal bit for bit to ``delivery_probability / expected_attempts``: the
+    four per-attempt BLERs are evaluated once and feed both running
+    products with the same operations, in the same order, as the two
+    separate functions perform them.
     """
     if cqi == CQI_OUT_OF_RANGE:
         return 0.0
-    delivered = delivery_probability(sinr_db, cqi)
-    attempts = expected_attempts(sinr_db, cqi)
+    threshold = entry_for_cqi(cqi).min_sinr_db
+    sinr_linear = db_to_linear(sinr_db)
+    expected = 0.0
+    p_all_failed = 1.0
+    for attempt in range(1, MAX_TRANSMISSIONS + 1):
+        p_fail = _waterfall(linear_to_db(sinr_linear * attempt), threshold)
+        expected += attempt * (p_all_failed * (1.0 - p_fail))
+        p_all_failed *= p_fail
+    attempts = expected + MAX_TRANSMISSIONS * p_all_failed
     tel = _obs_runtime.active()
     if tel is not None:
         tel.inc("harq.evaluations")
@@ -178,7 +197,7 @@ def harq_goodput_scale(sinr_db: float, cqi: int) -> float:
             attempts,
             edges=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
         )
-    return delivered / attempts
+    return (1.0 - p_all_failed) / attempts
 
 
 def first_attempt_failure_rate(sinr_db: float, cqi: Optional[int] = None) -> float:

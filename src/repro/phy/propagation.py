@@ -208,6 +208,41 @@ class UrbanHataPathLoss(PathLossModel):
         return constant + slope * vecmath.vec_log10(d_km)
 
 
+def _u1_from_words(words: np.ndarray) -> np.ndarray:
+    """``(v + 1) / (2**64 + 2)`` per uint64 word, correctly rounded.
+
+    The scalar path divides Python ints, which rounds once.  Here, with
+    ``n = v + 1``, the exact quotient is ``q = (n - eps) / 2**64`` where
+    ``eps = n / (2**63 + 1)`` lies in ``(0, 2)``.  The candidate is
+    ``a / 2**64`` with ``a`` the correctly rounded float64 of ``n`` (the
+    scaling is exact), and it is the rounded ``q`` iff ``n - eps`` stays
+    inside ``a``'s rounding interval: ``a + half_up`` above and
+    ``a - half_down`` below, where ``half_up`` is half an ulp of ``a`` and
+    ``half_down`` halves again when ``a`` is a power of two.  ``e = n - a``
+    is an exact integer (``|e| <= 1024``), so ``d = e - eps`` is known to
+    ~1e-12, and the test demands a relative 2**-10 margin to the interval
+    edges.  Words that fail it -- ties and near-ties of the rounding of
+    ``n``, about 0.2% of 64-bit words and none below 2**53 -- plus the two
+    that overflow (``v = 2**64 - 1`` and ``a == 2**64``) fall back to the
+    big-int division.
+    """
+    n = words + np.uint64(1)  # wraps to 0 for v = 2**64 - 1
+    a = n.astype(np.float64)
+    top = a == 2.0**64
+    e = (n - np.where(top, 0.0, a).astype(np.uint64)).view(np.int64)
+    d = e.astype(np.float64) - a * 2.0**-63
+    half_up = 0.5 * np.spacing(a)
+    half_down = np.where(np.frexp(a)[0] == 0.5, 0.5 * half_up, half_up)
+    margin = 1.0 - 2.0**-10
+    exact = (d < half_up * margin) & (-d < half_down * margin)
+    exact &= ~top & (n != 0)
+    u1 = a * 2.0**-64
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        u1[rest] = [(v + 1) / (2**64 + 2) for v in words[rest].tolist()]
+    return u1
+
+
 class LogNormalShadowing:
     """Deterministic per-link log-normal shadowing.
 
@@ -277,10 +312,9 @@ class LogNormalShadowing:
         shadowed fill; see docs/SIMULATION.md), but everything after the
         digests is array arithmetic: ``u2`` vectorizes exactly (uint64 ->
         float64 rounding commutes with the exact power-of-two divide),
-        ``u1`` keeps a scalar big-int division per element because
-        ``(n + 1) / (2**64 + 2)`` is correctly rounded only as exact
-        integer division, and the transcendentals go through the probed
-        paths of :mod:`repro.phy.vecmath`.
+        ``u1`` goes through :func:`_u1_from_words`, and the
+        transcendentals go through the probed paths of
+        :mod:`repro.phy.vecmath`.
         """
         n = len(keys)
         if n == 0:
@@ -288,10 +322,7 @@ class LogNormalShadowing:
         sha256 = hashlib.sha256
         buf = b"".join([sha256(key).digest() for key in keys])
         words = np.frombuffer(buf, dtype="<u8").reshape(n, 4)
-        den = 2**64 + 2
-        u1 = np.fromiter(
-            ((v + 1) / den for v in words[:, 0].tolist()), np.float64, count=n
-        )
+        u1 = _u1_from_words(words[:, 0])
         u2 = words[:, 1].astype(np.float64) / 2.0**64
         gaussian = np.sqrt(-2.0 * vecmath.vec_log(u1)) * vecmath.vec_cos(
             2.0 * math.pi * u2
@@ -356,23 +387,31 @@ class CompositeChannel:
         return loss
 
     def _ap_side_arrays(self, aps: Sequence) -> tuple:
-        """Memoized per-AP columns: positions and quantized key tags.
+        """Memoized per-AP columns: positions and shadowing key pieces.
 
         Keyed on the identity of the ``aps`` sequence (the gain cache
-        passes its own stable list, and AP sites never move), so single-
-        row refills after mobility don't re-format 10k tags.  A different
+        passes its own stable list, and AP sites never move), so row
+        refills after mobility don't re-format 10k tags.  A different
         sequence object simply replaces the one-entry memo.
+
+        The key pieces are, per AP, ``b"seed:tag:"`` (the AP leads the
+        canonical key) and ``b":tag"`` (the client leads), so every link
+        key is one concatenation with the client's ``b"seed:tag"`` or
+        ``tag``.
         """
         cached = getattr(self, "_ap_memo", None)
         if cached is not None and cached[0] is aps:
             return cached[1]
         ap_x = np.fromiter((ap.x for ap in aps), np.float64, count=len(aps))
         ap_y = np.fromiter((ap.y for ap in aps), np.float64, count=len(aps))
-        tags = None
+        leads = tails = None
         if self.shadowing is not None:
             tag = self.shadowing.endpoint_tag
+            prefix = f"{self.shadowing.seed}:".encode()
             tags = [tag(ap.x, ap.y) for ap in aps]
-        arrays = (ap_x, ap_y, tags)
+            leads = [prefix + ap_tag + b":" for ap_tag in tags]
+            tails = [b":" + ap_tag for ap_tag in tags]
+        arrays = (ap_x, ap_y, leads, tails)
         self._ap_memo = (aps, arrays)
         return arrays
 
@@ -382,11 +421,11 @@ class CompositeChannel:
         Bit-identical per element to ``loss_db(ap, client)`` -- distances
         through :func:`repro.phy.vecmath.vec_hypot`, path loss through the
         model's batch kernel, shadowing through bulk key construction over
-        per-node tags -- so batched and scalar cache fills interleave
-        freely (the gain-fill oracle discipline; see docs/SIMULATION.md).
+        per-node key pieces -- so batched and scalar cache fills
+        interleave freely (the gain-fill oracle discipline; see
+        docs/SIMULATION.md).
         """
-        n_aps = len(aps)
-        ap_x, ap_y, ap_tags = self._ap_side_arrays(aps)
+        ap_x, ap_y, leads, tails = self._ap_side_arrays(aps)
         cl_x = np.fromiter(
             (c.x for c in clients), np.float64, count=len(clients)
         )
@@ -408,17 +447,14 @@ class CompositeChannel:
                 & (ap_y[np.newaxis, :] > cl_y[:, np.newaxis])
             )
             keys: List[bytes] = []
-            for i, client in enumerate(clients):
+            for client, row_swap in zip(clients, swap.tolist()):
                 ctag = tag(client.x, client.y)
                 # swapped means ap > client: the client tag leads the key.
-                client_first = prefix + ctag + b":"
-                row_swap = swap[i].tolist()
-                keys.extend(
-                    client_first + ap_tag
-                    if swapped
-                    else prefix + ap_tag + b":" + ctag
-                    for ap_tag, swapped in zip(ap_tags, row_swap)
-                )
+                client_lead = prefix + ctag
+                keys += [
+                    client_lead + tail if swapped else lead + ctag
+                    for lead, tail, swapped in zip(leads, tails, row_swap)
+                ]
             block += shadowing._values_from_keys(keys).reshape(block.shape)
         return block
 

@@ -11,7 +11,10 @@ watt) quantities.  Centralising the conversions avoids the classic
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Iterable
+
+import numpy as np
 
 #: Thermal noise power spectral density at 290 K, in dBm per hertz.
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -37,6 +40,23 @@ def linear_to_db(ratio: float) -> float:
 def dbm_to_watt(dbm: float) -> float:
     """Convert an absolute power in dBm to watts."""
     return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+def dbm_to_watt_array(dbm: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`dbm_to_watt` over an array, bit-identical.
+
+    ``(dbm - 30.0) / 10.0`` is a correctly rounded IEEE subtract and
+    divide whether NumPy or Python evaluates it; the power stays the
+    Python float power per element, because NumPy's vector ``power`` may
+    differ from libm in the last ulp.
+    """
+    exponents = ((np.asarray(dbm, dtype=np.float64) - 30.0) / 10.0).ravel()
+    watts = np.fromiter(
+        map(pow, repeat(10.0), exponents.tolist()),
+        np.float64,
+        count=exponents.size,
+    )
+    return watts.reshape(np.shape(dbm))
 
 
 def watt_to_dbm(watt: float) -> float:
