@@ -5,10 +5,14 @@ Design notes
 * Events carry a monotonically increasing sequence number so that two events
   scheduled for the same instant fire in scheduling order -- this makes every
   run bit-reproducible for a fixed seed, which the tests rely on.
+* The heap holds ``(time, seq, event)`` tuples, as SimPy's does, so every
+  heap comparison runs in C.  ``seq`` is unique, so a comparison never
+  reaches the :class:`Event`, which defines no ordering.
 * Cancellation is O(1): a cancelled event stays in the heap but is skipped
   when popped (the standard "lazy deletion" idiom; heapq has no remove).
-  When cancelled entries outnumber live ones the heap is compacted, so
-  heavy cancel/reschedule churn cannot grow the queue without bound.
+  When cancelled entries outnumber live ones the heap is compacted in
+  place, so heavy cancel/reschedule churn cannot grow the queue without
+  bound.
 * The engine is intentionally simple -- no coroutine processes.  Callers
   schedule callbacks; recurring behaviours reschedule themselves.  This keeps
   stack traces flat and state explicit, which matters when debugging MAC
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import runtime as _obs_runtime
 from repro.obs.profile import callback_site
@@ -57,9 +61,6 @@ class Event:
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` has been called."""
         return self._cancelled
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self._cancelled else "pending"
@@ -117,7 +118,10 @@ class Simulator:
     COMPACTION_MIN_SIZE = 64
 
     def __init__(self) -> None:
-        self._queue: List[Event] = []
+        # Heap of ``(time, seq, event)``.  The list object itself is never
+        # replaced (compaction and restore rewrite it in place), so the run
+        # loops may hold it in a local.
+        self._queue: List[Tuple[float, int, Event]] = []
         self._next_seq = 0
         self._now = 0.0
         self._running = False
@@ -154,10 +158,12 @@ class Simulator:
                     "cannot schedule at a NaN delay (NaN breaks heap ordering)"
                 )
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
-        event = Event(self._now + delay, self._next_seq, callback)
-        self._next_seq += 1
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        time = self._now + delay
+        event = Event(time, seq, callback)
         event._tally = self._cancelled_in_queue
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, seq, event))
         self._maybe_compact()
         tel = self._telemetry
         if tel is not None:
@@ -183,13 +189,14 @@ class Simulator:
         ):
             survivors = []
             dropped = 0
-            for event in self._queue:
-                if event.cancelled:
+            for entry in self._queue:
+                event = entry[2]
+                if event._cancelled:
                     event._tally = None
                     dropped += 1
                 else:
-                    survivors.append(event)
-            self._queue = survivors
+                    survivors.append(entry)
+            self._queue[:] = survivors
             heapq.heapify(self._queue)
             self._cancelled_in_queue[0] = 0
             tel = self._telemetry
@@ -198,8 +205,8 @@ class Simulator:
 
     def _pop_event(self) -> Event:
         """Pop the earliest event, maintaining the cancelled-entry count."""
-        event = heapq.heappop(self._queue)
-        if event.cancelled:
+        event = heapq.heappop(self._queue)[2]
+        if event._cancelled:
             self._cancelled_in_queue[0] -= 1
         event._tally = None
         return event
@@ -246,22 +253,7 @@ class Simulator:
             raise RuntimeError("Simulator.run is not re-entrant")
         self._running = True
         try:
-            if self._telemetry is None:
-                # The original tight loop: zero telemetry overhead.
-                while self._queue and self._queue[0].time <= until:
-                    event = self._pop_event()
-                    if event.cancelled:
-                        continue
-                    self._now = event.time
-                    event.callback()
-            else:
-                while self._queue and self._queue[0].time <= until:
-                    event = self._pop_event()
-                    if event.cancelled:
-                        self._telemetry.inc("sim.events_cancelled")
-                        continue
-                    self._now = event.time
-                    self._fire_instrumented(event)
+            self._drain(until)
             self._now = until
         finally:
             self._running = False
@@ -279,25 +271,35 @@ class Simulator:
             raise RuntimeError("Simulator.run is not re-entrant")
         self._running = True
         try:
-            if self._telemetry is None:
-                while self._queue and self._queue[0].time <= max_time:
-                    event = self._pop_event()
-                    if event.cancelled:
-                        continue
-                    self._now = event.time
-                    event.callback()
-            else:
-                while self._queue and self._queue[0].time <= max_time:
-                    event = self._pop_event()
-                    if event.cancelled:
-                        self._telemetry.inc("sim.events_cancelled")
-                        continue
-                    self._now = event.time
-                    self._fire_instrumented(event)
+            self._drain(max_time)
             if max_time != float("inf"):
                 self._now = max(self._now, max_time)
         finally:
             self._running = False
+
+    def _drain(self, until: float) -> None:
+        """Fire every live event due at or before ``until``, in heap order."""
+        queue = self._queue
+        if self._telemetry is None:
+            # The tight loop: zero telemetry overhead.
+            pop = heapq.heappop
+            tally = self._cancelled_in_queue
+            while queue and queue[0][0] <= until:
+                event = pop(queue)[2]
+                event._tally = None
+                if event._cancelled:
+                    tally[0] -= 1
+                    continue
+                self._now = event.time
+                event.callback()
+        else:
+            while queue and queue[0][0] <= until:
+                event = self._pop_event()
+                if event._cancelled:
+                    self._telemetry.inc("sim.events_cancelled")
+                    continue
+                self._now = event.time
+                self._fire_instrumented(event)
 
     def _fire_instrumented(self, event: Event) -> None:
         """Fire one event under telemetry: count, profile, trace.
@@ -363,10 +365,10 @@ class Simulator:
         live events only (see ``CheckpointRegistry.restore``).
         """
         events = []
-        for event in sorted(self._queue):
-            if event.cancelled:
+        for time, seq, event in sorted(self._queue):
+            if event._cancelled:
                 continue
-            events.append([event.time, event.seq, encode_callback(event.callback)])
+            events.append([time, seq, encode_callback(event.callback)])
         return {"now": self._now, "next_seq": self._next_seq, "events": events}
 
     def load_state(
@@ -382,14 +384,15 @@ class Simulator:
         self._now = state["now"]
         self._next_seq = state["next_seq"]
         self._cancelled_in_queue[0] = 0
-        self._queue = []
+        entries = []
         lookup: Dict[int, Event] = {}
         for time, seq, token in state["events"]:
             event = Event(time, seq, decode_callback(token))
             event._tally = self._cancelled_in_queue
-            self._queue.append(event)
+            entries.append((time, seq, event))
             lookup[seq] = event
-        heapq.heapify(self._queue)
+        heapq.heapify(entries)
+        self._queue[:] = entries
         return lookup
 
     def pending_events(self) -> int:

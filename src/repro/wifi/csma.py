@@ -102,9 +102,14 @@ def mpdu_delivery_fraction(sinr_db: float, required_snr_db: float) -> float:
     return 1.0 - deficit / MPDU_LOSS_WINDOW_DB
 
 
-@dataclass
+@dataclass(eq=False)
 class Transmission:
-    """One frame on the air."""
+    """One frame on the air.
+
+    Compared by identity: two frames with equal fields are still two
+    frames, and ``WifiMedium`` removes a finished one from the air by
+    identity.
+    """
 
     src: int
     dst: Optional[int]
@@ -211,6 +216,18 @@ class WifiMedium:
             >= self.params.cs_threshold_dbm
         )
 
+    def _listeners_of(self, talker_station_id: int) -> List["CsmaNode"]:
+        """Nodes that carrier-sense ``talker``, in ``_nodes`` order (cached)."""
+        listeners = self._listeners.get(talker_station_id)
+        if listeners is None:
+            listeners = self._listeners[talker_station_id] = [
+                node
+                for node in self._nodes
+                if node.station.station_id != talker_station_id
+                and self.hears(node.station.station_id, talker_station_id)
+            ]
+        return listeners
+
     # -- Transmission lifecycle -------------------------------------------------
 
     def transmit(
@@ -224,7 +241,8 @@ class WifiMedium:
         """Put a frame on the air; notifies carrier-sensing nodes.
 
         Notifications arrive ``cs_delay_s`` after the frame starts, opening
-        the same-slot collision window of real DCF.
+        the same-slot collision window of real DCF.  One event per frame
+        notifies every listener in ``_nodes`` order.
         """
         tx = Transmission(
             src=src_id,
@@ -238,17 +256,14 @@ class WifiMedium:
         self._history.append(tx)
         self._max_span = max(self._max_span, tx.end - tx.start)
 
-        listeners = self._listeners.get(src_id)
-        if listeners is None:
-            listeners = self._listeners[src_id] = [
-                node
-                for node in self._nodes
-                if node.station.station_id != src_id and self.hears(
-                    node.station.station_id, src_id
-                )
-            ]
-        for node in listeners:
-            self.sim.schedule(self.params.cs_delay_s, node.on_medium_busy)
+        listeners = self._listeners_of(src_id)
+        if listeners:
+
+            def notify_busy() -> None:
+                for node in listeners:
+                    node.on_medium_busy()
+
+            self.sim.schedule(self.params.cs_delay_s, notify_busy)
 
         def finish() -> None:
             self._active.remove(tx)
@@ -266,37 +281,51 @@ class WifiMedium:
 
         Only the history's tail is scanned: no frame lasts longer than
         ``_max_span``, so one that starts more than that before ``tx`` ends
-        before ``tx`` starts and would contribute nothing.  The tail is
-        summed in history order, so the result is bit-identical to a scan
-        of the whole history.
+        before ``tx`` starts and would contribute nothing.  In the tail,
+        frames outside ``tx``'s interval are dropped before any arithmetic,
+        the rest get :meth:`Transmission.overlap_fraction`'s arithmetic
+        inline, and the terms are summed in history order, so the result is
+        bit-identical to a scan of the whole history.
         """
-        if tx.dst is None:
+        src, dst = tx.src, tx.dst
+        if dst is None:
             raise ValueError("transmission has no destination to evaluate")
+        signal_w = self._rx_watt(src, dst)
+        start, end = tx.start, tx.end
+        duration = end - start
+        if duration <= 0.0:
+            # overlap_fraction is 0 against every frame: noise only.
+            return linear_to_db(signal_w / self._noise_w)
         history = self._history
-        earliest = tx.start - self._max_span - _WINDOW_SLACK_S
+        earliest = start - self._max_span - _WINDOW_SLACK_S
         first = len(history)
         while first > 0 and history[first - 1].start >= earliest:
             first -= 1
-        signal_w = self._rx_watt(tx.src, tx.dst)
         interference_w = 0.0
+        rx_w = self._rx_w_cache
         for other in history[first:]:
-            if other is tx or other.src == tx.src:
+            # A frame that starts at or after ``end``, or ends at or before
+            # ``start``, overlaps by <= 0, so overlap_fraction gives 0.
+            if other.start >= end or other.end <= start:
                 continue
-            if other.src == tx.dst:
-                continue  # The destination cannot interfere with itself.
-            fraction = tx.overlap_fraction(other)
+            if other.src == src or other.src == dst:
+                continue  # Own frames (``tx`` too) and the destination's.
+            # Transmission.overlap_fraction, inlined.
+            fraction = max(
+                0.0, (min(end, other.end) - max(start, other.start)) / duration
+            )
             if fraction <= 0.0:
                 continue
-            interference_w += fraction * self._rx_watt(other.src, tx.dst)
+            watt = rx_w.get((other.src, dst))
+            if watt is None:
+                watt = self._rx_watt(other.src, dst)
+            interference_w += fraction * watt
         return linear_to_db(signal_w / (self._noise_w + interference_w))
 
     def set_nav(self, around_station_id: int, until: float) -> None:
         """Set the NAV of every node that can hear ``around_station_id``."""
-        for node in self._nodes:
-            if node.station.station_id == around_station_id:
-                continue
-            if self.hears(node.station.station_id, around_station_id):
-                node.set_nav(until)
+        for node in self._listeners_of(around_station_id):
+            node.set_nav(until)
 
     def busy_for(self, node: "CsmaNode") -> bool:
         """Whether ``node`` currently senses the medium busy (incl. NAV)."""

@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event simulator."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 
@@ -292,3 +296,125 @@ class TestEventRepr:
         event = sim.schedule(1.0, lambda: None)
         sim.run(until=2.0)
         assert "fired" in repr(event)
+
+
+class _Recorder:
+    """A callback that logs its label; labels survive a checkpoint."""
+
+    def __init__(self, label, fired):
+        self.label = label
+        self.fired = fired
+
+    def __call__(self):
+        self.fired.append(self.label)
+
+
+# Dyadic delays so same-time ties are common and exact.
+_delays = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 2.0])
+_ops = st.one_of(
+    st.tuples(st.just("schedule"), _delays),
+    st.tuples(st.just("schedule_at"), st.integers(0, 10**6)),
+    st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+    st.tuples(st.just("churn"), st.integers(Simulator.COMPACTION_MIN_SIZE, 120),
+              st.integers(0, 8)),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("run"), _delays),
+    st.tuples(st.just("roundtrip")),
+)
+
+
+class TestHeapOrderProperty:
+    """Random schedule/cancel/step/run/checkpoint mixes against a model.
+
+    The model keeps the live events as ``seq -> time``; whatever fires
+    must be exactly the due live events in ``(time, seq)`` order.
+    """
+
+    @given(ops=st.lists(_ops, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_fires_live_events_in_time_seq_order(self, ops):
+        sim = Simulator()
+        fired = []
+        live = {}  # seq -> time, the model's queue.
+        handles = []  # Every handle ever returned, fired ones included.
+
+        def add(handle, at):
+            assert handle.time == at
+            assert handle.seq not in live
+            live[handle.seq] = handle.time
+            handles.append(handle)
+
+        def schedule(delay):
+            seq = sim._next_seq
+            add(sim.schedule(delay, _Recorder(seq, fired)), sim.now + delay)
+            # A push compacts once cancelled entries outnumber live ones.
+            if sim.queue_size() >= Simulator.COMPACTION_MIN_SIZE:
+                assert sim.queue_size() <= 2 * sim.pending_events()
+
+        def cancel(index):
+            handle = handles[index % len(handles)]
+            handle.cancel()
+            live.pop(handle.seq, None)
+
+        def expect_fired(until):
+            due = sorted((t, s) for s, t in live.items() if t <= until)
+            for _, seq in due:
+                del live[seq]
+            return [seq for _, seq in due]
+
+        for op in ops:
+            kind = op[0]
+            if kind == "schedule":
+                schedule(op[1])
+            elif kind == "schedule_at":
+                if live:  # Tie with a pending event's exact time.
+                    at = sorted(live.values())[op[1] % len(live)]
+                    seq = sim._next_seq
+                    add(sim.schedule_at(at, _Recorder(seq, fired)), at)
+            elif kind == "cancel":
+                if handles:
+                    cancel(op[1])
+            elif kind == "churn":
+                _, count, keep = op
+                first = len(handles)
+                for i in range(count):
+                    schedule([0.25, 0.5, 1.0][i % 3])
+                for index in range(first + keep, len(handles)):
+                    cancel(index)
+                schedule(0.5)
+            elif kind == "step":
+                head = min(((t, s) for s, t in live.items()), default=None)
+                before = len(fired)
+                event = sim.step()
+                if head is None:
+                    assert event is None and fired[before:] == []
+                else:
+                    del live[head[1]]
+                    assert fired[before:] == [head[1]]
+                    assert (event.time, event.seq) == head == (sim.now, head[1])
+            elif kind == "run":
+                until = sim.now + op[1]
+                expected = expect_fired(until)
+                before = len(fired)
+                sim.run(until=until)
+                assert fired[before:] == expected
+                assert sim.now == until
+            else:
+                state = json.loads(json.dumps(
+                    sim.state_dict(lambda callback: callback.label)
+                ))
+                assert state["events"] == sorted([t, s, s] for s, t in live.items())
+                restored = Simulator()
+                lookup = restored.load_state(
+                    state, lambda label: _Recorder(label, fired)
+                )
+                assert sorted(lookup) == sorted(live)
+                handles = [lookup.get(h.seq, h) for h in handles]
+                sim = restored
+            assert sim.pending_events() == len(live)
+            assert sim.queue_size() >= sim.pending_events()
+
+        before = len(fired)
+        sim.run_until_idle()
+        assert fired[before:] == expect_fired(float("inf"))
+        assert sim.pending_events() == 0 and sim.queue_size() == 0

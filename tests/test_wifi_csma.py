@@ -1,5 +1,7 @@
 """Unit tests for the CSMA/CA (DCF) machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,27 @@ class TestMedium:
         # Interferer overlapped half the frame: SINR ~ +3 dB.
         assert medium.sinr_db(tx) == pytest.approx(3.0, abs=0.2)
 
+    def test_finish_removes_the_finished_frame_by_identity(self):
+        sim = Simulator()
+        medium = _medium(sim)
+        for sid in (0, 1):
+            medium.add_station(Station(sid, sid * 10.0, 0, 20.0))
+        finishes = []
+        schedule = sim.schedule
+
+        def spy(delay, callback):
+            finishes.append(callback)
+            return schedule(delay, callback)
+
+        sim.schedule = spy  # No node is attached: only finish events.
+        first = medium.transmit(0, duration=1e-3, kind="data", dst_id=1)
+        second = medium.transmit(0, duration=1e-3, kind="data", dst_id=1)
+        assert dataclasses.astuple(first) == dataclasses.astuple(second)
+        assert first != second
+        finishes[1]()  # The second frame ends first.
+        assert len(medium._active) == 1
+        assert medium._active[0] is first
+
     def test_prune_history(self):
         sim = Simulator()
         medium = _medium(sim)
@@ -224,6 +247,35 @@ class TestCsmaNode:
         a = node.stats[100].bits_delivered
         b = node.stats[101].bits_delivered
         assert a == pytest.approx(b, rel=0.2)
+
+
+class TestBusyNotificationOrder:
+    def test_backoff_due_at_detection_instant_still_fires(self):
+        # A node's backoff attempt, scheduled before a frame starts, that
+        # falls due exactly ``cs_delay_s`` after the frame's start fires
+        # before the frame's busy notification: the same-slot collision
+        # window.  A dyadic delay keeps ``(due - delay) + delay == due``.
+        sim = Simulator()
+        cs_delay = 2.0 ** -18
+        medium = _medium(sim, loss_db=80.0, cs_delay_s=cs_delay)
+        for sid in (0, 1, 100, 101):
+            medium.add_station(Station(sid, float(sid), 0.0, 20.0))
+        node = CsmaNode(sim, medium, medium.station(1), medium.params,
+                        np.random.default_rng(3))
+        node.add_destination(101, WIFI_MCS_TABLE[0])
+        node.enqueue(101, 1e6)
+        due = node._attempt_event.time
+        start = due - cs_delay
+        assert 0.0 < start and start + cs_delay == due
+        assert medium.hears(1, 0)
+        frames = []
+        sim.schedule_at(start, lambda: frames.append(
+            medium.transmit(0, 1e-3, "data", dst_id=100)))
+        sim.run(until=due)
+        other = [tx for tx in medium._history if tx.src == 1]
+        assert [tx.start for tx in frames] == [start]
+        assert [(tx.kind, tx.start) for tx in other] == [("rts", due)]
+        assert frames[0].overlap_fraction(other[0]) > 0.0
 
 
 class TestContention:
