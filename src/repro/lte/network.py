@@ -153,6 +153,20 @@ def _elementwise_db(ratio: np.ndarray) -> np.ndarray:
     return flat.reshape(ratio.shape)
 
 
+def _segment_counts(
+    flags: np.ndarray, lengths: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Count ``True`` flags per run of consecutive segments.
+
+    Returns the count per segment and, per element, its 1-based rank among
+    its segment's ``True`` flags (meaningful where the flag is set).
+    """
+    tally = np.concatenate(([0], np.cumsum(flags)))
+    bounds = np.cumsum([0, *lengths])
+    base = tally[bounds[:-1]]
+    return tally[bounds[1:]] - base, tally[1:] - np.repeat(base, lengths)
+
+
 def _control_scale(sir_db: float) -> float:
     """Figure 7(b) goodput multiplier from a signal-to-interferer ratio.
 
@@ -237,19 +251,6 @@ class EpochResult:
     allocations: Dict[int, Allocation]
     observations: Dict[int, ApObservation]
     connected: Dict[int, bool]
-
-
-@dataclass
-class _EpochLinks:
-    """What one backend computes for one AP before scheduling.
-
-    ``observe`` is deferred (called after the scheduler ran) so detector
-    RNG draws happen at the same point of the stream in both backends.
-    """
-
-    rate_fn: Callable[[int, int], float]
-    disconnected: Set[int]
-    observe: Callable[[Allocation, np.random.Generator], ApObservation]
 
 
 class SubchannelPolicy(Protocol):
@@ -406,11 +407,12 @@ class LteNetworkSimulator:
         self._max_cqi_state: Dict[Tuple[int, int], int] = {}
         # Incremental-backend state: per-AP row-set versions (bumped by
         # the events that dirty an AP's block -- mobility, handover,
-        # re-attach), cached per-AP epoch blocks keyed on (version,
-        # interference/control/RLF signatures), cached audible-column
-        # masks, and per-epoch dirty/cull counters for benchmarks and CI.
+        # re-attach), the key each AP's cached block was computed under
+        # (version, interference/control/RLF signatures), cached
+        # audible-column masks, and per-epoch dirty/cull counters for
+        # benchmarks and CI.
         self._rows_version: Dict[int, int] = {ap.ap_id: 0 for ap in topology.aps}
-        self._ap_blocks: Dict[int, Tuple[tuple, Dict[str, Any]]] = {}
+        self._ap_blocks: Dict[int, tuple] = {}
         self._audible_cols: Dict[int, Tuple[int, np.ndarray, int]] = {}
         # Epoch decision context (active set + subchannel grants).  While it
         # repeats epoch over epoch, a per-AP (rows_version, ctx_serial)
@@ -426,10 +428,6 @@ class LteNetworkSimulator:
         self._dirty_rows: Dict[int, Optional[Set[int]]] = {
             ap.ap_id: set() for ap in topology.aps
         }
-        # Subchannel-mask cache shared by block compute/patch: the mask
-        # for a given grant tuple is a pure function of the tuple, so one
-        # read-only array serves every AP and epoch.
-        self._sub_masks: Dict[tuple, np.ndarray] = {}
         # Per-AP signature cache: when a dirty AP's audible-column set and
         # the epoch context both match the last rebuild, the signature
         # tuples are reused instead of being rebuilt from the grant maps.
@@ -517,6 +515,17 @@ class LteNetworkSimulator:
         self._harq_cache: Dict[Tuple[float, int], float] = {}
         self._harq_prev: Dict[Tuple[float, int], float] = {}
         self._max_cqi_vec = np.zeros((n_clients, n_subs), dtype=np.int64)
+        # The incremental blocks' values, one row per client (each AP
+        # writes only its own clients' rows): full-time rate per
+        # subchannel, CQI (0..15), whether the subchannel is truly
+        # interfered (it picks the detector's threshold) and the RLF
+        # probability.  The rate matrix carries one extra all-zero row and
+        # column, which the PF kernel's padding entries gather.
+        self._row_cid = np.array(sorted(self._client_row, key=self._client_row.get))
+        self._rate_mat = np.zeros((n_clients + 1, n_subs + 1))
+        self._cqi_mat = np.zeros((n_clients, n_subs), dtype=np.int8)
+        self._interfered_mat = np.zeros((n_clients, n_subs), dtype=bool)
+        self._rlf_prob = np.zeros(n_clients)
 
     def _rebuild_rows_of(self, ap_id: int) -> None:
         """(Re)build one AP's gain-matrix row index array.
@@ -870,205 +879,42 @@ class LteNetworkSimulator:
             span = tel.span("lte.epoch", cat="sim", args={"epoch": epoch_index})
             span.__enter__()
 
-        # One pass over the clients builds every per-AP demand dict (in
-        # the same per-AP client order as ``clients_of``, which the
-        # ``_clients_by_ap`` lists share by construction).
-        ap_demand_map: Dict[int, Dict[int, float]] = {
-            ap.ap_id: {} for ap in self.topology.aps
-        }
-        ap_active_map: Dict[int, Dict[int, float]] = {
-            ap.ap_id: {} for ap in self.topology.aps
-        }
-        active_flags: List[bool] = []
-        for c in self.topology.clients:
-            d = demands_bits.get(c.client_id, 0.0)
-            ap_demand_map[c.ap_id][c.client_id] = d
-            if d > 0.0:
-                ap_active_map[c.ap_id][c.client_id] = d
-                active_flags.append(True)
-            else:
-                active_flags.append(False)
-        active_aps = {ap_id for ap_id, act in ap_active_map.items() if act}
+        # Demands in link-matrix row order (the ``topology.clients`` order),
+        # and every AP's active-client count over its rows, in topology
+        # order.
+        demand = np.array(
+            [demands_bits.get(c.client_id, 0.0) for c in self.topology.clients]
+        )
+        active = demand > 0.0
+        aps = self.topology.aps
+        segments = [self._rows_of_ap[ap.ap_id] for ap in aps]
+        lengths = [len(rows) for rows in segments]
+        all_rows = np.concatenate([np.zeros(0, dtype=np.intp), *segments])
+        n_active = _segment_counts(active[all_rows], lengths)[0].tolist()
         # Active AP ids in topology order: the co-channel list every
-        # backend iterates, hoisted out of the per-AP loop.
-        active_list = [
-            ap.ap_id for ap in self.topology.aps if ap.ap_id in active_aps
-        ]
-
-        incremental = self.backend == BACKEND_INCREMENTAL
-        if not incremental:
-            # Per-subchannel interferer sets (only active cells interfere);
-            # only the scalar backend consumes this dense map.
-            interferers_on: Dict[int, List[int]] = {
-                sub: [
-                    ap_id
-                    for ap_id, subs in allowed.items()
-                    if sub in subs and ap_id in active_aps
-                ]
-                for sub in range(self.grid.n_subchannels)
-            }
-
-        served_bits: Dict[int, float] = {}
-        throughput: Dict[int, float] = {}
-        allocations: Dict[int, Allocation] = {}
-        observations: Dict[int, ApObservation] = {}
-        connected: Dict[int, bool] = {}
+        # backend iterates.
+        active_list = [ap.ap_id for ap, n in zip(aps, n_active) if n]
 
         detector_rng = self.rngs.stream("cqi-detector")
         rlf_rng = self.rngs.stream("rlf")
-
-        if incremental and prach_counts is None:
-            # Epoch-wide active-client mask in gain-matrix row order (the
-            # demand-map pass above iterates the same client order), and
-            # the per-AP PRACH contention counts it implies -- computed
-            # once per epoch instead of once per AP (the count for AP j is
-            # exactly ``count_nonzero(active & prach[:, j])``).
-            active_client_vec = np.array(active_flags, dtype=bool)
-            prach_counts = self._prach_mat[active_client_vec].sum(axis=0)
-        if incremental:
-            # Canonicalised subchannel sets and the active slice of the
-            # decision, shared by every AP's cache-key construction.
-            subs_keys = {
-                ap_id: tuple(sorted(subs)) for ap_id, subs in allowed.items()
-            }
-            active_entries = [
-                (ap_id, subs_keys[ap_id])
-                for ap_id in allowed
-                if ap_id in active_aps
-            ]
-            # One serial per distinct decision context: while the policy
-            # repeats its grants and the active set is stable, clean APs
-            # can skip rebuilding their cache-key signatures.
-            ctx = (
-                tuple(active_list),
-                tuple(active_entries),
-                tuple(sorted(subs_keys.items())),
+        if self.backend == BACKEND_INCREMENTAL:
+            if prach_counts is None:
+                prach_counts = self._prach_mat[active].sum(axis=0)
+            outcome = self._incremental_epoch(
+                allowed, demand, all_rows, lengths, n_active, active_list,
+                prach_counts, detector_rng, rlf_rng,
             )
-            if ctx != self._epoch_ctx:
-                self._epoch_ctx = ctx
-                self._ctx_serial += 1
-            self.last_epoch_stats = {
-                "dirty_aps": 0,
-                "clean_aps": 0,
-                "dirty_rows": 0,
-                "clean_rows": 0,
-                "culled_columns": 0,
-                "total_columns": 0,
-            }
-
-        # Shard mode walks the full topology-ordered AP sequence but only
-        # simulates owned APs.  Foreign APs contribute no arithmetic (their
-        # interference reaches owned clients through the full gain rows,
-        # and culled links are exact 0.0 no-ops), yet their epoch RNG draws
-        # must still advance the shared streams: the counts are accumulated
-        # and discarded in one batched ``rng.random(n)`` per stream, which
-        # advances PCG64 to exactly the offset n scalar draws would reach.
-        #
-        # The epoch runs in three passes over the APs: links (every RLF
-        # draw), one batched PF schedule, then results and ``observe``
-        # (every detector draw).  The two streams are independent
-        # generators and each pass keeps the topology order, so every
-        # stream sees the same draws at the same offsets as one interleaved
-        # per-AP loop.
-        sharded = self.shard_ap_ids is not None
-        # Per owned AP: (ap_id, clients, links, foreign detector draws to
-        # discard before its observe, index of its job in ``jobs`` or None).
-        owned: List[Tuple[int, List[Any], _EpochLinks, int, Optional[int]]] = []
-        jobs = []
-        pending_rlf = 0
-        pending_det = 0
-        n_subs_total = self.grid.n_subchannels
-        for ap in self.topology.aps:
-            if sharded and ap.ap_id not in self.shard_ap_ids:
-                acts = ap_active_map[ap.ap_id]
-                # Mirrors _incremental_links: one RLF draw per demanding
-                # client iff the AP has co-channel RLF sources, and one
-                # detector draw per (attached client, subchannel) always.
-                if acts and self._foreign_rlf_gate(ap.ap_id, allowed, active_list):
-                    pending_rlf += len(acts)
-                pending_det += len(self._rows_of_ap[ap.ap_id]) * n_subs_total
-                continue
-            if pending_rlf:
-                rlf_rng.random(pending_rlf)
-                pending_rlf = 0
-            clients = self.topology.clients_of(ap.ap_id)
-            ap_demands = ap_demand_map[ap.ap_id]
-            ap_active_demands = ap_active_map[ap.ap_id]
-            if incremental:
-                links = self._incremental_links(
-                    ap, clients, allowed, active_aps, active_list,
-                    ap_demands, ap_active_demands, prach_counts,
-                    rlf_rng, subs_keys, active_entries,
-                )
-            else:
-                links = self._scalar_links(
-                    ap, clients, allowed, interferers_on, active_list,
-                    ap_demands, ap_active_demands, demands_bits, rlf_rng,
-                )
-            for cid in links.disconnected:
-                ap_active_demands.pop(cid, None)
-            job = None
-            if ap_active_demands and ap.ap_id in active_aps:
-                job = len(jobs)
-                jobs.append((
-                    self.schedulers[ap.ap_id],
-                    sorted(allowed.get(ap.ap_id, set())),
-                    ap_active_demands,
-                    links.rate_fn,
-                ))
-            owned.append((ap.ap_id, clients, links, pending_det, job))
-            pending_det = 0
-        # Flush trailing foreign-AP discards so the stream state at the
-        # epoch barrier matches the unsharded run exactly.
-        if pending_rlf:
-            rlf_rng.random(pending_rlf)
-
-        scheduled = ProportionalFairScheduler.allocate_batch(jobs, self.epoch_s)
-        for ap_id, clients, links, foreign_det, job in owned:
-            if foreign_det:
-                detector_rng.random(foreign_det)
-            ap_demands = ap_demand_map[ap_id]
-            if job is not None:
-                allocation = scheduled[job]
-            else:
-                allocation = Allocation(epoch_s=self.epoch_s)
-            allocations[ap_id] = allocation
-
-            if allocation.served_bits:
-                for client in clients:
-                    cid = client.client_id
-                    bits = allocation.served_bits.get(cid, 0.0)
-                    served_bits[cid] = bits
-                    throughput[cid] = bits / self.epoch_s
-                    demanded = ap_demands[cid]
-                    if demanded > 0.0:
-                        # A client with unmet demand and ~no service is
-                        # starved.
-                        satisfied = bits >= min(
-                            demanded, STARVATION_THRESHOLD_BPS * self.epoch_s
-                        )
-                        connected[cid] = satisfied
-                    else:
-                        connected[cid] = True
-            else:
-                # Nothing was scheduled: every client of this AP served
-                # zero bits, and only zero-demand clients count connected.
-                for client in clients:
-                    cid = client.client_id
-                    served_bits[cid] = 0.0
-                    throughput[cid] = 0.0
-                    connected[cid] = ap_demands[cid] <= 0.0
-
-            observations[ap_id] = links.observe(allocation, detector_rng)
-        # Trailing foreign-AP detector discards, as for the RLF stream.
-        if pending_det:
-            detector_rng.random(pending_det)
+        else:
+            outcome = self._scalar_epoch(
+                allowed, demands_bits, active_list, detector_rng, rlf_rng
+            )
+        served_bits, throughput, connected, allocations, observations = outcome
 
         if tel is not None:
             span.__exit__(None, None, None)
             tel.inc("lte.epochs")
             tel.inc("lte.served_bits", sum(served_bits.values()))
-            if incremental:
+            if self.backend == BACKEND_INCREMENTAL:
                 stats = self.last_epoch_stats
                 tel.inc("lte.incremental.dirty_aps", stats["dirty_aps"])
                 tel.inc("lte.incremental.clean_aps", stats["clean_aps"])
@@ -1113,6 +959,287 @@ class LteNetworkSimulator:
             connected=connected,
         )
 
+    def _settle(
+        self, cids: Sequence[int], bits: np.ndarray, demand: np.ndarray
+    ) -> Tuple[Dict[int, float], Dict[int, float], Dict[int, bool]]:
+        """Served bits, throughput and connected flag per client.
+
+        A client with demand is connected when it got at least
+        ``min(demand, STARVATION_THRESHOLD_BPS * epoch_s)`` bits (unmet
+        demand and ~no service is starvation); a client without demand
+        always is.
+        """
+        floor = np.minimum(demand, STARVATION_THRESHOLD_BPS * self.epoch_s)
+        connected = np.where(demand > 0.0, bits >= floor, True)
+        return (
+            dict(zip(cids, bits.tolist())),
+            dict(zip(cids, (bits / self.epoch_s).tolist())),
+            dict(zip(cids, connected.tolist())),
+        )
+
+    def _scalar_epoch(
+        self,
+        allowed: Dict[int, Set[int]],
+        demands_bits: Dict[int, float],
+        active_list: List[int],
+        detector_rng: np.random.Generator,
+        rlf_rng: np.random.Generator,
+    ) -> tuple:
+        """The oracle's epoch: per-AP links, one schedule, per-AP observe.
+
+        Three passes over the APs in topology order: links (every RLF
+        draw), one batched PF schedule through the dict-job adapter, then
+        :meth:`_observe` (every detector draw, one scalar draw at a time).
+        """
+        active_aps = set(active_list)
+        # Per-subchannel interferer sets (only active cells interfere).
+        interferers_on: Dict[int, List[int]] = {
+            sub: [
+                ap_id
+                for ap_id, subs in allowed.items()
+                if sub in subs and ap_id in active_aps
+            ]
+            for sub in range(self.grid.n_subchannels)
+        }
+        jobs, per_ap = [], []
+        for ap in self.topology.aps:
+            clients = self.topology.clients_of(ap.ap_id)
+            ap_demands = {
+                c.client_id: demands_bits.get(c.client_id, 0.0) for c in clients
+            }
+            ap_active = {cid: d for cid, d in ap_demands.items() if d > 0.0}
+            rate_fn, disconnected, sinr_map, clean_map = self._scalar_links(
+                ap, clients, allowed, interferers_on, active_list, ap_demands,
+                rlf_rng,
+            )
+            for cid in disconnected:
+                del ap_active[cid]
+            job = None
+            if ap_active:
+                job = len(jobs)
+                jobs.append((
+                    self.schedulers[ap.ap_id],
+                    sorted(allowed.get(ap.ap_id, set())),
+                    ap_active,
+                    rate_fn,
+                ))
+            per_ap.append((ap.ap_id, clients, ap_demands, ap_active,
+                           sinr_map, clean_map, job))
+
+        scheduled = ProportionalFairScheduler.allocate_batch(jobs, self.epoch_s)
+        allocations: Dict[int, Allocation] = {}
+        observations: Dict[int, ApObservation] = {}
+        cids: List[int] = []
+        bits: List[float] = []
+        demand: List[float] = []
+        for ap_id, clients, ap_demands, ap_active, sinr_map, clean_map, job in per_ap:
+            allocation = (
+                Allocation(self.epoch_s) if job is None else scheduled[job]
+            )
+            allocations[ap_id] = allocation
+            observations[ap_id] = self._observe(
+                ap_id, clients, ap_active, sinr_map, clean_map, allocation,
+                demands_bits, detector_rng,
+            )
+            cids.extend(ap_demands)
+            demand.extend(ap_demands.values())
+            bits.extend(allocation.served_bits.get(cid, 0.0) for cid in ap_demands)
+        return (*self._settle(cids, np.array(bits), np.array(demand)),
+                allocations, observations)
+
+    def _incremental_epoch(
+        self,
+        allowed: Dict[int, Set[int]],
+        demand: np.ndarray,
+        all_rows: np.ndarray,
+        lengths: List[int],
+        n_active: List[int],
+        active_list: List[int],
+        prach_counts: np.ndarray,
+        detector_rng: np.random.Generator,
+        rlf_rng: np.random.Generator,
+    ) -> tuple:
+        """The production epoch: cached blocks, then one dense outcome.
+
+        One pass over the APs in topology order refreshes each owned AP's
+        cached block (:meth:`_refresh_block`) and counts each AP's RLF
+        draws.  Everything after it is epoch-wide over the owned client
+        rows (the "obs" rows: owned APs in topology order, each AP's
+        clients in ``clients_of`` order): one ``random`` call per stream,
+        one PF kernel call fed by one gather from the rate matrix, and one
+        observe pass that builds the per-client objects.
+
+        Shard mode walks the full topology-ordered AP sequence but only
+        simulates owned APs.  Foreign APs contribute no arithmetic (their
+        interference reaches owned clients through the full gain rows, and
+        culled links are exact 0.0 no-ops), yet their draws must still
+        advance the shared streams, so each stream's one batched draw
+        covers them too and their slices are dropped.  NumPy's batched
+        ``random`` yields the same doubles as repeated scalar draws, so
+        every stream sees the same draws at the same offsets as the scalar
+        oracle's interleaved per-AP loop.
+        """
+        n_subs = self.grid.n_subchannels
+        epoch_s = self.epoch_s
+        aps = self.topology.aps
+        active_aps = set(active_list)
+        # Canonicalised subchannel sets and the active slice of the
+        # decision, shared by every AP's cache-key construction.
+        subs_keys = {
+            ap_id: tuple(sorted(subs)) for ap_id, subs in allowed.items()
+        }
+        active_entries = [
+            (ap_id, subs_keys[ap_id]) for ap_id in allowed if ap_id in active_aps
+        ]
+        # One serial per distinct decision context: while the policy
+        # repeats its grants and the active set is stable, clean APs can
+        # skip rebuilding their cache-key signatures.  The context also
+        # fixes the (AP column, subchannel) 0/1 grant mask of the active
+        # APs that block compute and patch stack interferer masks from.
+        ctx = (
+            tuple(active_list),
+            tuple(active_entries),
+            tuple(sorted(subs_keys.items())),
+        )
+        if ctx != self._epoch_ctx:
+            self._epoch_ctx = ctx
+            self._ctx_serial += 1
+            self._grant_mask = np.zeros((len(aps), n_subs))
+            for ap_id, subs in active_entries:
+                granted = [sub for sub in subs if 0 <= sub < n_subs]
+                self._grant_mask[self._ap_col[ap_id], granted] = 1.0
+        self.last_epoch_stats = dict.fromkeys(
+            ("dirty_aps", "clean_aps", "dirty_rows", "clean_rows",
+             "culled_columns", "total_columns"),
+            0,
+        )
+
+        # Blocks, and the RLF draw count: one draw per demanding client of
+        # an AP with co-channel overlap sources (see _refresh_block).
+        sharded = self.shard_ap_ids is not None
+        owned_flags: List[bool] = []
+        drawing: List[bool] = []
+        rlf_index: List[int] = []
+        n_rlf = 0
+        for ap, n_act in zip(aps, n_active):
+            ap_id = ap.ap_id
+            if sharded and ap_id not in self.shard_ap_ids:
+                owned_flags.append(False)
+                if n_act and self._foreign_rlf_gate(ap_id, allowed, active_list):
+                    n_rlf += n_act
+                continue
+            owned_flags.append(True)
+            draws = self._refresh_block(
+                ap_id, allowed, active_list, subs_keys, active_entries
+            ) and n_act > 0
+            drawing.append(draws)
+            if draws:
+                rlf_index.extend(range(n_rlf, n_rlf + n_act))
+                n_rlf += n_act
+        rlf = rlf_rng.random(n_rlf)
+        owned_rows = np.repeat(np.array(owned_flags, dtype=bool), lengths)
+        detector = detector_rng.random((len(all_rows), n_subs))[owned_rows]
+        obs_rows = all_rows[owned_rows]
+        obs_lengths = [m for m, owned in zip(lengths, owned_flags) if owned]
+        owned_ids = [ap.ap_id for ap, owned in zip(aps, owned_flags) if owned]
+        n_obs = len(obs_rows)
+        obs_cids = self._row_cid[obs_rows].tolist()
+
+        # Radio link failure, then the clients the scheduler serves.
+        act = demand[obs_rows] > 0.0
+        drawn = act & np.repeat(np.array(drawing, dtype=bool), obs_lengths)
+        dropped = np.zeros(n_obs, dtype=bool)
+        dropped[drawn] = rlf[rlf_index] < self._rlf_prob[obs_rows[drawn]]
+        keep = act & ~dropped
+        n_kept, rank = _segment_counts(keep, obs_lengths)
+        n_kept = n_kept.tolist()
+        job_of = np.cumsum([k > 0 for k in n_kept]) - 1
+        job_aps = [ap_id for ap_id, k in zip(owned_ids, n_kept) if k]
+
+        bits = np.zeros(n_obs)
+        # Airtime per (obs row, subchannel), plus one spill row and column
+        # for the kernel's padding entries.
+        fractions = np.zeros((n_obs + 1, n_subs + 1))
+        scheduled: List[Allocation] = []
+        if job_aps:
+            kept = np.flatnonzero(keep)
+            kept_cids = self._row_cid[obs_rows[kept]].tolist()
+            job_cids, start = [], 0
+            for k in n_kept:
+                if k:
+                    job_cids.append(kept_cids[start : start + k])
+                    start += k
+            job = np.repeat(job_of, obs_lengths)[kept]
+            col = rank[kept]
+            # Padded (job, column) -> link row and obs row; padding points
+            # at the rate matrix's zero row and the spill row.
+            n_cols = 1 + max(n_kept)
+            row_at = np.full((len(job_aps), n_cols), len(self._row_cid))
+            row_at[job, col] = obs_rows[kept]
+            obs_at = np.full((len(job_aps), n_cols), n_obs)
+            obs_at[job, col] = kept
+            job_subs = [subs_keys.get(ap_id, ()) for ap_id in job_aps]
+            n_pos = max(len(subs) for subs in job_subs)
+            pad = (n_subs,) * n_pos
+            # C order, so the gathered rate tensor is C-contiguous and the
+            # kernel's per-position slices are contiguous too.
+            sub_at = np.ascontiguousarray(np.array(
+                [subs + pad[len(subs):] for subs in job_subs], dtype=np.intp
+            ).T)
+            served, fraction = ProportionalFairScheduler.allocate_dense(
+                [self.schedulers[ap_id] for ap_id in job_aps],
+                job_cids,
+                job_subs,
+                self._rate_mat[row_at[None, :, :], sub_at[:, :, None]],
+                np.append(demand, 0.0)[row_at],
+                epoch_s,
+            )
+            bits[kept] = served[job, col]
+            fractions[obs_at[None, :, :], sub_at[:, :, None]] = fraction
+            served_rows = served[:, 1:].tolist()
+            scheduled = [
+                Allocation.from_dense(
+                    epoch_s, dict(zip(cids, got)), fraction, b, cids, subs
+                )
+                for b, (cids, subs, got) in enumerate(
+                    zip(job_cids, job_subs, served_rows)
+                )
+            ]
+
+        # One observe pass: max-CQI tracking, detector verdicts and
+        # scheduled fractions for every obs row at once.
+        cqi = self._cqi_mat[obs_rows]
+        best = np.maximum(self._max_cqi_vec[obs_rows], cqi)
+        self._max_cqi_vec[obs_rows] = best
+        flags = detector < np.where(
+            self._interfered_mat[obs_rows],
+            self.detector_true_positive,
+            self.detector_false_positive,
+        )
+        sensed = [
+            ClientObservation(row, top, hits, dict(enumerate(frac)))
+            for row, top, hits, frac in zip(
+                cqi.tolist(), best.tolist(), flags.tolist(),
+                fractions[:n_obs, :n_subs].tolist(),
+            )
+        ]
+        prach = prach_counts.tolist()
+        allocations: Dict[int, Allocation] = {}
+        observations: Dict[int, ApObservation] = {}
+        start = 0
+        for ap_id, m, k, b in zip(owned_ids, obs_lengths, n_kept, job_of.tolist()):
+            end = start + m
+            allocations[ap_id] = scheduled[b] if k else Allocation(epoch_s)
+            observations[ap_id] = ApObservation(
+                ap_id=ap_id,
+                n_active_clients=k,
+                estimated_contenders=max(int(prach[self._ap_col[ap_id]]), k, 1),
+                clients=dict(zip(obs_cids[start:end], sensed[start:end])),
+            )
+            start = end
+        return (*self._settle(obs_cids, bits, demand[obs_rows]),
+                allocations, observations)
+
     # -- Epoch backends ----------------------------------------------------------
 
     def _harq_rows(
@@ -1155,11 +1282,13 @@ class LteNetworkSimulator:
         interferers_on: Dict[int, List[int]],
         active_list: List[int],
         ap_demands: Dict[int, float],
-        ap_active_demands: Dict[int, float],
-        demands_bits: Dict[int, float],
         rlf_rng: np.random.Generator,
-    ) -> _EpochLinks:
-        """Reference backend: per-link loops, one SINR query at a time."""
+    ) -> tuple:
+        """Reference backend: per-link loops, one SINR query at a time.
+
+        Returns the AP's rate function, its disconnected clients and the
+        SINR maps :meth:`_observe` reads.
+        """
         co_channel = [a for a in active_list if a != ap.ap_id]
         # SINR per (client, subchannel), with and without interference.
         sinr_map: Dict[Tuple[int, int], float] = {}
@@ -1215,21 +1344,7 @@ class LteNetworkSimulator:
             rate *= self.control_interference_scale(client_id, _ap.ap_id, _co)
             return rate
 
-        def observe(allocation: Allocation, rng: np.random.Generator):
-            return self._observe(
-                ap.ap_id,
-                clients,
-                ap_active_demands,
-                sinr_map,
-                clean_map,
-                allocation,
-                demands_bits,
-                rng,
-            )
-
-        return _EpochLinks(
-            rate_fn=rate_fn, disconnected=disconnected, observe=observe
-        )
+        return rate_fn, disconnected, sinr_map, clean_map
 
     def _audible_columns(
         self, ap_id: int, rows: np.ndarray
@@ -1252,30 +1367,13 @@ class LteNetworkSimulator:
         self._audible_cols[ap_id] = (version, audible, n_audible)
         return audible, n_audible
 
-    def _sub_mask(self, subs_key: tuple) -> np.ndarray:
-        """The 0/1 interference mask for a grant tuple (cached, read-only).
-
-        The mask is a pure function of the grant tuple, so a single shared
-        array replaces the per-row rebuild in the block compute/patch
-        loops; the values are the exact same 0.0/1.0 floats, keeping the
-        accumulation bitwise identical.
-        """
-        mask = self._sub_masks.get(subs_key)
-        if mask is None:
-            n_subs = self.grid.n_subchannels
-            mask = np.zeros(n_subs)
-            for sub in subs_key:
-                if 0 <= sub < n_subs:
-                    mask[sub] = 1.0
-            mask.setflags(write=False)
-            self._sub_masks[subs_key] = mask
-        return mask
-
     def _inter_columns(
         self, inter_sig: Tuple[Tuple[int, tuple], ...]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Interferer columns and their stacked 0/1 masks, in grant order.
 
+        The masks are rows of the epoch's grant mask (see
+        :meth:`_incremental_epoch`), the same 0.0/1.0 floats per grant.
         Block compute and patch sum the interferers' contributions with
         ``np.add.accumulate`` along the interferer axis: a strictly
         sequential left-to-right sum, i.e. the same IEEE adds in the same
@@ -1287,36 +1385,37 @@ class LteNetworkSimulator:
             [self._ap_col[other_id] for other_id, _ in inter_sig],
             dtype=np.intp,
         )
-        masks = np.array([self._sub_mask(subs_key) for _, subs_key in inter_sig])
-        return cols, masks
+        return cols, self._grant_mask[cols]
 
-    def _incremental_links(
+    def _refresh_block(
         self,
-        ap,
-        clients,
+        ap_id: int,
         allowed: Dict[int, Set[int]],
-        active_aps: Set[int],
         active_list: List[int],
-        ap_demands: Dict[int, float],
-        ap_active_demands: Dict[int, float],
-        prach_counts: np.ndarray,
-        rlf_rng: np.random.Generator,
         subs_keys: Dict[int, tuple],
         active_entries: List[Tuple[int, tuple]],
-    ) -> _EpochLinks:
-        """Dirty-row backend: cached per-AP blocks, recomputed on events.
+    ) -> bool:
+        """Validate one AP's cached block, recomputing what went stale.
 
         The deterministic part of an AP's epoch -- SINR, CQI, rates,
-        control scale, detector thresholds, RLF data-SINR -- depends only
-        on (a) the AP's row set and link powers (tracked by the row-set
-        version the mobility/handover events bump) and (b) the epoch's
-        decision signature (which audible active neighbours hold which
-        subchannels).  When neither changed, the cached block is reused
-        verbatim; stochastic stages (RLF and detector draws, max-CQI
-        tracking, the PRACH contention count) re-execute every epoch so
-        the RNG streams advance exactly as in the scalar oracle.
+        control scale, truly-interfered flags, RLF probability -- depends
+        only on (a) the AP's row set and link powers (tracked by the
+        row-set version the mobility/handover events bump) and (b) the
+        epoch's decision signature (which audible active neighbours hold
+        which subchannels).  The block's values live in the AP's rows of the
+        epoch-wide matrices (``_rate_mat``, ``_cqi_mat``,
+        ``_interfered_mat``, ``_rlf_prob``), which only this AP writes; when
+        neither input changed they are reused verbatim.  Stochastic stages
+        (RLF and detector draws, max-CQI tracking, the PRACH contention
+        count) re-execute every epoch so the RNG streams advance exactly as
+        in the scalar oracle.
+
+        Returns:
+            Whether the AP draws RLF values this epoch: it holds grants and
+            *any* co-channel overlap source exists -- audible or not (a
+            culled source contributes zero interference but still gates
+            the draw, exactly as the oracle sees it).
         """
-        ap_id = ap.ap_id
         n_subs = self.grid.n_subchannels
         rows = self._rows_of_ap[ap_id]
         col = self._ap_col[ap_id]
@@ -1325,6 +1424,9 @@ class LteNetworkSimulator:
         audible, n_audible = self._audible_columns(ap_id, rows)
         ap_cols = self._ap_col
         stats = self.last_epoch_stats
+        n_aps = len(audible)
+        stats["culled_columns"] += n_aps - n_audible
+        stats["total_columns"] += n_aps
 
         fast = self._block_fast.get(ap_id)
         if (
@@ -1335,290 +1437,95 @@ class LteNetworkSimulator:
             # Same rows and same epoch decision context as when the cached
             # block was last validated: every signature input is provably
             # unchanged, so the key comparison is skipped outright.
-            block = self._ap_blocks[ap_id][1]
-            has_rlf_sources = fast[2]
+            stats["clean_aps"] += 1
+            stats["clean_rows"] += m
+            return fast[2]
+        # The signature tuples depend only on the epoch context and on
+        # which columns this AP's clients can hear.  A mobility event
+        # bumps the row version but usually leaves audibility intact, so
+        # dirty APs reuse the cached signature instead of walking the
+        # grant maps again.
+        audible_key = audible.tobytes()
+        sig = self._sig_cache.get(ap_id)
+        if sig is not None and sig[0] == self._ctx_serial and sig[1] == audible_key:
+            (_, _, inter_sig, co_audible, my_subs,
+             rlf_entries, rlf_sig, has_rlf_sources) = sig
+        else:
+            inter_sig = tuple(
+                entry
+                for entry in active_entries
+                if entry[0] != ap_id and audible[ap_cols[entry[0]]]
+            )
+            # Only a signature miss walks the active list, skipping the
+            # AP's own id the way ``_foreign_rlf_gate`` does.
+            co_audible = [
+                a for a in active_list if a != ap_id and audible[ap_cols[a]]
+            ]
+            my_subs = allowed.get(ap_id, set())
+            has_rlf_sources = False
+            rlf_entries: List[Tuple[int, int]] = []
+            if my_subs:
+                for other in active_list:
+                    if other == ap_id:
+                        continue
+                    overlap = len(my_subs & allowed.get(other, set()))
+                    if overlap:
+                        has_rlf_sources = True
+                        if audible[ap_cols[other]]:
+                            rlf_entries.append((other, overlap))
+            rlf_sig = (len(my_subs), tuple(rlf_entries))
+            self._sig_cache[ap_id] = (
+                self._ctx_serial, audible_key, inter_sig, co_audible,
+                my_subs, rlf_entries, rlf_sig, has_rlf_sources,
+            )
+
+        key = (version, inter_sig, tuple(co_audible), rlf_sig)
+        cached = self._ap_blocks.get(ap_id)
+        dirty_cids = self._dirty_rows.get(ap_id)
+        if cached == key:
             stats["clean_aps"] += 1
             stats["clean_rows"] += m
         else:
-            # The signature tuples depend only on the epoch context and on
-            # which columns this AP's clients can hear.  A mobility event
-            # bumps the row version but usually leaves audibility intact,
-            # so dirty APs reuse the cached signature instead of walking
-            # the grant maps again.
-            audible_key = audible.tobytes()
-            sig = self._sig_cache.get(ap_id)
-            if (
-                sig is not None
-                and sig[0] == self._ctx_serial
-                and sig[1] == audible_key
-            ):
-                (_, _, inter_sig, co_audible, my_subs,
-                 rlf_entries, rlf_sig, has_rlf_sources) = sig
-            else:
-                inter_sig = tuple(
-                    entry
-                    for entry in active_entries
-                    if entry[0] != ap_id and audible[ap_cols[entry[0]]]
-                )
-                # Only a signature miss walks the active list, skipping
-                # the AP's own id the way ``_foreign_rlf_gate`` does.
-                co_audible = [
-                    a for a in active_list
-                    if a != ap_id and audible[ap_cols[a]]
-                ]
-                my_subs = allowed.get(ap_id, set())
-                has_rlf_sources = False
-                rlf_entries: List[Tuple[int, int]] = []
-                if my_subs:
-                    for other in active_list:
-                        if other == ap_id:
-                            continue
-                        overlap = len(my_subs & allowed.get(other, set()))
-                        if overlap:
-                            has_rlf_sources = True
-                            if audible[ap_cols[other]]:
-                                rlf_entries.append((other, overlap))
-                rlf_sig = (len(my_subs), tuple(rlf_entries))
-                self._sig_cache[ap_id] = (
-                    self._ctx_serial, audible_key, inter_sig, co_audible,
-                    my_subs, rlf_entries, rlf_sig, has_rlf_sources,
-                )
-
-            key = (version, inter_sig, tuple(co_audible), rlf_sig)
-            cached = self._ap_blocks.get(ap_id)
-            dirty_cids = self._dirty_rows.get(ap_id)
-            if cached is not None and cached[0] == key:
-                block = cached[1]
-                stats["clean_aps"] += 1
-                stats["clean_rows"] += m
-            elif (
-                cached is not None
-                and dirty_cids
-                and cached[0][1:] == key[1:]
-            ):
+            if cached is not None and dirty_cids and cached[1:] == key[1:]:
                 # Same decision signature, same row membership: only the
                 # recorded dirty rows' link data changed, so those rows
                 # are recomputed in place and the rest reused verbatim.
-                block = cached[1]
-                patched = self._patch_ap_block(
-                    block, clients, rows, col, m, n_subs,
-                    inter_sig, co_audible, my_subs, rlf_entries, dirty_cids,
-                )
-                self._ap_blocks[ap_id] = (key, block)
-                stats["dirty_aps"] += 1
-                stats["dirty_rows"] += patched
-                stats["clean_rows"] += m - patched
+                patched = [
+                    row
+                    for row, cid in zip(rows.tolist(), self._row_cid[rows].tolist())
+                    if cid in dirty_cids
+                ]
             else:
-                block = self._compute_ap_block(
-                    ap_id, clients, rows, col, m, n_subs,
-                    inter_sig, co_audible, my_subs, rlf_entries,
-                )
-                self._ap_blocks[ap_id] = (key, block)
-                stats["dirty_aps"] += 1
-                stats["dirty_rows"] += m
-            self._dirty_rows[ap_id] = set()
-            self._block_fast[ap_id] = (
-                version, self._ctx_serial, has_rlf_sources
+                patched = rows
+            self._compute_ap_block(
+                np.asarray(patched, dtype=np.intp), col, n_subs,
+                inter_sig, co_audible, my_subs, rlf_entries,
             )
-        n_aps = len(audible)
-        stats["culled_columns"] += n_aps - n_audible
-        stats["total_columns"] += n_aps
-
-        # Radio link failure draws happen every epoch, in the same order
-        # and count as the scalar oracle: one draw per demanding client
-        # whenever *any* co-channel overlap source exists -- audible or
-        # not (a culled source contributes zero interference but still
-        # gates the draw, exactly as the oracle sees it).
-        disconnected: Set[int] = set()
-        if has_rlf_sources and ap_active_demands:
-            data_sinr = block["data_sinr"]
-            for i, client in enumerate(clients):
-                if ap_demands[client.client_id] <= 0.0:
-                    continue
-                if rlf_rng.random() < rlf_probability(data_sinr[i]):
-                    disconnected.add(client.client_id)
-
-        rate_rows = block["rate_rows"]
-
-        def rate_fn(client_id: int, sub: int) -> float:
-            return rate_rows[client_id][sub]
-
-        # Lets the PF scheduler prefetch straight from the table.
-        rate_fn.rate_rows = rate_rows
-
-        cqi = block["cqi"]
-        cqi_rows = block["cqi_rows"]
-        threshold = block["threshold"]
-        zero_fractions = block["zero_fractions"]
-
-        def observe(allocation: Allocation, rng: np.random.Generator):
-            estimated = int(prach_counts[col])
-            # One batched draw: NumPy's batched ``random`` yields the same
-            # doubles as the oracle's repeated scalar draws.
-            draws = rng.random((m, n_subs))
-            best = np.maximum(self._max_cqi_vec[rows], cqi)
-            self._max_cqi_vec[rows] = best
-            flags = draws < threshold
-            best_rows = best.tolist()
-            flag_rows = flags.tolist()
-            # Invert the sparse (client, sub) -> fraction map once instead
-            # of probing it n_subs times per client; overwriting entries
-            # of a zero-filled template yields the exact same mapping.
-            per_client_fractions: Dict[int, Dict[int, float]] = {}
-            for (c, s), f in allocation.time_fraction.items():
-                got = per_client_fractions.get(c)
-                if got is None:
-                    got = zero_fractions.copy()
-                    per_client_fractions[c] = got
-                got[s] = f
-            client_obs: Dict[int, ClientObservation] = {}
-            for i in range(m):
-                cid = clients[i].client_id
-                fractions = per_client_fractions.pop(cid, None)
-                if fractions is None:
-                    fractions = zero_fractions.copy()
-                client_obs[cid] = ClientObservation(
-                    subband_cqi=list(cqi_rows[i]),
-                    max_subband_cqi=best_rows[i],
-                    interference_detected=flag_rows[i],
-                    scheduled_fraction=fractions,
-                )
-            return ApObservation(
-                ap_id=ap_id,
-                n_active_clients=len(ap_active_demands),
-                estimated_contenders=max(estimated, len(ap_active_demands), 1),
-                clients=client_obs,
-            )
-
-        return _EpochLinks(
-            rate_fn=rate_fn, disconnected=disconnected, observe=observe
-        )
-
-    def _patch_ap_block(
-        self,
-        block: Dict[str, Any],
-        clients,
-        rows: np.ndarray,
-        col: int,
-        m: int,
-        n_subs: int,
-        inter_sig: Tuple[Tuple[int, tuple], ...],
-        co_audible: List[int],
-        my_subs: Set[int],
-        rlf_entries: List[Tuple[int, int]],
-        dirty_cids: Set[int],
-    ) -> int:
-        """Recompute only the dirty client rows of a cached block, in place.
-
-        Every expression mirrors :meth:`_compute_ap_block` restricted to a
-        single row -- the scalar/vector operations below perform the same
-        IEEE-754 operations per element, so a patched block is bitwise
-        equal to a freshly computed one (the fuzz tests pin this).
-
-        Returns:
-            The number of rows patched.
-        """
-        W = self._rx_w_mat
-        cqi_mat = block["cqi"]
-        cqi_rows = block["cqi_rows"]
-        threshold = block["threshold"]
-        rate_rows = block["rate_rows"]
-        data_sinr = block["data_sinr"]
-        ap_cols = self._ap_col
-        # One fancy-indexed multiply yields every interferer's contribution
-        # row; the accumulation below still adds them one by one in grant
-        # order, so the float sequence matches the reference accumulation
-        # exactly.
-        n_inter = len(inter_sig)
-        if n_inter:
-            inter_cols, mask_mat = self._inter_columns(inter_sig)
-        sub_range = np.arange(n_subs)
-        cols = None
-        patched = 0
-        for i in range(m):
-            cid = clients[i].client_id
-            if cid not in dirty_cids:
-                continue
-            patched += 1
-            r = rows[i]
-            signal = W[r, col]
-            if n_inter:
-                contribs = W[r, inter_cols][:, None] * mask_mat
-                inter = np.add.accumulate(contribs, axis=0)[-1]
-            else:
-                inter = np.zeros(n_subs)
-            ratio = signal / (self._rb_noise_w + inter)
-            sinr_row = _elementwise_db(ratio)
-            clean_ratio = signal / self._rb_noise_w
-            clean_db = (
-                10.0 * math.log10(clean_ratio)
-                if clean_ratio > 0.0
-                else ZERO_SIGNAL_SINR_DB
-            )
-            cqi_row = np.searchsorted(
-                self._cqi_min_sinr, sinr_row, side="right"
-            )
-            clean_cqi = np.searchsorted(
-                self._cqi_min_sinr, clean_db, side="right"
-            )
-            base = self._rate_table[cqi_row, sub_range]
-            sinr_list, cqi_list = sinr_row.tolist(), cqi_row.tolist()
-            harq = np.array(self._harq_rows([sinr_list], [cqi_list])[0])
-            if not self.control_interference or not co_audible:
-                ctrl = 1.0
-            else:
-                if cols is None:
-                    cols = np.array(
-                        [ap_cols[a] for a in co_audible], dtype=np.intp
-                    )
-                strongest = self._rx_dbm_mat[r, cols].max()
-                sir_db = float(self._rx_dbm_mat[r, col] - strongest)
-                ctrl = _control_scale(sir_db)
-            rate = base * harq
-            rate *= ctrl
-
-            weighted = 0.0
-            if my_subs:
-                for other_id, overlap in rlf_entries:
-                    weighted += (overlap / len(my_subs)) * W[
-                        r, ap_cols[other_id]
-                    ]
-            data_ratio = float(signal / (self._rb_noise_w + weighted))
-            data_sinr[i] = (
-                10.0 * math.log10(data_ratio)
-                if data_ratio > 0.0
-                else ZERO_SIGNAL_SINR_DB
-            )
-
-            truly = (clean_cqi > 0) & (
-                cqi_row < INTERFERENCE_CQI_DROP_FRACTION * clean_cqi
-            )
-            threshold[i] = np.where(
-                truly,
-                self.detector_true_positive,
-                self.detector_false_positive,
-            )
-            cqi_mat[i] = cqi_row
-            cqi_rows[i] = cqi_list
-            rate_rows[cid] = rate.tolist()
-        return patched
+            self._ap_blocks[ap_id] = key
+            stats["dirty_aps"] += 1
+            stats["dirty_rows"] += len(patched)
+            stats["clean_rows"] += m - len(patched)
+        self._dirty_rows[ap_id] = set()
+        self._block_fast[ap_id] = (version, self._ctx_serial, has_rlf_sources)
+        return has_rlf_sources
 
     def _compute_ap_block(
         self,
-        ap_id: int,
-        clients,
         rows: np.ndarray,
         col: int,
-        m: int,
         n_subs: int,
         inter_sig: Tuple[Tuple[int, tuple], ...],
         co_audible: List[int],
         my_subs: Set[int],
         rlf_entries: List[Tuple[int, int]],
-    ) -> Dict[str, Any]:
-        """One AP's deterministic epoch quantities (the cacheable block).
+    ) -> None:
+        """One AP's deterministic epoch quantities for the given client rows.
 
-        Bit-for-bit identical to :meth:`_scalar_links` by construction:
+        Writes the rows' rates, CQIs, truly-interfered flags and RLF
+        probabilities into the epoch-wide matrices.  Every quantity of a
+        row depends on that row alone, so recomputing only a block's dirty
+        rows equals recomputing all of them.  Bit-for-bit identical to
+        :meth:`_scalar_links` by construction:
 
         * interference accumulates per interferer in grant order, exactly
           as the scalar per-subchannel sums do; an interferer's exact
@@ -1631,6 +1538,7 @@ class LteNetworkSimulator:
           table walk in :func:`cqi_from_sinr`;
         * rates come from a table prefilled with the scalar grid function.
         """
+        m = len(rows)
         W = self._rx_w_mat
         signal_w = W[rows, col]
         if inter_sig:
@@ -1647,9 +1555,8 @@ class LteNetworkSimulator:
         clean_cqi = np.searchsorted(self._cqi_min_sinr, clean_db, side="right")
 
         base = self._rate_table[cqi, np.arange(n_subs)]
-        cqi_rows = cqi.tolist()
         harq = np.array(
-            self._harq_rows(sinr.tolist(), cqi_rows), dtype=np.float64
+            self._harq_rows(sinr.tolist(), cqi.tolist()), dtype=np.float64
         ).reshape(m, n_subs)
         if not self.control_interference or not co_audible:
             ctrl = np.ones(m)
@@ -1673,29 +1580,18 @@ class LteNetworkSimulator:
                     rows, self._ap_col[other_id]
                 ]
         data_ratio = (signal_w / (self._rb_noise_w + weighted_w)).tolist()
-        data_sinr = [
-            10.0 * math.log10(r) if r > 0.0 else ZERO_SIGNAL_SINR_DB
-            for r in data_ratio
-        ]
 
-        truly_interfered = (clean_cqi[:, None] > 0) & (
+        self._rate_mat[rows, :n_subs] = rate
+        self._cqi_mat[rows] = cqi
+        self._interfered_mat[rows] = (clean_cqi[:, None] > 0) & (
             cqi < INTERFERENCE_CQI_DROP_FRACTION * clean_cqi[:, None]
         )
-        threshold = np.where(
-            truly_interfered,
-            self.detector_true_positive,
-            self.detector_false_positive,
-        )
-        return {
-            "cqi": cqi,
-            "cqi_rows": cqi_rows,
-            "threshold": threshold,
-            "rate_rows": {
-                clients[i].client_id: rate[i].tolist() for i in range(m)
-            },
-            "data_sinr": data_sinr,
-            "zero_fractions": {sub: 0.0 for sub in range(n_subs)},
-        }
+        self._rlf_prob[rows] = [
+            rlf_probability(
+                10.0 * math.log10(r) if r > 0.0 else ZERO_SIGNAL_SINR_DB
+            )
+            for r in data_ratio
+        ]
 
     # -- Sensing ----------------------------------------------------------------
 

@@ -14,19 +14,24 @@ time-sharing, finite demands and per-subchannel rate differences without
 simulating every 1 ms TTI.
 
 Every AP of the system-level simulator runs the same PF scheduler, so
-:meth:`ProportionalFairScheduler.allocate_batch` schedules all of an
-epoch's APs in one lockstep NumPy kernel, bit-identical to scheduling
-them one at a time; :meth:`ProportionalFairScheduler.allocate` is a batch
-of one.  :class:`RoundRobinScheduler` keeps the generic per-pick engine
-of :class:`Scheduler`.
+one array kernel, :func:`pf_lockstep`, schedules all of an epoch's APs in
+lockstep, bit-identical to scheduling them one at a time.
+:meth:`ProportionalFairScheduler.allocate_dense` runs it for jobs already
+in its padded arrays (the network's incremental epoch gathers them from
+its rate matrix) and updates the PF averages from the dense outcome;
+:meth:`ProportionalFairScheduler.allocate_batch` is the thin adapter for
+dict-shaped jobs, and :meth:`ProportionalFairScheduler.allocate` is a
+batch of one.  Their :class:`Allocation` objects keep the kernel's dense
+fraction block and build ``time_fraction`` only when it is read.
+:class:`RoundRobinScheduler` keeps the generic per-pick engine of
+:class:`Scheduler`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +49,6 @@ _REPEATED_FRACTION = np.array(
 _REPEATED_FRACTION.flags.writeable = False
 
 
-@dataclass
 class Allocation:
     """The outcome of scheduling one epoch.
 
@@ -53,11 +57,66 @@ class Allocation:
         served_bits: bits delivered per client.
         time_fraction: fraction of the epoch each (client, subchannel) pair
             was scheduled -- the ``frac_j`` the bucket-update rule consumes.
+            An allocation made by the batched PF kernel keeps a reference
+            to the kernel's dense fraction block and builds this dict on
+            first read.
     """
 
-    epoch_s: float
-    served_bits: Dict[int, float] = field(default_factory=dict)
-    time_fraction: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    def __init__(
+        self,
+        epoch_s: float,
+        served_bits: Optional[Dict[int, float]] = None,
+        time_fraction: Optional[Dict[Tuple[int, int], float]] = None,
+    ) -> None:
+        self.epoch_s = epoch_s
+        self.served_bits = {} if served_bits is None else served_bits
+        self._time_fraction = {} if time_fraction is None else time_fraction
+        self._dense: Optional[tuple] = None
+
+    @classmethod
+    def from_dense(
+        cls,
+        epoch_s: float,
+        served_bits: Dict[int, float],
+        fraction: np.ndarray,
+        job: int,
+        client_ids: Sequence[int],
+        subchannels: Sequence[int],
+    ) -> "Allocation":
+        """Job ``job`` of a ``(position, job, 1 + client)`` fraction block."""
+        allocation = cls(epoch_s, served_bits)
+        allocation._time_fraction = None
+        allocation._dense = (fraction, job, client_ids, subchannels)
+        return allocation
+
+    @property
+    def time_fraction(self) -> Dict[Tuple[int, int], float]:
+        if self._time_fraction is None:
+            fraction, job, cids, subs = self._dense
+            block = fraction[: len(subs), job, 1 : 1 + len(cids)]
+            pos, col = np.nonzero(block)
+            self._time_fraction = {
+                (cids[c], subs[p]): f
+                for p, c, f in zip(
+                    pos.tolist(), col.tolist(), block[pos, col].tolist()
+                )
+            }
+            self._dense = None
+        return self._time_fraction
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Allocation):
+            return NotImplemented
+        return (self.epoch_s, self.served_bits, self.time_fraction) == (
+            other.epoch_s, other.served_bits, other.time_fraction
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Allocation(epoch_s={self.epoch_s!r}, "
+            f"served_bits={self.served_bits!r}, "
+            f"time_fraction={self.time_fraction!r})"
+        )
 
     def client_throughput_bps(self, client_id: int) -> float:
         """Average throughput of ``client_id`` over the epoch."""
@@ -208,6 +267,93 @@ class RoundRobinScheduler(Scheduler):
 PfJob = Tuple["ProportionalFairScheduler", Sequence[int], Dict[int, float], RateFn]
 
 
+def pf_lockstep(
+    rate: np.ndarray,
+    remaining: np.ndarray,
+    history: np.ndarray,
+    floor_denom: np.ndarray,
+    epoch_s: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The PF kernel: one epoch of many independent APs in lockstep.
+
+    ``rate`` is ``(n_pos, n_aps, n_cols)``: ``rate[p, b]`` holds AP ``b``'s
+    client rates on its ``p``-th allowed subchannel.  Clients sit at
+    columns ``1..`` and column 0 is the idle sentinel: zero rate and zero
+    demand like the padding, so picking it serves ``min(0, 0) = 0`` bits,
+    a no-op.  ``remaining`` (the demands, consumed in place) and
+    ``history`` (``smoothing * average * epoch_s``) are ``(n_aps, n_cols)``
+    and ``floor_denom`` is per AP.  Returns the bits ``served`` per
+    ``(AP, column)`` and the airtime ``fraction`` per (position, AP,
+    column).  Pass ``rate`` C-contiguous: every step divides one
+    position's slice, and a strided slice makes the walk ~10% slower.
+
+    Within one AP a pick depends on the bits served by the previous picks
+    (mini-slot by mini-slot, subchannel by subchannel), but APs are
+    independent.  So the kernel walks (mini-slot, position) once, and each
+    step makes the next pick of every AP at once.  The result is
+    bit-identical to scheduling the APs one by one:
+
+    * the pick is the first client with the largest ``rate / denom`` if
+      that is ``> 0`` -- ``argmax`` returns the first maximum, and
+      exhausted or padding clients carry an infinite denominator (metric
+      ``0.0``), as does the idle sentinel that wins whenever no client's
+      metric is positive;
+    * ``denom = max(served + history, floor)`` is kept per client and
+      refreshed only at the picked entry, with the same operations;
+    * a pick that would serve ``bits <= 0`` changes nothing, and once no AP
+      progressed during a mini-slot every later slot would be the same
+      no-op, so the walk stops;
+    * the fraction grows by repeated ``+= 1/MINISLOTS_PER_EPOCH``.
+    """
+    n_pos, n_aps, n_cols = rate.shape
+    n_entries = n_aps * n_cols
+    served = np.zeros((n_aps, n_cols))
+    served_flat = served.reshape(-1)
+    remaining_flat = remaining.reshape(-1)
+    history_flat = history.reshape(-1)
+    denom = np.where(
+        remaining > 0.0,
+        np.maximum(served + history, floor_denom[:, None]),
+        np.inf,
+    )
+    denom_flat = denom.reshape(-1)
+    # Bits one mini-slot carries, per (position, AP, column).
+    slot_bits = rate.reshape(n_pos, n_entries) * (epoch_s / MINISLOTS_PER_EPOCH)
+    row_base = np.arange(n_aps) * n_cols
+    # One slot's picks (flat entries) and the bits they served, then the
+    # count of serving picks per (position, AP, column) entry.
+    picks = np.empty((n_pos, n_aps), dtype=np.intp)
+    moved = np.empty((n_pos, n_aps))
+    pos_base = (np.arange(n_pos) * n_entries)[:, None]
+    counts = np.zeros(n_pos * n_entries, dtype=np.intp)
+    for _ in range(MINISLOTS_PER_EPOCH):
+        for p in range(n_pos):
+            picked = picks[p]
+            bits = moved[p]
+            (rate[p] / denom).argmax(axis=1, out=picked)
+            picked += row_base
+            left = remaining_flat.take(picked)
+            np.minimum(slot_bits[p].take(picked), left, out=bits)
+            left -= bits
+            got = served_flat.take(picked)
+            got += bits
+            remaining_flat[picked] = left
+            served_flat[picked] = got
+            got += history_flat.take(picked)
+            np.maximum(got, floor_denom, out=got)
+            got[left <= 0.0] = np.inf
+            denom_flat[picked] = got
+        serving = moved > 0.0
+        # A mini-slot that served nothing left every AP's state as it
+        # was, so every later slot would be the same no-op.
+        if not serving.any():
+            break
+        counts[(picks + pos_base)[serving]] += 1
+    # The fraction of k serving picks is k repeated
+    # ``+= 1/MINISLOTS_PER_EPOCH``, as the per-pick loop accumulated it.
+    return served, _REPEATED_FRACTION[counts].reshape(n_pos, n_aps, n_cols)
+
+
 class ProportionalFairScheduler(Scheduler):
     """Classic proportional fairness: maximise ``rate / smoothed average``.
 
@@ -241,46 +387,33 @@ class ProportionalFairScheduler(Scheduler):
         )[0]
 
     @staticmethod
-    def allocate_batch(jobs: Sequence[PfJob], epoch_s: float = 1.0) -> List[Allocation]:
-        """Schedule one epoch for many independent APs in lockstep.
+    def allocate_dense(
+        schedulers: Sequence["ProportionalFairScheduler"],
+        client_ids: Sequence[Sequence[int]],
+        subchannels: Sequence[Sequence[int]],
+        rate: np.ndarray,
+        remaining: np.ndarray,
+        epoch_s: float = 1.0,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Schedule jobs already packed into :func:`pf_lockstep`'s arrays.
 
-        Each job is ``(scheduler, allowed_subchannels, demands_bits,
-        rate_fn)`` with its own scheduler; the result holds one
-        :class:`Allocation` per job, and every job's scheduler gets its
-        smoothed averages updated.
-
-        Within one AP a pick depends on the bits served by the previous
-        picks (mini-slot by mini-slot, subchannel by subchannel), but APs
-        are independent.  So the kernel walks (mini-slot, position in the
-        AP's allowed list) once, and each step makes the next pick of
-        every AP at once over padded ``(n_aps, 1 + max_clients)`` arrays.
-        The result is bit-identical to scheduling the APs one by one:
-
-        * the pick is the first client with the largest ``rate / denom``
-          if that is ``> 0`` -- ``argmax`` returns the first maximum, and
-          exhausted or padding clients carry an infinite denominator
-          (metric ``0.0``), as does the idle sentinel in column 0 that
-          wins whenever no client's metric is positive;
-        * ``denom = max(served + history, floor)`` is kept per client and
-          refreshed only at the picked entry, with the same operations;
-        * a pick that would serve ``bits <= 0`` changes nothing, and once
-          no AP progressed during a mini-slot every later slot would be
-          the same no-op, so the walk stops;
-        * ``time_fraction`` grows by repeated ``+= 1/MINISLOTS_PER_EPOCH``.
-
-        ``tests/test_lte_scheduler.py`` pins this against the per-AP loop.
+        Job ``b`` is ``schedulers[b]`` serving ``client_ids[b]`` (columns
+        ``1..``) on ``subchannels[b]`` (positions ``0..``).  The jobs'
+        smoothed averages become the kernel's history, and afterwards each
+        average takes the per-client rule ``(1 - smoothing) * average +
+        smoothing * max(bits / epoch_s, floor)`` from the dense ``served``
+        array, elementwise with the same IEEE operations.  Returns the
+        kernel's ``(served, fraction)``.
         """
-        if not jobs:
-            return []
         tel = _obs_runtime.active()
         span = (
             tel.span(
                 "scheduler.allocate",
                 cat="scheduler",
                 args={
-                    "aps": len(jobs),
-                    "clients": sum(len(job[2]) for job in jobs),
-                    "subchannels": sum(len(job[1]) for job in jobs),
+                    "aps": len(schedulers),
+                    "clients": sum(len(cids) for cids in client_ids),
+                    "subchannels": sum(len(subs) for subs in subchannels),
                 },
             )
             if tel is not None
@@ -288,132 +421,72 @@ class ProportionalFairScheduler(Scheduler):
         )
         if span is not None:
             span.__enter__()
-        n_jobs = len(jobs)
-        client_ids = [list(job[2]) for job in jobs]
-        sub_lists = [list(job[1]) for job in jobs]
-        # Padded state, one row per AP; rate[p] holds every AP's rates on
-        # its p-th allowed subchannel.  Clients sit at columns 1..n and
-        # column 0 is the idle sentinel: zero rate and zero demand like
-        # the padding, so picking it serves min(0, 0) = 0 bits, a no-op.
-        n_cols = 1 + max(len(c) for c in client_ids)
-        n_pos = max(len(s) for s in sub_lists)
-        rate = np.zeros((n_pos, n_jobs, n_cols))
-        remaining = np.zeros((n_jobs, n_cols))
-        history = np.zeros((n_jobs, n_cols))
-        floor_denom = np.empty(n_jobs)
-        for b, (scheduler, _, demands, rate_fn) in enumerate(jobs):
-            cids = client_ids[b]
-            subs = sub_lists[b]
-            averages = scheduler._average_bps
-            for client in cids:
-                averages.setdefault(client, scheduler.floor_bps)
-            end = 1 + len(cids)
-            floor_denom[b] = scheduler.floor_bps * epoch_s / 100.0
-            # Denominator mixes historical average with bits already served
-            # *this epoch*, so fairness acts within the epoch too (otherwise
-            # one client would win every mini-slot).
-            smoothing = scheduler.smoothing
-            history[b, 1:end] = [smoothing * averages[c] * epoch_s for c in cids]
-            remaining[b, 1:end] = [demands[c] for c in cids]
-            if not subs or not cids:
-                continue
-            # Backends that precompute per-client rate rows expose them as
-            # an attribute on the closure; reading the table skips one
-            # function call per (subchannel, client) pair.
-            rate_rows = getattr(rate_fn, "rate_rows", None)
-            if rate_rows is None:
-                table = [[rate_fn(c, s) for c in cids] for s in subs]
-            else:
-                rows = [rate_rows[c] for c in cids]
-                table = [[row[s] for row in rows] for s in subs]
-            rate[: len(subs), b, 1:end] = table
-
-        n_entries = n_jobs * n_cols
-        served = np.zeros((n_jobs, n_cols))
-        served_flat = served.reshape(-1)
-        remaining_flat = remaining.reshape(-1)
-        history_flat = history.reshape(-1)
-        denom = np.where(
-            remaining > 0.0,
-            np.maximum(served + history, floor_denom[:, None]),
-            np.inf,
+        average = np.zeros(remaining.shape)
+        for b, (scheduler, cids) in enumerate(zip(schedulers, client_ids)):
+            averages, floor_bps = scheduler._average_bps, scheduler.floor_bps
+            average[b, 1 : 1 + len(cids)] = [averages.get(c, floor_bps) for c in cids]
+        smoothing = np.array([s.smoothing for s in schedulers])[:, None]
+        floor_bps = np.array([s.floor_bps for s in schedulers])
+        # The denominator mixes the historical average with bits already
+        # served *this epoch*, so fairness acts within the epoch too
+        # (otherwise one client would win every mini-slot).
+        served, fraction = pf_lockstep(
+            rate,
+            remaining,
+            smoothing * average * epoch_s,
+            floor_bps * epoch_s / 100.0,
+            epoch_s,
         )
-        denom_flat = denom.reshape(-1)
-        # Bits one mini-slot carries, per (position, AP, column).
-        slot_bits = rate.reshape(n_pos, n_entries) * (epoch_s / MINISLOTS_PER_EPOCH)
-        row_base = np.arange(n_jobs) * n_cols
-        # One slot's picks (flat entries) and the bits they served, then
-        # the count of serving picks per (position, AP, column) entry.
-        picks = np.empty((n_pos, n_jobs), dtype=np.intp)
-        moved = np.empty((n_pos, n_jobs))
-        pos_base = (np.arange(n_pos) * n_entries)[:, None]
-        counts = np.zeros(n_pos * n_entries, dtype=np.intp)
-        for _ in range(MINISLOTS_PER_EPOCH):
-            for p in range(n_pos):
-                picked = picks[p]
-                bits = moved[p]
-                (rate[p] / denom).argmax(axis=1, out=picked)
-                picked += row_base
-                left = remaining_flat.take(picked)
-                np.minimum(slot_bits[p].take(picked), left, out=bits)
-                left -= bits
-                got = served_flat.take(picked)
-                got += bits
-                remaining_flat[picked] = left
-                served_flat[picked] = got
-                got += history_flat.take(picked)
-                np.maximum(got, floor_denom, out=got)
-                got[left <= 0.0] = np.inf
-                denom_flat[picked] = got
-            serving = moved > 0.0
-            # A mini-slot that served nothing left every AP's state as it
-            # was, so every later slot would be the same no-op.
-            if not serving.any():
-                break
-            counts[(picks + pos_base)[serving]] += 1
-        # The fraction of k serving picks is k repeated
-        # ``+= 1/MINISLOTS_PER_EPOCH``, as the per-pick loop accumulated it.
-        fraction = _REPEATED_FRACTION[counts].reshape(n_pos, n_jobs, n_cols)
-
-        # Per-job allocations from the padded state, then the averages.
-        served_rows = served[:, 1:].tolist()
-        allocations = []
-        for b, (scheduler, _, _, _) in enumerate(jobs):
-            cids = client_ids[b]
-            subs = sub_lists[b]
-            got = served_rows[b]
-            block = fraction[: len(subs), b, 1 : 1 + len(cids)]
-            pos, col = np.nonzero(block)
-            allocations.append(
-                Allocation(
-                    epoch_s=epoch_s,
-                    served_bits=dict(zip(cids, got)),
-                    time_fraction={
-                        (cids[c], subs[p]): f
-                        for p, c, f in zip(
-                            pos.tolist(), col.tolist(), block[pos, col].tolist()
-                        )
-                    },
-                )
-            )
-            # Update the smoothed averages from realised epoch throughput.
-            averages = scheduler._average_bps
-            smoothing = scheduler.smoothing
-            floor_bps = scheduler.floor_bps
-            for client, bits in zip(cids, got):
-                realised = bits / epoch_s
-                averages[client] = (
-                    (1.0 - smoothing) * averages[client]
-                    + smoothing * max(realised, floor_bps)
-                )
+        average = (1.0 - smoothing) * average + smoothing * np.maximum(
+            served / epoch_s, floor_bps[:, None]
+        )
+        for scheduler, cids, row in zip(
+            schedulers, client_ids, average[:, 1:].tolist()
+        ):
+            scheduler._average_bps.update(zip(cids, row))
         if span is not None:
             span.__exit__(None, None, None)
-            tel.inc("scheduler.allocations", n_jobs)
-            for allocation in allocations:
-                served_bits = allocation.served_bits
-                tel.inc("scheduler.served_bits", sum(served_bits.values()))
-                tel.inc(
-                    "scheduler.clients_served",
-                    sum(1 for bits in served_bits.values() if bits > 0.0),
-                )
-        return allocations
+            tel.inc("scheduler.allocations", len(schedulers))
+            for cids, row in zip(client_ids, served[:, 1:].tolist()):
+                got = row[: len(cids)]
+                tel.inc("scheduler.served_bits", sum(got))
+                tel.inc("scheduler.clients_served", sum(1 for b in got if b > 0.0))
+        return served, fraction
+
+    @staticmethod
+    def allocate_batch(jobs: Sequence[PfJob], epoch_s: float = 1.0) -> List[Allocation]:
+        """Schedule one epoch for many independent APs in lockstep.
+
+        Each job is ``(scheduler, allowed_subchannels, demands_bits,
+        rate_fn)`` with its own scheduler; the jobs are packed into
+        :func:`pf_lockstep`'s padded arrays (clients in demand-dict order,
+        subchannels in list order), scheduled by :meth:`allocate_dense`,
+        and returned as one :class:`Allocation` per job.
+        ``tests/test_lte_scheduler.py`` pins this against the per-AP loop.
+        """
+        if not jobs:
+            return []
+        client_ids = [list(job[2]) for job in jobs]
+        sub_lists = [list(job[1]) for job in jobs]
+        n_cols = 1 + max(len(cids) for cids in client_ids)
+        n_pos = max(len(subs) for subs in sub_lists)
+        rate = np.zeros((n_pos, len(jobs), n_cols))
+        remaining = np.zeros((len(jobs), n_cols))
+        for b, (_, _, demands, rate_fn) in enumerate(jobs):
+            cids, subs = client_ids[b], sub_lists[b]
+            remaining[b, 1 : 1 + len(cids)] = [demands[c] for c in cids]
+            if subs and cids:
+                rate[: len(subs), b, 1 : 1 + len(cids)] = [
+                    [rate_fn(c, s) for c in cids] for s in subs
+                ]
+        served, fraction = ProportionalFairScheduler.allocate_dense(
+            [job[0] for job in jobs], client_ids, sub_lists, rate, remaining, epoch_s
+        )
+        return [
+            Allocation.from_dense(
+                epoch_s, dict(zip(cids, got)), fraction, b, cids, subs
+            )
+            for b, (cids, subs, got) in enumerate(
+                zip(client_ids, sub_lists, served[:, 1:].tolist())
+            )
+        ]

@@ -63,7 +63,14 @@ class Event:
         return self._cancelled
 
     def __repr__(self) -> str:
-        state = "cancelled" if self._cancelled else "pending"
+        # The queue detaches ``_tally`` when it pops an event, so a live
+        # event without one has fired.
+        if self._cancelled:
+            state = "cancelled"
+        elif self._tally is None:
+            state = "fired"
+        else:
+            state = "pending"
         return (
             f"Event(t={self.time:.6f}, seq={self.seq}, {state}, "
             f"cb={callback_site(self.callback)})"

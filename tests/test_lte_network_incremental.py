@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.experiments.large_scale import TECH_CELLFI, SaturatedLteRun
 from repro.lte.network import (
     BACKEND_INCREMENTAL,
     BACKEND_SCALAR,
@@ -39,7 +40,7 @@ from repro.phy.propagation import (
 )
 from repro.phy.resource_grid import ResourceGrid
 from repro.sim.rng import RngStreams
-from repro.sim.topology import random_topology, reassociate_strongest
+from repro.sim.topology import Topology, random_topology, reassociate_strongest
 
 N_CELLS = 20
 CLIENTS_PER_AP = 4
@@ -244,6 +245,66 @@ class TestBitForBitFuzz:
         for cid, ap_id in dead:
             assert net.rx_rb_power_dbm(cid, ap_id) == float("-inf")
             assert not net.prach_audible(cid, ap_id)
+
+
+class TestDenseEpochOutcome:
+    """The paper's path: CellFi hopping, mixed demands, 20 APs.
+
+    The incremental epoch draws each stream once per epoch and slices the
+    draws per AP; comparing the stream states after every epoch pins those
+    offsets to the scalar oracle's one-draw-at-a-time loop.
+    """
+
+    def test_cellfi_mixed_demands_match_scalar_oracle(self):
+        def mixed(topology):
+            def fn(epoch):
+                return {
+                    c.client_id: (0.0, 3e5, 4e6, math.inf)[(c.client_id + epoch) % 4]
+                    for c in topology.clients
+                }
+
+            return fn
+
+        runs = []
+        for backend in (BACKEND_SCALAR, BACKEND_INCREMENTAL):
+            run = SaturatedLteRun(
+                TECH_CELLFI, seed=2, n_aps=20, clients_per_ap=6, epochs=6,
+                backend=backend,
+            )
+            run._demand_fn = mixed(run.scenario.topology)
+            runs.append(run)
+        dropped = 0
+        for epoch in range(6):
+            want, got = (run.step_epoch() for run in runs)
+            assert got == want, f"epoch {epoch}"
+            assert got.allocations == want.allocations
+            assert got.observations == want.observations
+            for name in ("net", "policy"):
+                states = [getattr(run, name).rngs.state_dict() for run in runs]
+                assert states[1] == states[0], f"{name} streams, epoch {epoch}"
+            # Demanding clients the scheduler never saw lost their link.
+            scheduled = set().union(
+                *(alloc.served_bits for alloc in want.allocations.values())
+            )
+            dropped += sum(
+                1
+                for cid, bits in runs[0]._demand_fn(epoch).items()
+                if bits > 0.0 and cid not in scheduled
+            )
+        assert dropped > 0  # the RLF draws actually disconnected someone
+
+    def test_empty_topology_runs_an_empty_epoch(self):
+        channel = make_channel()
+        for backend in (BACKEND_SCALAR, BACKEND_INCREMENTAL):
+            net = LteNetworkSimulator(
+                topology=Topology(area_m=100.0, aps=[], clients=[]),
+                grid=ResourceGrid(5e6),
+                channel=channel,
+                rngs=RngStreams(SEED),
+                backend=backend,
+            )
+            result = net.run_epoch(0, {}, {})
+            assert result.served_bits == {} and result.observations == {}
 
 
 class TestDirtyTracking:

@@ -1,6 +1,8 @@
 """Unit tests for the downlink schedulers."""
 
 import math
+import pickle
+import random
 from typing import Dict, Sequence
 
 import pytest
@@ -380,6 +382,42 @@ class TestBatchedPfMatchesPerApOracle:
 
     def test_empty_batch(self):
         assert ProportionalFairScheduler.allocate_batch([]) == []
+
+
+class TestLazyTimeFraction:
+    """``time_fraction`` of a kernel allocation is built on first read."""
+
+    def _pair(self):
+        rng = random.Random(5)
+        jobs, oracles = [], []
+        for ap in range(4):
+            clients = list(range(10 * ap, 10 * ap + 2 + ap))
+            allowed = sorted(rng.sample(range(N_SUBS), 3 + 2 * ap))
+            demands = {c: rng.choice([0.0, 2e5, 3e6, math.inf]) for c in clients}
+            rows = {c: [rng.uniform(0.0, 2e6) for _ in range(N_SUBS)] for c in clients}
+            rate_fn = _rate_fn(rows, False)
+            jobs.append((ProportionalFairScheduler(), allowed, demands, rate_fn))
+            oracles.append(
+                _PerApOracle().allocate(allowed, dict(demands), rate_fn)
+            )
+        return ProportionalFairScheduler.allocate_batch(jobs), oracles
+
+    def test_lazy_fractions_equal_per_ap_oracle(self):
+        got, want = self._pair()
+        for alloc, oracle in zip(got, want):
+            assert alloc._time_fraction is None  # nothing built yet
+            assert alloc.time_fraction == oracle.time_fraction
+            assert alloc == oracle
+            for sub in range(N_SUBS):
+                assert sorted(alloc.clients_on(sub)) == sorted(oracle.clients_on(sub))
+
+    def test_unread_allocation_survives_pickle(self):
+        got, want = self._pair()
+        for alloc, oracle in zip(got, want):
+            restored = pickle.loads(pickle.dumps(alloc))
+            assert restored.time_fraction == oracle.time_fraction
+            assert restored.served_bits == oracle.served_bits
+            assert restored == alloc
 
 
 class TestBatchedTelemetry:

@@ -292,10 +292,13 @@ class TestEventRepr:
         assert "cancelled" in repr(event)
 
     def test_repr_shows_fired_state(self):
+        # A builtin callback: its site name (``builtins.int``) cannot
+        # contain a state word, unlike a local function's qualname.
         sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
+        event = sim.schedule(1.0, int)
+        assert ", pending, cb=builtins.int)" in repr(event)
         sim.run(until=2.0)
-        assert "fired" in repr(event)
+        assert ", fired, cb=builtins.int)" in repr(event)
 
 
 class _Recorder:
