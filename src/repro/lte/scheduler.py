@@ -127,12 +127,16 @@ class Allocation:
         return self.time_fraction.get((client_id, subchannel), 0.0)
 
     def clients_on(self, subchannel: int) -> List[int]:
-        """Clients that received any airtime on ``subchannel``."""
-        return [
+        """Clients that received any airtime on ``subchannel``, ascending.
+
+        Sorted so that allocations holding the same fractions list the same
+        clients whatever order their ``time_fraction`` was built in.
+        """
+        return sorted(
             client
             for (client, sub), frac in self.time_fraction.items()
             if sub == subchannel and frac > 0.0
-        ]
+        )
 
 
 #: Rate function signature: (client_id, subchannel) -> achievable bps when

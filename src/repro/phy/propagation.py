@@ -281,8 +281,19 @@ class LogNormalShadowing:
         """Shadowing in dB for the link (a) -- (b).  Symmetric in endpoints."""
         if self.sigma_db == 0.0:
             return 0.0
-        # Order endpoints canonically for reciprocity.
-        if (ax, ay) > (bx, by):
+        # Order endpoints canonically for reciprocity: (ax, ay) > (bx, by)
+        # tuple-wise, and endpoints that compare equal but format apart
+        # (0.0 vs -0.0) order by their tags.
+        if ax > bx or (
+            ax == bx
+            and (
+                ay > by
+                or (
+                    ay == by
+                    and self.endpoint_tag(ax, ay) > self.endpoint_tag(bx, by)
+                )
+            )
+        ):
             ax, ay, bx, by = bx, by, ax, ay
         key = f"{self.seed}:{ax:.1f},{ay:.1f}:{bx:.1f},{by:.1f}".encode()
         digest = hashlib.sha256(key).digest()
@@ -304,6 +315,26 @@ class LogNormalShadowing:
         because the format is pure ASCII.
         """
         return f"{x:.1f},{y:.1f}".encode()
+
+    @classmethod
+    def canonical_swap(
+        cls, ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray
+    ) -> np.ndarray:
+        """Where the link key leads with endpoint b, broadcast elementwise.
+
+        Matches :meth:`shadowing_db`: ``(ax, ay) > (bx, by)`` tuple-wise (the
+        second coordinate decides exactly when the first compares equal,
+        which, as for 0.0 vs -0.0, is not the same as being identical), and
+        endpoints that compare equal order by their tags.
+        """
+        same_x = ax == bx
+        swap = np.asarray((ax > bx) | (same_x & (ay > by)))
+        if same_x.any():
+            ax, ay, bx, by = np.broadcast_arrays(ax, ay, bx, by)
+            tag = cls.endpoint_tag
+            for i in map(tuple, np.argwhere(same_x & (ay == by))):
+                swap[i] = tag(ax[i], ay[i]) > tag(bx[i], by[i])
+        return swap
 
     def _values_from_keys(self, keys: List[bytes]) -> np.ndarray:
         """sigma * gaussian for pre-built canonical keys, bit-identical.
@@ -339,11 +370,7 @@ class LogNormalShadowing:
         by = np.asarray(by, dtype=np.float64)
         if self.sigma_db == 0.0:
             return np.zeros(ax.shape, dtype=np.float64)
-        # Canonical endpoint order, matching the scalar tuple comparison
-        # ((ax, ay) > (bx, by)): a tuple compare falls through to the
-        # second coordinate exactly when the first compares equal (which,
-        # as for 0.0 vs -0.0, is not the same as being identical).
-        swap = (ax > bx) | ((ax == bx) & (ay > by))
+        swap = self.canonical_swap(ax, ay, bx, by)
         prefix = f"{self.seed}:".encode()
         tag = self.endpoint_tag
         keys = [
@@ -440,11 +467,13 @@ class CompositeChannel:
             shadowing = self.shadowing
             prefix = f"{shadowing.seed}:".encode()
             tag = shadowing.endpoint_tag
-            # Canonical endpoint order per link: the scalar call compares
-            # (ap.x, ap.y) > (client.x, client.y) tuple-wise.
-            swap = (ap_x[np.newaxis, :] > cl_x[:, np.newaxis]) | (
-                (ap_x[np.newaxis, :] == cl_x[:, np.newaxis])
-                & (ap_y[np.newaxis, :] > cl_y[:, np.newaxis])
+            # Canonical endpoint order per link, as the scalar call orders
+            # (ap.x, ap.y) against (client.x, client.y).
+            swap = shadowing.canonical_swap(
+                ap_x[np.newaxis, :],
+                ap_y[np.newaxis, :],
+                cl_x[:, np.newaxis],
+                cl_y[:, np.newaxis],
             )
             keys: List[bytes] = []
             for client, row_swap in zip(clients, swap.tolist()):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -165,8 +166,14 @@ class WifiMedium:
         # Carrier-sensing nodes per talker, in ``_nodes`` order.
         self._listeners: Dict[int, List["CsmaNode"]] = {}
         self._active: List[Transmission] = []
+        # Active frames whose busy notification has not fired yet.  A frame
+        # leaves when the notification fires (its listeners' ``sensed``
+        # counts then include it) or when it finishes first.
+        self._pending: List[Transmission] = []
         # Sorted by ``start``: frames are appended at ``sim.now``.
+        # ``_starts`` holds their start times, index for index.
         self._history: List[Transmission] = []
+        self._starts: List[float] = []
         self._max_span = 0.0
 
     # -- Setup ---------------------------------------------------------------
@@ -182,7 +189,10 @@ class WifiMedium:
         self._stations[station.station_id] = station
 
     def attach_node(self, node: "CsmaNode") -> None:
-        """Register a contending node for busy/idle notifications."""
+        """Register a contending node for busy/idle notifications.
+
+        The node senses only frames that start after it attaches.
+        """
         self._nodes.append(node)
         self._listeners.clear()
 
@@ -243,6 +253,11 @@ class WifiMedium:
         Notifications arrive ``cs_delay_s`` after the frame starts, opening
         the same-slot collision window of real DCF.  One event per frame
         notifies every listener in ``_nodes`` order.
+
+        Each listener's ``sensed`` count includes the frame from its busy
+        notification until it finishes; until the notification fires the
+        frame waits in ``_pending``, where :meth:`busy_for` applies the
+        detection rule itself.
         """
         tx = Transmission(
             src=src_id,
@@ -254,12 +269,19 @@ class WifiMedium:
         )
         self._active.append(tx)
         self._history.append(tx)
+        self._starts.append(tx.start)
         self._max_span = max(self._max_span, tx.end - tx.start)
+        pending = self._pending
 
         listeners = self._listeners_of(src_id)
         if listeners:
+            pending.append(tx)
 
             def notify_busy() -> None:
+                if tx in pending:  # Still on the air.
+                    pending.remove(tx)
+                    for node in listeners:
+                        node.sensed += 1
                 for node in listeners:
                     node.on_medium_busy()
 
@@ -267,6 +289,11 @@ class WifiMedium:
 
         def finish() -> None:
             self._active.remove(tx)
+            if tx in pending:
+                pending.remove(tx)
+            else:
+                for node in listeners:
+                    node.sensed -= 1
             for node in listeners:
                 node.on_medium_idle_hint()
 
@@ -281,11 +308,12 @@ class WifiMedium:
 
         Only the history's tail is scanned: no frame lasts longer than
         ``_max_span``, so one that starts more than that before ``tx`` ends
-        before ``tx`` starts and would contribute nothing.  In the tail,
-        frames outside ``tx``'s interval are dropped before any arithmetic,
-        the rest get :meth:`Transmission.overlap_fraction`'s arithmetic
-        inline, and the terms are summed in history order, so the result is
-        bit-identical to a scan of the whole history.
+        before ``tx`` starts and would contribute nothing.  The history is
+        sorted by start, so the tail begins at a bisection of ``_starts``.
+        In the tail, frames outside ``tx``'s interval are dropped before any
+        arithmetic, the rest get :meth:`Transmission.overlap_fraction`'s
+        arithmetic inline, and the terms are summed in history order, so
+        the result is bit-identical to a scan of the whole history.
         """
         src, dst = tx.src, tx.dst
         if dst is None:
@@ -296,24 +324,26 @@ class WifiMedium:
         if duration <= 0.0:
             # overlap_fraction is 0 against every frame: noise only.
             return linear_to_db(signal_w / self._noise_w)
-        history = self._history
-        earliest = start - self._max_span - _WINDOW_SLACK_S
-        first = len(history)
-        while first > 0 and history[first - 1].start >= earliest:
-            first -= 1
+        first = bisect_left(
+            self._starts, start - self._max_span - _WINDOW_SLACK_S
+        )
         interference_w = 0.0
         rx_w = self._rx_w_cache
-        for other in history[first:]:
+        for other in self._history[first:]:
+            other_start, other_end = other.start, other.end
             # A frame that starts at or after ``end``, or ends at or before
             # ``start``, overlaps by <= 0, so overlap_fraction gives 0.
-            if other.start >= end or other.end <= start:
+            if other_start >= end or other_end <= start:
                 continue
             if other.src == src or other.src == dst:
                 continue  # Own frames (``tx`` too) and the destination's.
-            # Transmission.overlap_fraction, inlined.
-            fraction = max(
-                0.0, (min(end, other.end) - max(start, other.start)) / duration
-            )
+            # Transmission.overlap_fraction, inlined: the comparisons pick
+            # the operands ``min``/``max`` would, and past the filter above
+            # the overlap is >= 0, so ``max(0.0, ...)`` is the identity.
+            fraction = (
+                (other_end if other_end < end else end)
+                - (other_start if other_start > start else start)
+            ) / duration
             if fraction <= 0.0:
                 continue
             watt = rx_w.get((other.src, dst))
@@ -328,18 +358,25 @@ class WifiMedium:
             node.set_nav(until)
 
     def busy_for(self, node: "CsmaNode") -> bool:
-        """Whether ``node`` currently senses the medium busy (incl. NAV)."""
+        """Whether ``node`` currently senses the medium busy (incl. NAV).
+
+        A frame is sensed once it started at least ``cs_delay_s`` ago.
+        ``node.sensed`` counts the active frames whose busy notification has
+        fired; a pending frame can already be detectable, at the detection
+        instant itself before its notification runs, so the short pending
+        list is checked with the rule directly.
+        """
         now = self.sim.now
-        if node.nav_until > now:
+        if node.nav_until > now or node.sensed:
             return True
-        for tx in self._active:
-            if tx.src == node.station.station_id:
-                continue
-            # Only transmissions that started at least cs_delay ago are
-            # detectable.
-            if tx.start + self.params.cs_delay_s > now:
-                continue
-            if self.hears(node.station.station_id, tx.src):
+        station_id = node.station.station_id
+        cs_delay_s = self.params.cs_delay_s
+        for tx in self._pending:
+            if (
+                tx.src != station_id
+                and tx.start + cs_delay_s <= now
+                and self.hears(station_id, tx.src)
+            ):
                 return True
         return False
 
@@ -351,6 +388,7 @@ class WifiMedium:
         """
         cutoff = self.sim.now - horizon_s
         self._history = [t for t in self._history if t.end >= cutoff]
+        self._starts = [t.start for t in self._history]
 
 
 @dataclass
@@ -388,6 +426,9 @@ class CsmaNode:
         self.params = params
         self.rng = rng
         self.nav_until = 0.0
+        # Active frames this node senses whose busy notification has fired;
+        # kept by ``medium`` (see WifiMedium.busy_for).
+        self.sensed = 0
         self.stats: Dict[int, LinkStats] = {}
 
         # Per-destination link configuration (MCS fixed by clean SNR).

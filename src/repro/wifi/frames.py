@@ -12,6 +12,7 @@ the reasons overheads weigh heavier on a 6 MHz TVWS channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.wifi.rates import BASE_MCS, data_rate_bps
 
@@ -37,6 +38,9 @@ class FrameTimings:
         sifs_s: short interframe space.
         preamble_s: PHY preamble + header duration.
         cw_min / cw_max: contention-window bounds (DCF: 15 / 1023).
+
+    The fields are frozen, so the derived airtimes below are computed on
+    first read and cached on the instance.
     """
 
     bandwidth_hz: float
@@ -46,12 +50,12 @@ class FrameTimings:
     cw_min: int = 15
     cw_max: int = 1023
 
-    @property
+    @cached_property
     def difs_s(self) -> float:
         """DCF interframe space: SIFS + 2 slots."""
         return self.sifs_s + 2.0 * self.slot_s
 
-    @property
+    @cached_property
     def base_rate_bps(self) -> float:
         """Control-frame rate: MCS 0 on this bandwidth."""
         return data_rate_bps(BASE_MCS, self.bandwidth_hz)
@@ -60,17 +64,17 @@ class FrameTimings:
         """Airtime of a control frame (preamble + body at base rate)."""
         return self.preamble_s + n_bytes * 8.0 / self.base_rate_bps
 
-    @property
+    @cached_property
     def rts_s(self) -> float:
         """RTS airtime."""
         return self.control_frame_s(RTS_BYTES)
 
-    @property
+    @cached_property
     def cts_s(self) -> float:
         """CTS airtime."""
         return self.control_frame_s(CTS_BYTES)
 
-    @property
+    @cached_property
     def ack_s(self) -> float:
         """(Block-)ACK airtime."""
         return self.control_frame_s(ACK_BYTES)

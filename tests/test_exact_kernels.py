@@ -147,6 +147,27 @@ class TestShadowingKeyBuilder:
         client_points = [(0.0, 3.0), (-0.0, 3.0), (0.0, -0.0), (-0.0, 7.0)]
         assert_rows_match_scalar(shadowed_channel(), ap_points, client_points)
 
+    def test_reciprocal_across_signed_zeros(self):
+        # Endpoints that compare equal as tuples but format apart must
+        # still draw one value for both link directions, in all three paths.
+        points = [(-0.0, 5.0), (0.0, 5.0), (-0.0, -0.0), (0.0, 0.0),
+                  (0.0, -0.0), (-0.0, 0.0), (1.0, 5.0)]
+        pairs = [(a, b) for a in points for b in points]
+        ax, ay, bx, by = (np.array(c) for c in zip(*(a + b for a, b in pairs)))
+        channel = shadowed_channel()
+        shadowing = channel.shadowing
+        forward = shadowing.shadowing_db_batch(ax, ay, bx, by).tolist()
+        backward = shadowing.shadowing_db_batch(bx, by, ax, ay).tolist()
+        for k, (a, b) in enumerate(pairs):
+            want = shadowing.shadowing_db(*a, *b)
+            assert shadowing.shadowing_db(*b, *a) == want, (a, b)
+            assert forward[k] == want == backward[k], (a, b)
+        aps = [AccessPointSite(j, x, y) for j, (x, y) in enumerate(points)]
+        clients = [ClientSite(i, x, y, ap_id=0) for i, (x, y) in enumerate(points)]
+        block = channel.loss_db_rows(aps, clients)
+        assert np.array_equal(block, block.T)
+        assert_rows_match_scalar(channel, points, points)
+
     @given(
         ap_points=st.lists(points, min_size=1, max_size=6),
         client_points=st.lists(points, min_size=1, max_size=6),

@@ -16,6 +16,7 @@ from repro.wifi.csma import (
 )
 from repro.wifi.frames import FrameTimings
 from repro.wifi.rates import WIFI_MCS_TABLE
+from tests.test_wifi_sinr_window import _fig9_cell
 
 
 def _flat_loss(db):
@@ -276,6 +277,87 @@ class TestBusyNotificationOrder:
         assert [tx.start for tx in frames] == [start]
         assert [(tx.kind, tx.start) for tx in other] == [("rts", due)]
         assert frames[0].overlap_fraction(other[0]) > 0.0
+
+
+def busy_by_active_walk(medium, node):
+    """Carrier sense by walking every active frame: the counts' oracle."""
+    now = medium.sim.now
+    if node.nav_until > now:
+        return True
+    station_id = node.station.station_id
+    return any(
+        tx.src != station_id
+        and tx.start + medium.params.cs_delay_s <= now
+        and medium.hears(station_id, tx.src)
+        for tx in medium._active
+    )
+
+
+class TestCarrierSenseCounts:
+    def _listener(self, cs_delay):
+        sim = Simulator()
+        medium = _medium(sim, loss_db=80.0, cs_delay_s=cs_delay)
+        for sid in (0, 1, 100):
+            medium.add_station(Station(sid, float(sid), 0.0, 20.0))
+        node = CsmaNode(sim, medium, medium.station(1), medium.params,
+                        np.random.default_rng(0))
+        assert medium.hears(1, 0)
+        return sim, medium, node
+
+    def test_busy_at_detection_instant_before_notification(self):
+        # Dyadic times keep ``start + cs_delay`` exact.
+        cs_delay = 2.0 ** -18
+        start = 2.0 ** -10
+        sim, medium, node = self._listener(cs_delay)
+        seen = []
+
+        def probe():
+            # Scheduled before the frame exists, so it runs before the
+            # frame's busy notification at the same instant.
+            seen.append((list(medium._pending), node.sensed,
+                         medium.busy_for(node)))
+
+        sim.schedule_at(start + cs_delay, probe)
+        frames = []
+        sim.schedule_at(start, lambda: frames.append(
+            medium.transmit(0, 1e-3, "data", dst_id=100)))
+        sim.schedule_at(start, lambda: seen.append(medium.busy_for(node)))
+        sim.run(until=start + cs_delay)
+        assert seen == [False, (frames, 0, True)]
+        assert medium._pending == [] and node.sensed == 1
+        assert medium.busy_for(node)
+        sim.run(until=1.0)
+        assert node.sensed == 0 and not medium.busy_for(node)
+
+    def test_frame_finishing_before_its_notification(self):
+        cs_delay = 2.0 ** -18
+        sim, medium, node = self._listener(cs_delay)
+        busy_calls = []
+        node.on_medium_busy = lambda: busy_calls.append(sim.now)
+        medium.transmit(0, cs_delay / 4, "cts")
+        sim.run(until=cs_delay / 2)
+        assert medium._active == [] and medium._pending == []
+        assert not medium.busy_for(node)
+        sim.run(until=1.0)
+        # The notification still reaches the listener, but counts nothing.
+        assert busy_calls == [cs_delay]
+        assert node.sensed == 0
+        assert not medium.busy_for(node) and not busy_by_active_walk(medium, node)
+
+    def test_fig9_cell_agrees_with_active_walk(self, monkeypatch):
+        counted = WifiMedium.busy_for
+        calls = []
+
+        def checked(medium, node):
+            busy = counted(medium, node)
+            assert busy == busy_by_active_walk(medium, node), medium.sim.now
+            calls.append(busy)
+            return busy
+
+        monkeypatch.setattr(WifiMedium, "busy_for", checked)
+        result = _fig9_cell().run_saturated(1.0)
+        assert result.data_attempts > 0
+        assert len(calls) > 1000 and 0 < sum(calls) < len(calls)
 
 
 class TestContention:
