@@ -208,7 +208,7 @@ class ClientObservation:
     scheduled_fraction: Dict[int, float] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(init=False)
 class ApObservation:
     """Everything one AP senses during an epoch (no explicit coordination).
 
@@ -217,13 +217,101 @@ class ApObservation:
         n_active_clients: its own active client count (N_i).
         estimated_contenders: PRACH-estimated active clients in the
             neighbourhood, including its own (NP_i).
-        clients: per-client sensing detail.
+        clients: per-client sensing detail.  An observation made by the
+            incremental epoch keeps the epoch's dense observe arrays and
+            builds this dict on first read; equality, ``repr``, pickling
+            and checkpoints read it like any other field.
     """
 
     ap_id: int
     n_active_clients: int
     estimated_contenders: int
-    clients: Dict[int, ClientObservation] = field(default_factory=dict)
+    clients: Dict[int, ClientObservation]
+
+    def __init__(
+        self,
+        ap_id: int,
+        n_active_clients: int,
+        estimated_contenders: int,
+        clients: Optional[Dict[int, ClientObservation]] = None,
+    ) -> None:
+        self.ap_id = ap_id
+        self.n_active_clients = n_active_clients
+        self.estimated_contenders = estimated_contenders
+        self.clients = {} if clients is None else clients
+
+    @classmethod
+    def from_dense(
+        cls,
+        ap_id: int,
+        n_active_clients: int,
+        estimated_contenders: int,
+        rows: "_ObservedRows",
+        start: int,
+        end: int,
+    ) -> "ApObservation":
+        """The AP whose clients are rows ``start:end`` of ``rows``."""
+        obs = cls(ap_id, n_active_clients, estimated_contenders)
+        obs._clients = None
+        obs._dense = (rows, start, end)
+        return obs
+
+    # The ``clients`` field is this property: the dataclass-generated
+    # ``__eq__``/``__repr__``, ``dataclasses.fields`` readers and the
+    # checkpoint codec all go through it.
+    @property
+    def clients(self) -> Dict[int, ClientObservation]:
+        if self._clients is None:
+            rows, start, end = self._dense
+            self._clients = rows.clients(start, end)
+            self._dense = None
+        return self._clients
+
+    @clients.setter
+    def clients(self, value: Dict[int, ClientObservation]) -> None:
+        self._clients = value
+        self._dense = None
+
+    def __reduce__(self):
+        return (
+            ApObservation,
+            (self.ap_id, self.n_active_clients, self.estimated_contenders,
+             self.clients),
+        )
+
+
+class _ObservedRows:
+    """One epoch's dense observe outcome, one row per observed client.
+
+    Holds the client ids and four ``(row, subchannel)`` arrays: reported
+    CQI, max-tracked CQI, detector verdicts and scheduled fractions, each
+    fresh for the epoch and never written again.  The first
+    :meth:`clients` call turns all four into Python lists at once, so
+    reading every AP's observation costs what building them eagerly did.
+    """
+
+    def __init__(
+        self,
+        client_ids: List[int],
+        cqi: np.ndarray,
+        max_cqi: np.ndarray,
+        detected: np.ndarray,
+        fraction: np.ndarray,
+    ) -> None:
+        self._client_ids = client_ids
+        self._arrays: Optional[tuple] = (cqi, max_cqi, detected, fraction)
+        self._lists: Optional[tuple] = None
+
+    def clients(self, start: int, end: int) -> Dict[int, ClientObservation]:
+        """``ClientObservation`` per client of rows ``start:end``."""
+        if self._lists is None:
+            self._lists = tuple(block.tolist() for block in self._arrays)
+            self._arrays = None
+        cqi, best, hits, frac = self._lists
+        return {
+            cid: ClientObservation(cqi[i], best[i], hits[i], dict(enumerate(frac[i])))
+            for i, cid in enumerate(self._client_ids[start:end], start)
+        }
 
 
 # Observations cross epoch boundaries (this epoch's sensing feeds the next
@@ -1067,7 +1155,8 @@ class LteNetworkSimulator:
         rows (the "obs" rows: owned APs in topology order, each AP's
         clients in ``clients_of`` order): one ``random`` call per stream,
         one PF kernel call fed by one gather from the rate matrix, and one
-        observe pass that builds the per-client objects.
+        observe pass over dense arrays; each AP's observation builds its
+        per-client objects from them only when read.
 
         Shard mode walks the full topology-ordered AP sequence but only
         simulates owned APs.  Foreign APs contribute no arithmetic (their
@@ -1207,7 +1296,7 @@ class LteNetworkSimulator:
             ]
 
         # One observe pass: max-CQI tracking, detector verdicts and
-        # scheduled fractions for every obs row at once.
+        # scheduled fractions for every obs row at once, kept dense.
         cqi = self._cqi_mat[obs_rows]
         best = np.maximum(self._max_cqi_vec[obs_rows], cqi)
         self._max_cqi_vec[obs_rows] = best
@@ -1216,13 +1305,9 @@ class LteNetworkSimulator:
             self.detector_true_positive,
             self.detector_false_positive,
         )
-        sensed = [
-            ClientObservation(row, top, hits, dict(enumerate(frac)))
-            for row, top, hits, frac in zip(
-                cqi.tolist(), best.tolist(), flags.tolist(),
-                fractions[:n_obs, :n_subs].tolist(),
-            )
-        ]
+        observed = _ObservedRows(
+            obs_cids, cqi, best, flags, fractions[:n_obs, :n_subs]
+        )
         prach = prach_counts.tolist()
         allocations: Dict[int, Allocation] = {}
         observations: Dict[int, ApObservation] = {}
@@ -1230,11 +1315,9 @@ class LteNetworkSimulator:
         for ap_id, m, k, b in zip(owned_ids, obs_lengths, n_kept, job_of.tolist()):
             end = start + m
             allocations[ap_id] = scheduled[b] if k else Allocation(epoch_s)
-            observations[ap_id] = ApObservation(
-                ap_id=ap_id,
-                n_active_clients=k,
-                estimated_contenders=max(int(prach[self._ap_col[ap_id]]), k, 1),
-                clients=dict(zip(obs_cids[start:end], sensed[start:end])),
+            observations[ap_id] = ApObservation.from_dense(
+                ap_id, k, max(int(prach[self._ap_col[ap_id]]), k, 1),
+                observed, start, end,
             )
             start = end
         return (*self._settle(obs_cids, bits, demand[obs_rows]),

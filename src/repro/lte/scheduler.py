@@ -15,7 +15,9 @@ simulating every 1 ms TTI.
 
 Every AP of the system-level simulator runs the same PF scheduler, so
 one array kernel, :func:`pf_lockstep`, schedules all of an epoch's APs in
-lockstep, bit-identical to scheduling them one at a time.
+lockstep, bit-identical to scheduling them one at a time; saturated
+demand (every positive demand infinite, plain LTE's full-buffer clients)
+takes a leaner step that skips the exhaustion bookkeeping.
 :meth:`ProportionalFairScheduler.allocate_dense` runs it for jobs already
 in its padded arrays (the network's incremental epoch gathers them from
 its rate matrix) and updates the PF averages from the dense outcome;
@@ -271,6 +273,22 @@ class RoundRobinScheduler(Scheduler):
 PfJob = Tuple["ProportionalFairScheduler", Sequence[int], Dict[int, float], RateFn]
 
 
+def _saturated(remaining: np.ndarray, floor_denom: np.ndarray) -> bool:
+    """Whether :func:`pf_lockstep` may skip its exhaustion bookkeeping.
+
+    True when every *positive* demand is infinite: a pick then never
+    exhausts its client (``min(bits, inf) = bits`` and ``inf - bits =
+    inf``).  Zero demands -- the sentinel, the padding and idle clients --
+    are not part of the test: they keep an infinite denominator and metric
+    0, so the sentinel at column 0 still wins over them.  The floors must
+    be positive, so the sentinel's own metric ``0 / denom`` stays 0 once a
+    pick refreshes its denominator to ``max(0 + 0, floor)``.
+    """
+    return bool(
+        np.isinf(remaining[remaining > 0.0]).all() and (floor_denom > 0.0).all()
+    )
+
+
 def pf_lockstep(
     rate: np.ndarray,
     remaining: np.ndarray,
@@ -308,6 +326,13 @@ def pf_lockstep(
       progressed during a mini-slot every later slot would be the same
       no-op, so the walk stops;
     * the fraction grows by repeated ``+= 1/MINISLOTS_PER_EPOCH``.
+
+    Each step is a fixed handful of NumPy calls on per-position views and
+    preallocated ``out=`` buffers.  When the call's demand is saturated
+    (:func:`_saturated`: every positive demand infinite, as for plain
+    LTE's full-buffer clients) a step also skips the exhaustion
+    bookkeeping -- clipping the bits to the demand left, consuming it and
+    marking exhausted clients -- which leaves every value unchanged.
     """
     n_pos, n_aps, n_cols = rate.shape
     n_entries = n_aps * n_cols
@@ -330,22 +355,30 @@ def pf_lockstep(
     moved = np.empty((n_pos, n_aps))
     pos_base = (np.arange(n_pos) * n_entries)[:, None]
     counts = np.zeros(n_pos * n_entries, dtype=np.intp)
+    # Per-step scratch, and each position's views, walked every mini-slot.
+    metric = np.empty((n_aps, n_cols))
+    got = np.empty(n_aps)
+    history_at = np.empty(n_aps)
+    steps = list(zip(rate, slot_bits, picks, moved))
+    saturated = _saturated(remaining, floor_denom)
     for _ in range(MINISLOTS_PER_EPOCH):
-        for p in range(n_pos):
-            picked = picks[p]
-            bits = moved[p]
-            (rate[p] / denom).argmax(axis=1, out=picked)
+        for rate_p, bits_p, picked, bits in steps:
+            np.divide(rate_p, denom, out=metric)
+            metric.argmax(axis=1, out=picked)
             picked += row_base
-            left = remaining_flat.take(picked)
-            np.minimum(slot_bits[p].take(picked), left, out=bits)
-            left -= bits
-            got = served_flat.take(picked)
+            bits_p.take(picked, out=bits)
+            if not saturated:
+                left = remaining_flat.take(picked)
+                np.minimum(bits, left, out=bits)
+                left -= bits
+                remaining_flat[picked] = left
+            served_flat.take(picked, out=got)
             got += bits
-            remaining_flat[picked] = left
             served_flat[picked] = got
-            got += history_flat.take(picked)
+            got += history_flat.take(picked, out=history_at)
             np.maximum(got, floor_denom, out=got)
-            got[left <= 0.0] = np.inf
+            if not saturated:
+                got[left <= 0.0] = np.inf
             denom_flat[picked] = got
         serving = moved > 0.0
         # A mini-slot that served nothing left every AP's state as it

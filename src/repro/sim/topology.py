@@ -10,6 +10,7 @@ CellFi simulators so all technologies are compared on identical layouts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Tuple
 
@@ -150,12 +151,12 @@ class Topology:
 
         Sites are immutable, so the client is replaced by a new
         :class:`ClientSite` with ``ap_id=new_ap_id`` at the same position.
-        The per-AP client lists of *both* the old and the new serving AP
-        are rebuilt by filtering ``self.clients``, which keeps them in
-        canonical ``clients``-list order -- the same order a freshly built
-        topology would produce.  Simulators iterate (and draw RNG values)
-        in that order, so preserving it keeps incremental runs bit-
-        identical to rebuilt ones.
+        The client leaves the old serving AP's list and enters the new
+        one's at its ``clients``-list slot, so both lists stay in that
+        canonical order -- the same order a freshly built topology would
+        produce.  Simulators iterate (and draw RNG values) in that order,
+        so preserving it keeps incremental runs bit-identical to rebuilt
+        ones.
 
         Returns:
             The new site (unchanged if already attached to ``new_ap_id``).
@@ -175,11 +176,12 @@ class Topology:
             ap_id=new_ap_id,
             height_m=old.height_m,
         )
-        self.clients[self._slot[client_id]] = new
-        for ap_id in (old.ap_id, new_ap_id):
-            self._clients_by_ap[ap_id] = [
-                c for c in self.clients if c.ap_id == ap_id
-            ]
+        slot = self._slot[client_id]
+        self.clients[slot] = new
+        self._clients_by_ap[old.ap_id].remove(old)
+        targets = self._clients_by_ap[new_ap_id]
+        slots = [self._slot[c.client_id] for c in targets]
+        targets.insert(bisect_left(slots, slot), new)
         return new
 
     def interference_graph(

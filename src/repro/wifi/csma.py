@@ -278,10 +278,14 @@ class WifiMedium:
             pending.append(tx)
 
             def notify_busy() -> None:
-                if tx in pending:  # Still on the air.
-                    pending.remove(tx)
-                    for node in listeners:
-                        node.sensed += 1
+                # A frame shorter than ``cs_delay_s`` is over before it is
+                # detected: its idle hint has already run, so a busy
+                # notification now would pause backoffs nothing resumes.
+                if tx not in pending:
+                    return
+                pending.remove(tx)
+                for node in listeners:
+                    node.sensed += 1
                 for node in listeners:
                     node.on_medium_busy()
 

@@ -13,11 +13,12 @@ fast path.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.experiments.large_scale import TECH_CELLFI, SaturatedLteRun
+from repro.experiments.large_scale import TECH_CELLFI, TECH_LTE, SaturatedLteRun
 from repro.lte.network import (
     BACKEND_INCREMENTAL,
     BACKEND_SCALAR,
@@ -31,6 +32,7 @@ from repro.lte.scheduler import (
     ProportionalFairScheduler,
     Scheduler,
 )
+from repro.obs import Telemetry, activated
 from repro.phy.mcs import CQI_OUT_OF_RANGE, cqi_from_sinr
 from repro.phy.propagation import (
     CompositeChannel,
@@ -305,6 +307,89 @@ class TestDenseEpochOutcome:
             )
             result = net.run_epoch(0, {}, {})
             assert result.served_bits == {} and result.observations == {}
+
+
+def _lte_runs(epochs=3):
+    """Plain LTE on both backends: no policy reads the observations."""
+    return [
+        SaturatedLteRun(
+            TECH_LTE, seed=4, n_aps=12, clients_per_ap=4, epochs=epochs,
+            backend=backend,
+        )
+        for backend in (BACKEND_SCALAR, BACKEND_INCREMENTAL)
+    ]
+
+
+def _unread(result):
+    return all(obs._clients is None for obs in result.observations.values())
+
+
+def _kinds(result):
+    """The Python types inside every observation, per AP and client."""
+    return {
+        ap_id: [
+            (type(cid), [type(v) for v in c.subband_cqi],
+             [type(v) for v in c.max_subband_cqi],
+             [type(v) for v in c.interference_detected],
+             [(type(k), type(v)) for k, v in c.scheduled_fraction.items()])
+            for cid, c in obs.clients.items()
+        ]
+        for ap_id, obs in result.observations.items()
+    }
+
+
+class TestLazyObservations:
+    """Incremental observations build their per-client objects on first
+    read; every reader must see what the eager scalar oracle built."""
+
+    def test_unread_observations_equal_scalar_oracle(self):
+        runs = _lte_runs()
+        for epoch in range(3):
+            want, got = (run.step_epoch() for run in runs)
+            assert _unread(got)
+            assert got == want, f"epoch {epoch}"
+            assert _kinds(got) == _kinds(want)
+
+    def test_unread_observations_survive_pickle(self):
+        runs = _lte_runs()
+        for _ in range(2):
+            want, got = (run.step_epoch() for run in runs)
+            assert _unread(got)
+            restored = pickle.loads(pickle.dumps(got))
+            assert restored == want
+            assert _kinds(restored) == _kinds(want)
+
+    def test_unread_snapshot_is_byte_identical_to_eager(self, tmp_path):
+        snapshots = []
+        for read in (False, True):
+            run = SaturatedLteRun(TECH_LTE, seed=4, n_aps=12, clients_per_ap=4,
+                                  epochs=4)
+            for _ in range(2):
+                result = run.step_epoch()
+                if read:
+                    for obs in result.observations.values():
+                        obs.clients
+            assert _unread(result) != read
+            path = run.save_checkpoint(str(tmp_path / str(read)))
+            with open(path, "rb") as handle:
+                snapshots.append(handle.read())
+        assert snapshots[0] == snapshots[1]
+
+    def test_telemetry_cqi_counters_equal_scalar_oracle(self):
+        counters = []
+        for run in _lte_runs():
+            tel = Telemetry()
+            with activated(tel):
+                for _ in range(3):
+                    run.step_epoch()
+            counters.append({
+                name: value
+                for name, value in tel.snapshot()["counters"].items()
+                if name.startswith("cqi.")
+            })
+        assert counters[1] == counters[0]
+        assert counters[0]["cqi.reports"] == 3 * 12 * 4
+        assert counters[0]["cqi.interference_flags"] > 0
 
 
 class TestDirtyTracking:

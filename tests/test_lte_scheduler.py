@@ -4,12 +4,14 @@ import math
 import pickle
 import random
 from typing import Dict, Sequence
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.large_scale import TECH_CELLFI, SaturatedLteRun
+from repro.lte import scheduler as scheduler_module
 from repro.lte.scheduler import (
     MINISLOTS_PER_EPOCH,
     Allocation,
@@ -342,13 +344,59 @@ def _hex_map(values):
     return {key: float.hex(v) for key, v in values.items()}
 
 
+def _example_ap(demands):
+    """A fixed AP job: client 1 at 4 Mbit/s on every subchannel, the
+    others at ``1e6 * (1 + (client + sub) % 3)``.
+
+    Client 1 is the fastest everywhere, so a small finite demand on it is
+    exhausted by its first pick while its metric still leads.
+    """
+    rows = {
+        c: [(4e6 if c == 1 else 1e6 * (1 + (c + sub) % 3)) for sub in range(N_SUBS)]
+        for c in demands
+    }
+    return [0, 3, 5, 12], demands, rows, {}, 0.05, 1e3, False
+
+
+# Both kernel branches on every run: all positive demands infinite (the
+# saturated branch; zero demands and padding must not defeat it), all
+# finite, and mixed, where client 1 is exhausted early yet would keep
+# the best metric without its exhaustion mark.
+_ALL_INF = [_example_ap({1: math.inf, 2: math.inf, 3: 0.0}), _example_ap({7: math.inf})]
+_ALL_FINITE = [_example_ap({1: 1e4, 2: 5e6, 3: 3e5}), _example_ap({7: 2e4, 8: 0.0})]
+_MIXED = [_example_ap({1: 1e4, 2: math.inf, 3: 0.0}), _example_ap({7: math.inf, 8: 4e5})]
+
+
 class TestBatchedPfMatchesPerApOracle:
     @settings(max_examples=150, deadline=None)
     @given(
         aps=st.lists(_ap_job(), min_size=1, max_size=8),
         epoch_s=st.sampled_from([1.0, 0.5, 2.0]),
     )
+    @example(aps=_ALL_INF, epoch_s=1.0)
+    @example(aps=_ALL_FINITE, epoch_s=1.0)
+    @example(aps=_MIXED, epoch_s=1.0)
     def test_batch_equals_per_ap_loop(self, aps, epoch_s):
+        # The kernel skips its exhaustion bookkeeping exactly when every
+        # positive demand of the call is infinite.
+        saturated = all(
+            bits == math.inf
+            for _, demands, *_ in aps
+            for bits in demands.values()
+            if bits > 0.0
+        )
+        decisions = []
+        decide = scheduler_module._saturated
+
+        def spy(remaining, floor_denom):
+            decisions.append(decide(remaining, floor_denom))
+            return decisions[-1]
+
+        with mock.patch.object(scheduler_module, "_saturated", spy):
+            self._check_against_oracle(aps, epoch_s)
+        assert decisions == [saturated, saturated]
+
+    def _check_against_oracle(self, aps, epoch_s):
         batched, oracles, inputs = [], [], []
         for allowed, demands, rows, priors, smoothing, floor_bps, table in aps:
             pair = []

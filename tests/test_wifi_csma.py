@@ -339,10 +339,24 @@ class TestCarrierSenseCounts:
         assert medium._active == [] and medium._pending == []
         assert not medium.busy_for(node)
         sim.run(until=1.0)
-        # The notification still reaches the listener, but counts nothing.
-        assert busy_calls == [cs_delay]
+        # The frame was never detected: no notification, nothing counted.
+        assert busy_calls == []
         assert node.sensed == 0
         assert not medium.busy_for(node) and not busy_by_active_walk(medium, node)
+
+    def test_undetected_frame_does_not_stall_a_backoff(self):
+        # A frame that ends before ``cs_delay_s`` used to cancel the node's
+        # pending backoff after the frame's idle hint had already run, so
+        # nothing ever resumed it.
+        sim, medium, node = self._listener(3.8e-6)
+        medium.add_station(Station(101, 101.0, 0.0, 20.0))
+        node.add_destination(101, WIFI_MCS_TABLE[0])
+        node.enqueue(101, 1e3)
+        assert node._attempt_event is not None
+        medium.transmit(0, 0.95e-6, "cts")
+        sim.run(until=1.0)
+        assert [tx.kind for tx in medium._history if tx.src == 1][:1] == ["rts"]
+        assert node.stats[101].bits_delivered == 1e3
 
     def test_fig9_cell_agrees_with_active_walk(self, monkeypatch):
         counted = WifiMedium.busy_for
