@@ -28,13 +28,14 @@ Two epoch backends compute the radio quantities:
   kernels over a cached AP<->client gain matrix plus a dirty-row tracker:
   per-AP SINR/CQI/rate blocks are cached and only recomputed when an
   event (mobility, handover/re-attach, a hopping decision, an activity
-  change) invalidates them.  Interference sums accumulate in the same
-  per-interferer order and dB conversions go through the same
-  ``math.log10`` calls as the oracle; interference from APs the cell
-  cannot hear (culled by the gain cache's path-loss horizon) is skipped
-  -- adding an exact ``0.0`` to an IEEE-754 sum is a bitwise no-op.  The
-  backend is therefore *bit-identical* to the scalar oracle for the same
-  seeds (``tests/test_lte_network_incremental.py`` and
+  change) invalidates them; the stale rows of every AP are then
+  recomputed together in one batched pass.  Interference sums accumulate
+  in the same per-interferer order and dB conversions round exactly like
+  the oracle's ``math.log10`` calls; interference from APs a client
+  cannot hear (culled by the gain cache's path-loss horizon) adds an
+  exact ``0.0``, a bitwise no-op on an IEEE-754 sum of non-negative
+  powers.  The backend is therefore *bit-identical* to the scalar oracle
+  for the same seeds (``tests/test_lte_network_incremental.py`` and
   ``tests/test_lte_network_vectorized.py`` enforce this).
 """
 
@@ -43,13 +44,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import is_, is_not
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.lte.scheduler import Allocation, ProportionalFairScheduler
 from repro.obs import runtime as _obs_runtime
-from repro.phy.harq import harq_goodput_scale
+from repro.phy.harq import harq_goodput_scale, harq_goodput_scale_array
 from repro.phy.mcs import (
     CQI_OUT_OF_RANGE,
     LTE_CQI_TABLE,
@@ -58,6 +61,7 @@ from repro.phy.mcs import (
 )
 from repro.phy.propagation import FILL_BATCHED, CompositeChannel, GainMatrixCache
 from repro.phy.resource_grid import RB_BANDWIDTH_HZ, ResourceGrid
+from repro.phy.vecmath import vec_log10
 from repro.sim.checkpoint import register_dataclass
 from repro.sim.rng import RngStreams
 from repro.sim.topology import Topology
@@ -102,6 +106,11 @@ PRACH_TARGET_RX_DBM = -104.0
 #: their temporaries (one Python float per link for the watts).
 _LINK_CHUNK = 16384
 
+#: The batched block compute gathers its rows' links in chunks of about
+#: this many (row, AP) entries, which bounds its ``(rows x APs)``
+#: temporaries to ~1 MB each however many rows an epoch recomputes.
+_BLOCK_CHUNK = 1 << 17
+
 #: Interference-detection quality measured on the testbed (Section 6.3.2)
 #: and injected into the large-scale simulation, as the paper did.
 CQI_DETECTOR_TRUE_POSITIVE = 0.80
@@ -133,24 +142,23 @@ RLF_MAX_PROBABILITY = 0.9
 
 
 def _elementwise_db(ratio: np.ndarray) -> np.ndarray:
-    """``10 * log10`` per element, through ``math.log10``.
+    """``10 * log10`` per element, bit-identical to ``math.log10``.
 
-    NumPy's vectorised ``log10`` uses SIMD polynomials that differ from
-    libm in the last ulp, which would break the bit-for-bit equivalence
-    between the epoch backends.  The element count per epoch is small
-    (clients x subchannels), so scalar libm calls are cheap.
+    NumPy's SIMD ``log10`` differs from libm in the last ulp, which would
+    break the bit-for-bit equivalence between the epoch backends, so the
+    logarithm goes through the probed :data:`~repro.phy.vecmath.vec_log10`
+    (NumPy where it provably is libm, a scalar ``math.log10`` map
+    otherwise); the ``10 *`` is an IEEE multiply either way.
 
-    Non-positive ratios (zero received signal on a culled or underflowed
-    link) clamp to :data:`ZERO_SIGNAL_SINR_DB` instead of producing
-    ``-inf``/NaN.
+    Non-positive (or NaN) ratios -- zero received signal on a culled or
+    underflowed link -- clamp to :data:`ZERO_SIGNAL_SINR_DB` instead of
+    producing ``-inf``/NaN.
     """
-    flat = np.array(
-        [
-            10.0 * math.log10(v) if v > 0.0 else ZERO_SIGNAL_SINR_DB
-            for v in ratio.flat
-        ]
-    )
-    return flat.reshape(ratio.shape)
+    ratio = np.asarray(ratio, dtype=np.float64)
+    live = ratio > 0.0
+    out = np.full(ratio.shape, ZERO_SIGNAL_SINR_DB)
+    out[live] = 10.0 * vec_log10(ratio[live])
+    return out
 
 
 def _segment_counts(
@@ -518,12 +526,11 @@ class LteNetworkSimulator:
         }
         # Per-AP signature cache: when a dirty AP's audible-column set and
         # the epoch context both match the last rebuild, the signature
-        # tuples are reused instead of being rebuilt from the grant maps.
+        # is reused instead of being sliced again.
         self._sig_cache: Dict[int, tuple] = {}
-        # Foreign-AP RLF gate cache (shard mode): per epoch context, whether
-        # a foreign AP draws RLF values, so the fast-forward discard count
-        # is not recomputed from the grant maps every epoch.
-        self._foreign_rlf_cache: Tuple[int, Dict[int, bool]] = (-1, {})
+        # One id per distinct grant (sorted subchannel tuple) ever seen,
+        # so block signatures can carry grants as integers.
+        self._grant_ids: Dict[tuple, int] = {}
         self.last_epoch_stats: Dict[str, int] = {}
 
     # -- Shard ownership ------------------------------------------------------
@@ -599,9 +606,9 @@ class LteNetworkSimulator:
                     eff, sub
                 )
         # HARQ memo in two generations: this epoch's keys and the previous
-        # epoch's (see :meth:`_harq_rows`).
-        self._harq_cache: Dict[Tuple[float, int], float] = {}
-        self._harq_prev: Dict[Tuple[float, int], float] = {}
+        # epoch's, keyed by ``complex(sinr, cqi)`` (see :meth:`_harq_scale`).
+        self._harq_cache: Dict[complex, float] = {}
+        self._harq_prev: Dict[complex, float] = {}
         self._max_cqi_vec = np.zeros((n_clients, n_subs), dtype=np.int64)
         # The incremental blocks' values, one row per client (each AP
         # writes only its own clients' rows): full-time rate per
@@ -897,36 +904,6 @@ class LteNetworkSimulator:
         )
         return self._prach_mat[active].sum(axis=0)
 
-    def _foreign_rlf_gate(
-        self,
-        ap_id: int,
-        allowed: Dict[int, Set[int]],
-        active_list: List[int],
-    ) -> bool:
-        """Whether a foreign active AP draws RLF values this epoch.
-
-        Mirrors the ``has_rlf_sources`` computation of the simulated
-        backends: the AP holds grants and at least one *other* active AP
-        overlaps them.  Cached per decision context (``_ctx_serial``).
-        """
-        serial, gates = self._foreign_rlf_cache
-        if serial != self._ctx_serial:
-            gates = {}
-            self._foreign_rlf_cache = (self._ctx_serial, gates)
-        gate = gates.get(ap_id)
-        if gate is None:
-            my_subs = allowed.get(ap_id, set())
-            gate = False
-            if my_subs:
-                for other in active_list:
-                    if other != ap_id and not my_subs.isdisjoint(
-                        allowed.get(other, set())
-                    ):
-                        gate = True
-                        break
-            gates[ap_id] = gate
-        return gate
-
     def run_epoch(
         self,
         epoch_index: int,
@@ -1149,9 +1126,11 @@ class LteNetworkSimulator:
     ) -> tuple:
         """The production epoch: cached blocks, then one dense outcome.
 
-        One pass over the APs in topology order refreshes each owned AP's
-        cached block (:meth:`_refresh_block`) and counts each AP's RLF
-        draws.  Everything after it is epoch-wide over the owned client
+        One pass over the APs in topology order validates each owned AP's
+        cached block (:meth:`_refresh_block`), collects the rows that went
+        stale and counts each AP's RLF draws; one batched call
+        (:meth:`_compute_rows`) then recomputes every stale row of the
+        epoch.  Everything after it is epoch-wide over the owned client
         rows (the "obs" rows: owned APs in topology order, each AP's
         clients in ``clients_of`` order): one ``random`` call per stream,
         one PF kernel call fed by one gather from the rate matrix, and one
@@ -1183,8 +1162,8 @@ class LteNetworkSimulator:
         # One serial per distinct decision context: while the policy
         # repeats its grants and the active set is stable, clean APs can
         # skip rebuilding their cache-key signatures.  The context also
-        # fixes the (AP column, subchannel) 0/1 grant mask of the active
-        # APs that block compute and patch stack interferer masks from.
+        # fixes the arrays the batched compute reads (see
+        # :meth:`_set_decision_context`).
         ctx = (
             tuple(active_list),
             tuple(active_entries),
@@ -1193,38 +1172,39 @@ class LteNetworkSimulator:
         if ctx != self._epoch_ctx:
             self._epoch_ctx = ctx
             self._ctx_serial += 1
-            self._grant_mask = np.zeros((len(aps), n_subs))
-            for ap_id, subs in active_entries:
-                granted = [sub for sub in subs if 0 <= sub < n_subs]
-                self._grant_mask[self._ap_col[ap_id], granted] = 1.0
+            self._set_decision_context(subs_keys, active_list, active_entries)
         self.last_epoch_stats = dict.fromkeys(
             ("dirty_aps", "clean_aps", "dirty_rows", "clean_rows",
              "culled_columns", "total_columns"),
             0,
         )
 
-        # Blocks, and the RLF draw count: one draw per demanding client of
-        # an AP with co-channel overlap sources (see _refresh_block).
+        # Block validation, and the RLF draw count: one draw per demanding
+        # client of an AP with co-channel overlap sources (see
+        # _refresh_block; a foreign AP's gate comes from the same
+        # context-wide overlap counts).  Then every stale row at once.
         sharded = self.shard_ap_ids is not None
+        has_rlf = self._has_rlf_sources
         owned_flags: List[bool] = []
         drawing: List[bool] = []
         rlf_index: List[int] = []
+        stale: List[Tuple[np.ndarray, int, np.ndarray]] = []
         n_rlf = 0
         for ap, n_act in zip(aps, n_active):
             ap_id = ap.ap_id
             if sharded and ap_id not in self.shard_ap_ids:
                 owned_flags.append(False)
-                if n_act and self._foreign_rlf_gate(ap_id, allowed, active_list):
+                if n_act and has_rlf[self._ap_col[ap_id]]:
                     n_rlf += n_act
                 continue
             owned_flags.append(True)
-            draws = self._refresh_block(
-                ap_id, allowed, active_list, subs_keys, active_entries
-            ) and n_act > 0
+            draws = self._refresh_block(ap_id, allowed, stale) and n_act > 0
             drawing.append(draws)
             if draws:
                 rlf_index.extend(range(n_rlf, n_rlf + n_act))
                 n_rlf += n_act
+        if stale:
+            self._compute_rows(stale)
         rlf = rlf_rng.random(n_rlf)
         owned_rows = np.repeat(np.array(owned_flags, dtype=bool), lengths)
         detector = detector_rng.random((len(all_rows), n_subs))[owned_rows]
@@ -1325,15 +1305,22 @@ class LteNetworkSimulator:
 
     # -- Epoch backends ----------------------------------------------------------
 
-    def _harq_rows(
-        self, sinr_rows: Sequence[Sequence[float]], cqi_rows: Sequence[Sequence[int]]
-    ) -> List[List[float]]:
+    def _harq_scale(self, sinr: np.ndarray, cqi: np.ndarray) -> np.ndarray:
         """:func:`harq_goodput_scale` per (SINR, CQI) pair, memoised.
 
         SINRs repeat heavily within an epoch (one value per client-subchannel
-        link, stable while the interferer sets are stable), so the cache hit
-        rate is high.  Cached values are the exact function outputs, keeping
-        both backends bit-identical to direct evaluation.
+        link, stable while the interferer sets are stable), so the memo hit
+        rate of static runs is high.  The misses -- each distinct key once,
+        in first-seen order -- are evaluated in one
+        :func:`harq_goodput_scale_array` call, bit-identical to the scalar
+        function, so the backends agree bit for bit and telemetry counts
+        each evaluation once, as a per-pair loop would.
+
+        A key is the pair packed into one ``complex(sinr, cqi)``: it
+        compares and hashes like the ``(sinr, cqi)`` tuple (``-0.0 ==
+        0.0``, NaN never equal), but, unlike a tuple, is no object the
+        cyclic garbage collector has to track -- a mobile epoch makes
+        ~10k fresh keys per shard.
 
         The memo keeps two generations, this epoch's keys and the previous
         epoch's (:meth:`run_epoch` rotates them), and promotes a hit from
@@ -1341,21 +1328,37 @@ class LteNetworkSimulator:
         mobile runs, whose SINRs move every epoch, hold at most two epochs
         of keys instead of every key ever seen.
         """
+        shape = np.shape(sinr)
+        packed = np.empty(shape, dtype=np.complex128)
+        packed.real = sinr
+        packed.imag = cqi
+        keys = packed.ravel().tolist()
         cache = self._harq_cache
-        prev = self._harq_prev
-        out = []
-        for sinr_row, cqi_row in zip(sinr_rows, cqi_rows):
-            values = []
-            for key in zip(sinr_row, cqi_row):
-                value = cache.get(key)
-                if value is None:
-                    value = prev.get(key)
-                    if value is None:
-                        value = harq_goodput_scale(*key)
-                    cache[key] = value
-                values.append(value)
-            out.append(values)
-        return out
+        values = list(map(cache.get, keys))
+        if None not in values:
+            return np.array(values, dtype=np.float64).reshape(shape)
+        # Each missed key once, in first-seen order; promote the previous
+        # generation's hits, evaluate the rest in one array call.
+        missing = list(dict.fromkeys(compress(keys, map(is_, values, repeat(None)))))
+        found = list(map(self._harq_prev.get, missing))
+        fresh = list(compress(missing, map(is_, found, repeat(None))))
+        cache.update(compress(zip(missing, found), map(is_not, found, repeat(None))))
+        if fresh:
+            pairs = np.array(fresh, dtype=np.complex128)
+            scales = harq_goodput_scale_array(pairs.real, pairs.imag.astype(np.intp))
+            cache.update(zip(fresh, scales.tolist()))
+            if len(fresh) == len(keys):
+                # Every key distinct and new: the values are in key order.
+                return scales.reshape(shape)
+        return np.array(list(map(cache.__getitem__, keys)), dtype=np.float64).reshape(shape)
+
+    def _harq_rows(
+        self, sinr_rows: Sequence[Sequence[float]], cqi_rows: Sequence[Sequence[int]]
+    ) -> List[List[float]]:
+        """:meth:`_harq_scale` over nested lists, returned as nested lists."""
+        return self._harq_scale(
+            np.asarray(sinr_rows, dtype=np.float64), np.asarray(cqi_rows, dtype=np.intp)
+        ).tolist()
 
     def _scalar_links(
         self,
@@ -1429,17 +1432,83 @@ class LteNetworkSimulator:
 
         return rate_fn, disconnected, sinr_map, clean_map
 
+    def _set_decision_context(
+        self,
+        subs_keys: Dict[int, tuple],
+        active_list: List[int],
+        active_entries: List[Tuple[int, tuple]],
+    ) -> None:
+        """The arrays one decision context fixes for every block.
+
+        * ``_ent_cols`` / ``_granted``: the active grant holders' columns
+          in grant (``allowed``) order, and the subchannels each holds --
+          the interferer sequence of the SINR sums;
+        * ``_active_cols``: the active APs' columns in topology order --
+          the co-channel set of the control scale and the RLF sources;
+        * ``_ent_sig`` / ``_active_ids``: the holders' AP ids and grant ids
+          (:attr:`_grant_ids`), and the active AP ids, from which
+          :meth:`_refresh_block` slices its block signature as bytes;
+        * ``_rlf_overlap`` / ``_n_granted``: per active AP (the source)
+          and AP column, the subchannel overlap count (zero for the AP
+          itself and for disjoint grants), and per AP column
+          ``max(len(my_subs), 1)``: an RLF weight is ``overlap /
+          len(my_subs)``, and ``0.0`` for an AP without grants;
+        * ``_has_rlf_sources``: per AP column, whether any *other* active
+          AP overlaps its grants -- whether it draws RLF values.
+
+        The overlap counts come from one product ``G @ G[active].T`` of
+        the 0/1 grant matrix ``G`` (AP x subchannel id): every partial sum
+        is a small integer, so the counts are exact and equal the set
+        intersections the scalar oracle takes.
+        """
+        n_aps, n_subs = len(self._ap_col), self.grid.n_subchannels
+        ap_cols = self._ap_col
+        self._ent_cols = np.array(
+            [ap_cols[ap_id] for ap_id, _ in active_entries], dtype=np.intp
+        )
+        self._ent_pos = {ap_id: k for k, (ap_id, _) in enumerate(active_entries)}
+        grant_ids = self._grant_ids
+        self._ent_sig = np.array(
+            [
+                [ap_id for ap_id, _ in active_entries],
+                [grant_ids.setdefault(subs, len(grant_ids)) for _, subs in active_entries],
+            ],
+            dtype=np.int64,
+        )
+        self._active_ids = np.array(active_list, dtype=np.int64)
+        self._active_pos = {ap_id: k for k, ap_id in enumerate(active_list)}
+        self._granted = [
+            [sub for sub in subs if 0 <= sub < n_subs] for _, subs in active_entries
+        ]
+        self._active_cols = np.array(
+            [ap_cols[ap_id] for ap_id in active_list], dtype=np.intp
+        )
+        sub_pos = {
+            sub: k
+            for k, sub in enumerate(sorted(set().union(*subs_keys.values())))
+        }
+        grants = np.zeros((n_aps, len(sub_pos)))
+        for ap_id, subs in subs_keys.items():
+            col = ap_cols.get(ap_id)
+            if col is not None and subs:
+                grants[col, [sub_pos[sub] for sub in subs]] = 1.0
+        overlap = grants @ grants[self._active_cols].T
+        overlap[self._active_cols, np.arange(len(active_list))] = 0.0
+        self._has_rlf_sources = (overlap > 0.0).any(axis=1).tolist()
+        self._rlf_overlap = np.ascontiguousarray(overlap.T, dtype=np.int32)
+        self._n_granted = np.maximum(grants.sum(axis=1), 1.0)
+
     def _audible_columns(
         self, ap_id: int, rows: np.ndarray
     ) -> Tuple[np.ndarray, int]:
         """Which AP columns any of this AP's clients can hear at all.
 
         A column is audible when at least one of the AP's client rows has
-        non-zero received power from it; columns fully culled by the
-        path-loss horizon are skipped by the incremental interference
-        accumulation (they would add exact ``0.0``, a bitwise no-op).
-        Cached per row-set version, along with the audible count the
-        per-epoch cull counters consume.
+        non-zero received power from it; every other column is an exact
+        ``0.0`` in all of the AP's rows, so it adds nothing to their
+        interference sums (a bitwise no-op), and it is left out of their
+        block signature and control scale.  Cached per row-set version,
+        along with the audible count the per-epoch cull counters consume.
         """
         version = self._rows_version[ap_id]
         cached = self._audible_cols.get(ap_id)
@@ -1450,35 +1519,13 @@ class LteNetworkSimulator:
         self._audible_cols[ap_id] = (version, audible, n_audible)
         return audible, n_audible
 
-    def _inter_columns(
-        self, inter_sig: Tuple[Tuple[int, tuple], ...]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Interferer columns and their stacked 0/1 masks, in grant order.
-
-        The masks are rows of the epoch's grant mask (see
-        :meth:`_incremental_epoch`), the same 0.0/1.0 floats per grant.
-        Block compute and patch sum the interferers' contributions with
-        ``np.add.accumulate`` along the interferer axis: a strictly
-        sequential left-to-right sum, i.e. the same IEEE adds in the same
-        order as adding one interferer at a time onto zeros (the first
-        add, ``0.0 + p``, returns ``p`` exactly since every contribution
-        is a non-negative power).
-        """
-        cols = np.array(
-            [self._ap_col[other_id] for other_id, _ in inter_sig],
-            dtype=np.intp,
-        )
-        return cols, self._grant_mask[cols]
-
     def _refresh_block(
         self,
         ap_id: int,
         allowed: Dict[int, Set[int]],
-        active_list: List[int],
-        subs_keys: Dict[int, tuple],
-        active_entries: List[Tuple[int, tuple]],
+        stale: List[Tuple[np.ndarray, int, np.ndarray]],
     ) -> bool:
-        """Validate one AP's cached block, recomputing what went stale.
+        """Validate one AP's cached block; queue the rows that went stale.
 
         The deterministic part of an AP's epoch -- SINR, CQI, rates,
         control scale, truly-interfered flags, RLF probability -- depends
@@ -1488,10 +1535,13 @@ class LteNetworkSimulator:
         which subchannels).  The block's values live in the AP's rows of the
         epoch-wide matrices (``_rate_mat``, ``_cqi_mat``,
         ``_interfered_mat``, ``_rlf_prob``), which only this AP writes; when
-        neither input changed they are reused verbatim.  Stochastic stages
-        (RLF and detector draws, max-CQI tracking, the PRACH contention
-        count) re-execute every epoch so the RNG streams advance exactly as
-        in the scalar oracle.
+        neither input changed they are reused verbatim.  Otherwise the
+        rows to recompute -- all of them, or only the recorded dirty rows
+        when the signature held -- are appended to ``stale`` as ``(rows,
+        serving column, audible mask)`` for :meth:`_compute_rows`.
+        Stochastic stages (RLF and detector draws, max-CQI tracking, the
+        PRACH contention count) re-execute every epoch so the RNG streams
+        advance exactly as in the scalar oracle.
 
         Returns:
             Whether the AP draws RLF values this epoch: it holds grants and
@@ -1499,17 +1549,16 @@ class LteNetworkSimulator:
             culled source contributes zero interference but still gates
             the draw, exactly as the oracle sees it).
         """
-        n_subs = self.grid.n_subchannels
         rows = self._rows_of_ap[ap_id]
         col = self._ap_col[ap_id]
         m = len(rows)
         version = self._rows_version[ap_id]
         audible, n_audible = self._audible_columns(ap_id, rows)
-        ap_cols = self._ap_col
         stats = self.last_epoch_stats
         n_aps = len(audible)
         stats["culled_columns"] += n_aps - n_audible
         stats["total_columns"] += n_aps
+        has_rlf_sources = self._has_rlf_sources[col]
 
         fast = self._block_fast.get(ap_id)
         if (
@@ -1522,68 +1571,63 @@ class LteNetworkSimulator:
             # unchanged, so the key comparison is skipped outright.
             stats["clean_aps"] += 1
             stats["clean_rows"] += m
-            return fast[2]
+            return has_rlf_sources
         # The signature tuples depend only on the epoch context and on
         # which columns this AP's clients can hear.  A mobility event
         # bumps the row version but usually leaves audibility intact, so
-        # dirty APs reuse the cached signature instead of walking the
-        # grant maps again.
+        # dirty APs reuse the cached signature instead of rebuilding it.
         audible_key = audible.tobytes()
         sig = self._sig_cache.get(ap_id)
         if sig is not None and sig[0] == self._ctx_serial and sig[1] == audible_key:
-            (_, _, inter_sig, co_audible, my_subs,
-             rlf_entries, rlf_sig, has_rlf_sources) = sig
+            signature = sig[2]
         else:
-            inter_sig = tuple(
-                entry
-                for entry in active_entries
-                if entry[0] != ap_id and audible[ap_cols[entry[0]]]
+            # Audible active neighbours, as bytes: the interferers and
+            # their grants in grant order, the co-channel cells in topology
+            # order, and the RLF sources with their overlap counts.
+            heard = audible[self._ent_cols]
+            co_heard = audible[self._active_cols]
+            own = self._ent_pos.get(ap_id)
+            if own is not None:
+                heard[own] = False
+            own = self._active_pos.get(ap_id)
+            if own is not None:
+                co_heard[own] = False
+            overlap = self._rlf_overlap[:, col]
+            sources = co_heard & (overlap > 0)
+            signature = (
+                self._ent_sig[:, heard].tobytes(),
+                self._active_ids[co_heard].tobytes(),
+                len(allowed.get(ap_id, ())),
+                self._active_ids[sources].tobytes(),
+                overlap[sources].tobytes(),
             )
-            # Only a signature miss walks the active list, skipping the
-            # AP's own id the way ``_foreign_rlf_gate`` does.
-            co_audible = [
-                a for a in active_list if a != ap_id and audible[ap_cols[a]]
-            ]
-            my_subs = allowed.get(ap_id, set())
-            has_rlf_sources = False
-            rlf_entries: List[Tuple[int, int]] = []
-            if my_subs:
-                for other in active_list:
-                    if other == ap_id:
-                        continue
-                    overlap = len(my_subs & allowed.get(other, set()))
-                    if overlap:
-                        has_rlf_sources = True
-                        if audible[ap_cols[other]]:
-                            rlf_entries.append((other, overlap))
-            rlf_sig = (len(my_subs), tuple(rlf_entries))
-            self._sig_cache[ap_id] = (
-                self._ctx_serial, audible_key, inter_sig, co_audible,
-                my_subs, rlf_entries, rlf_sig, has_rlf_sources,
-            )
+            self._sig_cache[ap_id] = (self._ctx_serial, audible_key, signature)
 
-        key = (version, inter_sig, tuple(co_audible), rlf_sig)
+        key = (version, signature)
         cached = self._ap_blocks.get(ap_id)
         dirty_cids = self._dirty_rows.get(ap_id)
         if cached == key:
             stats["clean_aps"] += 1
             stats["clean_rows"] += m
         else:
-            if cached is not None and dirty_cids and cached[1:] == key[1:]:
+            if cached is not None and dirty_cids and cached[1] == signature:
                 # Same decision signature, same row membership: only the
                 # recorded dirty rows' link data changed, so those rows
-                # are recomputed in place and the rest reused verbatim.
-                patched = [
-                    row
-                    for row, cid in zip(rows.tolist(), self._row_cid[rows].tolist())
-                    if cid in dirty_cids
-                ]
+                # are recomputed and the rest reused verbatim.
+                patched = np.array(
+                    [
+                        row
+                        for row, cid in zip(
+                            rows.tolist(), self._row_cid[rows].tolist()
+                        )
+                        if cid in dirty_cids
+                    ],
+                    dtype=np.intp,
+                )
             else:
                 patched = rows
-            self._compute_ap_block(
-                np.asarray(patched, dtype=np.intp), col, n_subs,
-                inter_sig, co_audible, my_subs, rlf_entries,
-            )
+            if len(patched):
+                stale.append((patched, col, audible))
             self._ap_blocks[ap_id] = key
             stats["dirty_aps"] += 1
             stats["dirty_rows"] += len(patched)
@@ -1592,89 +1636,126 @@ class LteNetworkSimulator:
         self._block_fast[ap_id] = (version, self._ctx_serial, has_rlf_sources)
         return has_rlf_sources
 
-    def _compute_ap_block(
-        self,
-        rows: np.ndarray,
-        col: int,
-        n_subs: int,
-        inter_sig: Tuple[Tuple[int, tuple], ...],
-        co_audible: List[int],
-        my_subs: Set[int],
-        rlf_entries: List[Tuple[int, int]],
-    ) -> None:
-        """One AP's deterministic epoch quantities for the given client rows.
+    def _compute_rows(self, stale: List[Tuple[np.ndarray, int, np.ndarray]]) -> None:
+        """Recompute every stale row of the epoch in one batched pass.
 
-        Writes the rows' rates, CQIs, truly-interfered flags and RLF
-        probabilities into the epoch-wide matrices.  Every quantity of a
-        row depends on that row alone, so recomputing only a block's dirty
-        rows equals recomputing all of them.  Bit-for-bit identical to
+        ``stale`` holds, per AP in topology order, the rows to recompute,
+        the AP's column and its audible mask (:meth:`_refresh_block`).
+        Every block quantity of a row depends on that row alone, so rows
+        of many APs batch together without changing any value; they run
+        in chunks of about :data:`_BLOCK_CHUNK` links, in order, which
+        bounds the temporaries and keeps the HARQ memo's evaluation order.
+        """
+        rows = np.concatenate([entry[0] for entry in stale])
+        counts = [len(entry[0]) for entry in stale]
+        serving = np.repeat(
+            np.array([entry[1] for entry in stale], dtype=np.intp), counts
+        )
+        owner = np.repeat(np.arange(len(stale)), counts)
+        audible = np.stack([entry[2] for entry in stale])
+        step = max(1, _BLOCK_CHUNK // max(1, audible.shape[1]))
+        for start in range(0, len(rows), step):
+            part = slice(start, start + step)
+            self._compute_block_rows(
+                rows[part], serving[part], audible[owner[part]]
+            )
+
+    def _compute_block_rows(
+        self, rows: np.ndarray, serving: np.ndarray, audible: np.ndarray
+    ) -> None:
+        """Deterministic epoch quantities for a batch of client rows.
+
+        ``serving`` is each row's serving AP column and ``audible`` its
+        AP's audible mask, one row per client row.  Writes the rows'
+        rates, CQIs, truly-interfered flags and RLF probabilities into
+        the epoch-wide matrices.  Bit-for-bit identical to
         :meth:`_scalar_links` by construction:
 
-        * interference accumulates per interferer in grant order, exactly
-          as the scalar per-subchannel sums do; an interferer's exact
-          ``0.0`` on subchannels it does not hold, and every neighbour
-          outside the audible set, adds nothing to an IEEE-754 positive
-          sum, so skipping them is a bitwise no-op;
-        * dB conversion uses the same ``10 * math.log10`` per element
-          (NumPy's SIMD ``log10`` is *not* bit-identical to libm);
+        * interference accumulates onto zeros one active grant holder at a
+          time, in grant order, exactly as the scalar per-subchannel sums
+          do; the serving column, a holder's subchannels outside its grant
+          and every column the row's AP cannot hear contribute an exact
+          ``0.0``, which leaves an IEEE-754 sum of non-negative powers
+          bitwise unchanged;
+        * the control scale takes the strongest co-channel cell the AP can
+          hear (serving and inaudible columns masked to ``-inf``; none
+          left gives ``SIR = +inf`` or NaN, i.e. scale 1.0, as the oracle);
+        * the RLF data interference adds ``overlap / len(my_subs)``
+          weighted powers onto zeros one active AP at a time, in topology
+          order, as the oracle's weighted sum does; zero weights (the AP
+          itself, disjoint or no grants) add ``0.0``;
+        * dB conversions round exactly like ``10 * math.log10``
+          (:func:`_elementwise_db`);
         * CQI quantisation via ``searchsorted(side="right")`` equals the
           table walk in :func:`cqi_from_sinr`;
-        * rates come from a table prefilled with the scalar grid function.
+        * rates come from a table prefilled with the scalar grid function,
+          HARQ scales from :meth:`_harq_scale`.
         """
-        m = len(rows)
-        W = self._rx_w_mat
-        signal_w = W[rows, col]
-        if inter_sig:
-            inter_cols, mask_mat = self._inter_columns(inter_sig)
-            contribs = W[rows[:, None], inter_cols][:, :, None] * mask_mat
-            interference_w = np.add.accumulate(contribs, axis=1)[:, -1]
-        else:
-            interference_w = np.zeros((m, n_subs))
+        n = len(rows)
+        n_subs = self.grid.n_subchannels
+        at = np.arange(n)
+        active_cols = self._active_cols
+        W = self._rx_w_mat[rows]
+        signal_w = W[at, serving]
 
-        ratio = signal_w[:, None] / (self._rb_noise_w + interference_w)
-        sinr = _elementwise_db(ratio)
+        # RLF data SINR; computed even when the AP draws nothing this
+        # epoch -- the stored value is simply unused then.  Source-major,
+        # so each source's weighted powers add as one contiguous row.
+        # The ``del``s below free each (rows x APs) temporary before the
+        # next stage allocates its own.
+        weighted_w = np.zeros(n)
+        if len(active_cols):
+            weighted = self._rlf_overlap[:, serving] / self._n_granted[serving]
+            weighted *= W.T[active_cols]
+            for source in weighted:
+                weighted_w += source
+            del weighted
+        data_db = _elementwise_db(signal_w / (self._rb_noise_w + weighted_w))
+
+        # Interference, subchannel-major: each holder's powers add onto
+        # the subchannels it holds, one holder at a time in grant order.
+        W[at, serving] = 0.0
+        holders = W.T[self._ent_cols]
+        del W
+        interference_w = np.zeros((n_subs, n))
+        per_sub = list(interference_w)
+        for power, subs, heard in zip(
+            holders, self._granted, holders.any(axis=1).tolist()
+        ):
+            if heard:
+                for sub in subs:
+                    np.add(per_sub[sub], power, out=per_sub[sub])
+        del holders
+
+        sinr = _elementwise_db(
+            signal_w[:, None] / (self._rb_noise_w + interference_w.T)
+        )
         clean_db = _elementwise_db(signal_w / self._rb_noise_w)
         cqi = np.searchsorted(self._cqi_min_sinr, sinr, side="right")
         clean_cqi = np.searchsorted(self._cqi_min_sinr, clean_db, side="right")
 
-        base = self._rate_table[cqi, np.arange(n_subs)]
-        harq = np.array(
-            self._harq_rows(sinr.tolist(), cqi.tolist()), dtype=np.float64
-        ).reshape(m, n_subs)
-        if not self.control_interference or not co_audible:
-            ctrl = np.ones(m)
-        else:
-            cols = np.array(
-                [self._ap_col[a] for a in co_audible], dtype=np.intp
-            )
-            strongest = self._rx_dbm_mat[rows[:, None], cols[None, :]].max(axis=1)
-            sir_db = (self._rx_dbm_mat[rows, col] - strongest).tolist()
-            ctrl = np.array([_control_scale(s) for s in sir_db])
-        rate = base * harq
-        rate *= ctrl[:, None]
-
-        # RLF data SINR (interference weighted by subchannel overlap with
-        # the audible sources); computed even when no source exists this
-        # epoch -- the cached value is simply unused then.
-        weighted_w = np.zeros(m)
-        if my_subs:
-            for other_id, overlap in rlf_entries:
-                weighted_w += (overlap / len(my_subs)) * W[
-                    rows, self._ap_col[other_id]
-                ]
-        data_ratio = (signal_w / (self._rb_noise_w + weighted_w)).tolist()
+        rate = self._rate_table[cqi, np.arange(n_subs)] * self._harq_scale(sinr, cqi)
+        if self.control_interference and len(active_cols):
+            rx_dbm = self._rx_dbm_mat
+            rivals = rx_dbm[rows[:, None], active_cols]
+            rivals[
+                ~audible[:, active_cols] | (active_cols == serving[:, None])
+            ] = -np.inf
+            sir_db = (rx_dbm[rows, serving] - rivals.max(axis=1)).tolist()
+            rate *= np.array([_control_scale(s) for s in sir_db])[:, None]
 
         self._rate_mat[rows, :n_subs] = rate
         self._cqi_mat[rows] = cqi
         self._interfered_mat[rows] = (clean_cqi[:, None] > 0) & (
             cqi < INTERFERENCE_CQI_DROP_FRACTION * clean_cqi[:, None]
         )
-        self._rlf_prob[rows] = [
-            rlf_probability(
-                10.0 * math.log10(r) if r > 0.0 else ZERO_SIGNAL_SINR_DB
-            )
-            for r in data_ratio
-        ]
+        # rlf_probability per element: min(0.9, x) as Python's min picks.
+        ramp = RLF_SLOPE_PER_DB * (RLF_SAFE_SINR_DB - data_db)
+        self._rlf_prob[rows] = np.where(
+            data_db >= RLF_SAFE_SINR_DB,
+            0.0,
+            np.where(ramp < RLF_MAX_PROBABILITY, ramp, RLF_MAX_PROBABILITY),
+        )
 
     # -- Sensing ----------------------------------------------------------------
 
@@ -1839,5 +1920,4 @@ class LteNetworkSimulator:
         self._block_fast.clear()
         self._sig_cache.clear()
         self._epoch_ctx = None
-        self._foreign_rlf_cache = (-1, {})
         self._dirty_rows = {ap.ap_id: set() for ap in self.topology.aps}

@@ -282,7 +282,9 @@ def _saturated(remaining: np.ndarray, floor_denom: np.ndarray) -> bool:
     are not part of the test: they keep an infinite denominator and metric
     0, so the sentinel at column 0 still wins over them.  The floors must
     be positive, so the sentinel's own metric ``0 / denom`` stays 0 once a
-    pick refreshes its denominator to ``max(0 + 0, floor)``.
+    pick refreshes its denominator to ``max(0 + 0, floor)``.  A scheduler
+    rejects ``floor_bps <= 0``, but ``floor_bps * epoch_s / 100`` can
+    still be zero for a zero, negative or underflowing epoch length.
     """
     return bool(
         np.isinf(remaining[remaining > 0.0]).all() and (floor_denom > 0.0).all()
@@ -401,6 +403,10 @@ class ProportionalFairScheduler(Scheduler):
     def __init__(self, smoothing: float = 0.05, floor_bps: float = 1e3) -> None:
         if not 0.0 < smoothing <= 1.0:
             raise ValueError(f"smoothing must be in (0,1], got {smoothing!r}")
+        # A zero floor leaves an unserved zero-rate client a 0 / 0 metric,
+        # a NaN that ``argmax`` picks every mini-slot: nobody is served.
+        if not floor_bps > 0.0:
+            raise ValueError(f"floor_bps must be > 0, got {floor_bps!r}")
         self.smoothing = smoothing
         self.floor_bps = floor_bps
         self._average_bps: Dict[int, float] = {}

@@ -8,19 +8,29 @@ larger than 500 m use hybrid ARQ".  This module provides
   target exactly at its switching threshold;
 * :class:`HarqProcess`, a per-transport-block retransmission simulator with
   chase combining (retransmissions add SINR in the linear domain);
-* closed-form helpers for effective goodput used by the system simulators.
+* closed-form helpers for effective goodput used by the system simulators;
+* :func:`harq_goodput_scale_array`, the goodput multiplier over whole
+  arrays of (SINR, CQI) pairs, bit-identical to the scalar
+  :func:`harq_goodput_scale` per element.  The epoch engine evaluates
+  every memo miss of an epoch in one call.  Basic IEEE operations run as
+  NumPy ufuncs, which round exactly like Python floats.  The libm calls
+  do not: NumPy's SIMD ``power``, ``exp`` and ``log10`` may differ from
+  libm in the last ulp.  So ``pow`` and ``exp`` go through scalar maps,
+  and ``log10`` through the probed :data:`repro.phy.vecmath.vec_log10`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from repro.obs import runtime as _obs_runtime
-from repro.phy.mcs import CQI_OUT_OF_RANGE, entry_for_cqi
+from repro.phy.mcs import CQI_OUT_OF_RANGE, LTE_CQI_TABLE, entry_for_cqi
+from repro.phy.vecmath import vec_log10
 from repro.utils.dbmath import db_to_linear, linear_to_db
 
 #: LTE allows up to 3 HARQ retransmissions (4 transmissions total).
@@ -166,6 +176,13 @@ def delivery_probability(sinr_db: float, cqi: int) -> float:
     return 1.0 - p_all_failed
 
 
+#: Switching threshold per CQI; index ``cqi - 1``.
+_CQI_THRESHOLDS_DB = np.array([entry.min_sinr_db for entry in LTE_CQI_TABLE])
+
+#: Bucket edges of the ``harq.expected_attempts`` histogram.
+_ATTEMPT_EDGES = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+
+
 def harq_goodput_scale(sinr_db: float, cqi: int) -> float:
     """Goodput multiplier capturing HARQ cost and benefit.
 
@@ -192,12 +209,72 @@ def harq_goodput_scale(sinr_db: float, cqi: int) -> float:
     tel = _obs_runtime.active()
     if tel is not None:
         tel.inc("harq.evaluations")
-        tel.observe(
-            "harq.expected_attempts",
-            attempts,
-            edges=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
-        )
+        tel.observe("harq.expected_attempts", attempts, edges=_ATTEMPT_EDGES)
     return (1.0 - p_all_failed) / attempts
+
+
+def _waterfall_array(sinr_db: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """:func:`_waterfall` per element: the same operations and guards.
+
+    ``exp`` runs only inside the guards, through ``math.exp``; NaN falls
+    through both guards to the logistic, as in the scalar form.
+    """
+    x = _BLER_SLOPE_PER_DB * (sinr_db - threshold - (-_BLER_OFFSET_DB))
+    above = x > 40.0
+    p_fail = np.where(above, 0.0, 1.0)
+    inside = ~(above | (x < -40.0))
+    logistic = x[inside].tolist()
+    p_fail[inside] = 1.0 / (
+        1.0 + np.fromiter(map(math.exp, logistic), np.float64, len(logistic))
+    )
+    return p_fail
+
+
+def harq_goodput_scale_array(sinr_db: np.ndarray, cqi: np.ndarray) -> np.ndarray:
+    """:func:`harq_goodput_scale` elementwise, bit for bit.
+
+    Every element goes through the same IEEE operations, in the same
+    order, as the scalar function: ``pow`` and ``exp`` as scalar libm
+    maps, ``log10`` through the probed :data:`vec_log10`.  CQI 0 scales
+    to ``0.0`` without an evaluation; any other CQI outside 1..15, or a
+    linear SINR that underflows to zero, raises ``ValueError`` as the
+    scalar function does.  With telemetry on, each evaluated pair counts
+    one ``harq.evaluations`` and one ``harq.expected_attempts``
+    observation, in array order.
+    """
+    sinr_db = np.asarray(sinr_db, dtype=np.float64)
+    cqi = np.asarray(cqi, dtype=np.intp)
+    out = np.zeros(sinr_db.shape)
+    live = cqi != CQI_OUT_OF_RANGE
+    if not live.any():
+        return out
+    cqi_live = cqi[live]
+    bad = (cqi_live < 1) | (cqi_live > len(LTE_CQI_TABLE))
+    if bad.any():
+        raise ValueError(f"CQI must be in 1..15, got {int(cqi_live[bad][0])!r}")
+    threshold = _CQI_THRESHOLDS_DB[cqi_live - 1]
+    exponents = (sinr_db[live] / 10.0).tolist()
+    sinr_linear = np.fromiter(
+        map(pow, repeat(10.0), exponents), np.float64, len(exponents)
+    )
+    expected = np.zeros(len(exponents))
+    p_all_failed = np.ones(len(exponents))
+    for attempt in range(1, MAX_TRANSMISSIONS + 1):
+        combined = sinr_linear * attempt
+        dead = combined <= 0.0
+        if dead.any():
+            raise ValueError(f"power ratio must be > 0, got {float(combined[dead][0])!r}")
+        p_fail = _waterfall_array(10.0 * vec_log10(combined), threshold)
+        expected += attempt * (p_all_failed * (1.0 - p_fail))
+        p_all_failed *= p_fail
+    attempts = expected + MAX_TRANSMISSIONS * p_all_failed
+    tel = _obs_runtime.active()
+    if tel is not None:
+        tel.inc("harq.evaluations", len(exponents))
+        for value in attempts.tolist():
+            tel.observe("harq.expected_attempts", value, edges=_ATTEMPT_EDGES)
+    out[live] = (1.0 - p_all_failed) / attempts
+    return out
 
 
 def first_attempt_failure_rate(sinr_db: float, cqi: Optional[int] = None) -> float:

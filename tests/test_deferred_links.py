@@ -13,8 +13,6 @@ last tests bound it on a mobile run and check that a static run keeps
 its hits across epochs.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -180,18 +178,13 @@ def mobile_run(net, n_epochs, move):
     demands = {c.client_id: float("inf") for c in net.topology.clients}
     rng = np.random.default_rng(5)
     used = []
-    lookup = net._harq_rows
+    lookup = net._harq_scale
 
-    def spy(sinr_rows, cqi_rows):
-        used[-1].update(
-            zip(
-                itertools.chain.from_iterable(sinr_rows),
-                itertools.chain.from_iterable(cqi_rows),
-            )
-        )
-        return lookup(sinr_rows, cqi_rows)
+    def spy(sinr, cqi):
+        used[-1].update(zip(np.ravel(sinr).tolist(), np.ravel(cqi).tolist()))
+        return lookup(sinr, cqi)
 
-    net._harq_rows = spy
+    net._harq_scale = spy
     for epoch in range(n_epochs):
         used.append(set())
         if move:
@@ -210,27 +203,32 @@ def mobile_run(net, n_epochs, move):
         yield used
 
 
+def memo_keys(memo):
+    """A HARQ memo generation's keys as ``(sinr, cqi)`` pairs."""
+    return {(key.real, int(key.imag)) for key in memo}
+
+
 class TestHarqMemoGenerations:
     def test_mobile_memo_holds_at_most_two_epochs_of_keys(self):
         net = make_net()
         for used in mobile_run(net, 7, move=True):
-            memo = set(net._harq_cache) | set(net._harq_prev)
+            memo = memo_keys(net._harq_cache) | memo_keys(net._harq_prev)
             window = used[-1] | (used[-2] if len(used) > 1 else set())
             assert memo <= window
-            assert set(net._harq_cache) == used[-1]
+            assert memo_keys(net._harq_cache) == used[-1]
         seen = set().union(*used)
         assert len(memo) < len(seen)
 
     def test_static_run_keeps_its_hits(self, monkeypatch):
         net = make_net()
         calls = []
-        scale = network.harq_goodput_scale
+        scale = network.harq_goodput_scale_array
 
         def counting(sinr_db, cqi):
-            calls.append((sinr_db, cqi))
+            calls.extend(zip(sinr_db, cqi))
             return scale(sinr_db, cqi)
 
-        monkeypatch.setattr(network, "harq_goodput_scale", counting)
+        monkeypatch.setattr(network, "harq_goodput_scale_array", counting)
         evaluations = []
         for used in mobile_run(net, 4, move=False):
             evaluations.append(len(calls))
@@ -238,4 +236,4 @@ class TestHarqMemoGenerations:
         assert evaluations[0] == len(used[0])
         # Later epochs find every key in the previous generation.
         assert evaluations[1:] == [0, 0, 0]
-        assert set(net._harq_cache) == used[-1]
+        assert memo_keys(net._harq_cache) == used[-1]

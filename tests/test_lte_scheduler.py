@@ -148,6 +148,22 @@ class TestProportionalFair:
         with pytest.raises(ValueError):
             ProportionalFairScheduler(smoothing=0.0)
 
+    @pytest.mark.parametrize("floor_bps", [0.0, -0.0, -1e3, float("nan")])
+    def test_non_positive_floor_rejected(self, floor_bps):
+        # With a zero floor, a zero-rate client with no history got a NaN
+        # metric that argmax picked every mini-slot, so this probe served
+        # nobody (the per-AP oracle divided by zero instead).
+        with pytest.raises(ValueError, match="floor_bps"):
+            ProportionalFairScheduler(floor_bps=floor_bps)
+
+        def rate(client, sub):
+            return 0.0 if client == 1 else 1e6
+
+        alloc = ProportionalFairScheduler().allocate(
+            [0], {1: float("inf"), 2: float("inf")}, rate
+        )
+        assert alloc.served_bits == {1: 0.0, 2: 1e6}
+
     def test_empty_subchannels_yield_nothing(self):
         alloc = ProportionalFairScheduler().allocate([], {1: float("inf")}, _flat_rate(1e6))
         assert alloc.served_bits[1] == 0.0

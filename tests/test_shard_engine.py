@@ -16,6 +16,9 @@ worker failure to one handler.  This suite pins the consequences:
 * the paper's own path -- CellFi hopping under mobility and handover
   churn at 64 APs -- gives the same per-epoch digests on the scalar
   oracle, on incremental at 1 shard and on 2 and 4 inline shards;
+* the same holds when every client moves every epoch, so the batched
+  block pass recomputes nearly every AP at once, also under a culling
+  horizon;
 * the PRACH partial counts of any ``grid_partition`` add up exactly to
   the unsharded contender counts.
 """
@@ -26,6 +29,8 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core.interference.manager import CellFiInterferenceManager
+from repro.experiments.common import build_scenario
 from repro.experiments.large_scale import TECH_CELLFI, SaturatedLteRun
 from repro.lte.network import (
     BACKEND_INCREMENTAL,
@@ -362,3 +367,152 @@ class TestPrachReduction:
             got = got + partial
         assert np.issubdtype(got.dtype, np.integer)
         assert np.array_equal(got, want)
+
+
+class TestAllDirtyChurn:
+    """Every client moves every epoch: the batched block pass at full load.
+
+    Nearly every AP's block is stale every epoch, with full recomputes
+    (re-attached rows, changed signatures) and dirty-row patches mixed in
+    one batch.  The policy's grants are handed over in a shuffled AP
+    order, so the interference sums must follow the grant order, not the
+    topology order.  The scalar oracle, incremental and 2 inline shards
+    must agree on every ``EpochResult`` and on the RNG stream states after
+    every epoch, and the two incremental runs on ``last_epoch_stats``.
+    """
+
+    SEED = 11
+    N_APS = 30
+    CLIENTS_PER_AP = 4
+    N_EPOCHS = 6
+    STEP_M = 80.0
+
+    def _saturated_runs(self):
+        runs = [
+            SaturatedLteRun(
+                TECH_CELLFI, self.SEED, n_aps=self.N_APS,
+                clients_per_ap=self.CLIENTS_PER_AP, epochs=self.N_EPOCHS,
+                backend=backend, shards=shards, shard_mode="inline",
+            )
+            for backend, shards in (
+                (BACKEND_SCALAR, 1), (BACKEND_INCREMENTAL, 1),
+                (BACKEND_INCREMENTAL, 2),
+            )
+        ]
+        return [(run.net, run.policy) for run in runs], runs
+
+    def _culled_runs(self, cull_loss_db):
+        def scenario():
+            return build_scenario(self.SEED, self.N_APS, self.CLIENTS_PER_AP)
+
+        def single(backend):
+            sc = scenario()
+            return sc, LteNetworkSimulator(
+                topology=sc.topology, grid=sc.grid(), channel=sc.channel,
+                rngs=sc.rngs.fork("net"), backend=backend,
+                cull_loss_db=cull_loss_db,
+            )
+
+        def sharded():
+            sc = scenario()
+
+            def factory(ap_ids):
+                fresh = scenario()
+                return LteNetworkSimulator(
+                    topology=fresh.topology, grid=fresh.grid(),
+                    channel=fresh.channel, rngs=fresh.rngs.fork("net"),
+                    cull_loss_db=cull_loss_db, shard_ap_ids=ap_ids,
+                )
+
+            return sc, ShardedNetwork(
+                sc.topology, grid_partition(sc.topology, 2), factory,
+                sc.rngs.fork("net"), sc.grid(), mode="inline",
+            )
+
+        pairs = []
+        for sc, net in (single(BACKEND_SCALAR), single(BACKEND_INCREMENTAL),
+                        sharded()):
+            policy = CellFiInterferenceManager(
+                sc.ap_ids, net.grid.n_subchannels, sc.rngs.fork("manager")
+            )
+            pairs.append((net, policy))
+        return pairs, [net for net, _ in pairs[2:]]
+
+    def _drive(self, pairs):
+        """Run the churn on every (net, policy) pair in lockstep."""
+        churn = np.random.default_rng(2000 + self.SEED)
+        observations = [None] * len(pairs)
+        stats = []
+        for epoch in range(self.N_EPOCHS):
+            order = churn.permutation(self.N_APS).tolist()
+            results = []
+            for k, (net, policy) in enumerate(pairs):
+                allowed = policy.decide(epoch, observations[k])
+                ap_ids = list(allowed)
+                shuffled = {ap_ids[i]: allowed[ap_ids[i]] for i in order}
+                demands = {c.client_id: float("inf") for c in net.topology.clients}
+                results.append(net.run_epoch(epoch, shuffled, demands))
+                observations[k] = results[-1].observations
+            for k, got in enumerate(results[1:], 1):
+                assert got == results[0], f"run {k}: epoch {epoch} diverged"
+                assert got.allocations == results[0].allocations
+                assert got.observations == results[0].observations
+            for name in ("net", "policy"):
+                states = [
+                    (net if name == "net" else policy).rngs.state_dict()
+                    for net, policy in pairs
+                ]
+                assert all(s == states[0] for s in states), (name, epoch)
+            epoch_stats = [dict(net.last_epoch_stats) for net, _ in pairs[1:]]
+            assert epoch_stats[1] == epoch_stats[0], f"stats, epoch {epoch}"
+            stats.append(epoch_stats[0])
+            # Every client walks; a few re-attach to a random cell.
+            topology = pairs[0][0].topology
+            steps = churn.uniform(-self.STEP_M, self.STEP_M, (len(topology.clients), 2))
+            moves = [
+                (
+                    c.client_id,
+                    float(np.clip(c.x + dx, 0.0, topology.area_m)),
+                    float(np.clip(c.y + dy, 0.0, topology.area_m)),
+                )
+                for c, (dx, dy) in zip(topology.clients, steps.tolist())
+            ]
+            roamers = [
+                (
+                    topology.clients[int(churn.integers(len(topology.clients)))].client_id,
+                    int(churn.integers(self.N_APS)),
+                )
+                for _ in range(3)
+            ]
+            for net, _ in pairs:
+                for move in moves:
+                    net.move_client(*move)
+                for roamer in roamers:
+                    net.reattach_client(*roamer)
+        return stats
+
+    def _check_load(self, stats):
+        n_clients = self.N_APS * self.CLIENTS_PER_AP
+        for epoch_stats in stats[1:]:
+            # Every row is recomputed, and nearly every AP is dirty.
+            assert epoch_stats["dirty_rows"] == n_clients
+            assert epoch_stats["clean_rows"] == 0
+            assert epoch_stats["dirty_aps"] >= self.N_APS - 3
+
+    def test_scalar_incremental_and_two_shards_agree(self):
+        pairs, runs = self._saturated_runs()
+        try:
+            self._check_load(self._drive(pairs))
+        finally:
+            for run in runs:
+                run.close()
+
+    def test_culled_horizon_variant_agrees(self):
+        pairs, sharded = self._culled_runs(cull_loss_db=125.0)
+        try:
+            stats = self._drive(pairs)
+        finally:
+            for net in sharded:
+                net.close()
+        self._check_load(stats)
+        assert all(s["culled_columns"] > 0 for s in stats)
