@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test coverage checkpoint-smoke bench bench-full bench-obs bench-incremental bench-incremental-smoke bench-city bench-gainfill bench-gainfill-smoke shard-nets sweep-smoke faults-smoke trace-smoke
+.PHONY: test claims coverage checkpoint-smoke bench bench-full bench-obs bench-incremental bench-incremental-smoke bench-city bench-gainfill bench-gainfill-smoke shard-nets sweep-smoke faults-smoke trace-smoke
 
 # CPU-feature mask under which numpy's transcendental inner loops fall
 # back to their libm-calling baseline, which is bit-identical to the
@@ -14,6 +14,14 @@ LIBM_MODE_FEATURES := AVX512_SPR AVX512_ICL AVX512_CNL AVX512_CLX AVX512_SKX AVX
 # Tier-1 test suite (must stay green).
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Paper-claims suite: the paper-shape assertions under benchmarks/
+# (Fig. 1/2/6-9, Table 1, Theorem 1, the PRACH detector, ablations) at CI
+# scale; REPRO_FULL=1 runs them at paper scale.  Every test takes the
+# pytest-benchmark fixture, timed off here.  The run rewrites
+# benchmarks/results/fig6.txt and prach.txt.
+claims:
+	$(PYTHON) -m pytest benchmarks -q --benchmark-disable
 
 # Tier-1 suite under coverage: terminal summary plus coverage.xml (the CI
 # artifact).  Gated on pytest-cov so machines without the plugin still get
@@ -72,8 +80,9 @@ trace-smoke:
 bench:
 	$(PYTHON) benchmarks/bench_epoch.py --smoke
 
-# Full epoch benchmark: incremental at 10/50/200 cells, the scalar oracle
-# up to 50; writes BENCH_epoch.json.
+# Full epoch benchmark: the production incremental epoch at 10/50/200
+# cells, the scalar oracle (repro.lte.scalar_oracle) up to 50; writes
+# BENCH_epoch.json.
 bench-full:
 	$(PYTHON) benchmarks/bench_epoch.py
 
@@ -84,7 +93,7 @@ bench-full:
 bench-obs:
 	$(PYTHON) benchmarks/bench_obs_overhead.py
 
-# Activity sweep: the incremental backend at 200 cells across activity
+# Activity sweep: the incremental epoch at 200 cells across activity
 # levels; writes BENCH_incremental.json.
 bench-incremental:
 	$(PYTHON) benchmarks/bench_epoch.py --activity-sweep --epochs 10
@@ -126,7 +135,7 @@ bench-gainfill-smoke:
 # scalar fill oracle, bare 2-shard process workers, supervised, a
 # supervised scheduled worker kill (untraced, then traced) and a
 # zero-retry-budget kill -- and every run must digest-equal the unsharded
-# incremental backend.  The kill must respawn from checkpoint and replay
+# incremental epoch.  The kill must respawn from checkpoint and replay
 # its journal; the budget-0 kill must degrade the shard inline with a
 # structured warning; the traced kill must merge every worker's telemetry
 # plus supervisor barrier/recovery spans into one shard-tagged timeline.

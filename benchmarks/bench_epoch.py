@@ -5,15 +5,16 @@ Times ``LteNetworkSimulator.run_epoch`` under saturated demand on seeded
 random deployments at several cell counts, and writes the measurements to
 ``BENCH_epoch.json`` at the repository root.
 
-The default incremental backend is timed at every size.  The scalar
-(reference) backend is quadratic in cells per subchannel and becomes very
-slow past ~50 cells, so it is only timed up to ``MAX_SCALAR_CELLS`` (50).
-Both backends are bit-identical for the same seeds
-(``tests/test_lte_network_vectorized.py``), so the speedup is free.
+The production incremental epoch is timed at every size.  The scalar
+oracle (:class:`repro.lte.scalar_oracle.ScalarOracleSimulator`) is
+quadratic in cells per subchannel and becomes very slow past ~50 cells, so
+it is only timed up to ``MAX_SCALAR_CELLS`` (50).  Both are bit-identical
+for the same seeds (``tests/test_lte_network_vectorized.py``), so the speedup
+is free.
 ``--smoke`` runs small sizes into the untracked ``BENCH_epoch_smoke.json``
 so it never replaces the reference the telemetry-overhead gate reads.
 
-``--activity-sweep`` instead times the incremental backend while sweeping
+``--activity-sweep`` instead times the incremental epoch while sweeping
 per-epoch activity (the fraction of cells whose clients move and carry
 traffic each epoch), writing ``BENCH_incremental.json``.  With ``--smoke``
 the sweep also runs the scalar oracle with the same culling horizon and
@@ -26,7 +27,7 @@ equality and writing ``BENCH_city.json``.  ``--shard-nets`` is the CI
 gate: one 20-cell churn scenario (mobility *and* cross-shard handovers)
 driven through bare, supervised, killed, traced and degraded 2-shard
 process-mode runs whose per-epoch digests must all equal the unsharded
-incremental backend's, writing the untracked ``bench-shard-nets-current.json``
+incremental epoch's, writing the untracked ``bench-shard-nets-current.json``
 (``--output BENCH_shard_nets.json`` re-records the committed reference).
 
 Usage::
@@ -51,17 +52,16 @@ import pathlib
 import statistics
 import time
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.lte.network import (
-    BACKEND_INCREMENTAL,
-    BACKEND_SCALAR,
     AllSubchannelsPolicy,
     EpochResult,
     LteNetworkSimulator,
 )
+from repro.lte.scalar_oracle import ScalarOracleSimulator
 from repro.phy import vecmath
 from repro.phy.propagation import (
     FILL_BATCHED,
@@ -151,18 +151,18 @@ def _bench_topology(n_cells: int) -> Topology:
 
 def build_network(
     n_cells: int,
-    backend: str,
+    simulator: Type[LteNetworkSimulator] = LteNetworkSimulator,
     cull_loss_db: Optional[float] = None,
     shard_ap_ids: Optional[Sequence[int]] = None,
     gain_fill: str = FILL_BATCHED,
 ) -> LteNetworkSimulator:
-    """A seeded deployment identical across backends (and shard views)."""
-    return LteNetworkSimulator(
+    """A seeded deployment identical across simulator classes (and shard
+    views): the production one or the scalar oracle."""
+    return simulator(
         topology=_bench_topology(n_cells),
         grid=ResourceGrid(5e6),
         channel=_bench_channel(),
         rngs=RngStreams(SEED),
-        backend=backend,
         cull_loss_db=cull_loss_db,
         gain_fill=gain_fill,
         shard_ap_ids=shard_ap_ids,
@@ -195,14 +195,14 @@ def run_benchmark(sizes: List[int], n_epochs: int) -> Dict:
     results = []
     for n_cells in sizes:
         entry: Dict = {"cells": n_cells, "clients": n_cells * CLIENTS_PER_AP}
-        net = build_network(n_cells, BACKEND_INCREMENTAL)
+        net = build_network(n_cells)
         entry["incremental"] = time_epochs(net, n_epochs)
         print(
             f"{n_cells:4d} cells  incremental "
             f"{entry['incremental']['per_epoch_s'] * 1e3:9.1f} ms/epoch"
         )
         if n_cells <= MAX_SCALAR_CELLS:
-            net = build_network(n_cells, BACKEND_SCALAR)
+            net = build_network(n_cells, ScalarOracleSimulator)
             entry["scalar"] = time_epochs(net, n_epochs)
             entry["speedup"] = (
                 entry["scalar"]["per_epoch_s"]
@@ -216,9 +216,9 @@ def run_benchmark(sizes: List[int], n_epochs: int) -> Dict:
         else:
             entry["scalar"] = None
             entry["note"] = (
-                f"scalar backend skipped above {MAX_SCALAR_CELLS} cells "
+                f"scalar oracle skipped above {MAX_SCALAR_CELLS} cells "
                 "(reference implementation is too slow; it is bit-identical "
-                "to the incremental backend)"
+                "to the incremental epoch)"
             )
         results.append(entry)
     return {
@@ -234,7 +234,7 @@ def epoch_digest(result: EpochResult) -> str:
     """Order-independent digest of every client-visible epoch output.
 
     ``repr`` of a float round-trips the exact IEEE-754 value, so two
-    backends hash equal iff they are bit-identical.
+    simulators hash equal iff they are bit-identical.
     """
     payload = repr(
         (
@@ -271,7 +271,7 @@ def _sweep_scenario(
     ``activity`` is the fraction of cells that are active: their clients
     carry saturated traffic and one client per active cell moves every
     epoch.  Everything else is idle, which is the regime the incremental
-    backend targets (most cells unchanged epoch over epoch).
+    epoch targets (most cells unchanged epoch over epoch).
     """
     n_active = max(1, int(round(activity * n_cells)))
     rng = np.random.default_rng(SEED + 1)
@@ -311,20 +311,20 @@ def _movement_schedule(
 
 def _run_sweep_arm(
     n_cells: int,
-    backend: str,
+    simulator: Type[LteNetworkSimulator],
     cull_loss_db: Optional[float],
     demands: Dict[int, float],
     schedule: List[List[Tuple[int, float, float]]],
     collect_digests: bool,
 ) -> Dict:
-    """Time the epoch loop for one backend under the activity scenario.
+    """Time the epoch loop of one simulator class under the activity scenario.
 
     Each timed epoch first applies that epoch's client movements (part of
-    the workload: the incremental backend pays its row refresh here), then
+    the workload: the incremental epoch pays its row refresh here), then
     runs the epoch.  Epoch 0 is an untimed warm-up so caches are hot in
     every arm.
     """
-    net = build_network(n_cells, backend, cull_loss_db=cull_loss_db)
+    net = build_network(n_cells, simulator, cull_loss_db=cull_loss_db)
     policy = AllSubchannelsPolicy(
         [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
     )
@@ -353,14 +353,14 @@ def _run_sweep_arm(
         epoch_times.append(time.perf_counter() - mid)
         if collect_digests:
             digests.append(epoch_digest(result))
-        if backend == BACKEND_INCREMENTAL:
+        if simulator is LteNetworkSimulator:
             dirty_aps.append(net.last_epoch_stats["dirty_aps"])
     if gc_was_enabled:
         gc.enable()
     arm: Dict = {
         "total_s": sum(epoch_times),
         # Median epoch time: one preempted epoch should not skew the
-        # backend comparison on a shared machine.
+        # engine comparison on a shared machine.
         "per_epoch_s": statistics.median(epoch_times),
         "event_apply_s": event_apply,
         "event_apply_per_epoch_s": event_apply / len(schedule),
@@ -368,7 +368,7 @@ def _run_sweep_arm(
     }
     if collect_digests:
         arm["digests"] = digests
-    if backend == BACKEND_INCREMENTAL:
+    if simulator is LteNetworkSimulator:
         arm["dirty_aps_per_epoch"] = dirty_aps
         arm["last_epoch_stats"] = dict(net.last_epoch_stats)
     return arm
@@ -381,7 +381,7 @@ def run_activity_sweep(
     check: bool,
     cull_loss_db: float = SWEEP_CULL_LOSS_DB,
 ) -> Dict:
-    """Time the incremental backend across activity levels.
+    """Time the incremental epoch across activity levels.
 
     With ``check=True`` a scalar arm with the *same* culling horizon runs
     as the bit-identity oracle: its per-epoch digests must equal the
@@ -398,11 +398,12 @@ def run_activity_sweep(
             "moving_clients": len(movers),
         }
         entry["incremental"] = _run_sweep_arm(
-            n_cells, BACKEND_INCREMENTAL, cull_loss_db, demands, schedule, check
+            n_cells, LteNetworkSimulator, cull_loss_db, demands, schedule, check
         )
         if check:
             scalar = _run_sweep_arm(
-                n_cells, BACKEND_SCALAR, cull_loss_db, demands, schedule, True
+                n_cells, ScalarOracleSimulator, cull_loss_db, demands, schedule,
+                True,
             )
             entry["digest_match"] = (
                 scalar["digests"] == entry["incremental"]["digests"]
@@ -410,7 +411,7 @@ def run_activity_sweep(
             if not entry["digest_match"]:
                 raise SystemExit(
                     f"digest mismatch at activity {activity}: incremental "
-                    "backend diverged from the culled scalar oracle"
+                    "epoch diverged from the culled scalar oracle"
                 )
             dirty = entry["incremental"]["dirty_aps_per_epoch"]
             # After warm-up only moved clients dirty their serving cell,
@@ -481,7 +482,6 @@ def build_city_network(
             grid=ResourceGrid(5e6),
             channel=_bench_channel(),
             rngs=RngStreams(SEED),
-            backend=BACKEND_INCREMENTAL,
             cull_loss_db=cull_loss_db,
             shard_ap_ids=ap_ids,
         )
@@ -871,7 +871,7 @@ def run_shard_nets(
             _bench_topology(n_cells),
             plan,
             lambda ap_ids: build_network(
-                n_cells, BACKEND_INCREMENTAL, cull_loss_db, shard_ap_ids=ap_ids
+                n_cells, cull_loss_db=cull_loss_db, shard_ap_ids=ap_ids
             ),
             RngStreams(SEED),
             ResourceGrid(5e6),
@@ -900,10 +900,10 @@ def run_shard_nets(
     # this population.  The once-per-process exactness probes run first
     # so their cost does not land in the batched arm's prefill.
     vecmath.vectorized_report()
-    batched_net = build_network(n_cells, BACKEND_INCREMENTAL, cull_loss_db)
+    batched_net = build_network(n_cells, cull_loss_db=cull_loss_db)
     unsharded = drive(batched_net)
     scalar_net = build_network(
-        n_cells, BACKEND_INCREMENTAL, cull_loss_db, gain_fill=FILL_SCALAR
+        n_cells, cull_loss_db=cull_loss_db, gain_fill=FILL_SCALAR
     )
     if drive(scalar_net) != unsharded:
         raise SystemExit(
@@ -915,7 +915,7 @@ def run_shard_nets(
     if bare["digests"] != unsharded:
         raise SystemExit(
             f"shard smoke digest mismatch: the {n_shards}-shard run "
-            f"diverged from the unsharded incremental backend at epoch "
+            f"diverged from the unsharded incremental epoch at epoch "
             f"{_first_divergence(bare['digests'], unsharded)}"
         )
     # Same run under the fault-tolerant supervisor (no chaos): heartbeat
@@ -925,7 +925,7 @@ def run_shard_nets(
     if supervised["digests"] != unsharded:
         raise SystemExit(
             "shard smoke digest mismatch: the supervised run diverged "
-            "from the unsharded incremental backend"
+            "from the unsharded incremental epoch"
         )
 
     killed = drive_sharded(retry_budget=3, chaos=kill)
@@ -1099,7 +1099,7 @@ def main() -> None:
         "--activity-sweep",
         action="store_true",
         help=(
-            "time the incremental backend across activity levels "
+            "time the incremental epoch across activity levels "
             f"{list(DEFAULT_ACTIVITIES)}; writes {INCREMENTAL_OUTPUT_PATH.name} "
             "(with --smoke: 20 cells, digest-checked against the scalar "
             "oracle)"
@@ -1120,7 +1120,7 @@ def main() -> None:
         help=(
             "CI gate: bare, supervised, killed, traced and degraded 2-shard "
             "runs under mobility and cross-shard handover churn must "
-            "digest-equal the unsharded incremental backend; writes "
+            "digest-equal the unsharded incremental epoch; writes "
             f"{SHARD_NETS_OUTPUT_PATH.name} (--output BENCH_shard_nets.json "
             "re-records the committed reference) plus "
             f"{SHARD_NETS_TRACE_PATH.name} / {SHARD_NETS_JSONL_PATH.name}"

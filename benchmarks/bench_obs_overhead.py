@@ -11,7 +11,7 @@ costs.  Results go to the untracked ``bench-obs-current.json`` at the
 repository root; only an explicit ``--output BENCH_obs.json`` re-records
 the committed reference that ``make shard-nets`` reads.
 
-Three configurations are timed on the default incremental backend:
+Three configurations are timed on the production incremental epoch:
 
 * ``disabled``  -- no active Telemetry (the default for every run).
 * ``metrics``   -- counters/gauges/histograms collected, no tracer.
@@ -38,7 +38,7 @@ import pathlib
 import sys
 from typing import Dict, List, Optional
 
-from bench_epoch import BACKEND_INCREMENTAL, build_network, time_epochs
+from bench_epoch import build_network, time_epochs
 
 from repro.obs import Telemetry, activated
 
@@ -65,7 +65,7 @@ def _best_of(n_cells: int, n_epochs: int, repeats: int, factory) -> float:
     """
     best = float("inf")
     for _ in range(repeats):
-        net = build_network(n_cells, BACKEND_INCREMENTAL)
+        net = build_network(n_cells)
         if factory is None:
             timing = time_epochs(net, n_epochs)
         else:

@@ -28,7 +28,7 @@ from repro.core.interference.manager import CellFiInterferenceManager
 from repro.experiments.common import LTE_BANDWIDTH_HZ, Scenario, build_scenario
 from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.obs import runtime as _obs_runtime
-from repro.lte.network import BACKEND_INCREMENTAL, LteNetworkSimulator
+from repro.lte.network import LteNetworkSimulator
 from repro.sim.shard import ChaosPolicy, ShardedNetwork, SupervisionConfig
 from repro.phy.propagation import CompositeChannel, GainMatrixCache
 from repro.phy.resource_grid import ResourceGrid
@@ -76,7 +76,6 @@ def _supervision_config(
 def _make_lte_net(
     scenario: Scenario,
     stream_label: str,
-    backend: str = BACKEND_INCREMENTAL,
     shards: int = 1,
     shard_mode: str = "auto",
     shard_supervise: bool = False,
@@ -90,12 +89,7 @@ def _make_lte_net(
             grid=scenario.grid(),
             channel=scenario.channel,
             rngs=scenario.rngs.fork(stream_label),
-            backend=backend,
             gain_cache=scenario.gain_cache(),
-        )
-    if backend != BACKEND_INCREMENTAL:
-        raise ValueError(
-            f"shards > 1 requires the incremental backend, got {backend!r}"
         )
     # Sharded city-scale path: every worker owns one rectangular tile of
     # APs over a replica of the scenario as built -- the AP list, the
@@ -126,7 +120,6 @@ def _make_lte_net(
             grid=ResourceGrid(LTE_BANDWIDTH_HZ),
             channel=channel,
             rngs=RngStreams(rng_seed).fork(stream_label),
-            backend=backend,
             gain_cache=gain_cache,
             shard_ap_ids=ap_ids,
         )
@@ -200,7 +193,6 @@ class SaturatedLteRun:
         n_aps: int,
         clients_per_ap: int = 6,
         epochs: int = 15,
-        backend: str = BACKEND_INCREMENTAL,
         scenario: Optional[Scenario] = None,
         shards: int = 1,
         shard_mode: str = "auto",
@@ -238,7 +230,6 @@ class SaturatedLteRun:
             "n_aps": n_aps,
             "clients_per_ap": clients_per_ap,
             "epochs": epochs,
-            "backend": backend,
             "shards": shards,
             "shard_mode": shard_mode,
         }
@@ -261,7 +252,6 @@ class SaturatedLteRun:
         self.net = _make_lte_net(
             self.scenario,
             f"net-{tech}",
-            backend=backend,
             shards=shards,
             shard_mode=shard_mode,
             shard_supervise=shard_supervise,
@@ -415,11 +405,18 @@ class SaturatedLteRun:
     def from_snapshot(cls, snapshot: Snapshot) -> "SaturatedLteRun":
         """Build-then-load: reconstruct from the embedded config, restore."""
         config = from_jsonable(snapshot.meta["config"])
-        # Snapshots from before the whole-matrix "vectorized" backend was
-        # folded into incremental still name it.  The rewrite is exact:
-        # the two were bit-identical and no backend cache is serialized.
-        if config.get("backend") == "vectorized":
-            config["backend"] = BACKEND_INCREMENTAL
+        # Older snapshots name the epoch backend they ran on.  One that ran
+        # the incremental epoch (or "vectorized", its bit-identical
+        # predecessor) resumes exactly: no epoch cache is serialized.  One
+        # that ran the scalar oracle kept its max-CQI history under
+        # ``max_cqi_state``, which the production epoch does not read, so
+        # it cannot.
+        backend = config.pop("backend", "incremental")
+        if backend not in ("incremental", "vectorized"):
+            raise ValueError(
+                f"snapshot ran the {backend!r} epoch backend; only "
+                "incremental snapshots resume exactly"
+            )
         run = cls(**config)
         run.registry.restore(snapshot)
         return run
@@ -434,7 +431,6 @@ def run_lte_family_saturated(
     tech: str,
     scenario: Scenario,
     epochs: int = 15,
-    backend: str = BACKEND_INCREMENTAL,
 ) -> SaturatedRun:
     """Run CellFi / plain LTE / Oracle with backlogged traffic."""
     run = SaturatedLteRun(
@@ -443,7 +439,6 @@ def run_lte_family_saturated(
         scenario.n_aps,
         scenario.clients_per_ap,
         epochs=epochs,
-        backend=backend,
         scenario=scenario,
     )
     return run.run()
@@ -819,10 +814,9 @@ def _run_lte_family_web(
     scenario: Scenario,
     pages: List[WebPage],
     duration_s: float,
-    backend: str = BACKEND_INCREMENTAL,
 ) -> tuple:
     """Epoch-driven web workload for an LTE-family technology."""
-    net = _make_lte_net(scenario, f"web-{tech}", backend=backend)
+    net = _make_lte_net(scenario, f"web-{tech}")
     policy = _make_policy(tech, scenario, net)
     tracker = FlowTracker()
     pending = sorted(pages, key=lambda p: p.arrival_s)

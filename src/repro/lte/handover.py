@@ -149,7 +149,7 @@ class MobileNetworkRunner:
         links, apply qualifying handovers via ``reattach_client``, then
         run the epoch.  No caches are rebuilt wholesale -- the dirty-row
         machinery refreshes exactly the touched rows, so the incremental
-        epoch backend sees precisely the cells events touched.
+        epoch sees precisely the cells events touched.
         """
         results: List[EpochResult] = []
         observations = None

@@ -20,23 +20,23 @@ Plain LTE uses :class:`AllSubchannelsPolicy`; CellFi plugs in its
 interference manager (:mod:`repro.core`); the centralized oracle plugs in a
 graph-coloring allocator (:mod:`repro.baselines.oracle`).
 
-Two epoch backends compute the radio quantities:
+The epoch computes the radio quantities with whole-matrix NumPy kernels
+over a cached AP<->client gain matrix plus a dirty-row tracker: per-AP
+SINR/CQI/rate blocks are cached and only recomputed when an event
+(mobility, handover/re-attach, a hopping decision, an activity change)
+invalidates them; the stale rows of every AP are then recomputed together
+in one batched pass.
 
-* ``backend="scalar"`` -- the reference oracle: per-link Python loops,
-  easy to audit against the formulas in ``docs/SIMULATION.md``;
-* ``backend="incremental"`` (default, production) -- whole-matrix NumPy
-  kernels over a cached AP<->client gain matrix plus a dirty-row tracker:
-  per-AP SINR/CQI/rate blocks are cached and only recomputed when an
-  event (mobility, handover/re-attach, a hopping decision, an activity
-  change) invalidates them; the stale rows of every AP are then
-  recomputed together in one batched pass.  Interference sums accumulate
-  in the same per-interferer order and dB conversions round exactly like
-  the oracle's ``math.log10`` calls; interference from APs a client
-  cannot hear (culled by the gain cache's path-loss horizon) adds an
-  exact ``0.0``, a bitwise no-op on an IEEE-754 sum of non-negative
-  powers.  The backend is therefore *bit-identical* to the scalar oracle
-  for the same seeds (``tests/test_lte_network_incremental.py`` and
-  ``tests/test_lte_network_vectorized.py`` enforce this).
+Its reference is :class:`repro.lte.scalar_oracle.ScalarOracleSimulator`,
+a subclass whose epoch runs per-link Python loops, easy to audit against
+the formulas in ``docs/SIMULATION.md``.  Interference sums accumulate in
+the same per-interferer order and dB conversions round exactly like the
+oracle's ``math.log10`` calls; interference from APs a client cannot hear
+(culled by the gain cache's path-loss horizon) adds an exact ``0.0``, a
+bitwise no-op on an IEEE-754 sum of non-negative powers.  The production
+epoch is therefore *bit-identical* to the oracle for the same seeds
+(``tests/test_lte_network_incremental.py`` and
+``tests/test_lte_network_vectorized.py`` enforce this).
 """
 
 from __future__ import annotations
@@ -52,30 +52,15 @@ import numpy as np
 
 from repro.lte.scheduler import Allocation, ProportionalFairScheduler
 from repro.obs import runtime as _obs_runtime
-from repro.phy.harq import harq_goodput_scale, harq_goodput_scale_array
-from repro.phy.mcs import (
-    CQI_OUT_OF_RANGE,
-    LTE_CQI_TABLE,
-    cqi_from_sinr,
-    efficiency_from_cqi,
-)
+from repro.phy.harq import harq_goodput_scale_array
+from repro.phy.mcs import LTE_CQI_TABLE, efficiency_from_cqi
 from repro.phy.propagation import FILL_BATCHED, CompositeChannel, GainMatrixCache
 from repro.phy.resource_grid import RB_BANDWIDTH_HZ, ResourceGrid
 from repro.phy.vecmath import vec_log10
 from repro.sim.checkpoint import register_dataclass
 from repro.sim.rng import RngStreams
 from repro.sim.topology import Topology
-from repro.utils.dbmath import (
-    dbm_to_watt,
-    dbm_to_watt_array,
-    linear_to_db,
-    thermal_noise_dbm,
-)
-
-#: Epoch-kernel backend names.
-BACKEND_SCALAR = "scalar"
-BACKEND_INCREMENTAL = "incremental"
-_BACKENDS = (BACKEND_SCALAR, BACKEND_INCREMENTAL)
+from repro.utils.dbmath import dbm_to_watt, dbm_to_watt_array, thermal_noise_dbm
 
 #: SINR sentinel for links with exactly zero received signal power (a
 #: client beyond the culling horizon of its serving AP, or a signal that
@@ -145,7 +130,7 @@ def _elementwise_db(ratio: np.ndarray) -> np.ndarray:
     """``10 * log10`` per element, bit-identical to ``math.log10``.
 
     NumPy's SIMD ``log10`` differs from libm in the last ulp, which would
-    break the bit-for-bit equivalence between the epoch backends, so the
+    break the bit-for-bit equivalence with the scalar oracle, so the
     logarithm goes through the probed :data:`~repro.phy.vecmath.vec_log10`
     (NumPy where it provably is libm, a scalar ``math.log10`` map
     otherwise); the ``10 *`` is an IEEE multiply either way.
@@ -178,7 +163,7 @@ def _segment_counts(
 def _control_scale(sir_db: float) -> float:
     """Figure 7(b) goodput multiplier from a signal-to-interferer ratio.
 
-    Shared by both epoch backends so the expression stays bit-for-bit
+    Shared with the scalar oracle so the expression stays bit-for-bit
     identical.  ``sir_db`` may be infinite (one dead link) or NaN (both the
     serving and the strongest interfering link are dead); a dead serving
     link delivers zero rate anyway, so NaN resolves to "no control loss".
@@ -389,16 +374,13 @@ class LteNetworkSimulator:
         noise_figure_db: client receiver noise figure.
         control_interference: apply the Figure 7(b) control-channel loss.
         epoch_s: epoch duration (the 1 s allocation interval).
-        backend: ``"incremental"`` (default) or ``"scalar"`` (the
-            reference oracle); both produce bit-identical results for the
-            same seeds.
         gain_cache: optional pre-built :class:`GainMatrixCache` for this
             topology/channel (shared with other consumers); built
             internally when omitted.
         cull_loss_db: optional neighbor-culling path-loss horizon (dB)
             forwarded to the internally built gain cache: links lossier
             than this carry exactly zero power (no signal, no
-            interference, no PRACH audibility) in *every* backend.  When
+            interference, no PRACH audibility) in every epoch.  When
             ``gain_cache`` is injected its own horizon governs and this
             argument must match or stay ``None``.
         gain_fill: gain-cache fill mode (``"batched"`` default,
@@ -421,7 +403,6 @@ class LteNetworkSimulator:
         epoch_s: float = 1.0,
         detector_true_positive: float = CQI_DETECTOR_TRUE_POSITIVE,
         detector_false_positive: float = CQI_DETECTOR_FALSE_POSITIVE,
-        backend: str = BACKEND_INCREMENTAL,
         gain_cache: Optional[GainMatrixCache] = None,
         cull_loss_db: Optional[float] = None,
         gain_fill: str = FILL_BATCHED,
@@ -436,11 +417,6 @@ class LteNetworkSimulator:
         self.noise_figure_db = noise_figure_db
         self.control_interference = control_interference
         self.epoch_s = epoch_s
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"backend must be one of {_BACKENDS!r}, got {backend!r}"
-            )
-        self.backend = backend
         if not 0.0 <= detector_false_positive <= detector_true_positive <= 1.0:
             raise ValueError(
                 "require 0 <= detector_false_positive <= detector_true_positive <= 1"
@@ -456,11 +432,6 @@ class LteNetworkSimulator:
         # foreign APs so the shard-local draws land on the same PCG64
         # offsets as the unsharded run (see repro.sim.shard).
         if shard_ap_ids is not None:
-            if backend != BACKEND_INCREMENTAL:
-                raise ValueError(
-                    "shard_ap_ids requires the incremental backend, "
-                    f"got {backend!r}"
-                )
             known = {ap.ap_id for ap in topology.aps}
             unknown = set(shard_ap_ids) - known
             if unknown:
@@ -500,8 +471,7 @@ class LteNetworkSimulator:
                 fill_mode=gain_fill,
             )
         self._precompute_link_powers()
-        self._max_cqi_state: Dict[Tuple[int, int], int] = {}
-        # Incremental-backend state: per-AP row-set versions (bumped by
+        # Incremental-epoch state: per-AP row-set versions (bumped by
         # the events that dirty an AP's block -- mobility, handover,
         # re-attach), the key each AP's cached block was computed under
         # (version, interference/control/RLF signatures), cached
@@ -548,8 +518,9 @@ class LteNetworkSimulator:
 
         The dense ``(n_clients, n_aps)`` link matrices -- per-RB received
         dBm, the same in watts, and PRACH audibility -- are the only
-        derived link store: every backend and every per-link accessor
-        reads them.  They fill from :class:`GainMatrixCache` rows through
+        derived link store: the epoch, the scalar oracle and every
+        per-link accessor read them.  They fill from
+        :class:`GainMatrixCache` rows through
         :meth:`_refresh_rows`, the one refresh path: here for every owned
         row, later for the rows that client events left pending (see
         :attr:`_rx_dbm_mat`).
@@ -594,7 +565,7 @@ class LteNetworkSimulator:
             self._rebuild_rows_of(ap.ap_id)
 
         # Lookup tables for the incremental kernels.  The rate table is built
-        # through the very same scalar grid call the reference backend makes,
+        # through the very same scalar grid call the scalar oracle makes,
         # so table lookups are bit-identical to recomputation.
         n_subs = self.grid.n_subchannels
         self._cqi_min_sinr = np.array([e.min_sinr_db for e in LTE_CQI_TABLE])
@@ -626,7 +597,7 @@ class LteNetworkSimulator:
         """(Re)build one AP's gain-matrix row index array.
 
         Called at build time and whenever a client's *serving* AP changes
-        (handover / re-attach): the incremental backend reads the serving
+        (handover / re-attach): the incremental epoch reads the serving
         column through this mapping, so a stale entry would feed it
         signal power from the old serving cell.
         """
@@ -653,9 +624,8 @@ class LteNetworkSimulator:
 
         Links beyond the gain cache's culling horizon are stored as dead:
         ``-inf`` dBm, exactly ``0.0`` W (``10.0 ** -inf``) and inaudible
-        PRACH.  All backends read these same matrices, so culling changes
-        the physics for all of them identically (the scalar oracle
-        included).
+        PRACH.  The epoch and the scalar oracle read these same matrices,
+        so culling changes the physics for both identically.
         """
         n_aps = len(self._ap_col)
         step = max(1, _LINK_CHUNK // max(1, n_aps))
@@ -831,62 +801,6 @@ class LteNetworkSimulator:
             self._owned_row(client_id), self._ap_col[ap_id]
         )
 
-    def sinr_db(
-        self,
-        client_id: int,
-        serving_ap: int,
-        interfering_aps: Sequence[int],
-    ) -> float:
-        """Per-RB SINR at a client for a given co-RB interferer set."""
-        rx_w = self._rx_w_mat[self._owned_row(client_id)].tolist()
-        cols = self._ap_col
-        signal_w = rx_w[cols[serving_ap]]
-        if signal_w <= 0.0:
-            return ZERO_SIGNAL_SINR_DB
-        noise_w = self._rb_noise_w
-        interference_w = sum(rx_w[cols[ap]] for ap in interfering_aps)
-        return linear_to_db(signal_w / (noise_w + interference_w))
-
-    def clean_sinr_db(self, client_id: int, serving_ap: int) -> float:
-        """SINR with no secondary-user interference (SNR)."""
-        return self.sinr_db(client_id, serving_ap, ())
-
-    def _weighted_sinr_db(
-        self,
-        client_id: int,
-        serving_ap: int,
-        interfering_aps: Sequence[int],
-        weights: Sequence[float],
-    ) -> float:
-        """SINR with per-interferer duty-cycle weights in [0, 1]."""
-        rx_w = self._rx_w_mat[self._owned_row(client_id)].tolist()
-        cols = self._ap_col
-        signal_w = rx_w[cols[serving_ap]]
-        if signal_w <= 0.0:
-            return ZERO_SIGNAL_SINR_DB
-        noise_w = self._rb_noise_w
-        interference_w = sum(
-            w * rx_w[cols[ap]] for ap, w in zip(interfering_aps, weights)
-        )
-        return linear_to_db(signal_w / (noise_w + interference_w))
-
-    def control_interference_scale(
-        self, client_id: int, serving_ap: int, co_channel_aps: Sequence[int]
-    ) -> float:
-        """Goodput multiplier for CRS/PDCCH interference (Figure 7(b)).
-
-        The loss decays with the signal-to-strongest-interferer ratio: ~20%
-        when the interferer is as strong as the serving cell, negligible
-        beyond ~+20 dB.
-        """
-        if not self.control_interference or not co_channel_aps:
-            return 1.0
-        rx_dbm = self._rx_dbm_mat[self._owned_row(client_id)].tolist()
-        cols = self._ap_col
-        signal = rx_dbm[cols[serving_ap]]
-        strongest = max(rx_dbm[cols[ap]] for ap in co_channel_aps)
-        return _control_scale(signal - strongest)
-
     # -- Epoch execution -----------------------------------------------------------
 
     def prach_partial_counts(self, demands_bits: Dict[int, float]) -> np.ndarray:
@@ -933,8 +847,6 @@ class LteNetworkSimulator:
                 "sharded simulators need externally merged prach_counts "
                 "(drive them through repro.sim.shard.ShardedNetwork)"
             )
-        self._harq_prev = self._harq_cache
-        self._harq_cache = {}
         tel = _obs_runtime.active()
         span = None
         if tel is not None:
@@ -944,51 +856,23 @@ class LteNetworkSimulator:
             span = tel.span("lte.epoch", cat="sim", args={"epoch": epoch_index})
             span.__enter__()
 
-        # Demands in link-matrix row order (the ``topology.clients`` order),
-        # and every AP's active-client count over its rows, in topology
-        # order.
-        demand = np.array(
-            [demands_bits.get(c.client_id, 0.0) for c in self.topology.clients]
+        served_bits, throughput, connected, allocations, observations = (
+            self._epoch(allowed, demands_bits, prach_counts)
         )
-        active = demand > 0.0
-        aps = self.topology.aps
-        segments = [self._rows_of_ap[ap.ap_id] for ap in aps]
-        lengths = [len(rows) for rows in segments]
-        all_rows = np.concatenate([np.zeros(0, dtype=np.intp), *segments])
-        n_active = _segment_counts(active[all_rows], lengths)[0].tolist()
-        # Active AP ids in topology order: the co-channel list every
-        # backend iterates.
-        active_list = [ap.ap_id for ap, n in zip(aps, n_active) if n]
-
-        detector_rng = self.rngs.stream("cqi-detector")
-        rlf_rng = self.rngs.stream("rlf")
-        if self.backend == BACKEND_INCREMENTAL:
-            if prach_counts is None:
-                prach_counts = self._prach_mat[active].sum(axis=0)
-            outcome = self._incremental_epoch(
-                allowed, demand, all_rows, lengths, n_active, active_list,
-                prach_counts, detector_rng, rlf_rng,
-            )
-        else:
-            outcome = self._scalar_epoch(
-                allowed, demands_bits, active_list, detector_rng, rlf_rng
-            )
-        served_bits, throughput, connected, allocations, observations = outcome
 
         if tel is not None:
             span.__exit__(None, None, None)
             tel.inc("lte.epochs")
             tel.inc("lte.served_bits", sum(served_bits.values()))
-            if self.backend == BACKEND_INCREMENTAL:
-                stats = self.last_epoch_stats
-                tel.inc("lte.incremental.dirty_aps", stats["dirty_aps"])
-                tel.inc("lte.incremental.clean_aps", stats["clean_aps"])
-                tel.inc("lte.incremental.dirty_rows", stats["dirty_rows"])
-                if stats["total_columns"]:
-                    tel.gauge(
-                        "lte.incremental.cull_ratio",
-                        stats["culled_columns"] / stats["total_columns"],
-                    )
+            stats = self.last_epoch_stats
+            tel.inc("lte.incremental.dirty_aps", stats["dirty_aps"])
+            tel.inc("lte.incremental.clean_aps", stats["clean_aps"])
+            tel.inc("lte.incremental.dirty_rows", stats["dirty_rows"])
+            if stats["total_columns"]:
+                tel.gauge(
+                    "lte.incremental.cull_ratio",
+                    stats["culled_columns"] / stats["total_columns"],
+                )
             tel.inc(
                 "lte.starved_clients",
                 sum(1 for ok in connected.values() if not ok),
@@ -1042,87 +926,11 @@ class LteNetworkSimulator:
             dict(zip(cids, connected.tolist())),
         )
 
-    def _scalar_epoch(
+    def _epoch(
         self,
         allowed: Dict[int, Set[int]],
         demands_bits: Dict[int, float],
-        active_list: List[int],
-        detector_rng: np.random.Generator,
-        rlf_rng: np.random.Generator,
-    ) -> tuple:
-        """The oracle's epoch: per-AP links, one schedule, per-AP observe.
-
-        Three passes over the APs in topology order: links (every RLF
-        draw), one batched PF schedule through the dict-job adapter, then
-        :meth:`_observe` (every detector draw, one scalar draw at a time).
-        """
-        active_aps = set(active_list)
-        # Per-subchannel interferer sets (only active cells interfere).
-        interferers_on: Dict[int, List[int]] = {
-            sub: [
-                ap_id
-                for ap_id, subs in allowed.items()
-                if sub in subs and ap_id in active_aps
-            ]
-            for sub in range(self.grid.n_subchannels)
-        }
-        jobs, per_ap = [], []
-        for ap in self.topology.aps:
-            clients = self.topology.clients_of(ap.ap_id)
-            ap_demands = {
-                c.client_id: demands_bits.get(c.client_id, 0.0) for c in clients
-            }
-            ap_active = {cid: d for cid, d in ap_demands.items() if d > 0.0}
-            rate_fn, disconnected, sinr_map, clean_map = self._scalar_links(
-                ap, clients, allowed, interferers_on, active_list, ap_demands,
-                rlf_rng,
-            )
-            for cid in disconnected:
-                del ap_active[cid]
-            job = None
-            if ap_active:
-                job = len(jobs)
-                jobs.append((
-                    self.schedulers[ap.ap_id],
-                    sorted(allowed.get(ap.ap_id, set())),
-                    ap_active,
-                    rate_fn,
-                ))
-            per_ap.append((ap.ap_id, clients, ap_demands, ap_active,
-                           sinr_map, clean_map, job))
-
-        scheduled = ProportionalFairScheduler.allocate_batch(jobs, self.epoch_s)
-        allocations: Dict[int, Allocation] = {}
-        observations: Dict[int, ApObservation] = {}
-        cids: List[int] = []
-        bits: List[float] = []
-        demand: List[float] = []
-        for ap_id, clients, ap_demands, ap_active, sinr_map, clean_map, job in per_ap:
-            allocation = (
-                Allocation(self.epoch_s) if job is None else scheduled[job]
-            )
-            allocations[ap_id] = allocation
-            observations[ap_id] = self._observe(
-                ap_id, clients, ap_active, sinr_map, clean_map, allocation,
-                demands_bits, detector_rng,
-            )
-            cids.extend(ap_demands)
-            demand.extend(ap_demands.values())
-            bits.extend(allocation.served_bits.get(cid, 0.0) for cid in ap_demands)
-        return (*self._settle(cids, np.array(bits), np.array(demand)),
-                allocations, observations)
-
-    def _incremental_epoch(
-        self,
-        allowed: Dict[int, Set[int]],
-        demand: np.ndarray,
-        all_rows: np.ndarray,
-        lengths: List[int],
-        n_active: List[int],
-        active_list: List[int],
-        prach_counts: np.ndarray,
-        detector_rng: np.random.Generator,
-        rlf_rng: np.random.Generator,
+        prach_counts: Optional[np.ndarray],
     ) -> tuple:
         """The production epoch: cached blocks, then one dense outcome.
 
@@ -1146,11 +954,36 @@ class LteNetworkSimulator:
         ``random`` yields the same doubles as repeated scalar draws, so
         every stream sees the same draws at the same offsets as the scalar
         oracle's interleaved per-AP loop.
+
+        Returns served bits, throughput and the connected flag per client,
+        then the allocation and the observation per AP; every
+        :meth:`run_epoch` reads these five, and
+        :class:`~repro.lte.scalar_oracle.ScalarOracleSimulator` overrides
+        this method to produce them its own way.
         """
+        self._harq_prev = self._harq_cache
+        self._harq_cache = {}
         n_subs = self.grid.n_subchannels
         epoch_s = self.epoch_s
         aps = self.topology.aps
+        # Demands in link-matrix row order (the ``topology.clients`` order),
+        # and every AP's active-client count over its rows, in topology
+        # order.
+        demand = np.array(
+            [demands_bits.get(c.client_id, 0.0) for c in self.topology.clients]
+        )
+        active = demand > 0.0
+        segments = [self._rows_of_ap[ap.ap_id] for ap in aps]
+        lengths = [len(rows) for rows in segments]
+        all_rows = np.concatenate([np.zeros(0, dtype=np.intp), *segments])
+        n_active = _segment_counts(active[all_rows], lengths)[0].tolist()
+        # Active AP ids in topology order: the co-channel list.
+        active_list = [ap.ap_id for ap, n in zip(aps, n_active) if n]
         active_aps = set(active_list)
+        if prach_counts is None:
+            prach_counts = self._prach_mat[active].sum(axis=0)
+        detector_rng = self.rngs.stream("cqi-detector")
+        rlf_rng = self.rngs.stream("rlf")
         # Canonicalised subchannel sets and the active slice of the
         # decision, shared by every AP's cache-key construction.
         subs_keys = {
@@ -1303,7 +1136,7 @@ class LteNetworkSimulator:
         return (*self._settle(obs_cids, bits, demand[obs_rows]),
                 allocations, observations)
 
-    # -- Epoch backends ----------------------------------------------------------
+    # -- Block compute -----------------------------------------------------------
 
     def _harq_scale(self, sinr: np.ndarray, cqi: np.ndarray) -> np.ndarray:
         """:func:`harq_goodput_scale` per (SINR, CQI) pair, memoised.
@@ -1313,8 +1146,8 @@ class LteNetworkSimulator:
         rate of static runs is high.  The misses -- each distinct key once,
         in first-seen order -- are evaluated in one
         :func:`harq_goodput_scale_array` call, bit-identical to the scalar
-        function, so the backends agree bit for bit and telemetry counts
-        each evaluation once, as a per-pair loop would.
+        function, so the epoch matches the scalar oracle bit for bit and
+        telemetry counts each evaluation once, as a per-pair loop would.
 
         A key is the pair packed into one ``complex(sinr, cqi)``: it
         compares and hashes like the ``(sinr, cqi)`` tuple (``-0.0 ==
@@ -1359,78 +1192,6 @@ class LteNetworkSimulator:
         return self._harq_scale(
             np.asarray(sinr_rows, dtype=np.float64), np.asarray(cqi_rows, dtype=np.intp)
         ).tolist()
-
-    def _scalar_links(
-        self,
-        ap,
-        clients,
-        allowed: Dict[int, Set[int]],
-        interferers_on: Dict[int, List[int]],
-        active_list: List[int],
-        ap_demands: Dict[int, float],
-        rlf_rng: np.random.Generator,
-    ) -> tuple:
-        """Reference backend: per-link loops, one SINR query at a time.
-
-        Returns the AP's rate function, its disconnected clients and the
-        SINR maps :meth:`_observe` reads.
-        """
-        co_channel = [a for a in active_list if a != ap.ap_id]
-        # SINR per (client, subchannel), with and without interference.
-        sinr_map: Dict[Tuple[int, int], float] = {}
-        clean_map: Dict[int, float] = {}
-        for client in clients:
-            clean_map[client.client_id] = self.clean_sinr_db(
-                client.client_id, ap.ap_id
-            )
-            for sub in range(self.grid.n_subchannels):
-                others = [
-                    a for a in interferers_on[sub] if a != ap.ap_id
-                ]
-                sinr_map[(client.client_id, sub)] = self.sinr_db(
-                    client.client_id, ap.ap_id, others
-                )
-
-        # Radio link failure: a client whose *data* SINR (interference
-        # weighted by allocation overlap with the serving cell) is deep
-        # in the mud may drop its connection for the epoch -- the
-        # "frequent disconnections" of Section 6.3.1.
-        my_subs = allowed.get(ap.ap_id, set())
-        disconnected: Set[int] = set()
-        for client in clients:
-            cid = client.client_id
-            if ap_demands[cid] <= 0.0 or not my_subs:
-                continue
-            weights = []
-            sources = []
-            for other in co_channel:
-                overlap = len(my_subs & allowed.get(other, set()))
-                if overlap:
-                    sources.append(other)
-                    weights.append(overlap / len(my_subs))
-            if not sources:
-                # Noise-limited links do not drop: the paper observed
-                # disconnections only under *data* interference
-                # (Section 6.3.1), never on the clean long links of
-                # the Figure 1 drive test.
-                continue
-            data_sinr = self._weighted_sinr_db(cid, ap.ap_id, sources, weights)
-            if rlf_rng.random() < rlf_probability(data_sinr):
-                disconnected.add(cid)
-
-        def rate_fn(client_id: int, sub: int, _ap=ap, _sinr=sinr_map,
-                    _co=co_channel) -> float:
-            sinr = _sinr[(client_id, sub)]
-            cqi = cqi_from_sinr(sinr)
-            if cqi == CQI_OUT_OF_RANGE:
-                return 0.0
-            eff = efficiency_from_cqi(cqi)
-            rate = self.grid.subchannel_downlink_rate_bps(eff, sub)
-            rate *= harq_goodput_scale(sinr, cqi)
-            rate *= self.control_interference_scale(client_id, _ap.ap_id, _co)
-            return rate
-
-        return rate_fn, disconnected, sinr_map, clean_map
 
     def _set_decision_context(
         self,
@@ -1669,7 +1430,7 @@ class LteNetworkSimulator:
         AP's audible mask, one row per client row.  Writes the rows'
         rates, CQIs, truly-interfered flags and RLF probabilities into
         the epoch-wide matrices.  Bit-for-bit identical to
-        :meth:`_scalar_links` by construction:
+        the scalar oracle's per-link loops by construction:
 
         * interference accumulates onto zeros one active grant holder at a
           time, in grant order, exactly as the scalar per-subchannel sums
@@ -1757,73 +1518,6 @@ class LteNetworkSimulator:
             np.where(ramp < RLF_MAX_PROBABILITY, ramp, RLF_MAX_PROBABILITY),
         )
 
-    # -- Sensing ----------------------------------------------------------------
-
-    def _observe(
-        self,
-        ap_id: int,
-        clients,
-        active_demands: Dict[int, float],
-        sinr_map: Dict[Tuple[int, int], float],
-        clean_map: Dict[int, float],
-        allocation: Allocation,
-        all_demands: Dict[int, float],
-        rng: np.random.Generator,
-    ) -> ApObservation:
-        """Build the sensing snapshot one AP gathers in an epoch."""
-        # PRACH-based contention estimate: active clients (anyone's) whose
-        # preamble is audible at this AP at >= -10 dB.
-        audible = self._prach_mat[:, self._ap_col[ap_id]].tolist()
-        client_row = self._client_row
-        estimated = 0
-        for client in self.topology.clients:
-            if all_demands.get(client.client_id, 0.0) <= 0.0:
-                continue
-            if audible[client_row[client.client_id]]:
-                estimated += 1
-
-        client_obs: Dict[int, ClientObservation] = {}
-        n_subs = self.grid.n_subchannels
-        for client in clients:
-            cid = client.client_id
-            subband_cqi = []
-            detected = []
-            max_cqi = []
-            for sub in range(n_subs):
-                sinr = sinr_map[(cid, sub)]
-                cqi = cqi_from_sinr(sinr)
-                subband_cqi.append(cqi)
-                key = (cid, sub)
-                best = max(self._max_cqi_state.get(key, 0), cqi)
-                self._max_cqi_state[key] = best
-                max_cqi.append(best)
-                clean_cqi = cqi_from_sinr(clean_map[cid])
-                truly_interfered = (
-                    clean_cqi > 0
-                    and cqi < INTERFERENCE_CQI_DROP_FRACTION * clean_cqi
-                )
-                if truly_interfered:
-                    flag = rng.random() < self.detector_true_positive
-                else:
-                    flag = rng.random() < self.detector_false_positive
-                detected.append(flag)
-            fractions = {
-                sub: allocation.fraction(cid, sub) for sub in range(n_subs)
-            }
-            client_obs[cid] = ClientObservation(
-                subband_cqi=subband_cqi,
-                max_subband_cqi=max_cqi,
-                interference_detected=detected,
-                scheduled_fraction=fractions,
-            )
-
-        return ApObservation(
-            ap_id=ap_id,
-            n_active_clients=len(active_demands),
-            estimated_contenders=max(estimated, len(active_demands), 1),
-            clients=client_obs,
-        )
-
     # -- Convenience driver --------------------------------------------------------
 
     def run(
@@ -1859,11 +1553,10 @@ class LteNetworkSimulator:
         serializing them would make a resumed run's digest depend on cache
         warmth).  The epoch RNG streams ("cqi-detector", "rlf") belong to
         the shared :class:`~repro.sim.rng.RngStreams` subsystem and are
-        restored there.  ``max_cqi_state`` is tuple-keyed, so it is
-        flattened into sorted ``[client, subchannel, cqi]`` triples.
-        Client positions and serving associations *are* semantic state
-        (mutated by :meth:`move_client` / :meth:`reattach_client`), so
-        they are serialized and re-applied on load.
+        restored there.  Client positions and serving associations *are*
+        semantic state (mutated by :meth:`move_client` /
+        :meth:`reattach_client`), so they are serialized and re-applied
+        on load.
         """
         clients = sorted(self.topology.clients, key=lambda c: c.client_id)
         return {
@@ -1871,10 +1564,6 @@ class LteNetworkSimulator:
                 ap_id: scheduler.state_dict()
                 for ap_id, scheduler in self.schedulers.items()
             },
-            "max_cqi_state": [
-                [cid, sub, cqi]
-                for (cid, sub), cqi in sorted(self._max_cqi_state.items())
-            ],
             "max_cqi_vec": self._max_cqi_vec,
             "positions": [[c.client_id, c.x, c.y] for c in clients],
             "serving": [[c.client_id, c.ap_id] for c in clients],
@@ -1889,10 +1578,10 @@ class LteNetworkSimulator:
                 continue
             if sched_state is not None:
                 scheduler.load_state(sched_state)
-        self._max_cqi_state = {
-            (int(cid), int(sub)): int(cqi)
-            for cid, sub, cqi in state["max_cqi_state"]
-        }
+        # Older snapshots also carry a ``max_cqi_state`` entry, which the
+        # incremental epoch always left empty (its history lives in
+        # ``max_cqi_vec``); it is ignored.
+        #
         # ``np.array`` (not ``asarray``): the caller may hand the same
         # snapshot dict to several shard workers, so the matrix must be
         # copied -- aliasing it would let one worker's disown-zeroing

@@ -29,7 +29,7 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 #: Gain-cache fill modes: ``FILL_BATCHED`` routes stale rows through the
 #: vectorized kernels; ``FILL_SCALAR`` keeps the per-link loop.  Both are
 #: bit-identical (the scalar loop is the retained oracle, same discipline
-#: as the epoch backends).
+#: as the epoch's scalar oracle).
 FILL_BATCHED = "batched"
 FILL_SCALAR = "scalar"
 _FILL_MODES = (FILL_BATCHED, FILL_SCALAR)
@@ -681,7 +681,7 @@ class GainMatrixCache:
 
         Only the requested rows are (re)computed -- unlike :meth:`matrix`
         this does not eagerly fill the whole cache, which is what the
-        incremental epoch backend needs when only a few clients moved.
+        incremental epoch needs when only a few clients moved.
         Returns a read-only ``(len(client_ids), n_aps)`` array.
 
         An empty subset normalizes to an explicit ``(0, n_aps)`` array of

@@ -1,6 +1,6 @@
 """Spatial shard engine: city-scale epochs across worker processes.
 
-The incremental backend (see ``docs/SIMULATION.md``) made per-epoch cost
+The incremental epoch (see ``docs/SIMULATION.md``) made per-epoch cost
 proportional to activity, but the map was still one global process.  This
 module partitions the map into rectangular spatial shards (one
 :func:`repro.sim.topology.grid_partition` tile per worker) and runs each
@@ -94,7 +94,6 @@ import numpy as np
 
 from repro.lte.network import (
     ApObservation,
-    BACKEND_INCREMENTAL,
     EpochResult,
     LteNetworkSimulator,
     SubchannelPolicy,
@@ -1236,7 +1235,6 @@ class ShardedNetwork:
         self.topology = topology
         self.grid = grid
         self.rngs = rngs
-        self.backend = BACKEND_INCREMENTAL
         plan = [sorted(shard) for shard in shard_plan]
         flat = [ap_id for shard in plan for ap_id in shard]
         if len(set(flat)) != len(flat):
@@ -1664,10 +1662,8 @@ class ShardedNetwork:
         self, worker_states: Sequence[Dict[str, Any]]
     ) -> Dict[str, Any]:
         schedulers: Dict[Any, Any] = {}
-        cqi_entries: Set[tuple] = set()
         for state in worker_states:
             schedulers.update(state["schedulers"])
-            cqi_entries.update(tuple(entry) for entry in state["max_cqi_state"])
         vec = np.zeros_like(np.asarray(worker_states[0]["max_cqi_vec"]))
         for client in self.topology.clients:
             row = self._client_row[client.client_id]
@@ -1676,7 +1672,6 @@ class ShardedNetwork:
         clients = sorted(self.topology.clients, key=lambda c: c.client_id)
         return {
             "schedulers": schedulers,
-            "max_cqi_state": [list(entry) for entry in sorted(cqi_entries)],
             "max_cqi_vec": vec,
             "positions": [[c.client_id, c.x, c.y] for c in clients],
             "serving": [[c.client_id, c.ap_id] for c in clients],

@@ -22,7 +22,6 @@ from repro.experiments.large_scale import (
     TECH_ORACLE,
     SaturatedLteRun,
 )
-from repro.lte.network import BACKEND_INCREMENTAL
 from repro.sim.checkpoint import Snapshot, latest_checkpoint
 
 
@@ -117,33 +116,53 @@ class TestSaturatedLteRoundtrip:
         assert result.connected_fraction == expected.connected_fraction
         assert resumed.run_digest() == baseline.run_digest()
 
-    def test_legacy_vectorized_snapshot_resumes_bit_identically(
-        self, tmp_path
-    ):
-        # Snapshots written while "vectorized" was the default backend
-        # still name it; restoring one must resume on incremental and
-        # finish exactly like the uninterrupted run.
+    @staticmethod
+    def _legacy_snapshot(tmp_path, kwargs, backend):
+        """A fresh mid-run snapshot dressed as one an older release wrote:
+        its config names the epoch backend and the network state carries
+        the ``max_cqi_state`` list that release always left empty."""
+        halted = SaturatedLteRun(**kwargs)
+        halted.run(checkpoint_dir=str(tmp_path), checkpoint_every=2, halt_at=3)
+        snapshot = Snapshot.load(latest_checkpoint(str(tmp_path)))
+        snapshot.meta["config"]["backend"] = backend
+        snapshot.subsystems["net"]["max_cqi_state"] = []
+        return snapshot
+
+    def _assert_legacy_snapshot_resumes(self, tmp_path, backend):
+        """Restore the legacy snapshot, finish, and match the straight run."""
         kwargs = dict(
             tech=TECH_CELLFI, seed=3, n_aps=3, clients_per_ap=3, epochs=6
         )
         baseline = SaturatedLteRun(**kwargs)
         expected = baseline.run()
 
-        halted = SaturatedLteRun(**kwargs)
-        halted.run(checkpoint_dir=str(tmp_path), checkpoint_every=2, halt_at=3)
-        snapshot = Snapshot.load(latest_checkpoint(str(tmp_path)))
-        snapshot.meta["config"]["backend"] = "vectorized"
-
+        snapshot = self._legacy_snapshot(tmp_path, kwargs, backend)
         resumed = SaturatedLteRun.from_snapshot(snapshot)
-        assert resumed.config["backend"] == BACKEND_INCREMENTAL
+        assert "backend" not in resumed.config
         result = resumed.run()
         assert result.throughput_bps == expected.throughput_bps
         assert result.connected_fraction == expected.connected_fraction
         assert resumed.run_digest() == baseline.run_digest()
 
-        # Outside snapshot restore the old name is an unknown backend.
-        with pytest.raises(ValueError):
-            SaturatedLteRun(**kwargs, backend="vectorized")
+    def test_legacy_vectorized_snapshot_resumes_bit_identically(
+        self, tmp_path
+    ):
+        self._assert_legacy_snapshot_resumes(tmp_path, "vectorized")
+
+    def test_legacy_incremental_snapshot_resumes_bit_identically(
+        self, tmp_path
+    ):
+        self._assert_legacy_snapshot_resumes(tmp_path, "incremental")
+
+    def test_legacy_scalar_snapshot_is_rejected(self, tmp_path):
+        # The scalar oracle kept its max-CQI history in ``max_cqi_state``,
+        # not ``max_cqi_vec``: such a snapshot cannot resume exactly.
+        kwargs = dict(
+            tech=TECH_CELLFI, seed=3, n_aps=3, clients_per_ap=3, epochs=6
+        )
+        snapshot = self._legacy_snapshot(tmp_path, kwargs, "scalar")
+        with pytest.raises(ValueError, match="scalar"):
+            SaturatedLteRun.from_snapshot(snapshot)
 
     @pytest.mark.parametrize("tech", [TECH_LTE, TECH_CELLFI])
     def test_sharded_resume_matches_unsharded_straight_through(

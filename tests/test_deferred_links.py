@@ -18,10 +18,10 @@ import pytest
 
 import repro.lte.network as network
 from repro.lte.network import (
-    BACKEND_INCREMENTAL,
     AllSubchannelsPolicy,
     LteNetworkSimulator,
 )
+from repro.lte.scalar_oracle import ScalarOracleSimulator
 from repro.phy.resource_grid import ResourceGrid
 from repro.sim.rng import RngStreams
 from repro.sim.topology import grid_partition
@@ -38,7 +38,8 @@ LINK_MATRICES = ("_rx_dbm_mat", "_rx_w_mat", "_prach_mat")
 
 
 def fresh_net(source, cull_loss_db=None):
-    """A simulator built from scratch on ``source``'s current topology."""
+    """A simulator of ``source``'s class built from scratch on its current
+    topology."""
     channel = make_channel()
     topology = make_topology(channel)
     for client in source.topology.clients:
@@ -47,12 +48,11 @@ def fresh_net(source, cull_loss_db=None):
             topology.move_client(client.client_id, client.x, client.y)
         if site.ap_id != client.ap_id:
             topology.reattach_client(client.client_id, client.ap_id)
-    return LteNetworkSimulator(
+    return type(source)(
         topology=topology,
         grid=ResourceGrid(5e6),
         channel=channel,
         rngs=RngStreams(SEED),
-        backend=BACKEND_INCREMENTAL,
         cull_loss_db=cull_loss_db,
         shard_ap_ids=source.shard_ap_ids,
     )
@@ -128,22 +128,23 @@ class TestInterleavings:
         net.load_state(checkpoint)
         assert_same_links(net, make_net())
 
+    # The per-link SINR queries belong to the scalar oracle.
     @pytest.mark.parametrize(
-        "read",
+        "simulator,read",
         [
-            lambda net, cid, ap: net.rx_rb_power_dbm(cid, ap),
-            lambda net, cid, ap: net.rx_rb_levels_dbm(cid),
-            lambda net, cid, ap: net.prach_audible(cid, ap),
-            lambda net, cid, ap: net.sinr_db(
+            (LteNetworkSimulator, lambda net, cid, ap: net.rx_rb_power_dbm(cid, ap)),
+            (LteNetworkSimulator, lambda net, cid, ap: net.rx_rb_levels_dbm(cid)),
+            (LteNetworkSimulator, lambda net, cid, ap: net.prach_audible(cid, ap)),
+            (ScalarOracleSimulator, lambda net, cid, ap: net.sinr_db(
                 cid, ap, [a.ap_id for a in net.topology.aps[:3]]
-            ),
-            lambda net, cid, ap: net.clean_sinr_db(cid, ap),
-            lambda net, cid, ap: net.control_interference_scale(
+            )),
+            (ScalarOracleSimulator, lambda net, cid, ap: net.clean_sinr_db(cid, ap)),
+            (ScalarOracleSimulator, lambda net, cid, ap: net.control_interference_scale(
                 cid, ap, [a.ap_id for a in net.topology.aps[:3]]
-            ),
-            lambda net, cid, ap: net.prach_partial_counts(
+            )),
+            (LteNetworkSimulator, lambda net, cid, ap: net.prach_partial_counts(
                 {c.client_id: 1.0 for c in net.topology.clients}
-            ).tolist(),
+            ).tolist()),
         ],
         ids=[
             "rx_rb_power_dbm",
@@ -155,8 +156,8 @@ class TestInterleavings:
             "prach_partial_counts",
         ],
     )
-    def test_first_read_after_a_move_through_each_accessor(self, read):
-        net = make_net()
+    def test_first_read_after_a_move_through_each_accessor(self, simulator, read):
+        net = make_net(simulator=simulator)
         cid = net.topology.clients[0].client_id
         net.move_client(cid, 1777.0, 60.0)
         ap = net.topology.client(cid).ap_id

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lte.network import (
-    BACKEND_INCREMENTAL,
     PRACH_DETECTION_SNR_DB,
     PRACH_TARGET_RX_DBM,
     LteNetworkSimulator,
@@ -63,14 +62,13 @@ def make_topology(channel):
     return topology
 
 
-def make_net(cull_loss_db=None, shard_ap_ids=None):
+def make_net(cull_loss_db=None, shard_ap_ids=None, simulator=LteNetworkSimulator):
     channel = make_channel()
-    return LteNetworkSimulator(
+    return simulator(
         topology=make_topology(channel),
         grid=ResourceGrid(5e6),
         channel=channel,
         rngs=RngStreams(SEED),
-        backend=BACKEND_INCREMENTAL,
         cull_loss_db=cull_loss_db,
         shard_ap_ids=shard_ap_ids,
     )
@@ -179,8 +177,6 @@ class TestForeignClientAccessors:
             view.prach_audible(cid, ap_id)
         with pytest.raises(KeyError):
             view.rx_rb_levels_dbm(cid)
-        with pytest.raises(KeyError):
-            view.sinr_db(cid, ap_id, ())
 
     def test_never_owned_client(self):
         plan, (view0, view1) = self._views()

@@ -9,6 +9,7 @@ from repro.lte.network import (
     STARVATION_THRESHOLD_BPS,
     rlf_probability,
 )
+from repro.lte.scalar_oracle import ScalarOracleSimulator
 from repro.phy.propagation import (
     CompositeChannel,
     LogNormalShadowing,
@@ -30,10 +31,15 @@ def _channel(seed=1, sigma=0.0):
     return CompositeChannel(UrbanHataPathLoss(), shadow)
 
 
-def _net(topology, seed=1, **kwargs):
-    return LteNetworkSimulator(
+def _net(topology, seed=1, simulator=LteNetworkSimulator, **kwargs):
+    return simulator(
         topology, ResourceGrid(5e6), _channel(seed), RngStreams(seed), **kwargs
     )
+
+
+def _oracle(topology, **kwargs):
+    """The scalar oracle, which owns the per-link SINR queries."""
+    return _net(topology, simulator=ScalarOracleSimulator, **kwargs)
 
 
 def _two_cell_topology(separation_m=2000.0, client_offset_m=100.0):
@@ -63,14 +69,14 @@ class TestRlfModel:
 class TestRadioQueries:
     def test_clean_sinr_decreases_with_distance(self):
         topo = _two_cell_topology()
-        net = _net(topo)
+        net = _oracle(topo)
         near = net.clean_sinr_db(0, 0)
         far = net.sinr_db(0, 1, ())  # Served by the distant cell.
         assert near > far
 
     def test_interference_lowers_sinr(self):
         topo = _two_cell_topology(separation_m=500.0)
-        net = _net(topo)
+        net = _oracle(topo)
         assert net.sinr_db(0, 0, [1]) < net.clean_sinr_db(0, 0)
 
     def test_prach_audible_at_own_cell(self):
@@ -93,18 +99,18 @@ class TestRadioQueries:
 
     def test_control_scale_bounds(self):
         topo = _two_cell_topology(separation_m=400.0)
-        net = _net(topo)
+        net = _oracle(topo)
         scale = net.control_interference_scale(0, 0, [1])
         assert 0.8 <= scale <= 1.0
 
     def test_control_scale_disabled(self):
         topo = _two_cell_topology(separation_m=400.0)
-        net = _net(topo, control_interference=False)
+        net = _oracle(topo, control_interference=False)
         assert net.control_interference_scale(0, 0, [1]) == 1.0
 
     def test_control_scale_no_interferers(self):
         topo = _two_cell_topology()
-        net = _net(topo)
+        net = _oracle(topo)
         assert net.control_interference_scale(0, 0, []) == 1.0
 
 

@@ -1,13 +1,13 @@
-"""Incremental epoch backend: bit-identity, dirty tracking and culling.
+"""Incremental epoch: bit-identity, dirty tracking and culling.
 
-The incremental backend reuses cached per-AP blocks across epochs and
+The incremental epoch reuses cached per-AP blocks across epochs and
 skips interference from culled neighbours, so these tests hold it to
 *exact* equality with the scalar oracle (no tolerances) under seeded
 mobility, handover and hopping churn -- including zero-activity epochs,
 where the cache does all the work.
 
 Also pinned here: the hot-path bugfix sweep that rode along with the
-backend -- the ``_rows_of_ap`` handover staleness fix, the read-only
+incremental epoch -- the ``_rows_of_ap`` handover staleness fix, the read-only
 gain-matrix accessors, the zero-signal CQI clamp, and the PF scheduler
 fast path.
 """
@@ -18,15 +18,19 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.experiments.large_scale import TECH_CELLFI, TECH_LTE, SaturatedLteRun
+from repro.experiments.large_scale import (
+    TECH_CELLFI,
+    TECH_LTE,
+    SaturatedLteRun,
+    _make_policy,
+)
 from repro.lte.network import (
-    BACKEND_INCREMENTAL,
-    BACKEND_SCALAR,
     ZERO_SIGNAL_SINR_DB,
     AllSubchannelsPolicy,
     LteNetworkSimulator,
     _elementwise_db,
 )
+from repro.lte.scalar_oracle import ScalarOracleSimulator
 from repro.lte.scheduler import (
     MINISLOTS_PER_EPOCH,
     ProportionalFairScheduler,
@@ -69,17 +73,41 @@ def make_topology(channel):
     return topology
 
 
-def make_net(backend, cull_loss_db=None):
+def make_net(simulator=LteNetworkSimulator, cull_loss_db=None):
+    """The churn-fuzz deployment on ``simulator`` (production or oracle)."""
     channel = make_channel()
     topology = make_topology(channel)
-    return LteNetworkSimulator(
+    return simulator(
         topology=topology,
         grid=ResourceGrid(5e6),
         channel=channel,
         rngs=RngStreams(SEED),
-        backend=backend,
         cull_loss_db=cull_loss_db,
     )
+
+
+def oracle_run(tech, seed, n_aps, clients_per_ap, epochs):
+    """A :class:`SaturatedLteRun` whose network is the scalar oracle.
+
+    The oracle gets what ``_make_lte_net`` gives the production network:
+    the run's scenario, a fresh gain cache and the ``net-{tech}`` stream
+    label.  The policy is rebuilt over it; CellFi's ``manager`` stream
+    fork is a pure seed derivation, so it starts where the replaced
+    policy's did.
+    """
+    run = SaturatedLteRun(
+        tech, seed, n_aps=n_aps, clients_per_ap=clients_per_ap, epochs=epochs
+    )
+    scenario = run.scenario
+    run.net = ScalarOracleSimulator(
+        topology=scenario.topology,
+        grid=scenario.grid(),
+        channel=scenario.channel,
+        rngs=scenario.rngs.fork(f"net-{tech}"),
+        gain_cache=scenario.gain_cache(),
+    )
+    run.policy = _make_policy(tech, scenario, run.net)
+    return run
 
 
 def dead_links(net):
@@ -156,8 +184,8 @@ def churn_run(net, n_epochs):
     """Seeded mobility + handover + hopping churn with zero-activity epochs.
 
     Every stochastic choice comes from dedicated generators seeded
-    identically per backend, so all backends replay the same event
-    sequence in lockstep.
+    identically per run, so the production epoch and the scalar oracle
+    replay the same event sequence in lockstep.
     """
     policy = RotatingSubsetPolicy(
         [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
@@ -191,8 +219,32 @@ def churn_run(net, n_epochs):
 
 
 class TestBackendSelection:
+    """The production class is the incremental epoch; no option selects it."""
+
     def test_incremental_backend_accepted(self):
-        assert make_net(BACKEND_INCREMENTAL).backend == BACKEND_INCREMENTAL
+        # Network state written while an option still chose the incremental
+        # epoch carries an always-empty ``max_cqi_state``: it loads and
+        # resumes exactly.
+        def run_from(net, first, n_epochs):
+            policy = AllSubchannelsPolicy(
+                [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
+            )
+            demand_fn = mixed_demand_fn(net.topology)
+            return [
+                net.run_epoch(e, policy.decide(e, None), demand_fn(e))
+                for e in range(first, first + n_epochs)
+            ]
+
+        straight = make_net()
+        expected = run_from(straight, 0, 2)[1:]
+
+        first = make_net()
+        run_from(first, 0, 1)
+        legacy = dict(first.state_dict(), max_cqi_state=[])
+        resumed = make_net()
+        resumed.load_state(legacy)
+        resumed.rngs.load_state(first.rngs.state_dict())
+        assert_epochs_identical(run_from(resumed, 1, 1), expected)
 
     def test_cull_conflict_with_injected_cache_rejected(self):
         channel = make_channel()
@@ -215,27 +267,21 @@ class TestBitForBitFuzz:
     """Scalar oracle vs incremental in lockstep over seeded churn."""
 
     def test_backends_identical_under_churn(self):
-        results = {
-            backend: churn_run(make_net(backend), 8)
-            for backend in (BACKEND_SCALAR, BACKEND_INCREMENTAL)
-        }
         assert_epochs_identical(
-            results[BACKEND_SCALAR], results[BACKEND_INCREMENTAL]
+            churn_run(make_net(ScalarOracleSimulator), 8),
+            churn_run(make_net(), 8),
         )
 
     def test_culled_incremental_matches_culled_scalar_oracle(self):
         # Culling changes the physics (dead links carry nothing), so the
-        # oracle is the *scalar backend with the same horizon*.
-        results = {
-            backend: churn_run(make_net(backend, cull_loss_db=CULL_DB), 8)
-            for backend in (BACKEND_SCALAR, BACKEND_INCREMENTAL)
-        }
+        # reference is the *scalar oracle with the same horizon*.
         assert_epochs_identical(
-            results[BACKEND_SCALAR], results[BACKEND_INCREMENTAL]
+            churn_run(make_net(ScalarOracleSimulator, cull_loss_db=CULL_DB), 8),
+            churn_run(make_net(cull_loss_db=CULL_DB), 8),
         )
 
     def test_culling_horizon_actually_culls(self):
-        net = make_net(BACKEND_INCREMENTAL, cull_loss_db=CULL_DB)
+        net = make_net(cull_loss_db=CULL_DB)
         policy = AllSubchannelsPolicy(
             [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
         )
@@ -267,14 +313,14 @@ class TestDenseEpochOutcome:
 
             return fn
 
-        runs = []
-        for backend in (BACKEND_SCALAR, BACKEND_INCREMENTAL):
-            run = SaturatedLteRun(
-                TECH_CELLFI, seed=2, n_aps=20, clients_per_ap=6, epochs=6,
-                backend=backend,
-            )
+        runs = [
+            oracle_run(TECH_CELLFI, seed=2, n_aps=20, clients_per_ap=6, epochs=6),
+            SaturatedLteRun(
+                TECH_CELLFI, seed=2, n_aps=20, clients_per_ap=6, epochs=6
+            ),
+        ]
+        for run in runs:
             run._demand_fn = mixed(run.scenario.topology)
-            runs.append(run)
         dropped = 0
         for epoch in range(6):
             want, got = (run.step_epoch() for run in runs)
@@ -297,26 +343,25 @@ class TestDenseEpochOutcome:
 
     def test_empty_topology_runs_an_empty_epoch(self):
         channel = make_channel()
-        for backend in (BACKEND_SCALAR, BACKEND_INCREMENTAL):
-            net = LteNetworkSimulator(
+        for simulator in (ScalarOracleSimulator, LteNetworkSimulator):
+            net = simulator(
                 topology=Topology(area_m=100.0, aps=[], clients=[]),
                 grid=ResourceGrid(5e6),
                 channel=channel,
                 rngs=RngStreams(SEED),
-                backend=backend,
             )
             result = net.run_epoch(0, {}, {})
             assert result.served_bits == {} and result.observations == {}
 
 
 def _lte_runs(epochs=3):
-    """Plain LTE on both backends: no policy reads the observations."""
+    """Plain LTE on the oracle and in production: no policy reads the
+    observations."""
     return [
+        oracle_run(TECH_LTE, seed=4, n_aps=12, clients_per_ap=4, epochs=epochs),
         SaturatedLteRun(
-            TECH_LTE, seed=4, n_aps=12, clients_per_ap=4, epochs=epochs,
-            backend=backend,
-        )
-        for backend in (BACKEND_SCALAR, BACKEND_INCREMENTAL)
+            TECH_LTE, seed=4, n_aps=12, clients_per_ap=4, epochs=epochs
+        ),
     ]
 
 
@@ -397,7 +442,7 @@ class TestDirtyTracking:
         return net.run_epoch(epoch, policy.decide(epoch, None), demands)
 
     def test_quiescent_epochs_are_fully_clean(self):
-        net = make_net(BACKEND_INCREMENTAL)
+        net = make_net()
         policy = AllSubchannelsPolicy(
             [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
         )
@@ -410,7 +455,7 @@ class TestDirtyTracking:
         assert net.last_epoch_stats["dirty_rows"] == 0
 
     def test_mobility_dirties_exactly_the_serving_ap(self):
-        net = make_net(BACKEND_INCREMENTAL)
+        net = make_net()
         policy = AllSubchannelsPolicy(
             [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
         )
@@ -423,7 +468,7 @@ class TestDirtyTracking:
         assert net.last_epoch_stats["clean_aps"] == N_CELLS - 1
 
     def test_reattach_dirties_both_cells(self):
-        net = make_net(BACKEND_INCREMENTAL)
+        net = make_net()
         policy = AllSubchannelsPolicy(
             [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
         )
@@ -439,7 +484,7 @@ class TestDirtyTracking:
         assert net.last_epoch_stats["clean_aps"] == N_CELLS - 2
 
     def test_hopping_decision_change_dirties_affected_cells(self):
-        net = make_net(BACKEND_INCREMENTAL)
+        net = make_net()
         policy = RotatingSubsetPolicy(
             [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
         )
@@ -455,7 +500,7 @@ class TestReattachRegression:
     """The ``_rows_of_ap`` handover-staleness bug (diverged before the fix)."""
 
     def test_reattach_matches_fresh_simulator(self):
-        net = make_net(BACKEND_INCREMENTAL)
+        net = make_net()
         roamer = net.topology.clients[0]
         target = next(
             ap.ap_id for ap in net.topology.aps if ap.ap_id != roamer.ap_id
@@ -470,7 +515,6 @@ class TestReattachRegression:
             grid=ResourceGrid(5e6),
             channel=channel,
             rngs=RngStreams(SEED),
-            backend=BACKEND_INCREMENTAL,
         )
         for ap_id in net._rows_of_ap:
             assert np.array_equal(
@@ -498,7 +542,6 @@ class TestReattachRegression:
                 grid=ResourceGrid(5e6),
                 channel=channel,
                 rngs=RngStreams(SEED),
-                backend=BACKEND_INCREMENTAL,
             )
             if flavor == "reattached":
                 net.reattach_client(roamer_id, target)
@@ -552,7 +595,7 @@ class TestZeroSignalClamp:
         )
 
     def test_scalar_sinr_queries_clamp_on_dead_links(self):
-        net = make_net(BACKEND_SCALAR, cull_loss_db=CULL_DB)
+        net = make_net(ScalarOracleSimulator, cull_loss_db=CULL_DB)
         cid, ap_id = dead_links(net)[0]
         assert net.sinr_db(cid, ap_id, ()) == ZERO_SIGNAL_SINR_DB
         assert net.clean_sinr_db(cid, ap_id) == ZERO_SIGNAL_SINR_DB
@@ -701,7 +744,7 @@ class TestPfFastPathEquivalence:
 
 class TestCheckpointState:
     def test_positions_and_serving_roundtrip(self):
-        net = make_net(BACKEND_INCREMENTAL)
+        net = make_net()
         moved = net.topology.clients[0]
         net.move_client(moved.client_id, 123.0, 456.0)
         roamer = net.topology.clients[1]
@@ -711,7 +754,7 @@ class TestCheckpointState:
         net.reattach_client(roamer.client_id, target)
 
         state = net.state_dict()
-        restored = make_net(BACKEND_INCREMENTAL)
+        restored = make_net()
         restored.load_state(state)
         assert restored.topology.client(moved.client_id).x == 123.0
         assert restored.topology.client(moved.client_id).y == 456.0
@@ -744,15 +787,15 @@ class TestCheckpointState:
                 )
             return out
 
-        straight = make_net(BACKEND_INCREMENTAL)
+        straight = make_net()
         full = epoch_pass(straight, 0, 4)
 
-        first = make_net(BACKEND_INCREMENTAL)
+        first = make_net()
         head = epoch_pass(first, 0, 2)
         net_state = first.state_dict()
         rng_state = first.rngs.state_dict()
 
-        resumed = make_net(BACKEND_INCREMENTAL)
+        resumed = make_net()
         resumed.load_state(net_state)
         resumed.rngs.load_state(rng_state)
         tail = epoch_pass(resumed, 2, 2)

@@ -1,24 +1,23 @@
-"""Scalar vs incremental epoch backends: bit-for-bit equivalence.
+"""Scalar oracle vs the production epoch: bit-for-bit equivalence.
 
-The incremental backend's whole-matrix kernels are only allowed to exist
-because they are *exactly* the scalar reference implementation, faster:
-same RNG draw order, same floating-point operation order where it
-matters, same quantisation.  These tests compare complete epoch outputs
-with ``==`` (no tolerances) on a seeded 20-cell topology, and pin the
-gain-cache row refresh behind every move on the default backend.  The
-churn fuzz and dirty-tracking tests live in
-``tests/test_lte_network_incremental.py``.
+The production epoch's cached blocks and whole-matrix kernels are only
+allowed to exist because they are *exactly* the scalar oracle
+(:class:`repro.lte.scalar_oracle.ScalarOracleSimulator`), faster: same RNG
+draw order, same floating-point operation order where it matters, same
+quantisation.  These tests compare complete epoch outputs with ``==`` (no
+tolerances) on a seeded 20-cell topology, hold the oracle to never calling
+the block compute it checks, and pin the gain-cache row refresh behind
+every move.  The churn fuzz and dirty-tracking tests live in
+``tests/test_lte_network_incremental.py``.  The file keeps the name of the
+whole-matrix backend it first compared, so its test ids stay stable.
 """
 
 import numpy as np
 import pytest
 
-from repro.lte.network import (
-    BACKEND_INCREMENTAL,
-    BACKEND_SCALAR,
-    AllSubchannelsPolicy,
-    LteNetworkSimulator,
-)
+from repro.core.interference.manager import CellFiInterferenceManager
+from repro.lte.network import AllSubchannelsPolicy, LteNetworkSimulator
+from repro.lte.scalar_oracle import ScalarOracleSimulator
 from repro.phy.propagation import GainMatrixCache
 from repro.phy.resource_grid import ResourceGrid
 from repro.sim.rng import RngStreams
@@ -32,11 +31,21 @@ from tests.test_lte_network_incremental import (
     mixed_demand_fn,
 )
 
-BACKENDS = (BACKEND_SCALAR, BACKEND_INCREMENTAL)
+#: The oracle first, then the production simulator.
+SIMULATORS = (ScalarOracleSimulator, LteNetworkSimulator)
+
+#: What the oracle checks, so what it must never call.
+BLOCK_COMPUTE = (
+    "_refresh_block",
+    "_set_decision_context",
+    "_compute_rows",
+    "_compute_block_rows",
+    "_harq_scale",
+)
 
 
 def make_default_net(topology=None):
-    """A simulator on the default backend (no ``backend`` argument)."""
+    """A production simulator, on ``topology`` or the seeded deployment."""
     channel = make_channel()
     return LteNetworkSimulator(
         topology=topology if topology is not None else make_topology(channel),
@@ -47,76 +56,130 @@ def make_default_net(topology=None):
 
 
 class TestBackendSelection:
+    """The epoch path is chosen by class, never by an option."""
+
     def test_default_backend_is_incremental(self):
-        assert make_default_net().backend == BACKEND_INCREMENTAL
-        # The whole-matrix "vectorized" backend was folded into
-        # incremental; its name is now an unknown backend.
-        with pytest.raises(ValueError):
-            make_net("vectorized")
-
-    def test_unknown_backend_rejected(self):
-        channel = make_channel()
-        topology = make_topology(channel)
-        with pytest.raises(ValueError):
-            LteNetworkSimulator(
-                topology=topology,
-                grid=ResourceGrid(5e6),
-                channel=channel,
-                rngs=RngStreams(SEED),
-                backend="gpu",
-            )
-
-
-class TestBitForBitEquivalence:
-    def test_saturated_full_carrier(self):
-        nets = {b: make_net(b) for b in BACKENDS}
-        results = {}
-        for backend, net in nets.items():
+        # A quiescent second epoch: the production simulator reuses every
+        # cached block, while the oracle honestly reports recomputing all.
+        stats = {}
+        for simulator in SIMULATORS:
+            net = make_net(simulator)
             policy = AllSubchannelsPolicy(
                 [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
             )
             demands = {c.client_id: float("inf") for c in net.topology.clients}
-            results[backend] = net.run(2, policy, lambda e: dict(demands))
-        assert_epochs_identical(
-            results[BACKEND_SCALAR], results[BACKEND_INCREMENTAL]
-        )
+            net.run(2, policy, lambda e: dict(demands))
+            stats[simulator] = net.last_epoch_stats
+        n_aps = len(make_default_net().topology.aps)
+        assert stats[LteNetworkSimulator]["clean_aps"] == n_aps
+        assert stats[LteNetworkSimulator]["dirty_rows"] == 0
+        assert stats[ScalarOracleSimulator]["dirty_aps"] == n_aps
+        assert stats[ScalarOracleSimulator]["clean_aps"] == 0
+
+    def test_unknown_backend_rejected(self):
+        channel = make_channel()
+        topology = make_topology(channel)
+        for simulator in SIMULATORS:
+            with pytest.raises(TypeError, match="backend"):
+                simulator(
+                    topology=topology,
+                    grid=ResourceGrid(5e6),
+                    channel=channel,
+                    rngs=RngStreams(SEED),
+                    backend="gpu",
+                )
+
+
+class TestBitForBitEquivalence:
+    def test_saturated_full_carrier(self):
+        results = []
+        for simulator in SIMULATORS:
+            net = make_net(simulator)
+            policy = AllSubchannelsPolicy(
+                [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
+            )
+            demands = {c.client_id: float("inf") for c in net.topology.clients}
+            results.append(net.run(2, policy, lambda e: dict(demands)))
+        assert_epochs_identical(*results)
 
     def test_partial_subsets_and_mixed_demand(self):
-        nets = {b: make_net(b) for b in BACKENDS}
-        results = {}
-        for backend, net in nets.items():
+        results = []
+        for simulator in SIMULATORS:
+            net = make_net(simulator)
             policy = RotatingSubsetPolicy(
                 [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
             )
-            results[backend] = net.run(
-                3, policy, mixed_demand_fn(net.topology)
-            )
-        assert_epochs_identical(
-            results[BACKEND_SCALAR], results[BACKEND_INCREMENTAL]
-        )
+            results.append(net.run(3, policy, mixed_demand_fn(net.topology)))
+        assert_epochs_identical(*results)
 
     def test_equivalence_survives_mobility(self):
-        nets = {b: make_net(b) for b in BACKENDS}
-        policies = {
-            b: RotatingSubsetPolicy(
+        results = []
+        for simulator in SIMULATORS:
+            net = make_net(simulator)
+            policy = RotatingSubsetPolicy(
                 [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
             )
-            for b, net in nets.items()
-        }
-        moved = nets[BACKEND_SCALAR].topology.clients[3].client_id
-        results = {b: [] for b in nets}
-        for backend, net in nets.items():
+            moved = net.topology.clients[3].client_id
             demand_fn = mixed_demand_fn(net.topology)
-            allowed = policies[backend].decide(0, None)
-            results[backend].append(net.run_epoch(0, allowed, demand_fn(0)))
+            run = [net.run_epoch(0, policy.decide(0, None), demand_fn(0))]
             net.move_client(moved, 310.0, 1250.0)
-            allowed = policies[backend].decide(
-                1, results[backend][-1].observations
-            )
-            results[backend].append(net.run_epoch(1, allowed, demand_fn(1)))
-        assert_epochs_identical(
-            results[BACKEND_SCALAR], results[BACKEND_INCREMENTAL]
+            allowed = policy.decide(1, run[-1].observations)
+            run.append(net.run_epoch(1, allowed, demand_fn(1)))
+            results.append(run)
+        assert_epochs_identical(*results)
+
+
+class TestOracleIndependence:
+    """The oracle shares the link store, the RNG streams and the max-CQI
+    state with production -- its inputs -- but never the block compute."""
+
+    @staticmethod
+    def _forbid_block_compute(monkeypatch, net):
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+
+            return call
+
+        for name in BLOCK_COMPUTE:
+            monkeypatch.setattr(net, name, forbidden(name))
+
+    @staticmethod
+    def _cellfi_churn(net, n_epochs):
+        """CellFi epochs with a move and a re-attach after each."""
+        ap_ids = [ap.ap_id for ap in net.topology.aps]
+        policy = CellFiInterferenceManager(
+            ap_ids, net.grid.n_subchannels, RngStreams(SEED).fork("manager")
         )
+        demand_fn = mixed_demand_fn(net.topology)
+        churn = np.random.default_rng(SEED)
+        clients = net.topology.clients
+        observations = None
+        for epoch in range(n_epochs):
+            allowed = policy.decide(epoch, observations)
+            observations = net.run_epoch(epoch, allowed, demand_fn(epoch)).observations
+            mover = clients[int(churn.integers(len(clients)))].client_id
+            net.move_client(
+                mover,
+                float(churn.uniform(0.0, net.topology.area_m)),
+                float(churn.uniform(0.0, net.topology.area_m)),
+            )
+            roamer = clients[int(churn.integers(len(clients)))].client_id
+            net.reattach_client(roamer, ap_ids[int(churn.integers(len(ap_ids)))])
+        return observations
+
+    def test_oracle_epochs_never_call_the_block_compute(self, monkeypatch):
+        net = make_net(ScalarOracleSimulator)
+        self._forbid_block_compute(monkeypatch, net)
+        observations = self._cellfi_churn(net, 4)
+        assert len(observations) == len(net.topology.aps)
+
+    def test_production_epoch_trips_the_same_patch(self, monkeypatch):
+        # Without this the patch above could be silently ineffective.
+        net = make_net()
+        self._forbid_block_compute(monkeypatch, net)
+        with pytest.raises(AssertionError, match="called"):
+            self._cellfi_churn(net, 1)
 
 
 class TestGainCacheInvalidation:

@@ -351,7 +351,7 @@ def _rate_fn(rows, table):
         return rows[client][sub]
 
     if table:
-        # The network's incremental backend exposes its rate table.
+        # The network's incremental epoch exposes its rate table.
         rate_fn.rate_rows = rows
     return rate_fn
 

@@ -32,12 +32,8 @@ import pytest
 from repro.core.interference.manager import CellFiInterferenceManager
 from repro.experiments.common import build_scenario
 from repro.experiments.large_scale import TECH_CELLFI, SaturatedLteRun
-from repro.lte.network import (
-    BACKEND_INCREMENTAL,
-    BACKEND_SCALAR,
-    AllSubchannelsPolicy,
-    LteNetworkSimulator,
-)
+from repro.lte.network import AllSubchannelsPolicy, LteNetworkSimulator
+from repro.lte.scalar_oracle import ScalarOracleSimulator
 from repro.phy.resource_grid import ResourceGrid
 from repro.sim.rng import RngStreams
 from repro.sim.shard import (
@@ -56,6 +52,7 @@ from tests.test_lte_network_incremental import (
     churn_run,
     make_channel,
     make_topology,
+    oracle_run,
 )
 from tests.test_sim_shard import epoch_digest, shard_factory
 
@@ -253,17 +250,10 @@ class TestPaperPathBitIdentity:
     SEED = 3
     N_EPOCHS = 10
 
-    def _run(self, backend, shards):
-        run = SaturatedLteRun(
-            TECH_CELLFI,
-            self.SEED,
-            n_aps=64,
-            clients_per_ap=4,
-            epochs=self.N_EPOCHS,
-            backend=backend,
-            shards=shards,
-            shard_mode="inline",
-        )
+    N_APS = 64
+    CLIENTS_PER_AP = 4
+
+    def _run(self, run):
         grants = []
         decide = run.policy.decide
 
@@ -301,12 +291,19 @@ class TestPaperPathBitIdentity:
         return digests, grants
 
     def test_backends_and_shard_counts_agree_per_epoch(self):
-        oracle, grants = self._run(BACKEND_SCALAR, 1)
+        oracle, grants = self._run(oracle_run(
+            TECH_CELLFI, self.SEED, self.N_APS, self.CLIENTS_PER_AP,
+            self.N_EPOCHS,
+        ))
         changed = sum(1 for a, b in zip(grants, grants[1:]) if a != b)
         # Hopping must actually happen, or the comparison is vacuous.
         assert changed * 2 >= len(grants) - 1, changed
         for shards in (1, 2, 4):
-            digests, run_grants = self._run(BACKEND_INCREMENTAL, shards)
+            digests, run_grants = self._run(SaturatedLteRun(
+                TECH_CELLFI, self.SEED, n_aps=self.N_APS,
+                clients_per_ap=self.CLIENTS_PER_AP, epochs=self.N_EPOCHS,
+                shards=shards, shard_mode="inline",
+            ))
             assert run_grants == grants, f"grants diverged at {shards} shard(s)"
             for epoch, (got, want) in enumerate(zip(digests, oracle)):
                 assert got == want, f"{shards} shard(s): epoch {epoch} diverged"
@@ -351,7 +348,6 @@ class TestPrachReduction:
                 grid=ResourceGrid(5e6),
                 channel=channel,
                 rngs=RngStreams(seed),
-                backend=BACKEND_INCREMENTAL,
                 shard_ap_ids=shard_ap_ids,
             )
 
@@ -389,15 +385,18 @@ class TestAllDirtyChurn:
 
     def _saturated_runs(self):
         runs = [
-            SaturatedLteRun(
-                TECH_CELLFI, self.SEED, n_aps=self.N_APS,
-                clients_per_ap=self.CLIENTS_PER_AP, epochs=self.N_EPOCHS,
-                backend=backend, shards=shards, shard_mode="inline",
-            )
-            for backend, shards in (
-                (BACKEND_SCALAR, 1), (BACKEND_INCREMENTAL, 1),
-                (BACKEND_INCREMENTAL, 2),
-            )
+            oracle_run(
+                TECH_CELLFI, self.SEED, self.N_APS, self.CLIENTS_PER_AP,
+                self.N_EPOCHS,
+            ),
+            *(
+                SaturatedLteRun(
+                    TECH_CELLFI, self.SEED, n_aps=self.N_APS,
+                    clients_per_ap=self.CLIENTS_PER_AP, epochs=self.N_EPOCHS,
+                    shards=shards, shard_mode="inline",
+                )
+                for shards in (1, 2)
+            ),
         ]
         return [(run.net, run.policy) for run in runs], runs
 
@@ -405,12 +404,11 @@ class TestAllDirtyChurn:
         def scenario():
             return build_scenario(self.SEED, self.N_APS, self.CLIENTS_PER_AP)
 
-        def single(backend):
+        def single(simulator):
             sc = scenario()
-            return sc, LteNetworkSimulator(
+            return sc, simulator(
                 topology=sc.topology, grid=sc.grid(), channel=sc.channel,
-                rngs=sc.rngs.fork("net"), backend=backend,
-                cull_loss_db=cull_loss_db,
+                rngs=sc.rngs.fork("net"), cull_loss_db=cull_loss_db,
             )
 
         def sharded():
@@ -430,8 +428,8 @@ class TestAllDirtyChurn:
             )
 
         pairs = []
-        for sc, net in (single(BACKEND_SCALAR), single(BACKEND_INCREMENTAL),
-                        sharded()):
+        for sc, net in (single(ScalarOracleSimulator),
+                        single(LteNetworkSimulator), sharded()):
             policy = CellFiInterferenceManager(
                 sc.ap_ids, net.grid.n_subchannels, sc.rngs.fork("manager")
             )

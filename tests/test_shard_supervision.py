@@ -4,7 +4,7 @@ The robustness net for ``repro.sim.shard``'s :class:`ShardSupervisor`:
 seeded chaos schedules (worker kills, stalls, malformed replies, latency
 spikes) hit the supervised churn-fuzz scenario and every surviving run
 must produce per-epoch digests *bitwise identical* to the fault-free
-unsharded incremental backend -- recovery respawns the worker from the
+unsharded incremental epoch -- recovery respawns the worker from the
 last merged snapshot and replays the op journal, so a fault is never
 allowed to leak into the physics.  Exhausting the retry budget must
 degrade the shard to inline execution with a structured warning, never
@@ -16,7 +16,7 @@ import warnings
 
 import pytest
 
-from repro.lte.network import BACKEND_INCREMENTAL, AllSubchannelsPolicy
+from repro.lte.network import AllSubchannelsPolicy
 from repro.phy.resource_grid import ResourceGrid
 from repro.sim.checkpoint import hash_state
 from repro.sim.rng import RngStreams
@@ -76,7 +76,7 @@ def reference_digests():
     """Fault-free unsharded digests the chaos arms are held to."""
     return [
         epoch_digest(r)
-        for r in churn_run(make_net(BACKEND_INCREMENTAL, CULL_DB), N_EPOCHS)
+        for r in churn_run(make_net(cull_loss_db=CULL_DB), N_EPOCHS)
     ]
 
 
@@ -340,7 +340,7 @@ class TestSupervisedStateRoundtrip:
         assert stats["restarts"] == 1
 
     def test_state_dict_matches_unsharded(self):
-        plain = make_net(BACKEND_INCREMENTAL, CULL_DB)
+        plain = make_net(cull_loss_db=CULL_DB)
         churn_run(plain, 3)
         net = make_supervised(2, checkpoint_every=2)
         try:

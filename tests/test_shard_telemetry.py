@@ -21,7 +21,6 @@ import multiprocessing as mp
 
 import pytest
 
-from repro.lte.network import BACKEND_INCREMENTAL
 from repro.obs import Telemetry, activated, disable
 from repro.obs.validate import validate_chrome_trace
 from repro.sim.shard import ChaosEvent, ChaosPolicy
@@ -165,7 +164,7 @@ class TestMergedTotalsMatchInline:
         merged = tel.registry.snapshot()["counters"]
         tel_inline = Telemetry()
         with activated(tel_inline):
-            churn_run(make_net(BACKEND_INCREMENTAL, CULL_DB), N_EPOCHS)
+            churn_run(make_net(cull_loss_db=CULL_DB), N_EPOCHS)
         inline = tel_inline.registry.snapshot()["counters"]
         assert inline, "inline run recorded no counters"
         for name, total in inline.items():

@@ -4,7 +4,7 @@ The headline invariance net for ``repro.sim.shard``: sharding is a pure
 execution strategy, so the churn fuzz scenario (mobility / handover /
 demand / decision churn including zero-activity epochs) must produce
 per-epoch digests, merged snapshots and RNG stream states *bitwise
-identical* to the unsharded incremental backend at shards ∈ {1, 2, 4} --
+identical* to the unsharded incremental epoch at shards ∈ {1, 2, 4} --
 and the Hypothesis boundary walk holds the 2-shard engine to exact
 equality with the scalar oracle while a UE random-walks across the shard
 edge.
@@ -16,12 +16,8 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
-from repro.lte.network import (
-    BACKEND_INCREMENTAL,
-    BACKEND_SCALAR,
-    AllSubchannelsPolicy,
-    LteNetworkSimulator,
-)
+from repro.lte.network import AllSubchannelsPolicy, LteNetworkSimulator
+from repro.lte.scalar_oracle import ScalarOracleSimulator
 from repro.phy.resource_grid import ResourceGrid
 from repro.sim.checkpoint import hash_state
 from repro.sim.rng import RngStreams
@@ -90,7 +86,6 @@ def shard_factory(cull_loss_db=CULL_DB):
             grid=ResourceGrid(5e6),
             channel=channel,
             rngs=RngStreams(SEED),
-            backend=BACKEND_INCREMENTAL,
             cull_loss_db=cull_loss_db,
             shard_ap_ids=ap_ids,
         )
@@ -170,32 +165,33 @@ class TestGridPartition:
 
 class TestShardModeGuards:
     def test_shard_view_requires_incremental_backend(self):
+        # Only the production (incremental) epoch runs a shard view: the
+        # scalar oracle rejects ``shard_ap_ids``.
         channel = make_channel()
         topology = make_topology(channel)
-        with pytest.raises(ValueError):
-            LteNetworkSimulator(
+        with pytest.raises(ValueError, match="shard_ap_ids"):
+            ScalarOracleSimulator(
                 topology=topology,
                 grid=ResourceGrid(5e6),
                 channel=channel,
                 rngs=RngStreams(SEED),
-                backend=BACKEND_SCALAR,
                 shard_ap_ids=[0, 1],
             )
 
     def test_sharded_run_rejects_non_incremental_backend(self, monkeypatch):
-        # Shard workers only run incremental; a sharded run that asks for
-        # another backend must fail loudly before any worker is built.
+        # Shard workers only run the incremental epoch, and no argument of
+        # a run selects another: one that asks for a backend must fail
+        # loudly before any worker is built.
         import repro.experiments.large_scale as large_scale
 
         def no_workers(*args, **kwargs):
             raise AssertionError("shard workers built before the check")
 
         monkeypatch.setattr(large_scale, "ShardedNetwork", no_workers)
-        with pytest.raises(ValueError, match="incremental"):
+        with pytest.raises(TypeError, match="backend"):
             large_scale.SaturatedLteRun(
                 large_scale.TECH_LTE, seed=4, n_aps=4, clients_per_ap=3,
-                epochs=2, backend=BACKEND_SCALAR, shards=2,
-                shard_mode="inline",
+                epochs=2, backend="scalar", shards=2, shard_mode="inline",
             )
 
     def test_unknown_shard_ap_ids_rejected(self):
@@ -243,7 +239,7 @@ class TestShardInvariance:
 
     @pytest.fixture(scope="class")
     def baseline(self):
-        net = make_net(BACKEND_INCREMENTAL, cull_loss_db=CULL_DB)
+        net = make_net(cull_loss_db=CULL_DB)
         results = churn_run(net, self.N_EPOCHS)
         return {
             "results": results,
@@ -275,7 +271,7 @@ class TestShardInvariance:
     def test_two_shards_identical_without_cull_horizon(self):
         # Bit-identity never depended on culling: owned rows span every
         # AP, so the full-interference configuration shards exactly too.
-        unsharded = make_net(BACKEND_INCREMENTAL, cull_loss_db=None)
+        unsharded = make_net(cull_loss_db=None)
         expected = churn_run(unsharded, 6)
         sharded = make_sharded(2, mode="inline", cull_loss_db=None)
         assert_epochs_identical(churn_run(sharded, 6), expected)
@@ -332,12 +328,11 @@ class TestBoundaryHandover:
 
         def oracle():
             topology = build_topology()
-            return LteNetworkSimulator(
+            return ScalarOracleSimulator(
                 topology=topology,
                 grid=ResourceGrid(5e6),
                 channel=make_channel(),
                 rngs=RngStreams(SEED),
-                backend=BACKEND_SCALAR,
                 cull_loss_db=CULL_DB,
             )
 
@@ -348,7 +343,6 @@ class TestBoundaryHandover:
                 grid=ResourceGrid(5e6),
                 channel=make_channel(),
                 rngs=RngStreams(SEED),
-                backend=BACKEND_INCREMENTAL,
                 cull_loss_db=CULL_DB,
                 shard_ap_ids=ap_ids,
             )
