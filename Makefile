@@ -18,8 +18,9 @@ test:
 # Paper-claims suite: the paper-shape assertions under benchmarks/
 # (Fig. 1/2/6-9, Table 1, Theorem 1, the PRACH detector, ablations) at CI
 # scale; REPRO_FULL=1 runs them at paper scale.  Every test takes the
-# pytest-benchmark fixture, timed off here.  The run rewrites
-# benchmarks/results/fig6.txt and prach.txt.
+# pytest-benchmark fixture, timed off here.  The run rewrites the tables
+# under benchmarks/results/ with the same bytes at CI scale (wall-clock
+# ratios are printed, not recorded), so it leaves git status clean.
 claims:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-disable
 

@@ -17,18 +17,14 @@ from conftest import full_scale, once
 from repro.core.interference.hybrid import HybridInterferenceManager
 from repro.core.interference.manager import CellFiInterferenceManager
 from repro.experiments.common import build_scenario
-from repro.lte.network import LteNetworkSimulator
 from repro.traffic.backlogged import saturated_demand_fn
 from repro.utils.render import format_table
 
 
 def _run_cellfi(scenario, epochs, bucket_mean=10.0, detector=(0.80, 0.02),
                 manager_cls=None, providers=None):
-    net = LteNetworkSimulator(
-        scenario.topology,
-        scenario.grid(),
-        scenario.channel,
-        scenario.rngs.fork(f"net-{bucket_mean}-{detector}"),
+    net = scenario.lte_net(
+        f"net-{bucket_mean}-{detector}",
         detector_true_positive=detector[0],
         detector_false_positive=detector[1],
     )
@@ -45,11 +41,11 @@ def _run_cellfi(scenario, epochs, bucket_mean=10.0, detector=(0.80, 0.02),
             bucket_mean=bucket_mean,
         )
         hops = lambda: manager.stats.total_hops  # noqa: E731
-    results = net.run(epochs, manager, saturated_demand_fn(scenario.topology))
+    results = net.run(epochs, manager, saturated_demand_fn(net.topology))
     tail = results[epochs // 2:]
     throughput = [
         float(np.mean([r.throughput_bps[c.client_id] for r in tail]))
-        for c in scenario.topology.clients
+        for c in net.topology.clients
     ]
     connected = float(
         np.mean([np.mean(list(r.connected.values())) for r in tail])

@@ -29,10 +29,13 @@ def test_prach_detector(benchmark, report):
     rows += [
         ["false alarms", "low", f"{result.false_alarm * 100:.2f}%"],
         ["complexity vs naive", "~#signatures x", f"{result.complexity_ratio:.1f}x"],
-        ["speed vs 10 MHz line rate", "16x (C, i7)", f"{result.speed_factor_vs_line_rate:.2f}x (numpy)"],
-        ["speed vs PRACH occasion rate", ">> 1x", f"{result.speed_factor_vs_occasion_rate:.0f}x"],
     ]
     report(
         "prach",
         format_table(["metric", "paper", "measured"], rows, title="PRACH detector"),
     )
+    # Wall-clock ratios vary run to run, so they are printed, not recorded.
+    print(format_table(["metric", "paper", "measured"], [
+        ["speed vs 10 MHz line rate", "16x (C, i7)", f"{result.speed_factor_vs_line_rate:.2f}x (numpy)"],
+        ["speed vs PRACH occasion rate", ">> 1x", f"{result.speed_factor_vs_occasion_rate:.0f}x"],
+    ], title="PRACH detector speed (this host)"))

@@ -16,7 +16,7 @@ from repro.baselines.oracle import OracleAllocator
 from repro.baselines.plain_lte import PlainLtePolicy
 from repro.core.interference.manager import CellFiInterferenceManager
 from repro.experiments.common import build_scenario
-from repro.lte.network import LteNetworkSimulator, STARVATION_THRESHOLD_BPS
+from repro.lte.network import STARVATION_THRESHOLD_BPS
 from repro.traffic.backlogged import saturated_demand_fn
 from repro.utils.render import format_table
 from repro.utils.stats import jain_fairness
@@ -24,10 +24,7 @@ from repro.wifi.network import STANDARD_80211AF, WifiNetworkSimulator
 
 
 def run_lte_family(scenario, policy_name, epochs=12):
-    net = LteNetworkSimulator(
-        scenario.topology, scenario.grid(), scenario.channel,
-        scenario.rngs.fork(f"net-{policy_name}"),
-    )
+    net = scenario.lte_net(f"net-{policy_name}")
     if policy_name == "CellFi":
         policy = CellFiInterferenceManager(
             scenario.ap_ids, net.grid.n_subchannels, scenario.rngs.fork("mgr")
@@ -36,11 +33,11 @@ def run_lte_family(scenario, policy_name, epochs=12):
         policy = PlainLtePolicy(scenario.ap_ids, net.grid.n_subchannels)
     else:
         policy = OracleAllocator(net, net.grid.n_subchannels)
-    results = net.run(epochs, policy, saturated_demand_fn(scenario.topology))
+    results = net.run(epochs, policy, saturated_demand_fn(net.topology))
     tail = results[epochs // 2:]
     return [
         float(np.mean([r.throughput_bps[c.client_id] for r in tail]))
-        for c in scenario.topology.clients
+        for c in net.topology.clients
     ]
 
 
@@ -50,7 +47,7 @@ def run_wifi(scenario, duration_s=4.0):
         scenario.rngs.fork("wifi"),
     )
     result = net.run_saturated(duration_s)
-    return [result.throughput_bps[c.client_id] for c in scenario.topology.clients]
+    return [result.throughput_bps[c.client_id] for c in net.topology.clients]
 
 
 def main() -> None:

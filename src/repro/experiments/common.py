@@ -9,11 +9,12 @@ live in :mod:`repro.experiments.large_scale`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
+from repro.lte.network import LteNetworkSimulator
 from repro.phy.propagation import (
     CompositeChannel,
     GainMatrixCache,
@@ -23,6 +24,7 @@ from repro.phy.propagation import (
 from repro.phy.resource_grid import ResourceGrid
 from repro.sim.rng import RngStreams
 from repro.sim.topology import (
+    AccessPointSite,
     ClientSite,
     Topology,
     random_topology,
@@ -56,49 +58,72 @@ def full_scale() -> bool:
     return os.environ.get("REPRO_FULL", "").strip().lower() in _TRUTHY
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """One evaluated deployment: topology + propagation + carrier.
+    """One evaluated deployment as built: sites + propagation + carrier.
 
     Construct via :func:`build_scenario` so all technologies share the
-    association and shadowing draws.
-
-    ``loss_block`` is the read-only ``(n_clients, n_aps)`` channel-loss
-    matrix the association was decided on, over ``build_clients`` (the
-    build-time client sites, in ``topology.clients`` order).  Runs move
-    clients in the shared ``topology``; the build-time pair stays as
-    built, so every gain cache and shard worker can start from it.
+    association and shadowing draws.  A scenario is immutable: ``aps``
+    and ``build_clients`` are the build-time sites (clients reassociated
+    to their strongest AP), and ``loss_block`` is the read-only
+    ``(n_clients, n_aps)`` channel-loss matrix the association was
+    decided on, rows in ``build_clients`` order.  Runs never share
+    mutable state through it: :meth:`lte_net` and :attr:`topology` hand
+    every caller its own :class:`Topology` over those sites, so a move
+    in one run leaves every other run, and every later one, at build
+    time.
     """
 
     seed: int
     n_aps: int
     clients_per_ap: int
-    topology: Topology
+    area_m: float
+    aps: Tuple[AccessPointSite, ...]
+    build_clients: Tuple[ClientSite, ...]
     channel: CompositeChannel
     rngs: RngStreams
     loss_block: np.ndarray
-    build_clients: Tuple[ClientSite, ...]
+
+    @property
+    def topology(self) -> Topology:
+        """A new :class:`Topology` over the build-time sites, per call."""
+        return Topology(
+            area_m=self.area_m, aps=list(self.aps), clients=list(self.build_clients)
+        )
 
     @property
     def ap_ids(self) -> List[int]:
         """All access-point ids."""
-        return [ap.ap_id for ap in self.topology.aps]
+        return [ap.ap_id for ap in self.aps]
 
     def grid(self) -> ResourceGrid:
         """A fresh LTE resource grid for this scenario."""
         return ResourceGrid(LTE_BANDWIDTH_HZ)
 
-    def gain_cache(self) -> GainMatrixCache:
-        """A fresh gain cache over ``topology``, seeded from ``loss_block``.
+    def lte_net(self, stream_label: str, **simulator_kwargs) -> LteNetworkSimulator:
+        """An LTE network over this scenario as built, sharing no state.
 
-        Each run gets its own copy (see :meth:`GainMatrixCache.seed`);
-        rows of clients moved since the build refill through the channel.
+        The one construction path for 1 or N shards (pass
+        ``shard_ap_ids`` for a shard view): a fresh topology, a gain
+        cache seeded with a copy of ``loss_block``, and a fresh
+        :class:`CompositeChannel` over the same models (a channel
+        memoizes AP-side arrays, so nets do not share one).
+        ``stream_label`` names the net's RNG fork; ``fork`` is a pure
+        seed derivation, so every build under one label draws the same
+        streams.
         """
-        cache = GainMatrixCache(
-            self.channel, self.topology.aps, self.topology.clients
+        topology = self.topology
+        channel = CompositeChannel(self.channel.path_loss, self.channel.shadowing)
+        gain_cache = GainMatrixCache(channel, topology.aps, topology.clients)
+        gain_cache.seed(self.loss_block, self.build_clients)
+        return LteNetworkSimulator(
+            topology=topology,
+            grid=self.grid(),
+            channel=channel,
+            rngs=self.rngs.fork(stream_label),
+            gain_cache=gain_cache,
+            **simulator_kwargs,
         )
-        cache.seed(self.loss_block, self.build_clients)
-        return cache
 
 
 def build_scenario(
@@ -133,9 +158,10 @@ def build_scenario(
         seed=seed,
         n_aps=n_aps,
         clients_per_ap=clients_per_ap,
-        topology=topology,
+        area_m=topology.area_m,
+        aps=tuple(topology.aps),
+        build_clients=tuple(topology.clients),
         channel=channel,
         rngs=rngs,
         loss_block=loss_block,
-        build_clients=tuple(topology.clients),
     )

@@ -25,15 +25,12 @@ import numpy as np
 from repro.baselines.oracle import OracleAllocator
 from repro.baselines.plain_lte import PlainLtePolicy
 from repro.core.interference.manager import CellFiInterferenceManager
-from repro.experiments.common import LTE_BANDWIDTH_HZ, Scenario, build_scenario
+from repro.experiments.common import Scenario, build_scenario
 from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.obs import runtime as _obs_runtime
 from repro.lte.network import LteNetworkSimulator
 from repro.sim.shard import ChaosPolicy, ShardedNetwork, SupervisionConfig
-from repro.phy.propagation import CompositeChannel, GainMatrixCache
-from repro.phy.resource_grid import ResourceGrid
-from repro.sim.rng import RngStreams
-from repro.sim.topology import Topology, grid_partition
+from repro.sim.topology import grid_partition
 from repro.sim.checkpoint import (
     CheckpointRegistry,
     Snapshot,
@@ -84,50 +81,16 @@ def _make_lte_net(
     chaos: Optional[str] = None,
 ):
     if shards <= 1:
-        return LteNetworkSimulator(
-            topology=scenario.topology,
-            grid=scenario.grid(),
-            channel=scenario.channel,
-            rngs=scenario.rngs.fork(stream_label),
-            gain_cache=scenario.gain_cache(),
-        )
+        return scenario.lte_net(stream_label)
     # Sharded city-scale path: every worker owns one rectangular tile of
-    # APs over a replica of the scenario as built -- the AP list, the
-    # reassociated client sites and the loss block, captured here.  The
-    # factory must not hold the live ``scenario.topology``: the parent
-    # mutates it, and a supervised respawn starts from build-time state
-    # before it replays its journal.  Each worker gets its own topology,
-    # gain-cache copy and channel (the channel memoizes its AP-side
-    # arrays per AP list, so sharing one would thrash between workers);
-    # process workers inherit the block through fork.
-    # ``RngStreams.fork()`` is a pure seed derivation, so the parent's RNG
-    # mirror and each worker's streams are identical objects-by-value.
-    area_m = scenario.topology.area_m
-    aps = list(scenario.topology.aps)
-    clients = list(scenario.build_clients)
-    loss_block = scenario.loss_block
-    path_loss = scenario.channel.path_loss
-    shadowing = scenario.channel.shadowing
-    rng_seed = scenario.seed
-
-    def factory(ap_ids):
-        topology = Topology(area_m=area_m, aps=list(aps), clients=list(clients))
-        channel = CompositeChannel(path_loss, shadowing)
-        gain_cache = GainMatrixCache(channel, topology.aps, topology.clients)
-        gain_cache.seed(loss_block, clients)
-        return LteNetworkSimulator(
-            topology=topology,
-            grid=ResourceGrid(LTE_BANDWIDTH_HZ),
-            channel=channel,
-            rngs=RngStreams(rng_seed).fork(stream_label),
-            gain_cache=gain_cache,
-            shard_ap_ids=ap_ids,
-        )
-
+    # APs and builds through the same scenario builder, so a supervised
+    # respawn starts from build-time state before it replays its journal;
+    # process workers inherit the loss block through fork.
+    topology = scenario.topology
     return ShardedNetwork(
-        scenario.topology,
-        grid_partition(scenario.topology, shards),
-        factory,
+        topology,
+        grid_partition(topology, shards),
+        lambda ap_ids: scenario.lte_net(stream_label, shard_ap_ids=ap_ids),
         scenario.rngs.fork(stream_label),
         scenario.grid(),
         mode=shard_mode,
@@ -260,7 +223,7 @@ class SaturatedLteRun:
             chaos=chaos,
         )
         self.policy = _make_policy(tech, self.scenario, self.net)
-        self._demand_fn = saturated_demand_fn(self.scenario.topology)
+        self._demand_fn = saturated_demand_fn(self.net.topology)
         self._epoch = 0
         self._observations = None
         self._throughput_epochs: List[Dict[int, float]] = []
@@ -339,7 +302,7 @@ class SaturatedLteRun:
     def result(self) -> SaturatedRun:
         """Aggregate the per-epoch accumulators (post-warmup epochs only)."""
         measured_from = min(WARMUP_EPOCHS, self.epochs - 1)
-        clients = [c.client_id for c in self.scenario.topology.clients]
+        clients = [c.client_id for c in self.net.topology.clients]
         measured_t = self._throughput_epochs[measured_from:]
         measured_c = self._connected_epochs[measured_from:]
         throughput = [
@@ -455,7 +418,7 @@ def run_wifi_saturated(
         rngs=scenario.rngs.fork(f"wifi-{standard.name}"),
     )
     result = net.run_saturated(duration_s)
-    clients = [c.client_id for c in scenario.topology.clients]
+    clients = [c.client_id for c in net.topology.clients]
     throughput = [result.throughput_bps[cid] for cid in clients]
     from repro.lte.network import STARVATION_THRESHOLD_BPS
 
@@ -837,7 +800,7 @@ def _run_lte_family_web(
             cursor += 1
         demands = {
             c.client_id: tracker.queued_bits(c.client_id)
-            for c in scenario.topology.clients
+            for c in net.topology.clients
         }
         allowed = policy.decide(epoch, observations)
         result = net.run_epoch(epoch, allowed, demands)
@@ -894,7 +857,7 @@ def run_page_load_times(
     for seed in seeds:
         scenario = build_scenario(seed, n_aps, clients_per_ap)
         pages = generate_web_sessions(
-            [c.client_id for c in scenario.topology.clients],
+            [c.client_id for c in scenario.build_clients],
             duration_s,
             scenario.rngs.stream("web-arrivals"),
             config=workload,

@@ -18,10 +18,8 @@ import numpy as np
 
 from repro.baselines.plain_lte import PlainLtePolicy
 from repro.core.interference.manager import CellFiInterferenceManager
-from repro.experiments.common import Scenario, build_scenario
-from repro.lte.network import LteNetworkSimulator
+from repro.experiments.common import build_scenario
 from repro.lte.uplink import UplinkModel
-from repro.traffic.backlogged import saturated_demand_fn
 
 
 @dataclass
@@ -54,14 +52,10 @@ def run_uplink_comparison(
     """Converge each downlink policy, then score the uplink under it."""
     scenario = build_scenario(seed, n_aps, clients_per_ap)
     result = UplinkComparison()
-    demands = {c.client_id: float("inf") for c in scenario.topology.clients}
+    demands = {c.client_id: float("inf") for c in scenario.build_clients}
 
     for tech in ("LTE", "CellFi"):
-        net = LteNetworkSimulator(
-            scenario.topology, scenario.grid(), scenario.channel,
-            scenario.rngs.fork(f"ul-{tech}"),
-            gain_cache=scenario.gain_cache(),
-        )
+        net = scenario.lte_net(f"ul-{tech}")
         if tech == "CellFi":
             policy = CellFiInterferenceManager(
                 scenario.ap_ids, net.grid.n_subchannels,
@@ -75,9 +69,9 @@ def run_uplink_comparison(
             allowed = policy.decide(epoch, observations)
             observations = net.run_epoch(epoch, allowed, demands).observations
 
-        uplink = UplinkModel(scenario.topology, net.grid, scenario.channel)
+        uplink = UplinkModel(net.topology, net.grid, net.channel)
         outcome = uplink.run_epoch(allowed, demands)
-        clients = [c.client_id for c in scenario.topology.clients]
+        clients = [c.client_id for c in net.topology.clients]
         result.sinr_db[tech] = [
             outcome.sinr_db.get(cid, -30.0) for cid in clients
         ]

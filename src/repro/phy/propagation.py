@@ -613,18 +613,18 @@ class GainMatrixCache:
         """Start from a precomputed channel-loss block; copies, never adopts.
 
         ``block`` must be this cache's channel's ``loss_db_rows`` over its
-        APs (in column order) and ``sites`` -- e.g. the block
-        :func:`repro.sim.topology.reassociate_strongest` returns.  Row
-        ``i`` is copied in and marked valid iff the cache still holds
-        ``sites[i]`` itself: sites are immutable and a move replaces
-        them, so a client that moved since the block was computed keeps
-        a stale row and refills through the channel.  The block is
-        copied because one scenario's block seeds many caches, and a
-        move rewrites cache rows in place.
+        APs (in column order) and ``sites``, which must be the cache's
+        own client sites (the very objects, in row order) -- e.g. the
+        build-time block :func:`repro.sim.topology.reassociate_strongest`
+        returns, seeding a cache built over the same sites.  Every row is
+        copied in and marked valid.  The block is copied because one
+        scenario's block seeds many caches, and a move rewrites cache
+        rows in place.
 
         Raises:
             ValueError: if the cache has AP antennas (the block holds
-                channel loss only) or the block's shape does not match.
+                channel loss only), the block's shape does not match, or
+                ``sites`` are not the cache's clients.
         """
         if self.ap_antennas:
             raise ValueError(
@@ -635,13 +635,10 @@ class GainMatrixCache:
                 f"loss block {block.shape} over {len(sites)} sites does not "
                 f"match the cache's {self._loss.shape}"
             )
-        same = np.fromiter(
-            (held is site for held, site in zip(self._clients, sites)),
-            dtype=bool,
-            count=len(sites),
-        )
-        np.copyto(self._loss, block, where=same[:, np.newaxis])
-        self._row_valid |= same
+        if any(held is not site for held, site in zip(self._clients, sites)):
+            raise ValueError("seed sites are not the cache's client sites")
+        np.copyto(self._loss, block)
+        self._row_valid[:] = True
 
     def prefill(self, client_ids: Optional[Sequence[int]] = None) -> None:
         """Eagerly fill stale rows (all, or a client subset) in bulk.

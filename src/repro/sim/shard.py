@@ -1198,15 +1198,18 @@ class ShardedNetwork:
     ``run`` / ``state_dict`` / ``load_state``), with the same digests.
 
     Args:
-        topology: the parent's replica of the shared topology (mutated by
-            the same event stream the workers receive).
+        topology: the parent's own topology, over the same build-time
+            sites as every worker's (mutated by the same event stream the
+            workers receive).
         shard_plan: AP-id lists, one per shard -- disjoint and covering
             every AP (see :func:`repro.sim.topology.grid_partition`).
         net_factory: builds one shard simulator given its owned AP ids.
             Must build the *same* deterministic scenario, as built, in
             every worker and on every respawn (same build-time topology,
-            channel and seed-derived RNG streams); with ``None`` it must
-            build the plain unsharded simulator.
+            channel and seed-derived RNG streams); with ``None`` it builds
+            the plain unsharded simulator.  The large-scale runs build
+            through :meth:`repro.experiments.common.Scenario.lte_net`, the
+            one builder for both.
         rngs: the parent's mirror of the simulators' RNG streams (the
             object a checkpoint registry should register as the network
             RNG subsystem).

@@ -3,8 +3,11 @@
 The paper's large-scale evaluation (Section 6.3.4) simulates a 2 km x 2 km
 area with randomly placed access points and a fixed number of clients placed
 within the coverage range of each AP.  :func:`random_topology` reproduces
-that setup; the resulting :class:`Topology` is shared by the LTE, Wi-Fi and
-CellFi simulators so all technologies are compared on identical layouts.
+that setup.  Every simulator owns its :class:`Topology` and mutates only
+that one; the LTE, Wi-Fi and CellFi runs of one experiment each get a copy
+over the same build-time sites (see
+:class:`repro.experiments.common.Scenario`), so all technologies are
+compared on identical layouts.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ block, and that sharded workers -- respawned ones included -- start from
 the scenario as built.
 """
 
+import dataclasses
 import multiprocessing as mp
 from unittest import mock
 
@@ -23,6 +24,7 @@ from repro.experiments.common import CLIENT_RANGE_M, build_scenario
 from repro.experiments.large_scale import (
     TECH_CELLFI,
     TECH_LTE,
+    TECH_ORACLE,
     SaturatedLteRun,
 )
 from repro.phy.propagation import (
@@ -185,7 +187,7 @@ class TestBatchedAssociation:
         try:
             for worker in sharded.net.workers:
                 assert_same_association(worker.net.topology, want)
-                assert worker.net.topology is not scenario.topology
+                assert worker.net.topology is not sharded.net.topology
                 assert worker.net.channel is not channel
                 assert_bits_equal(worker.net.gain_cache.matrix(), want_block)
         finally:
@@ -222,6 +224,9 @@ class TestSeededGainCache:
         site = ClientSite(old.client_id, x, y, old.ap_id)
         for cache in (fresh, seeded):
             cache.invalidate_client(old.client_id, site)
+        # A cache holding a moved site no longer holds the block's sites.
+        with pytest.raises(ValueError, match="not the cache's client sites"):
+            seeded.seed(scenario.loss_block, scenario.build_clients)
         assert_bits_equal(seeded.matrix(), fresh.matrix())
         row = seeded.rows([old.client_id])[0]
         assert_bits_equal(
@@ -240,6 +245,12 @@ class TestSeededGainCache:
         cache = GainMatrixCache(scenario.channel, topology.aps, topology.clients[1:])
         with pytest.raises(ValueError, match="does not match"):
             cache.seed(scenario.loss_block, scenario.build_clients)
+        # Equal sites are not enough: the block belongs to the very objects.
+        copies = [ClientSite(c.client_id, c.x, c.y, c.ap_id) for c in topology.clients]
+        cache = GainMatrixCache(scenario.channel, topology.aps, copies)
+        with pytest.raises(ValueError, match="not the cache's client sites"):
+            cache.seed(scenario.loss_block, scenario.build_clients)
+        assert not cache._row_valid.any()
 
     def test_a_move_in_one_run_touches_no_other_cache(self):
         scenario = build_scenario(2, 8, 4)
@@ -248,22 +259,22 @@ class TestSeededGainCache:
         second = SaturatedLteRun(TECH_LTE, 2, 8, 4, epochs=1, scenario=scenario)
         second_before = second.net.gain_cache.matrix().copy()
 
-        mover = scenario.topology.clients[5]
+        mover = scenario.build_clients[5]
         first.net.move_client(mover.client_id, mover.x + 300.0, mover.y + 40.0)
-        moved = scenario.topology.client(mover.client_id)
-        want_row = scalar_block(scenario.channel, scenario.topology.aps, [moved])[0]
+        moved = first.net.topology.client(mover.client_id)
+        assert moved is not mover
+        want_row = scalar_block(scenario.channel, scenario.aps, [moved])[0]
         assert_bits_equal(first.net.gain_cache.rows([mover.client_id])[0], want_row)
+        assert second.net.topology.client(mover.client_id) is mover
 
         assert_bits_equal(scenario.loss_block, block_before)
         assert_bits_equal(second.net.gain_cache.matrix(), second_before)
         with pytest.raises(ValueError):
             scenario.loss_block[0, 0] = 0.0
-        # A run built after the move seeds every unmoved row and refills
-        # the moved one from its new site.
+        # A run built after the move starts from the scenario as built.
         third = SaturatedLteRun(TECH_LTE, 2, 8, 4, epochs=1, scenario=scenario)
-        want = block_before.copy()
-        want[5] = want_row
-        assert_bits_equal(third.net.gain_cache.matrix(), want)
+        assert third.net.topology.client(mover.client_id) is mover
+        assert_bits_equal(third.net.gain_cache.matrix(), block_before)
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="process shards need fork")
@@ -309,9 +320,69 @@ class TestShardRespawnFromBuildState:
             # digests alone would also hold for a factory that read the
             # parent's live topology; pin the build-time state directly.
             scenario = sharded.scenario
-            assert scenario.topology.clients != list(scenario.build_clients)
+            assert sharded.net.topology.clients != list(scenario.build_clients)
+            assert scenario.topology.clients == list(scenario.build_clients)
             rebuilt = sharded.net._net_factory(sharded.net.shard_plan[1])
             assert rebuilt.topology.clients == list(scenario.build_clients)
             assert_bits_equal(rebuilt.gain_cache.matrix(), scenario.loss_block)
         finally:
             sharded.close()
+
+
+class TestRunsOwnTheirState:
+    def test_events_in_one_run_leave_every_other_run_at_build_time(self):
+        seed, n_aps, clients_per_ap = 4, 12, 3
+        scenario = build_scenario(seed, n_aps, clients_per_ap)
+        build_clients = list(scenario.build_clients)
+        mover_run = SaturatedLteRun(
+            TECH_CELLFI, seed, n_aps, clients_per_ap, epochs=1,
+            scenario=scenario, shards=2, shard_mode="inline",
+        )
+        others = [
+            SaturatedLteRun(
+                tech, seed, n_aps, clients_per_ap, epochs=1, scenario=scenario
+            )
+            for tech in (TECH_CELLFI, TECH_LTE, TECH_ORACLE)
+        ]
+        later = None
+        try:
+            # One move and one re-attach across the shard boundary.
+            plan = mover_run.net.shard_plan
+            mover = next(c for c in build_clients if c.ap_id in plan[0])
+            mover_run.net.move_client(mover.client_id, mover.x + 250.0, mover.y)
+            mover_run.net.reattach_client(mover.client_id, plan[1][0])
+            moved = mover_run.net.topology.client(mover.client_id)
+            assert (moved.x, moved.ap_id) == (mover.x + 250.0, plan[1][0])
+            for worker in mover_run.net.workers:
+                assert worker.net.topology.client(mover.client_id) == moved
+
+            for run in others:
+                topology, cache = run.net.topology, run.net.gain_cache
+                assert topology.clients == build_clients
+                assert all(
+                    held is site
+                    for held, site in zip(cache._clients, topology.clients)
+                )
+                assert_bits_equal(cache.matrix(), scenario.loss_block)
+            assert scenario.topology.clients == build_clients
+            assert scenario.topology.client(mover.client_id) is mover
+
+            later = SaturatedLteRun(
+                TECH_CELLFI, seed, n_aps, clients_per_ap, epochs=1,
+                scenario=scenario, shards=2, shard_mode="inline",
+            )
+            assert later.net.topology.clients == build_clients
+            for worker in later.net.workers:
+                assert worker.net.topology.clients == later.net.topology.clients
+                assert_bits_equal(
+                    worker.net.gain_cache.matrix(), scenario.loss_block
+                )
+        finally:
+            mover_run.close()
+            if later is not None:
+                later.close()
+
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.build_clients = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.topology = scenario.topology

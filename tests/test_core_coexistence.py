@@ -11,7 +11,6 @@ from repro.core.coexistence import (
 from repro.core.interference.manager import CellFiInterferenceManager
 from repro.baselines.plain_lte import PlainLtePolicy
 from repro.experiments.common import build_scenario
-from repro.lte.network import LteNetworkSimulator
 from repro.sim.rng import RngStreams
 from repro.traffic.backlogged import saturated_demand_fn
 
@@ -80,15 +79,12 @@ class TestAdaptation:
 class TestComposition:
     def test_wraps_cellfi_end_to_end(self):
         scenario = build_scenario(seed=6, n_aps=4, clients_per_ap=3)
-        net = LteNetworkSimulator(
-            scenario.topology, scenario.grid(), scenario.channel,
-            scenario.rngs.fork("net"),
-        )
+        net = scenario.lte_net("net")
         inner = CellFiInterferenceManager(
             scenario.ap_ids, net.grid.n_subchannels, scenario.rngs.fork("mgr")
         )
         policy = DutyCyclePolicy(inner, period_epochs=4, initial_duty_cycle=0.75)
-        results = net.run(12, policy, saturated_demand_fn(scenario.topology))
+        results = net.run(12, policy, saturated_demand_fn(net.topology))
         # OFF epochs deliver nothing; ON epochs deliver.
         off_epochs = [r for e, r in enumerate(results) if not policy.is_on(e)]
         on_epochs = [r for e, r in enumerate(results) if policy.is_on(e)]
@@ -101,16 +97,13 @@ class TestComposition:
         scenario = build_scenario(seed=7, n_aps=3, clients_per_ap=3)
         totals = {}
         for duty in (0.5, 0.9):
-            net = LteNetworkSimulator(
-                scenario.topology, scenario.grid(), scenario.channel,
-                scenario.rngs.fork(f"net-{duty}"),
-            )
+            net = scenario.lte_net(f"net-{duty}")
             policy = DutyCyclePolicy(
                 PlainLtePolicy(scenario.ap_ids, net.grid.n_subchannels),
                 period_epochs=10,
                 initial_duty_cycle=duty,
             )
-            results = net.run(20, policy, saturated_demand_fn(scenario.topology))
+            results = net.run(20, policy, saturated_demand_fn(net.topology))
             totals[duty] = sum(sum(r.throughput_bps.values()) for r in results)
         ratio = totals[0.5] / totals[0.9]
         assert ratio == pytest.approx(0.5 / 0.9, rel=0.15)

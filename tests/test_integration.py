@@ -6,7 +6,6 @@ import pytest
 from repro.core.cellfi import CellFiAccessPoint
 from repro.core.interference.manager import CellFiInterferenceManager
 from repro.experiments.common import build_scenario
-from repro.lte.network import LteNetworkSimulator
 from repro.lte.rrc import ReacquisitionTiming
 from repro.lte.ue import ConnectionState, UserEquipment
 from repro.sim.engine import Simulator
@@ -90,14 +89,11 @@ class TestDataControlSplitConsistency:
 
     def test_cellfi_network_converges_and_stays_connected(self):
         scenario = build_scenario(seed=21, n_aps=8, clients_per_ap=5)
-        net = LteNetworkSimulator(
-            scenario.topology, scenario.grid(), scenario.channel,
-            scenario.rngs.fork("net"),
-        )
+        net = scenario.lte_net("net")
         manager = CellFiInterferenceManager(
             scenario.ap_ids, net.grid.n_subchannels, scenario.rngs.fork("mgr")
         )
-        results = net.run(12, manager, saturated_demand_fn(scenario.topology))
+        results = net.run(12, manager, saturated_demand_fn(net.topology))
         early = np.mean(list(results[1].connected.values()))
         late = np.mean(
             [np.mean(list(r.connected.values())) for r in results[8:]]
@@ -107,14 +103,11 @@ class TestDataControlSplitConsistency:
 
     def test_hop_rate_decays_after_convergence(self):
         scenario = build_scenario(seed=22, n_aps=8, clients_per_ap=5)
-        net = LteNetworkSimulator(
-            scenario.topology, scenario.grid(), scenario.channel,
-            scenario.rngs.fork("net"),
-        )
+        net = scenario.lte_net("net")
         manager = CellFiInterferenceManager(
             scenario.ap_ids, net.grid.n_subchannels, scenario.rngs.fork("mgr")
         )
-        demand = saturated_demand_fn(scenario.topology)
+        demand = saturated_demand_fn(net.topology)
         net.run(6, manager, demand)
         early_hops = manager.stats.total_hops
         observations = None
@@ -129,14 +122,11 @@ class TestDataControlSplitConsistency:
 class TestWebWorkloadEndToEnd:
     def test_lte_family_drains_offered_load(self):
         scenario = build_scenario(seed=23, n_aps=4, clients_per_ap=3)
-        net = LteNetworkSimulator(
-            scenario.topology, scenario.grid(), scenario.channel,
-            scenario.rngs.fork("net"),
-        )
+        net = scenario.lte_net("net")
         manager = CellFiInterferenceManager(
             scenario.ap_ids, net.grid.n_subchannels, scenario.rngs.fork("mgr")
         )
-        client_ids = [c.client_id for c in scenario.topology.clients]
+        client_ids = [c.client_id for c in net.topology.clients]
         pages = generate_web_sessions(
             client_ids, 10.0, scenario.rngs.stream("web")
         )
@@ -179,10 +169,7 @@ class TestSeedRobustness:
             demands = saturated_demand_fn(scenario.topology)
 
             def run(policy_factory, label):
-                net = LteNetworkSimulator(
-                    scenario.topology, scenario.grid(), scenario.channel,
-                    scenario.rngs.fork(label),
-                )
+                net = scenario.lte_net(label)
                 policy = policy_factory(net)
                 results = net.run(10, policy, demands)
                 return np.mean(

@@ -89,24 +89,24 @@ def make_net(simulator=LteNetworkSimulator, cull_loss_db=None):
 def oracle_run(tech, seed, n_aps, clients_per_ap, epochs):
     """A :class:`SaturatedLteRun` whose network is the scalar oracle.
 
-    The oracle gets what ``_make_lte_net`` gives the production network:
-    the run's scenario, a fresh gain cache and the ``net-{tech}`` stream
-    label.  The policy is rebuilt over it; CellFi's ``manager`` stream
-    fork is a pure seed derivation, so it starts where the replaced
-    policy's did.
+    The oracle takes over the parts the scenario builder gave the
+    production network: its own topology, seeded gain cache, channel,
+    grid and ``net-{tech}`` streams.  The policy is rebuilt over it;
+    CellFi's ``manager`` stream fork is a pure seed derivation, so it
+    starts where the replaced policy's did.
     """
     run = SaturatedLteRun(
         tech, seed, n_aps=n_aps, clients_per_ap=clients_per_ap, epochs=epochs
     )
-    scenario = run.scenario
+    built = run.net
     run.net = ScalarOracleSimulator(
-        topology=scenario.topology,
-        grid=scenario.grid(),
-        channel=scenario.channel,
-        rngs=scenario.rngs.fork(f"net-{tech}"),
-        gain_cache=scenario.gain_cache(),
+        topology=built.topology,
+        grid=built.grid,
+        channel=built.channel,
+        rngs=built.rngs,
+        gain_cache=built.gain_cache,
     )
-    run.policy = _make_policy(tech, scenario, run.net)
+    run.policy = _make_policy(tech, run.scenario, run.net)
     return run
 
 
