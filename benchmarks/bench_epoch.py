@@ -14,30 +14,23 @@ is free.
 ``--smoke`` runs small sizes into the untracked ``BENCH_epoch_smoke.json``
 so it never replaces the reference the telemetry-overhead gate reads.
 
-``--activity-sweep`` instead times the incremental epoch while sweeping
-per-epoch activity (the fraction of cells whose clients move and carry
-traffic each epoch), writing ``BENCH_incremental.json``.  With ``--smoke``
-the sweep also runs the scalar oracle with the same culling horizon and
-asserts per-epoch digest equality plus dirty-counter sanity (the CI job).
+``--shard-nets`` is the CI shard gate: one 20-cell churn scenario
+(mobility *and* cross-shard handovers) driven through bare, supervised,
+killed, traced and degraded 2-shard process-mode runs whose per-epoch
+digests must all equal the unsharded incremental epoch's, writing the
+untracked ``bench-shard-nets-current.json`` (``--output
+BENCH_shard_nets.json`` re-records the committed reference).
+``--gain-fill`` times full gain-cache builds, batched kernels vs the
+scalar fill oracle, whose matrices must hash identical.
 
-``--city`` benchmarks the spatial shard engine
-(:class:`repro.sim.shard.ShardedNetwork`) on a city-scale deployment
-(1000 APs x 10000 UEs) across shard counts, asserting cross-arm digest
-equality and writing ``BENCH_city.json``.  ``--shard-nets`` is the CI
-gate: one 20-cell churn scenario (mobility *and* cross-shard handovers)
-driven through bare, supervised, killed, traced and degraded 2-shard
-process-mode runs whose per-epoch digests must all equal the unsharded
-incremental epoch's, writing the untracked ``bench-shard-nets-current.json``
-(``--output BENCH_shard_nets.json`` re-records the committed reference).
+End-to-end timing of the paper's CellFi loop lives in ``perfbench/run.py``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_epoch.py                    # full run
-    PYTHONPATH=src python benchmarks/bench_epoch.py --smoke            # quick CI run
-    PYTHONPATH=src python benchmarks/bench_epoch.py --activity-sweep   # incremental
-    PYTHONPATH=src python benchmarks/bench_epoch.py --city             # shard sweep
-    PYTHONPATH=src python benchmarks/bench_epoch.py --shard-nets       # shard CI gate
-    PYTHONPATH=src python benchmarks/bench_epoch.py --gain-fill        # fill kernels
+    PYTHONPATH=src python benchmarks/bench_epoch.py                # full run
+    PYTHONPATH=src python benchmarks/bench_epoch.py --smoke        # quick CI run
+    PYTHONPATH=src python benchmarks/bench_epoch.py --shard-nets   # shard CI gate
+    PYTHONPATH=src python benchmarks/bench_epoch.py --gain-fill    # fill kernels
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ import json
 import math
 import os
 import pathlib
-import statistics
 import time
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Type
@@ -90,8 +82,6 @@ from repro.sim.topology import (
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_epoch.json"
 SMOKE_OUTPUT_PATH = REPO_ROOT / "BENCH_epoch_smoke.json"
-INCREMENTAL_OUTPUT_PATH = REPO_ROOT / "BENCH_incremental.json"
-CITY_OUTPUT_PATH = REPO_ROOT / "BENCH_city.json"
 SHARD_NETS_OUTPUT_PATH = REPO_ROOT / "bench-shard-nets-current.json"
 SHARD_NETS_TRACE_PATH = REPO_ROOT / "shard-nets-trace.json"
 SHARD_NETS_JSONL_PATH = REPO_ROOT / "shard-nets.jsonl"
@@ -101,33 +91,19 @@ GAINFILL_SMOKE_OUTPUT_PATH = REPO_ROOT / "BENCH_gainfill_smoke.json"
 DEFAULT_SIZES = (10, 50, 200)
 #: Largest size at which the scalar oracle is also timed.
 MAX_SCALAR_CELLS = 50
-DEFAULT_ACTIVITIES = (0.05, 0.10, 0.25, 1.00)
-SWEEP_CELLS = 200
-SMOKE_SWEEP_CELLS = 20
+SHARD_NETS_CELLS = 20
 CLIENTS_PER_AP = 6
 SEED = 2017
 AREA_M = 2000.0
-#: Path-loss horizon for the sweep's incremental arm: at 600 MHz urban
-#: Hata ~135 dB is ~1.7 km, so distant cells across the 2 km area are
-#: culled while every plausible interferer stays live.
-SWEEP_CULL_LOSS_DB = 135.0
-#: Offered load per active client in the sweep (bits per 1 s epoch).  The
-#: activity sweep models a lightly loaded network -- bounded demand, not
-#: saturation -- so the scheduler serves the backlog and goes quiet
-#: instead of burning every mini-slot (in both arms alike).
-SWEEP_DEMAND_BITS = 1e5
-
-#: City shard sweep: 1000 APs x 10 clients = 10000 UEs at the same AP
-#: density as the 200-cell activity sweep (50 APs per km^2), so per-cell
-#: physics (audible-interferer counts under the cull horizon) match.
-CITY_CELLS = 1000
-CITY_CLIENTS_PER_AP = 10
-CITY_DENSITY_PER_KM2 = 50.0
-CITY_SHARDS = (1, 2, 4)
-
-
-def _city_area_m(n_cells: int) -> float:
-    return math.sqrt(n_cells / CITY_DENSITY_PER_KM2) * 1000.0
+#: Path-loss horizon of the shard gate and the gain-fill builds: at
+#: 600 MHz urban Hata ~135 dB is ~1.7 km, so distant cells across the
+#: 2 km area are culled while every plausible interferer stays live.
+CULL_LOSS_DB = 135.0
+#: Offered load per active client in the shard gate (bits per 1 s epoch):
+#: a lightly loaded network -- bounded demand, not saturation -- so the
+#: scheduler serves the backlog and goes quiet instead of burning every
+#: mini-slot.
+LIGHT_DEMAND_BITS = 1e5
 
 
 def _bench_channel() -> CompositeChannel:
@@ -230,6 +206,11 @@ def run_benchmark(sizes: List[int], n_epochs: int) -> Dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# The CI shard gate (--shard-nets)
+# ---------------------------------------------------------------------------
+
+
 def epoch_digest(result: EpochResult) -> str:
     """Order-independent digest of every client-visible epoch output.
 
@@ -263,17 +244,15 @@ def epoch_digest(result: EpochResult) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _sweep_scenario(
-    n_cells: int, activity: float
-) -> Tuple[List[int], Dict[int, float], List[int]]:
-    """Deterministic (active AP ids, demands, mover client ids).
+def _light_load_scenario(n_cells: int) -> Tuple[Dict[int, float], List[int]]:
+    """Deterministic (demands, mover client ids).
 
-    ``activity`` is the fraction of cells that are active: their clients
-    carry saturated traffic and one client per active cell moves every
-    epoch.  Everything else is idle, which is the regime the incremental
-    epoch targets (most cells unchanged epoch over epoch).
+    Half the cells are active: their clients carry ``LIGHT_DEMAND_BITS``
+    each and one client per active cell moves every epoch.  The other
+    half idle, the regime the incremental epoch targets (most cells
+    unchanged epoch over epoch).
     """
-    n_active = max(1, int(round(activity * n_cells)))
+    n_active = max(1, int(round(0.5 * n_cells)))
     rng = np.random.default_rng(SEED + 1)
     active_aps = sorted(rng.choice(n_cells, size=n_active, replace=False).tolist())
     topology = _bench_topology(n_cells)
@@ -282,17 +261,14 @@ def _sweep_scenario(
     for ap_id in active_aps:
         clients = topology.clients_of(ap_id)
         for client in clients:
-            demands[client.client_id] = SWEEP_DEMAND_BITS
+            demands[client.client_id] = LIGHT_DEMAND_BITS
         if clients:
             movers.append(clients[0].client_id)
-    return active_aps, demands, movers
+    return demands, movers
 
 
 def _movement_schedule(
-    topology: Topology,
-    movers: List[int],
-    n_epochs: int,
-    area_m: float = AREA_M,
+    topology: Topology, movers: List[int], n_epochs: int
 ) -> List[List[Tuple[int, float, float]]]:
     """Per-epoch absolute positions for the movers, identical across arms."""
     rng = np.random.default_rng(SEED + 2)
@@ -302,350 +278,18 @@ def _movement_schedule(
         step = []
         for cid in movers:
             bx, by = base[cid]
-            x = min(max(bx + rng.uniform(-50.0, 50.0), 0.0), area_m)
-            y = min(max(by + rng.uniform(-50.0, 50.0), 0.0), area_m)
+            x = min(max(bx + rng.uniform(-50.0, 50.0), 0.0), AREA_M)
+            y = min(max(by + rng.uniform(-50.0, 50.0), 0.0), AREA_M)
             step.append((cid, x, y))
         schedule.append(step)
     return schedule
-
-
-def _run_sweep_arm(
-    n_cells: int,
-    simulator: Type[LteNetworkSimulator],
-    cull_loss_db: Optional[float],
-    demands: Dict[int, float],
-    schedule: List[List[Tuple[int, float, float]]],
-    collect_digests: bool,
-) -> Dict:
-    """Time the epoch loop of one simulator class under the activity scenario.
-
-    Each timed epoch first applies that epoch's client movements (part of
-    the workload: the incremental epoch pays its row refresh here), then
-    runs the epoch.  Epoch 0 is an untimed warm-up so caches are hot in
-    every arm.
-    """
-    net = build_network(n_cells, simulator, cull_loss_db=cull_loss_db)
-    policy = AllSubchannelsPolicy(
-        [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
-    )
-    allowed = policy.decide(0, None)
-    net.run_epoch(0, allowed, demands)  # warm-up, not timed
-    digests: List[str] = []
-    dirty_aps: List[int] = []
-    epoch_times: List[float] = []
-    event_apply = 0.0
-    # Collect once up front, then keep the collector out of the timed
-    # region: generational GC pauses scale with the cached-block heap and
-    # would otherwise dominate run-to-run variance.
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    for epoch, moves in enumerate(schedule, start=1):
-        # Event application (mobility + link refresh) is identical physics
-        # in every arm; it is timed separately so ``per_epoch_s`` compares
-        # the epoch engines themselves.
-        start = time.perf_counter()
-        for cid, x, y in moves:
-            net.move_client(cid, x, y)
-        mid = time.perf_counter()
-        result = net.run_epoch(epoch, allowed, demands)
-        event_apply += mid - start
-        epoch_times.append(time.perf_counter() - mid)
-        if collect_digests:
-            digests.append(epoch_digest(result))
-        if simulator is LteNetworkSimulator:
-            dirty_aps.append(net.last_epoch_stats["dirty_aps"])
-    if gc_was_enabled:
-        gc.enable()
-    arm: Dict = {
-        "total_s": sum(epoch_times),
-        # Median epoch time: one preempted epoch should not skew the
-        # engine comparison on a shared machine.
-        "per_epoch_s": statistics.median(epoch_times),
-        "event_apply_s": event_apply,
-        "event_apply_per_epoch_s": event_apply / len(schedule),
-        "epochs": len(schedule),
-    }
-    if collect_digests:
-        arm["digests"] = digests
-    if simulator is LteNetworkSimulator:
-        arm["dirty_aps_per_epoch"] = dirty_aps
-        arm["last_epoch_stats"] = dict(net.last_epoch_stats)
-    return arm
-
-
-def run_activity_sweep(
-    n_cells: int,
-    activities: List[float],
-    n_epochs: int,
-    check: bool,
-    cull_loss_db: float = SWEEP_CULL_LOSS_DB,
-) -> Dict:
-    """Time the incremental epoch across activity levels.
-
-    With ``check=True`` a scalar arm with the *same* culling horizon runs
-    as the bit-identity oracle: its per-epoch digests must equal the
-    incremental arm's, and the incremental dirty counters must match the
-    number of cells whose clients moved.
-    """
-    results = []
-    for activity in activities:
-        active_aps, demands, movers = _sweep_scenario(n_cells, activity)
-        schedule = _movement_schedule(_bench_topology(n_cells), movers, n_epochs)
-        entry: Dict = {
-            "activity": activity,
-            "active_cells": len(active_aps),
-            "moving_clients": len(movers),
-        }
-        entry["incremental"] = _run_sweep_arm(
-            n_cells, LteNetworkSimulator, cull_loss_db, demands, schedule, check
-        )
-        if check:
-            scalar = _run_sweep_arm(
-                n_cells, ScalarOracleSimulator, cull_loss_db, demands, schedule,
-                True,
-            )
-            entry["digest_match"] = (
-                scalar["digests"] == entry["incremental"]["digests"]
-            )
-            if not entry["digest_match"]:
-                raise SystemExit(
-                    f"digest mismatch at activity {activity}: incremental "
-                    "epoch diverged from the culled scalar oracle"
-                )
-            dirty = entry["incremental"]["dirty_aps_per_epoch"]
-            # After warm-up only moved clients dirty their serving cell,
-            # so the dirty count is bounded by the mover count.
-            if any(d > len(movers) for d in dirty):
-                raise SystemExit(
-                    f"dirty-counter sanity failed at activity {activity}: "
-                    f"{dirty} dirty APs for {len(movers)} movers"
-                )
-            if dirty and max(dirty) == 0:
-                raise SystemExit(
-                    f"dirty-counter sanity failed at activity {activity}: "
-                    "movers never dirtied any AP"
-                )
-            entry["dirty_counter_ok"] = True
-            # Digest payloads served their purpose; keep the JSON small.
-            entry["incremental"].pop("digests", None)
-        results.append(entry)
-        check_note = "  digests ok" if check else ""
-        print(
-            f"activity {activity:5.2f}  ({len(active_aps):3d} cells)  "
-            f"incremental {entry['incremental']['per_epoch_s'] * 1e3:8.1f} ms"
-            f"{check_note}"
-        )
-    return {
-        "benchmark": "lte-epoch-incremental",
-        "seed": SEED,
-        "cells": n_cells,
-        "clients": n_cells * CLIENTS_PER_AP,
-        "clients_per_ap": CLIENTS_PER_AP,
-        "cull_loss_db": cull_loss_db,
-        "epochs_timed": n_epochs,
-        "digest_checked": check,
-        "results": results,
-    }
-
-
-# ---------------------------------------------------------------------------
-# City-scale shard sweep (--city) and the CI shard gate (--shard-nets)
-# ---------------------------------------------------------------------------
-
-
-def _city_topology(n_cells: int, clients_per_ap: int, area_m: float) -> Topology:
-    # No reassociate_strongest at city scale: re-attachment evaluates every
-    # (client, AP) channel gain up front -- n_clients * n_aps shadowing
-    # draws in one process before any shard worker exists -- which dwarfs
-    # the epochs being measured.  Clients stay with their spawning AP.
-    rng = np.random.default_rng(SEED)
-    return random_topology(
-        rng,
-        n_aps=n_cells,
-        clients_per_ap=clients_per_ap,
-        area_m=area_m,
-        client_range_m=600.0,
-    )
-
-
-def build_city_network(
-    n_shards: int,
-    n_cells: int,
-    clients_per_ap: int,
-    area_m: float,
-    cull_loss_db: float,
-) -> ShardedNetwork:
-    def factory(ap_ids):
-        return LteNetworkSimulator(
-            topology=_city_topology(n_cells, clients_per_ap, area_m),
-            grid=ResourceGrid(5e6),
-            channel=_bench_channel(),
-            rngs=RngStreams(SEED),
-            cull_loss_db=cull_loss_db,
-            shard_ap_ids=ap_ids,
-        )
-
-    topology = _city_topology(n_cells, clients_per_ap, area_m)
-    return ShardedNetwork(
-        topology,
-        grid_partition(topology, n_shards),
-        factory,
-        RngStreams(SEED),
-        ResourceGrid(5e6),
-    )
-
-
-def _run_city_arm(
-    n_shards: int,
-    n_cells: int,
-    clients_per_ap: int,
-    area_m: float,
-    cull_loss_db: float,
-    schedule: List[List[Tuple[int, float, float]]],
-) -> Dict:
-    """Time the city epoch loop for one shard count.
-
-    ``wall_s`` is what the parent waits on ``run_epoch`` (barrier IPC and
-    in-worker event application included); ``critical_s`` is the slowest
-    worker's in-worker ``run_epoch`` CPU seconds for that barrier, i.e.
-    the epoch latency a host with one core per shard would observe
-    (process_time, so workers time-slicing one core don't inflate it).
-    """
-    build_start = time.perf_counter()
-    net = build_city_network(
-        n_shards, n_cells, clients_per_ap, area_m, cull_loss_db
-    )
-    try:
-        policy = AllSubchannelsPolicy(
-            [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
-        )
-        demands = {c.client_id: float("inf") for c in net.topology.clients}
-        allowed = policy.decide(0, None)
-        net.run_epoch(0, allowed, demands)  # warm-up fills every worker cache
-        build_s = time.perf_counter() - build_start
-        worker_mode = net.mode
-        digests: List[str] = []
-        walls: List[float] = []
-        criticals: List[float] = []
-        event_send = 0.0
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for epoch, moves in enumerate(schedule, start=1):
-                start = time.perf_counter()
-                for cid, x, y in moves:
-                    net.move_client(cid, x, y)
-                mid = time.perf_counter()
-                result = net.run_epoch(epoch, allowed, demands)
-                walls.append(time.perf_counter() - mid)
-                event_send += mid - start
-                criticals.append(max(net.last_epoch_compute_s))
-                digests.append(epoch_digest(result))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-    finally:
-        net.close()
-    return {
-        "shards": n_shards,
-        "worker_mode": worker_mode,
-        "build_and_warmup_s": build_s,
-        "per_epoch_wall_s": statistics.median(walls),
-        "per_epoch_critical_s": statistics.median(criticals),
-        "wall_s": walls,
-        "critical_s": criticals,
-        "event_send_s": event_send,
-        "epochs": len(schedule),
-        "digests": digests,
-    }
-
-
-def run_city_bench(
-    n_epochs: int,
-    n_cells: int = CITY_CELLS,
-    clients_per_ap: int = CITY_CLIENTS_PER_AP,
-    cull_loss_db: float = SWEEP_CULL_LOSS_DB,
-) -> Dict:
-    """Benchmark the shard engine across shard counts on one city map.
-
-    Every arm runs the identical scenario -- saturated demand plus a small
-    mobile cohort -- and every arm's per-epoch digests must be bitwise
-    equal, so the sweep doubles as a large-scale identity check.
-    """
-    area_m = _city_area_m(n_cells)
-    topology = _city_topology(n_cells, clients_per_ap, area_m)
-    stride = max(1, n_cells // 20)
-    movers = [
-        topology.clients_of(ap_id)[0].client_id
-        for ap_id in range(0, n_cells, stride)
-        if topology.clients_of(ap_id)
-    ]
-    schedule = _movement_schedule(topology, movers, n_epochs, area_m=area_m)
-    arms: List[Dict] = []
-    for n_shards in CITY_SHARDS:
-        arm = _run_city_arm(
-            n_shards, n_cells, clients_per_ap, area_m, cull_loss_db, schedule
-        )
-        arms.append(arm)
-        print(
-            f"{n_shards} shard(s) ({arm['worker_mode']:7s})  "
-            f"wall {arm['per_epoch_wall_s'] * 1e3:8.1f} ms/epoch  "
-            f"critical-path {arm['per_epoch_critical_s'] * 1e3:8.1f} ms/epoch  "
-            f"(build+warmup {arm['build_and_warmup_s']:.1f} s)"
-        )
-    reference = arms[0]
-    for arm in arms[1:]:
-        if arm["digests"] != reference["digests"]:
-            raise SystemExit(
-                f"city digest mismatch: the {arm['shards']}-shard arm "
-                f"diverged from the {reference['shards']}-shard arm"
-            )
-    base = next((a for a in arms if a["shards"] == 1), arms[0])
-    for arm in arms:
-        arm["speedup_wall_vs_1shard"] = (
-            base["per_epoch_wall_s"] / arm["per_epoch_wall_s"]
-        )
-        arm["speedup_critical_vs_1shard"] = (
-            base["per_epoch_critical_s"] / arm["per_epoch_critical_s"]
-        )
-        arm.pop("digests", None)
-        print(
-            f"{arm['shards']} shard(s)  speedup vs 1-shard: "
-            f"wall {arm['speedup_wall_vs_1shard']:.2f}x  "
-            f"critical-path {arm['speedup_critical_vs_1shard']:.2f}x"
-        )
-    return {
-        "benchmark": "lte-epoch-shards",
-        "seed": SEED,
-        "cells": n_cells,
-        "clients": n_cells * clients_per_ap,
-        "clients_per_ap": clients_per_ap,
-        "area_m": area_m,
-        "cull_loss_db": cull_loss_db,
-        "epochs_timed": n_epochs,
-        "moving_clients": len(movers),
-        "host_cpu_count": os.cpu_count(),
-        "digest_match": True,
-        "timing_note": (
-            "per_epoch_critical_s is the slowest worker's in-worker "
-            "run_epoch CPU seconds per barrier (process_time, immune to "
-            "workers time-slicing a shared core) -- the epoch latency on "
-            "a host with one core per shard; per_epoch_wall_s "
-            "additionally includes barrier IPC, result pickling and, on "
-            "hosts with fewer cores than shards, time-slicing between "
-            "workers"
-        ),
-        "results": arms,
-    }
 
 
 def _churn_smoke_scenario(
     n_cells: int, n_shards: int, n_epochs: int
 ) -> Tuple[Dict, List, List, List[Tuple[int, int]], int]:
     """Mobility + forced-handover churn driven by the shard-nets gate."""
-    _, demands, movers = _sweep_scenario(n_cells, 0.5)
+    demands, movers = _light_load_scenario(n_cells)
     topology = _bench_topology(n_cells)
     schedule = _movement_schedule(topology, movers, n_epochs)
     plan = grid_partition(topology, n_shards)
@@ -690,131 +334,6 @@ def _drive_churn(net, demands, schedule, reattaches) -> List[str]:
     return digests
 
 
-#: Gain-fill bench populations: ``(cells, clients_per_ap)``.  The city
-#: point (1000 x 10 = 10000 UEs) is the acceptance target for the >=10x
-#: batched-vs-scalar build speedup.
-GAINFILL_POPULATIONS = ((200, 6), (1000, 10))
-GAINFILL_SMOKE_POPULATIONS = ((50, 6),)
-
-
-def _gainfill_cache(
-    topology: Topology, channel: CompositeChannel, fill_mode: str
-) -> GainMatrixCache:
-    """A cache over the bench deployment, matching the production build.
-
-    No per-AP antennas: the network/shard worker caches radiate
-    isotropically, so this times exactly the build they perform.  The
-    sector-antenna batch path is identity-pinned by the property suite
-    instead; its ``r ** 2`` attenuation stays a scalar loop by the pow
-    bit-identity contract, so a sector arm would measure that contract,
-    not the kernels.
-    """
-    return GainMatrixCache(
-        channel,
-        topology.aps,
-        topology.clients,
-        cull_loss_db=SWEEP_CULL_LOSS_DB,
-        fill_mode=fill_mode,
-    )
-
-
-def run_gainfill_bench(smoke: bool = False) -> Dict:
-    """Benchmark full gain-cache builds: batched kernels vs scalar oracle.
-
-    Two channel arms per population: ``pathloss`` (urban Hata only -- the
-    kernel ceiling) and ``shadowed`` (Hata + log-normal shadowing, the
-    production channel, whose frozen sha256-per-link draw keying bounds
-    the reachable speedup; see docs/SIMULATION.md).  Every arm's batched
-    and scalar matrices must hash identical over their raw float64 bytes
-    -- the bench doubles as a large-scale bit-identity gate, so a kernel
-    regression fails the run rather than shifting golden digests.
-    """
-    populations = GAINFILL_SMOKE_POPULATIONS if smoke else GAINFILL_POPULATIONS
-    arms = (
-        ("pathloss", lambda: CompositeChannel(UrbanHataPathLoss())),
-        ("shadowed", _bench_channel),
-    )
-    # Force the once-per-process exactness probes now so their cost does
-    # not land inside the first timed build (it dwarfs a smoke-sized one).
-    vecmath.vectorized_report()
-    results: List[Dict] = []
-    for n_cells, clients_per_ap in populations:
-        area_m = _city_area_m(n_cells)
-        topology = _city_topology(n_cells, clients_per_ap, area_m)
-        links = len(topology.aps) * len(topology.clients)
-        entry: Dict = {
-            "cells": n_cells,
-            "clients": len(topology.clients),
-            "links": links,
-            "arms": {},
-        }
-        for arm_name, channel_factory in arms:
-            timings: Dict[str, float] = {}
-            digests: Dict[str, str] = {}
-            for fill_mode in (FILL_BATCHED, FILL_SCALAR):
-                cache = _gainfill_cache(
-                    topology, channel_factory(), fill_mode
-                )
-                gc.collect()
-                start = time.perf_counter()
-                matrix = cache.matrix()
-                timings[fill_mode] = time.perf_counter() - start
-                digests[fill_mode] = hashlib.sha256(
-                    np.ascontiguousarray(matrix).tobytes()
-                ).hexdigest()
-            if digests[FILL_BATCHED] != digests[FILL_SCALAR]:
-                raise SystemExit(
-                    f"gain-fill digest mismatch ({arm_name}, {n_cells} "
-                    "cells): the batched kernels diverged from the scalar "
-                    "oracle"
-                )
-            arm = {
-                "batched_s": round(timings[FILL_BATCHED], 4),
-                "scalar_s": round(timings[FILL_SCALAR], 4),
-                "ns_per_link_batched": round(
-                    timings[FILL_BATCHED] / links * 1e9, 1
-                ),
-                "ns_per_link_scalar": round(
-                    timings[FILL_SCALAR] / links * 1e9, 1
-                ),
-                "speedup": round(
-                    timings[FILL_SCALAR] / timings[FILL_BATCHED], 2
-                ),
-                "digest_match": True,
-                "matrix_sha256": digests[FILL_BATCHED],
-            }
-            entry["arms"][arm_name] = arm
-            print(
-                f"{n_cells:5d} cells x {clients_per_ap:2d} UEs  "
-                f"{arm_name:8s}  batched "
-                f"{arm['ns_per_link_batched']:7.1f} ns/link  scalar "
-                f"{arm['ns_per_link_scalar']:7.1f} ns/link  "
-                f"(speedup {arm['speedup']:.1f}x, digests ok)"
-            )
-        results.append(entry)
-    largest = results[-1]
-    return {
-        "benchmark": "lte-gainfill-kernels",
-        "seed": SEED,
-        "smoke": smoke,
-        "cull_loss_db": SWEEP_CULL_LOSS_DB,
-        "vectorized_kernels": vecmath.vectorized_report(),
-        "npy_disable_cpu_features": os.environ.get(
-            "NPY_DISABLE_CPU_FEATURES", ""
-        ),
-        "digest_match": True,
-        "speedup": largest["arms"]["pathloss"]["speedup"],
-        "speedup_shadowed": largest["arms"]["shadowed"]["speedup"],
-        "speedup_note": (
-            "headline speedup is the pathloss arm at the largest "
-            "population (the kernel ceiling); the shadowed arm is bounded "
-            "by the frozen sha256-per-link shadowing draw keying, which "
-            "stays scalar by contract (golden digests depend on it)"
-        ),
-        "results": results,
-    }
-
-
 def _first_divergence(digests: List[str], reference: List[str]) -> int:
     """1-based index of the first epoch whose digests differ."""
     return next(
@@ -823,10 +342,10 @@ def _first_divergence(digests: List[str], reference: List[str]) -> int:
 
 
 def run_shard_nets(
-    n_cells: int = SMOKE_SWEEP_CELLS,
+    n_cells: int = SHARD_NETS_CELLS,
     n_shards: int = 2,
     n_epochs: int = 6,
-    cull_loss_db: float = SWEEP_CULL_LOSS_DB,
+    cull_loss_db: float = CULL_LOSS_DB,
 ) -> Dict:
     """CI gate: sharded, supervised and traced runs stay bit-identical.
 
@@ -1075,14 +594,167 @@ def run_shard_nets(
     }
 
 
-def main() -> None:
+# ---------------------------------------------------------------------------
+# Gain-fill kernels (--gain-fill)
+# ---------------------------------------------------------------------------
+
+
+#: Gain-fill populations share one AP density (50 APs per km^2), so the
+#: audible-interferer counts under the cull horizon match across sizes.
+CITY_DENSITY_PER_KM2 = 50.0
+
+
+def _city_area_m(n_cells: int) -> float:
+    return math.sqrt(n_cells / CITY_DENSITY_PER_KM2) * 1000.0
+
+
+def _city_topology(n_cells: int, clients_per_ap: int, area_m: float) -> Topology:
+    # No reassociate_strongest: re-attachment would evaluate every
+    # (client, AP) channel gain up front, which is the very build being
+    # timed.  Clients stay with their spawning AP.
+    rng = np.random.default_rng(SEED)
+    return random_topology(
+        rng,
+        n_aps=n_cells,
+        clients_per_ap=clients_per_ap,
+        area_m=area_m,
+        client_range_m=600.0,
+    )
+
+
+#: Gain-fill bench populations: ``(cells, clients_per_ap)``.  The city
+#: point (1000 x 10 = 10000 UEs) is the acceptance target for the >=10x
+#: batched-vs-scalar build speedup.
+GAINFILL_POPULATIONS = ((200, 6), (1000, 10))
+GAINFILL_SMOKE_POPULATIONS = ((50, 6),)
+
+
+def _gainfill_cache(
+    topology: Topology, channel: CompositeChannel, fill_mode: str
+) -> GainMatrixCache:
+    """A cache over the bench deployment, matching the production build.
+
+    No per-AP antennas: the network/shard worker caches radiate
+    isotropically, so this times exactly the build they perform.  The
+    sector-antenna batch path is identity-pinned by the property suite
+    instead; its ``r ** 2`` attenuation stays a scalar loop by the pow
+    bit-identity contract, so a sector arm would measure that contract,
+    not the kernels.
+    """
+    return GainMatrixCache(
+        channel,
+        topology.aps,
+        topology.clients,
+        cull_loss_db=CULL_LOSS_DB,
+        fill_mode=fill_mode,
+    )
+
+
+def run_gainfill_bench(smoke: bool = False) -> Dict:
+    """Benchmark full gain-cache builds: batched kernels vs scalar oracle.
+
+    Two channel arms per population: ``pathloss`` (urban Hata only -- the
+    kernel ceiling) and ``shadowed`` (Hata + log-normal shadowing, the
+    production channel, whose frozen sha256-per-link draw keying bounds
+    the reachable speedup; see docs/SIMULATION.md).  Every arm's batched
+    and scalar matrices must hash identical over their raw float64 bytes
+    -- the bench doubles as a large-scale bit-identity gate, so a kernel
+    regression fails the run rather than shifting golden digests.
+    """
+    populations = GAINFILL_SMOKE_POPULATIONS if smoke else GAINFILL_POPULATIONS
+    arms = (
+        ("pathloss", lambda: CompositeChannel(UrbanHataPathLoss())),
+        ("shadowed", _bench_channel),
+    )
+    # Force the once-per-process exactness probes now so their cost does
+    # not land inside the first timed build (it dwarfs a smoke-sized one).
+    vecmath.vectorized_report()
+    results: List[Dict] = []
+    for n_cells, clients_per_ap in populations:
+        area_m = _city_area_m(n_cells)
+        topology = _city_topology(n_cells, clients_per_ap, area_m)
+        links = len(topology.aps) * len(topology.clients)
+        entry: Dict = {
+            "cells": n_cells,
+            "clients": len(topology.clients),
+            "links": links,
+            "arms": {},
+        }
+        for arm_name, channel_factory in arms:
+            timings: Dict[str, float] = {}
+            digests: Dict[str, str] = {}
+            for fill_mode in (FILL_BATCHED, FILL_SCALAR):
+                cache = _gainfill_cache(
+                    topology, channel_factory(), fill_mode
+                )
+                gc.collect()
+                start = time.perf_counter()
+                matrix = cache.matrix()
+                timings[fill_mode] = time.perf_counter() - start
+                digests[fill_mode] = hashlib.sha256(
+                    np.ascontiguousarray(matrix).tobytes()
+                ).hexdigest()
+            if digests[FILL_BATCHED] != digests[FILL_SCALAR]:
+                raise SystemExit(
+                    f"gain-fill digest mismatch ({arm_name}, {n_cells} "
+                    "cells): the batched kernels diverged from the scalar "
+                    "oracle"
+                )
+            arm = {
+                "batched_s": round(timings[FILL_BATCHED], 4),
+                "scalar_s": round(timings[FILL_SCALAR], 4),
+                "ns_per_link_batched": round(
+                    timings[FILL_BATCHED] / links * 1e9, 1
+                ),
+                "ns_per_link_scalar": round(
+                    timings[FILL_SCALAR] / links * 1e9, 1
+                ),
+                "speedup": round(
+                    timings[FILL_SCALAR] / timings[FILL_BATCHED], 2
+                ),
+                "digest_match": True,
+                "matrix_sha256": digests[FILL_BATCHED],
+            }
+            entry["arms"][arm_name] = arm
+            print(
+                f"{n_cells:5d} cells x {clients_per_ap:2d} UEs  "
+                f"{arm_name:8s}  batched "
+                f"{arm['ns_per_link_batched']:7.1f} ns/link  scalar "
+                f"{arm['ns_per_link_scalar']:7.1f} ns/link  "
+                f"(speedup {arm['speedup']:.1f}x, digests ok)"
+            )
+        results.append(entry)
+    largest = results[-1]
+    return {
+        "benchmark": "lte-gainfill-kernels",
+        "seed": SEED,
+        "smoke": smoke,
+        "cull_loss_db": CULL_LOSS_DB,
+        "vectorized_kernels": vecmath.vectorized_report(),
+        "npy_disable_cpu_features": os.environ.get(
+            "NPY_DISABLE_CPU_FEATURES", ""
+        ),
+        "digest_match": True,
+        "speedup": largest["arms"]["pathloss"]["speedup"],
+        "speedup_shadowed": largest["arms"]["shadowed"]["speedup"],
+        "speedup_note": (
+            "headline speedup is the pathloss arm at the largest "
+            "population (the kernel ceiling); the shadowed arm is bounded "
+            "by the frozen sha256-per-link shadowing draw keying, which "
+            "stays scalar by contract (golden digests depend on it)"
+        ),
+        "results": results,
+    }
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke",
         action="store_true",
         help=(
-            "quick mode for the default run, --activity-sweep and "
-            "--gain-fill: small sizes and few epochs (CI / make bench)"
+            "quick mode for the default run and --gain-fill: small sizes "
+            "and few epochs (CI / make bench)"
         ),
     )
     parser.add_argument(
@@ -1094,25 +766,6 @@ def main() -> None:
     )
     parser.add_argument(
         "--epochs", type=int, default=None, help="epochs to time per run"
-    )
-    parser.add_argument(
-        "--activity-sweep",
-        action="store_true",
-        help=(
-            "time the incremental epoch across activity levels "
-            f"{list(DEFAULT_ACTIVITIES)}; writes {INCREMENTAL_OUTPUT_PATH.name} "
-            "(with --smoke: 20 cells, digest-checked against the scalar "
-            "oracle)"
-        ),
-    )
-    parser.add_argument(
-        "--city",
-        action="store_true",
-        help=(
-            "benchmark the spatial shard engine on a city-scale deployment "
-            f"({CITY_CELLS} APs x {CITY_CELLS * CITY_CLIENTS_PER_AP} UEs) "
-            f"across {list(CITY_SHARDS)} shards; writes {CITY_OUTPUT_PATH.name}"
-        ),
     )
     parser.add_argument(
         "--shard-nets",
@@ -1140,9 +793,16 @@ def main() -> None:
         "--output",
         type=pathlib.Path,
         default=None,
-        help=f"result file (default {OUTPUT_PATH} / {INCREMENTAL_OUTPUT_PATH})",
+        help=(
+            f"result file (default {OUTPUT_PATH.name} for the default run; "
+            "each mode's help names its own)"
+        ),
     )
-    args = parser.parse_args()
+    return parser
+
+
+def main() -> None:
+    args = build_parser().parse_args()
     # Smoke runs are correctness gates, not performance records: none of
     # them may clobber a full-scale BENCH_*.json.
     if args.gain_fill:
@@ -1153,29 +813,6 @@ def main() -> None:
     elif args.shard_nets:
         payload = run_shard_nets(n_epochs=args.epochs or 6)
         output = args.output or SHARD_NETS_OUTPUT_PATH
-    elif args.city:
-        payload = run_city_bench(
-            args.epochs or 5,
-            n_cells=args.sizes[0] if args.sizes else CITY_CELLS,
-        )
-        output = args.output or CITY_OUTPUT_PATH
-    elif args.activity_sweep:
-        if args.smoke:
-            n_cells = SMOKE_SWEEP_CELLS
-            n_epochs = args.epochs or 3
-            activities = [0.10, 0.50]
-        else:
-            n_cells = args.sizes[0] if args.sizes else SWEEP_CELLS
-            n_epochs = args.epochs or 5
-            activities = list(DEFAULT_ACTIVITIES)
-        payload = run_activity_sweep(
-            n_cells, activities, n_epochs, check=args.smoke
-        )
-        output = args.output or (
-            (REPO_ROOT / "BENCH_incremental_smoke.json")
-            if args.smoke
-            else INCREMENTAL_OUTPUT_PATH
-        )
     else:
         if args.smoke:
             sizes = args.sizes or [10, 20]
@@ -1187,6 +824,7 @@ def main() -> None:
         output = args.output or (SMOKE_OUTPUT_PATH if args.smoke else OUTPUT_PATH)
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {output}")
+
 
 if __name__ == "__main__":
     main()

@@ -9,7 +9,8 @@ reference epoch timings in ``BENCH_epoch.json`` (recorded by
 alongside it), and measures what enabling metrics / tracing actually
 costs.  Results go to the untracked ``bench-obs-current.json`` at the
 repository root; only an explicit ``--output BENCH_obs.json`` re-records
-the committed reference that ``make shard-nets`` reads.
+the committed reference that ``make bench-obs`` diffs the fresh run
+against.
 
 Three configurations are timed on the production incremental epoch:
 

@@ -1,6 +1,8 @@
 """Documentation consistency: guard DESIGN.md and README against rot."""
 
+import fnmatch
 import importlib
+import importlib.util
 import pathlib
 import re
 
@@ -11,6 +13,13 @@ REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 def _read(name: str) -> str:
     return (REPO_ROOT / name).read_text()
+
+
+def _doc_sources():
+    """DESIGN.md, the CI workflow and every ``docs/*.md``."""
+    return ["DESIGN.md", ".github/workflows/ci.yml"] + sorted(
+        str(p.relative_to(REPO_ROOT)) for p in (REPO_ROOT / "docs").glob("*.md")
+    )
 
 
 class TestDesignDoc:
@@ -74,15 +83,71 @@ class TestMakeTargets:
         defined = set(
             re.findall(r"^([\w-]+):(?!=)", _read("Makefile"), re.M)
         )
-        sources = ["DESIGN.md", ".github/workflows/ci.yml"] + sorted(
-            str(p.relative_to(REPO_ROOT))
-            for p in (REPO_ROOT / "docs").glob("*.md")
-        )
         named = {
             (source, target)
-            for source in sources
+            for source in _doc_sources()
             for target in self.MAKE_CALL.findall(_read(source))
         }
         assert len(named) >= 10, "the target scan found too little"
         missing = sorted(f"{s}: make {t}" for s, t in named if t not in defined)
         assert not missing, f"targets missing from the Makefile: {missing}"
+
+
+class TestBenchEpochMentions:
+    """``bench_epoch.py`` flags and ``BENCH_*.json`` files named in the
+    docs, the Makefile, CI and the verify recipe must still exist."""
+
+    SOURCES = ["Makefile", ".claude/skills/verify/SKILL.md"]
+    #: ``bench_epoch.py`` and the rest of its command line: tokens up to
+    #: the end of the line, a backtick or a ``#`` comment.
+    COMMAND = re.compile(r"bench_epoch\.py((?:[ \t]+[^\s`#][^\s`]*)*)")
+    FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+    ARTIFACT = re.compile(r"\bBENCH_\w+\.json")
+
+    @pytest.fixture(scope="class")
+    def accepted(self):
+        """Every option the script's own parser accepts."""
+        spec = importlib.util.spec_from_file_location(
+            "bench_epoch", REPO_ROOT / "benchmarks" / "bench_epoch.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return set(self.FLAG.findall(module.build_parser().format_help()))
+
+    def stale(self, text, accepted):
+        """Unknown flags and BENCH files neither present nor ignored."""
+        ignored = _read(".gitignore").split()
+        text = text.replace("\\\n", " ")  # join continued shell lines
+        flags = {
+            flag
+            for tail in self.COMMAND.findall(text)
+            for flag in self.FLAG.findall(tail)
+        }
+        artifacts = {
+            name
+            for name in self.ARTIFACT.findall(text)
+            if not (REPO_ROOT / name).is_file()
+            and not any(fnmatch.fnmatch(name, p) for p in ignored)
+        }
+        return sorted(flags - accepted) + sorted(artifacts)
+
+    def test_named_flags_and_artifacts_exist(self, accepted):
+        assert {"--smoke", "--gain-fill", "--shard-nets"} <= accepted
+        stale = {
+            source: found
+            for source in _doc_sources() + self.SOURCES
+            for found in [self.stale(_read(source), accepted)]
+            if found
+        }
+        assert not stale, f"stale bench_epoch.py mentions: {stale}"
+
+    def test_a_retired_mode_or_artifact_is_caught(self, accepted):
+        leftover = (
+            "bench-city:\n"
+            "\t$(PYTHON) benchmarks/bench_epoch.py --smoke \\\n"
+            "\t\t--activity-sweep  # writes BENCH_city.json\n"
+        )
+        assert self.stale(leftover, accepted) == [
+            "--activity-sweep",
+            "BENCH_city.json",
+        ]

@@ -218,6 +218,45 @@ def churn_run(net, n_epochs):
     return results
 
 
+def light_load_run(net, activity, n_epochs=3):
+    """Light load on a share of the cells, one mover per active cell.
+
+    ``activity`` is the fraction of cells that are active: their clients
+    carry a bounded 1e5-bit demand and one of them wanders within 50 m
+    of its start each epoch.  Every other cell idles (its clients carry
+    no demand), so after the warm-up epoch only the movers' serving
+    cells have anything to recompute.  Returns the per-epoch results,
+    the per-epoch ``dirty_aps`` counters after warm-up, and the mover
+    count.
+    """
+    rng = np.random.default_rng(SEED + 1)
+    n_active = max(1, round(activity * N_CELLS))
+    demands = {}
+    movers = []
+    for ap_id in sorted(rng.choice(N_CELLS, size=n_active, replace=False)):
+        clients = net.topology.clients_of(int(ap_id))
+        demands.update((c.client_id, 1e5) for c in clients)
+        if clients:
+            movers.append((clients[0].client_id, clients[0].x, clients[0].y))
+    policy = AllSubchannelsPolicy(
+        [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
+    )
+    allowed = policy.decide(0, None)
+    area = net.topology.area_m
+    results = [net.run_epoch(0, allowed, demands)]
+    dirty = []
+    for epoch in range(1, n_epochs + 1):
+        for cid, x, y in movers:
+            net.move_client(
+                cid,
+                min(max(x + rng.uniform(-50.0, 50.0), 0.0), area),
+                min(max(y + rng.uniform(-50.0, 50.0), 0.0), area),
+            )
+        results.append(net.run_epoch(epoch, allowed, demands))
+        dirty.append(net.last_epoch_stats["dirty_aps"])
+    return results, dirty, len(movers)
+
+
 class TestBackendSelection:
     """The production class is the incremental epoch; no option selects it."""
 
@@ -279,6 +318,15 @@ class TestBitForBitFuzz:
             churn_run(make_net(ScalarOracleSimulator, cull_loss_db=CULL_DB), 8),
             churn_run(make_net(cull_loss_db=CULL_DB), 8),
         )
+        # Light load with idle cells: most cached blocks stay clean.
+        for activity in (0.10, 0.50):
+            oracle, _, _ = light_load_run(
+                make_net(ScalarOracleSimulator, cull_loss_db=CULL_DB), activity
+            )
+            production, _, _ = light_load_run(
+                make_net(cull_loss_db=CULL_DB), activity
+            )
+            assert_epochs_identical(oracle, production)
 
     def test_culling_horizon_actually_culls(self):
         net = make_net(cull_loss_db=CULL_DB)
@@ -482,6 +530,16 @@ class TestDirtyTracking:
         self._run_one(net, policy, 1, demands)
         assert net.last_epoch_stats["dirty_aps"] == 2
         assert net.last_epoch_stats["clean_aps"] == N_CELLS - 2
+
+    @pytest.mark.parametrize("activity", [0.10, 0.50])
+    def test_movers_dirty_at_most_their_serving_cells(self, activity):
+        _, dirty, n_movers = light_load_run(
+            make_net(cull_loss_db=CULL_DB), activity
+        )
+        assert n_movers > 0
+        # Each mover dirties its serving cell's block and no other.
+        assert all(d <= n_movers for d in dirty), (dirty, n_movers)
+        assert max(dirty) > 0, dirty
 
     def test_hopping_decision_change_dirties_affected_cells(self):
         net = make_net()
