@@ -54,7 +54,12 @@ from repro.lte.scheduler import Allocation, ProportionalFairScheduler
 from repro.obs import runtime as _obs_runtime
 from repro.phy.harq import harq_goodput_scale_array
 from repro.phy.mcs import LTE_CQI_TABLE, efficiency_from_cqi
-from repro.phy.propagation import FILL_BATCHED, CompositeChannel, GainMatrixCache
+from repro.phy.propagation import (
+    FILL_BATCHED,
+    CompositeChannel,
+    GainMatrixCache,
+    row_chunks,
+)
 from repro.phy.resource_grid import RB_BANDWIDTH_HZ, ResourceGrid
 from repro.phy.vecmath import vec_log10
 from repro.sim.checkpoint import register_dataclass
@@ -86,10 +91,6 @@ PRACH_DETECTION_SNR_DB = -10.0
 #: path loss to it is within ~a dozen dB of their serving-cell path loss --
 #: the clients its downlink would actually disturb.
 PRACH_TARGET_RX_DBM = -104.0
-
-#: Link-row refreshes run in chunks of about this many links, which bounds
-#: their temporaries (one Python float per link for the watts).
-_LINK_CHUNK = 16384
 
 #: The batched block compute gathers its rows' links in chunks of about
 #: this many (row, AP) entries, which bounds its ``(rows x APs)``
@@ -614,24 +615,23 @@ class LteNetworkSimulator:
 
         Used for the initial fill and for the rows that :meth:`move_client`
         / :meth:`reattach_client` left pending.  Losses come from one
-        batched gain-cache read per chunk of rows; the channel is
-        reciprocal, so one cached entry serves the downlink data path and
-        the uplink PRACH path, whose open-loop power control targets each
-        client's current serving cell.  Every link gets the same IEEE
-        subtracts and compares as a scalar evaluation, and watts go
-        through :func:`dbm_to_watt_array`, bit-identical to the scalar
-        :func:`dbm_to_watt` per link.
+        batched gain-cache read per :func:`row_chunks` chunk of rows,
+        written into the matrices chunk by chunk so no temporary
+        outgrows a chunk; the channel is reciprocal, so one cached entry
+        serves the downlink data path and the uplink PRACH path, whose
+        open-loop power control targets each client's current serving
+        cell.  Every link gets the same IEEE subtracts and compares as a
+        scalar evaluation, and watts go through :func:`dbm_to_watt_array`,
+        bit-identical to the scalar :func:`dbm_to_watt` per link.
 
         Links beyond the gain cache's culling horizon are stored as dead:
         ``-inf`` dBm, exactly ``0.0`` W (``10.0 ** -inf``) and inaudible
         PRACH.  The epoch and the scalar oracle read these same matrices,
         so culling changes the physics for both identically.
         """
-        n_aps = len(self._ap_col)
-        step = max(1, _LINK_CHUNK // max(1, n_aps))
         horizon = self.gain_cache.cull_loss_db
-        for start in range(0, len(client_ids), step):
-            cids = client_ids[start : start + step]
+        for part in row_chunks(len(client_ids), len(self._ap_col)):
+            cids = client_ids[part]
             rows = [self._client_row[cid] for cid in cids]
             loss = self.gain_cache.rows(cids)
             serving = [

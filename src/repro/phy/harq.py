@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from repro.obs import runtime as _obs_runtime
 from repro.phy.mcs import CQI_OUT_OF_RANGE, LTE_CQI_TABLE, entry_for_cqi
-from repro.phy.vecmath import vec_log10
+from repro.phy.vecmath import vec_log10, vec_pow10
 from repro.utils.dbmath import db_to_linear, linear_to_db
 
 #: LTE allows up to 3 HARQ retransmissions (4 transmissions total).
@@ -234,13 +233,13 @@ def harq_goodput_scale_array(sinr_db: np.ndarray, cqi: np.ndarray) -> np.ndarray
     """:func:`harq_goodput_scale` elementwise, bit for bit.
 
     Every element goes through the same IEEE operations, in the same
-    order, as the scalar function: ``pow`` and ``exp`` as scalar libm
-    maps, ``log10`` through the probed :data:`vec_log10`.  CQI 0 scales
-    to ``0.0`` without an evaluation; any other CQI outside 1..15, or a
-    linear SINR that underflows to zero, raises ``ValueError`` as the
-    scalar function does.  With telemetry on, each evaluated pair counts
-    one ``harq.evaluations`` and one ``harq.expected_attempts``
-    observation, in array order.
+    order, as the scalar function: ``pow`` and ``log10`` through the
+    probed :data:`vec_pow10` and :data:`vec_log10`, ``exp`` as a scalar
+    libm map.  CQI 0 scales to ``0.0`` without an evaluation; any other
+    CQI outside 1..15, or a linear SINR that underflows to zero, raises
+    ``ValueError`` as the scalar function does.  With telemetry on, each
+    evaluated pair counts one ``harq.evaluations`` and one
+    ``harq.expected_attempts`` observation, in array order.
     """
     sinr_db = np.asarray(sinr_db, dtype=np.float64)
     cqi = np.asarray(cqi, dtype=np.intp)
@@ -253,12 +252,9 @@ def harq_goodput_scale_array(sinr_db: np.ndarray, cqi: np.ndarray) -> np.ndarray
     if bad.any():
         raise ValueError(f"CQI must be in 1..15, got {int(cqi_live[bad][0])!r}")
     threshold = _CQI_THRESHOLDS_DB[cqi_live - 1]
-    exponents = (sinr_db[live] / 10.0).tolist()
-    sinr_linear = np.fromiter(
-        map(pow, repeat(10.0), exponents), np.float64, len(exponents)
-    )
-    expected = np.zeros(len(exponents))
-    p_all_failed = np.ones(len(exponents))
+    sinr_linear = vec_pow10(sinr_db[live] / 10.0)
+    expected = np.zeros(sinr_linear.size)
+    p_all_failed = np.ones(sinr_linear.size)
     for attempt in range(1, MAX_TRANSMISSIONS + 1):
         combined = sinr_linear * attempt
         dead = combined <= 0.0
@@ -270,7 +266,7 @@ def harq_goodput_scale_array(sinr_db: np.ndarray, cqi: np.ndarray) -> np.ndarray
     attempts = expected + MAX_TRANSMISSIONS * p_all_failed
     tel = _obs_runtime.active()
     if tel is not None:
-        tel.inc("harq.evaluations", len(exponents))
+        tel.inc("harq.evaluations", sinr_linear.size)
         for value in attempts.tolist():
             tel.observe("harq.expected_attempts", value, edges=_ATTEMPT_EDGES)
     out[live] = (1.0 - p_all_failed) / attempts

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,10 +34,24 @@ FILL_BATCHED = "batched"
 FILL_SCALAR = "scalar"
 _FILL_MODES = (FILL_BATCHED, FILL_SCALAR)
 
-#: Rows are filled in chunks of roughly this many links so the ~60 array
-#: temporaries of the hypot/log kernels stay cache-resident (measured
-#: ~3x faster than whole-matrix temporaries at city scale).
+#: Link blocks are computed in row chunks of roughly this many links
+#: (:func:`row_chunks`), so the ~60 array temporaries of the hypot/log
+#: kernels stay cache-resident (measured ~3x faster than whole-matrix
+#: temporaries at city scale) and the shadowing keys, digests and scalar
+#: maps of :meth:`CompositeChannel.loss_db_rows` live for one chunk only:
+#: its working set is the output plus ~4.5 MB, whatever the block size.
 _CHUNK_LINKS = 16384
+
+
+def row_chunks(n_rows: int, n_cols: int) -> Iterator[slice]:
+    """Row slices covering an ``(n_rows, n_cols)`` link block in order.
+
+    Each slice spans ``max(1, _CHUNK_LINKS // n_cols)`` rows, i.e. about
+    ``_CHUNK_LINKS`` links (one row when a row alone is wider).
+    """
+    step = max(1, _CHUNK_LINKS // max(1, n_cols))
+    for start in range(0, n_rows, step):
+        yield slice(start, start + step)
 
 
 class PathLossModel(ABC):
@@ -451,8 +465,22 @@ class CompositeChannel:
         per-node key pieces -- so batched and scalar cache fills
         interleave freely (the gain-fill oracle discipline; see
         docs/SIMULATION.md).
+
+        The block is computed one :func:`row_chunks` chunk at a time into
+        the preallocated output, so every temporary (key lists, digest
+        buffer, hypot and Box-Muller arrays, scalar-map lists) is sized
+        to one chunk.  Each value depends on its own link only, so the
+        chunking cannot change a bit.
         """
-        ap_x, ap_y, leads, tails = self._ap_side_arrays(aps)
+        ap_side = self._ap_side_arrays(aps)
+        block = np.empty((len(clients), len(aps)))
+        for part in row_chunks(len(clients), len(aps)):
+            block[part] = self._loss_chunk(ap_side, clients[part])
+        return block
+
+    def _loss_chunk(self, ap_side: tuple, clients: Sequence) -> np.ndarray:
+        """:meth:`loss_db_rows` for one chunk of clients."""
+        ap_x, ap_y, leads, tails = ap_side
         cl_x = np.fromiter(
             (c.x for c in clients), np.float64, count=len(clients)
         )
@@ -574,10 +602,12 @@ class GainMatrixCache:
     def _fill_rows(self, rows: Sequence[int]) -> None:
         """Fill many stale rows in one shot (kernels or oracle loop).
 
-        Rows chunk to ~``_CHUNK_LINKS`` links so kernel temporaries stay
-        cache-resident; antenna gains subtract column-wise through the
-        antennas' batched ``gains_towards`` (one IEEE subtract per link,
-        exactly as the scalar loop performs it).
+        Rows go through :meth:`CompositeChannel.loss_db_rows` one
+        :func:`row_chunks` chunk per call and are written into the cache
+        chunk by chunk, so no temporary outgrows a chunk (one call over
+        every row would add a full-block copy).  Antenna gains subtract
+        column-wise through the antennas' batched ``gains_towards`` (one
+        IEEE subtract per link, exactly as the scalar loop performs it).
         """
         if self.fill_mode == FILL_SCALAR:
             for row in rows:
@@ -587,10 +617,9 @@ class GainMatrixCache:
         if n_aps == 0:
             self._row_valid[list(rows)] = True
             return
-        step = max(1, _CHUNK_LINKS // n_aps)
         rows = [int(row) for row in rows]
-        for start in range(0, len(rows), step):
-            chunk = rows[start : start + step]
+        for part in row_chunks(len(rows), n_aps):
+            chunk = rows[part]
             clients = [self._clients[row] for row in chunk]
             block = self.channel.loss_db_rows(self._aps, clients)
             if self.ap_antennas:

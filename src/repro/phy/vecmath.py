@@ -21,15 +21,21 @@ bit-identical to their scalar counterparts:
   recomputed through scalar ``math.hypot``.
 
 * Probed transcendentals (:data:`vec_log10`, :data:`vec_log`,
-  :data:`vec_cos`, :func:`vec_bearing_deg`) -- on first use each path
-  compares the NumPy ufunc against a ``math.*`` loop over deterministic
-  probe domains.  When the probe passes (NumPy dispatched its scalar
+  :data:`vec_cos`, :data:`vec_pow10`, :func:`vec_bearing_deg`) -- on
+  first use each path compares the NumPy ufunc against a ``math.*`` loop
+  over deterministic probe domains.  When the probe passes (NumPy dispatched its scalar
   libm loop -- e.g. under ``NPY_DISABLE_CPU_FEATURES``, see below), the
   vector path is used; otherwise every call transparently falls back to
   a scalar ``map``.  Results are bit-identical either way; only the
   speed differs.
 
-Running with the SIMD dispatch disabled makes the probed paths vector::
+:data:`vec_pow10` is ``np.float_power(10.0, x)``, whose float64 loop
+calls libm ``pow`` element by element even where ``np.power`` has a
+SIMD loop that is not, so its probe passes under the default CPU
+features too.
+
+Running with the SIMD dispatch disabled makes the other probed paths
+vector::
 
     NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL AVX512_CNL AVX512_CLX \
         AVX512_SKX AVX512F AVX512CD AVX512VL AVX512BW AVX512DQ AVX512VNNI \
@@ -47,6 +53,7 @@ hatch.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 from typing import Callable, Dict, Iterator, Optional
@@ -60,6 +67,7 @@ __all__ = [
     "vec_hypot",
     "vec_log",
     "vec_log10",
+    "vec_pow10",
     "vectorized_report",
 ]
 
@@ -165,9 +173,39 @@ def _cos_samples() -> np.ndarray:
     return np.concatenate(pools)
 
 
+def _pow10_samples() -> np.ndarray:
+    rng = np.random.default_rng(20170611)
+    pools = [
+        rng.uniform(-30.0, 5.0, 1 << 15),  # dBm -> W and SINR exponents
+        rng.uniform(-330.0, 308.25, 1 << 15),  # subnormal to near-overflow
+        np.arange(-30.0, 31.0),  # exact powers of ten
+        np.array([np.inf, -np.inf, 0.0, -0.0, -400.0, -323.5, 308.25]),
+    ]
+    return np.concatenate(pools)
+
+
+def _pow10(x: float) -> float:
+    return 10.0 ** x
+
+
+def _np_pow10(x: np.ndarray) -> np.ndarray:
+    """``np.float_power(10.0, x)``, raising where Python's power raises.
+
+    NumPy returns ``inf`` (with a warning) where a finite exponent
+    overflows; ``10.0 ** x`` raises ``OverflowError``, and so does this.
+    """
+    with np.errstate(over="ignore"):
+        out = np.float_power(10.0, x)
+    if np.isinf(out).any() and (np.isinf(out) & np.isfinite(x)).any():
+        raise OverflowError(errno.ERANGE, "Numerical result out of range")
+    return out
+
+
 vec_log10 = _ProbedUnary("log10", np.log10, math.log10, _log_samples)
 vec_log = _ProbedUnary("log", np.log, math.log, _log_samples)
 vec_cos = _ProbedUnary("cos", np.cos, math.cos, _cos_samples)
+#: Elementwise ``10.0 ** x``, bit-identical (``OverflowError`` included).
+vec_pow10 = _ProbedUnary("pow10", _np_pow10, _pow10, _pow10_samples)
 
 
 class _ProbedBearing:
@@ -391,5 +429,6 @@ def vectorized_report() -> Dict[str, bool]:
         "log10": vec_log10.vectorized,
         "log": vec_log.vectorized,
         "cos": vec_cos.vectorized,
+        "pow10": vec_pow10.vectorized,
         "bearing_deg": vec_bearing_deg.vectorized,
     }

@@ -19,8 +19,6 @@ from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.phy.propagation import _CHUNK_LINKS
-
 
 @dataclass(frozen=True)
 class AccessPointSite:
@@ -297,13 +295,13 @@ def reassociate_strongest(topology: Topology, channel) -> Tuple[Topology, np.nda
     experiments apply this before comparing technologies so association is
     identical for all of them.
 
-    The whole ``(n_clients, n_aps)`` loss block is computed through
-    ``channel.loss_db_rows`` in chunks of ~``_CHUNK_LINKS`` links (which
-    bounds the shadowing key lists), and each row's ``argmin`` picks the
-    serving AP.  ``loss_db_rows`` is bit-identical to ``loss_db`` per
-    link, and ``argmin`` takes the first index on ties exactly as
-    ``min(aps, key=...)`` does, so the association is that of the
-    per-link scan.
+    The whole ``(n_clients, n_aps)`` loss block comes from one
+    ``channel.loss_db_rows`` call (which chunks itself, so its
+    temporaries stay bounded at any size), and each row's ``argmin``
+    picks the serving AP.  ``loss_db_rows`` is bit-identical to
+    ``loss_db`` per link, and ``argmin`` takes the first index on ties
+    exactly as ``min(aps, key=...)`` does, so the association is that
+    of the per-link scan.
 
     Args:
         topology: the original layout.
@@ -320,12 +318,7 @@ def reassociate_strongest(topology: Topology, channel) -> Tuple[Topology, np.nda
     """
     aps = list(topology.aps)
     clients = topology.clients
-    block = np.empty((len(clients), len(aps)))
-    step = max(1, _CHUNK_LINKS // max(1, len(aps)))
-    for start in range(0, len(clients), step):
-        block[start : start + step] = channel.loss_db_rows(
-            aps, clients[start : start + step]
-        )
+    block = channel.loss_db_rows(aps, clients)
     best = block.argmin(axis=1).tolist() if clients else []
     new_clients = [
         ClientSite(

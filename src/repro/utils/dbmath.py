@@ -11,7 +11,6 @@ watt) quantities.  Centralising the conversions avoids the classic
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -46,17 +45,15 @@ def dbm_to_watt_array(dbm: np.ndarray) -> np.ndarray:
     """Elementwise :func:`dbm_to_watt` over an array, bit-identical.
 
     ``(dbm - 30.0) / 10.0`` is a correctly rounded IEEE subtract and
-    divide whether NumPy or Python evaluates it; the power stays the
-    Python float power per element, because NumPy's vector ``power`` may
-    differ from libm in the last ulp.
+    divide whether NumPy or Python evaluates it; the power goes through
+    the probed :data:`repro.phy.vecmath.vec_pow10` (libm ``pow`` per
+    element, or the Python float power where the probe fails), because
+    NumPy's vector ``power`` may differ from libm in the last ulp.
     """
-    exponents = ((np.asarray(dbm, dtype=np.float64) - 30.0) / 10.0).ravel()
-    watts = np.fromiter(
-        map(pow, repeat(10.0), exponents.tolist()),
-        np.float64,
-        count=exponents.size,
-    )
-    return watts.reshape(np.shape(dbm))
+    # Imported here: repro.phy's package imports this module.
+    from repro.phy.vecmath import vec_pow10
+
+    return vec_pow10((np.asarray(dbm, dtype=np.float64) - 30.0) / 10.0)
 
 
 def watt_to_dbm(watt: float) -> float:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.sim.topology as topology_module
+import repro.phy.propagation as propagation_module
 from repro.experiments.common import CLIENT_RANGE_M, build_scenario
 from repro.experiments.large_scale import (
     TECH_CELLFI,
@@ -128,7 +128,7 @@ class TestBatchedAssociation:
             aps[n_aps - 1 - k] = AccessPointSite(aps[n_aps - 1 - k].ap_id, src.x, src.y)
         topology = Topology(topology.area_m, aps, topology.clients)
         channel = _channel(seed, sigma_db)
-        with mock.patch.object(topology_module, "_CHUNK_LINKS", chunk_links):
+        with mock.patch.object(propagation_module, "_CHUNK_LINKS", chunk_links):
             got, block = reassociate_strongest(topology, channel)
         assert_same_association(
             got, scalar_reassociate_strongest(topology, channel.loss_db)

@@ -7,12 +7,15 @@ reproduce its definition bit for bit (compared by ``float.hex``):
   uint64 hash words, a float candidate with a big-int fallback near
   rounding boundaries;
 * the shadowing key builder inside ``CompositeChannel.loss_db_rows``,
-  against the scalar ``loss_db`` / ``shadowing_db`` per link;
+  against the scalar ``loss_db`` / ``shadowing_db`` per link, across
+  the kernel's row-chunk boundaries too (and within a memory bound set
+  by one chunk);
 * the fused ``harq_goodput_scale``, against
   ``delivery_probability / expected_attempts``.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,12 +28,14 @@ from repro.phy.harq import (
     expected_attempts,
     harq_goodput_scale,
 )
+from repro.experiments.common import build_scenario
 from repro.phy.mcs import CQI_OUT_OF_RANGE, LTE_CQI_TABLE
 from repro.phy.propagation import (
     CompositeChannel,
     LogNormalShadowing,
     UrbanHataPathLoss,
     _u1_from_words,
+    row_chunks,
 )
 from repro.sim.topology import AccessPointSite, ClientSite
 
@@ -185,6 +190,64 @@ class TestShadowingKeyBuilder:
         second = [(300.0, 300.0)]
         for ap_points in (first, second, first):
             assert_rows_match_scalar(channel, ap_points, [(400.0, 40.0)])
+
+
+def traced_peak(fn):
+    """Peak bytes Python and NumPy allocate while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedLossBlock:
+    def test_boundaries_are_bit_identical(self):
+        # 100 APs -> 163 rows per chunk; 331 clients make two full
+        # chunks and a ragged third.  Canonical-swap ties (equal x with
+        # the y tiebreak either way, and 0.0 against -0.0) sit on both
+        # sides of each boundary.
+        rng = np.random.default_rng(30)
+        ap_points = [(0.0, 5.0), (-0.0, 5.0), (250.0, 100.0)] + [
+            tuple(p) for p in rng.uniform(0.0, 2000.0, (97, 2)).tolist()
+        ]
+        n_clients = 331
+        step = next(row_chunks(n_clients, len(ap_points))).stop
+        assert step == 163 and n_clients % step != 0
+        client_points = [
+            tuple(p) for p in rng.uniform(0.0, 2000.0, (n_clients, 2)).tolist()
+        ]
+        ties = [(-0.0, 5.0), (0.0, 5.0), (250.0, 90.0), (250.0, 110.0)]
+        for boundary in (step, 2 * step):
+            client_points[boundary - 2 : boundary + 2] = ties
+        channel = shadowed_channel()
+        aps = [AccessPointSite(j, x, y) for j, (x, y) in enumerate(ap_points)]
+        clients = [
+            ClientSite(i, x, y, ap_id=0) for i, (x, y) in enumerate(client_points)
+        ]
+        block = channel.loss_db_rows(aps, clients).tolist()
+        for i, client in enumerate(clients):
+            single = channel.loss_db_rows(aps, [client]).tolist()[0]
+            want = [channel.loss_db(ap, client).hex() for ap in aps]
+            assert [v.hex() for v in block[i]] == want, i
+            assert [v.hex() for v in single] == want, i
+
+    def test_working_set_is_one_chunk_plus_the_output(self):
+        # The mobile benchmark's handover trace: the full 1200 x 200
+        # block of a 200-AP scenario.  Unchunked, the key lists, digest
+        # buffer and array temporaries of all 240k links lived at once
+        # (~64 MB for a 1.9 MB result).
+        scenario = build_scenario(3, 200)
+        aps = list(scenario.aps)
+        clients = list(scenario.build_clients)
+        channel = scenario.channel
+        first = clients[next(row_chunks(len(clients), len(aps)))]
+        channel.loss_db_rows(aps, first)  # memo and vecmath probes
+        one_chunk = traced_peak(lambda: channel.loss_db_rows(aps, first))
+        out_bytes = 8 * len(clients) * len(aps)
+        full = traced_peak(lambda: channel.loss_db_rows(aps, clients))
+        assert full <= one_chunk + 2 * out_bytes, (full, one_chunk, out_bytes)
 
 
 def fused_reference(sinr_db, cqi):

@@ -161,9 +161,36 @@ class TestVecMath:
             want = math.hypot(a, b)
             assert g == want or (math.isnan(g) and math.isnan(want))
 
+    def test_pow10_equals_scalar(self):
+        rng = np.random.default_rng(17)
+        x = np.concatenate(
+            [
+                rng.uniform(-30.0, 5.0, 2000),  # dBm -> W and SINR exponents
+                rng.uniform(-330.0, 308.25, 2000),
+                np.array([np.inf, -np.inf, 0.0, -0.0, -400.0, -323.5, 308.25]),
+            ]
+        )
+        want = [(10.0**v).hex() for v in x.tolist()]
+        assert [v.hex() for v in vecmath.vec_pow10(x).tolist()] == want
+        # The vector kernel itself, whichever way this host's probe went.
+        assert [v.hex() for v in vecmath._np_pow10(x).tolist()] == want
+
+    @pytest.mark.parametrize(
+        "pow10", [vecmath.vec_pow10, vecmath._np_pow10], ids=["probed", "vector"]
+    )
+    def test_pow10_overflow_raises_like_python(self, pow10):
+        with pytest.raises(OverflowError):
+            10.0**308.26
+        with pytest.raises(OverflowError):
+            pow10(np.array([1.0, 308.26, -2.0]))
+        # An infinite exponent is not an overflow, in Python or here.
+        assert pow10(np.array([np.inf])).tolist() == [10.0 ** float("inf")]
+
     def test_report_shape(self):
         report = vecmath.vectorized_report()
-        assert set(report) == {"hypot", "log10", "log", "cos", "bearing_deg"}
+        assert set(report) == {
+            "hypot", "log10", "log", "cos", "pow10", "bearing_deg"
+        }
         assert all(isinstance(v, bool) for v in report.values())
 
 

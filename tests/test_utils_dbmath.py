@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.utils.dbmath import (
     THERMAL_NOISE_DBM_PER_HZ,
     db_to_linear,
     dbm_to_watt,
+    dbm_to_watt_array,
     linear_to_db,
     thermal_noise_dbm,
     watt_to_dbm,
@@ -55,6 +57,27 @@ class TestDbmWatt:
     def test_watt_to_dbm_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             watt_to_dbm(0.0)
+
+
+    def test_array_is_bit_identical_to_scalar(self):
+        rng = np.random.default_rng(45)
+        dbm = np.concatenate(
+            [
+                rng.uniform(-200.0, 50.0, 3000),
+                np.array([-np.inf, np.inf, 30.0, -3300.0]),
+            ]
+        ).reshape(2, 1502)
+        got = dbm_to_watt_array(dbm)
+        assert got.shape == dbm.shape
+        assert [v.hex() for v in got.ravel().tolist()] == [
+            dbm_to_watt(v).hex() for v in dbm.ravel().tolist()
+        ]
+
+    def test_array_overflow_raises_like_scalar(self):
+        with pytest.raises(OverflowError):
+            dbm_to_watt(3200.0)
+        with pytest.raises(OverflowError):
+            dbm_to_watt_array(np.array([0.0, 3200.0]))
 
 
 class TestWirelessSum:
