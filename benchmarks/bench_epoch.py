@@ -3,7 +3,9 @@
 
 Times ``LteNetworkSimulator.run_epoch`` under saturated demand on seeded
 random deployments at several cell counts, and writes the measurements to
-``BENCH_epoch.json`` at the repository root.
+``BENCH_epoch.json`` at the repository root.  Each size records the
+fastest of ``REPEATS`` runs on fresh networks (:func:`best_of`), the same
+statistic ``bench_obs_overhead.py`` gates its telemetry-disabled arm on.
 
 The production incremental epoch is timed at every size.  The scalar
 oracle (:class:`repro.lte.scalar_oracle.ScalarOracleSimulator`) is
@@ -44,7 +46,7 @@ import os
 import pathlib
 import time
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from repro.lte.network import (
     LteNetworkSimulator,
 )
 from repro.lte.scalar_oracle import ScalarOracleSimulator
+from repro.obs import Telemetry, activated
 from repro.phy import vecmath
 from repro.phy.propagation import (
     FILL_BATCHED,
@@ -91,6 +94,9 @@ GAINFILL_SMOKE_OUTPUT_PATH = REPO_ROOT / "BENCH_gainfill_smoke.json"
 DEFAULT_SIZES = (10, 50, 200)
 #: Largest size at which the scalar oracle is also timed.
 MAX_SCALAR_CELLS = 50
+#: Fresh-network timings per configuration of a full run; the fastest one
+#: is recorded (see :func:`best_of`).
+REPEATS = 3
 SHARD_NETS_CELLS = 20
 CLIENTS_PER_AP = 6
 SEED = 2017
@@ -167,19 +173,44 @@ def time_epochs(net: LteNetworkSimulator, n_epochs: int) -> Dict[str, float]:
     }
 
 
-def run_benchmark(sizes: List[int], n_epochs: int) -> Dict:
+def best_of(
+    n_cells: int,
+    n_epochs: int,
+    repeats: int,
+    simulator: Type[LteNetworkSimulator] = LteNetworkSimulator,
+    telemetry: Optional[Callable[[], Telemetry]] = None,
+) -> Dict[str, float]:
+    """The fastest of ``repeats`` :func:`time_epochs` runs.
+
+    A fresh network per repeat keeps cache state comparable; min-of-N
+    filters scheduler noise the same way ``timeit`` does.  ``telemetry``
+    builds the sink active while a repeat runs (``None``: disabled).  The
+    ``BENCH_epoch.json`` reference and every arm of the telemetry-overhead
+    gate are timed through here, so that gate compares like with like.
+    """
+    best: Optional[Dict[str, float]] = None
+    for _ in range(repeats):
+        net = build_network(n_cells, simulator)
+        with activated(telemetry() if telemetry else None):
+            timing = time_epochs(net, n_epochs)
+        if best is None or timing["per_epoch_s"] < best["per_epoch_s"]:
+            best = timing
+    return best
+
+
+def run_benchmark(sizes: List[int], n_epochs: int, repeats: int) -> Dict:
     results = []
     for n_cells in sizes:
         entry: Dict = {"cells": n_cells, "clients": n_cells * CLIENTS_PER_AP}
-        net = build_network(n_cells)
-        entry["incremental"] = time_epochs(net, n_epochs)
+        entry["incremental"] = best_of(n_cells, n_epochs, repeats)
         print(
             f"{n_cells:4d} cells  incremental "
             f"{entry['incremental']['per_epoch_s'] * 1e3:9.1f} ms/epoch"
         )
         if n_cells <= MAX_SCALAR_CELLS:
-            net = build_network(n_cells, ScalarOracleSimulator)
-            entry["scalar"] = time_epochs(net, n_epochs)
+            entry["scalar"] = best_of(
+                n_cells, n_epochs, repeats, ScalarOracleSimulator
+            )
             entry["speedup"] = (
                 entry["scalar"]["per_epoch_s"]
                 / entry["incremental"]["per_epoch_s"]
@@ -202,6 +233,7 @@ def run_benchmark(sizes: List[int], n_epochs: int) -> Dict:
         "seed": SEED,
         "clients_per_ap": CLIENTS_PER_AP,
         "epochs_timed": n_epochs,
+        "repeats": repeats,
         "results": results,
     }
 
@@ -817,10 +849,12 @@ def main() -> None:
         if args.smoke:
             sizes = args.sizes or [10, 20]
             n_epochs = args.epochs or 2
+            repeats = 1
         else:
             sizes = args.sizes or list(DEFAULT_SIZES)
             n_epochs = args.epochs or 5
-        payload = run_benchmark(sizes, n_epochs)
+            repeats = REPEATS
+        payload = run_benchmark(sizes, n_epochs, repeats)
         output = args.output or (SMOKE_OUTPUT_PATH if args.smoke else OUTPUT_PATH)
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {output}")

@@ -5,8 +5,9 @@ The observability layer (``repro.obs``) promises near-zero cost when
 disabled: every instrumentation site is a module-global lookup plus a
 ``None`` check.  This benchmark quantifies that promise against the
 reference epoch timings in ``BENCH_epoch.json`` (recorded by
-``bench_epoch.py`` before the telemetry layer existed and refreshed
-alongside it), and measures what enabling metrics / tracing actually
+``bench_epoch.py`` and refreshed alongside ``BENCH_obs.json``; both time
+the fastest of ``REPEATS`` fresh networks through
+``bench_epoch.best_of``), and measures what enabling metrics / tracing actually
 costs.  Results go to the untracked ``bench-obs-current.json`` at the
 repository root; only an explicit ``--output BENCH_obs.json`` re-records
 the committed reference that ``make bench-obs`` diffs the fresh run
@@ -39,9 +40,9 @@ import pathlib
 import sys
 from typing import Dict, List, Optional
 
-from bench_epoch import build_network, time_epochs
+from bench_epoch import REPEATS, best_of
 
-from repro.obs import Telemetry, activated
+from repro.obs import Telemetry
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "bench-obs-current.json"
@@ -56,24 +57,6 @@ CONFIGS = (
     ("metrics", lambda: Telemetry()),
     ("traced", lambda: Telemetry(trace=True, profile=True)),
 )
-
-
-def _best_of(n_cells: int, n_epochs: int, repeats: int, factory) -> float:
-    """Min-of-``repeats`` per-epoch seconds for one configuration.
-
-    A fresh network per repeat keeps cache state comparable; min-of-N
-    filters scheduler noise the same way ``timeit`` does.
-    """
-    best = float("inf")
-    for _ in range(repeats):
-        net = build_network(n_cells)
-        if factory is None:
-            timing = time_epochs(net, n_epochs)
-        else:
-            with activated(factory()):
-                timing = time_epochs(net, n_epochs)
-        best = min(best, timing["per_epoch_s"])
-    return best
 
 
 def load_reference(path: pathlib.Path) -> Dict[int, float]:
@@ -99,9 +82,8 @@ def run_benchmark(
     for n_cells in sizes:
         entry: Dict = {"cells": n_cells}
         for name, factory in CONFIGS:
-            entry[name] = {
-                "per_epoch_s": _best_of(n_cells, n_epochs, repeats, factory)
-            }
+            timing = best_of(n_cells, n_epochs, repeats, telemetry=factory)
+            entry[name] = {"per_epoch_s": timing["per_epoch_s"]}
         disabled_s = entry["disabled"]["per_epoch_s"]
         for name, _ in CONFIGS[1:]:
             entry[name]["vs_disabled"] = entry[name]["per_epoch_s"] / disabled_s
@@ -169,7 +151,7 @@ def main() -> int:
     else:
         sizes = args.sizes or list(DEFAULT_SIZES)
         n_epochs = args.epochs or 5
-        repeats = args.repeats or 3
+        repeats = args.repeats or REPEATS
     payload = run_benchmark(
         sizes, n_epochs, repeats, args.tolerance, check=not args.smoke
     )

@@ -7,9 +7,9 @@ Two software components extend a standard LTE access point (paper Figure 3):
   idle channels, then channels used by other CellFi cells), and vacates
   within the ETSI 60-second deadline when a channel is withdrawn.
 * :mod:`repro.core.interference` -- the fully decentralized intra-channel
-  interference management algorithm: PRACH-based contention estimation and
-  CQI-drop interference detection (``sensing``), distributed share
-  calculation (``share``), randomized subchannel hopping with exponential
+  interference management algorithm: distributed share calculation from
+  the PRACH contention estimate (``share``), randomized subchannel hopping
+  driven by CQI-drop interference detection, with exponential
   buckets and the channel re-use packing heuristic (``hopping``), the
   epoch-driven manager gluing it into the LTE simulator (``manager``) and
   the abstract convergence model behind Theorem 1 (``theory``).

@@ -8,8 +8,9 @@ between access points:
    preambles and reserves ``S_i = N_i * S / NP_i`` subchannels.
 2. **Distributed subchannel selection** (:mod:`hopping`): APs converge on
    non-conflicting subchannel sets by randomized hopping -- exponential
-   bucket values drain as clients report interference (via CQI drops,
-   :mod:`sensing`) and an empty bucket triggers a hop to the
+   bucket values drain as clients report interference (CQI drops, which
+   the simulator's observe pass flags at the measured 80% / 2% rates)
+   and an empty bucket triggers a hop to the
    maximum-utility subchannel.  A re-use heuristic packs interference-free
    clients onto low-index subchannels.
 
@@ -20,19 +21,13 @@ Theorem 1 bound; :mod:`manager` adapts everything to the epoch interface of
 
 from repro.core.interference.hopping import HopperConfig, SubchannelHopper
 from repro.core.interference.manager import CellFiInterferenceManager
-from repro.core.interference.sensing import (
-    CqiDropDetector,
-    PrachContentionEstimator,
-)
 from repro.core.interference.share import compute_share
 from repro.core.interference.theory import HoppingGame, theorem1_round_bound
 
 __all__ = [
     "CellFiInterferenceManager",
-    "CqiDropDetector",
     "HopperConfig",
     "HoppingGame",
-    "PrachContentionEstimator",
     "SubchannelHopper",
     "compute_share",
     "theorem1_round_bound",

@@ -108,11 +108,6 @@ class SubchannelHopper:
         """Currently held subchannels."""
         return set(self.buckets)
 
-    @property
-    def initialized(self) -> bool:
-        """Whether the initial random pick has happened."""
-        return bool(self.buckets) or self._initialized_empty
-
     _initialized_empty = False
 
     # -- Main per-epoch step ------------------------------------------------------

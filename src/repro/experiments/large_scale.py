@@ -761,10 +761,6 @@ class PageLoadResult:
             raise ValueError(f"no pages recorded for {tech!r}")
         return float(np.median(samples))
 
-    def completed_median_s(self, tech: str) -> float:
-        """Median over completed pages only (the optimistic view)."""
-        return float(np.median(self.load_times_s[tech]))
-
     def completion_fraction(self, tech: str) -> float:
         """Fraction of offered pages that completed."""
         done = len(self.load_times_s[tech])

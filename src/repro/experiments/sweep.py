@@ -95,14 +95,6 @@ def scenario(name: str) -> Callable:
     return _register
 
 
-def register_scenario(name: str, target: Union[str, Callable]) -> None:
-    """Register a scenario by callable or importable ``module:function``."""
-    if callable(target):
-        _SCENARIOS[name] = target
-    else:
-        _BUILTIN_SCENARIOS[name] = target
-
-
 def get_scenario(name: str) -> Callable[..., Mapping[str, Any]]:
     """Resolve a scenario name to its cell function."""
     if name in _SCENARIOS:

@@ -9,8 +9,9 @@ reported CQI for each client and each subchannel over a period of time"
   (used for the Section 6.3.4 signalling-overhead accounting);
 * :class:`CqiReport` -- one wideband + per-subband report;
 * :class:`SubbandCqiReporter` -- generates noisy reports from true SINRs and
-  implements the paper's max-tracking interference detector primitive used
-  by :mod:`repro.core.interference.sensing`.
+  implements the paper's max-tracking interference detector primitive
+  (the Figure 8 reproduction; the epoch simulator injects its measured
+  80% / 2% rates instead, see :mod:`repro.lte.network`).
 """
 
 from __future__ import annotations

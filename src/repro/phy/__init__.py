@@ -6,7 +6,6 @@ Contents
   urban Hata calibrated to the paper's band-13 drive test) and log-normal
   shadowing.
 * :mod:`repro.phy.antenna` -- omni and 120-degree sector antennas.
-* :mod:`repro.phy.link` -- link budget and SINR computation.
 * :mod:`repro.phy.mcs` -- CQI/MCS tables mapping SINR to coding rate and
   spectral efficiency for both LTE and 802.11.
 * :mod:`repro.phy.resource_grid` -- OFDMA resource blocks, subchannels and
@@ -17,7 +16,6 @@ Contents
 """
 
 from repro.phy.antenna import Antenna, OmniAntenna, SectorAntenna
-from repro.phy.link import LinkBudget, Radio, sinr_db
 from repro.phy.mcs import (
     LTE_CQI_TABLE,
     CqiEntry,
@@ -41,12 +39,10 @@ __all__ = [
     "CqiEntry",
     "FreeSpacePathLoss",
     "LTE_CQI_TABLE",
-    "LinkBudget",
     "LogDistancePathLoss",
     "LogNormalShadowing",
     "OmniAntenna",
     "PathLossModel",
-    "Radio",
     "ResourceGrid",
     "SectorAntenna",
     "TddConfig",
@@ -54,5 +50,4 @@ __all__ = [
     "cqi_from_sinr",
     "efficiency_from_cqi",
     "shannon_efficiency",
-    "sinr_db",
 ]

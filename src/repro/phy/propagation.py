@@ -10,7 +10,7 @@ All models expose ``path_loss_db(distance_m)`` plus a batched
 ``path_loss_db_batch(distances_m)`` that is bit-identical to the scalar
 call per element (see :mod:`repro.phy.vecmath` for how transcendentals
 stay exact); composite behaviour (model + shadowing + antenna gains) is
-assembled by :class:`CompositeChannel` / :class:`repro.phy.link.LinkBudget`.
+assembled by :class:`CompositeChannel`.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -184,33 +184,6 @@ class Topology:
         slots = [self._slot[c.client_id] for c in targets]
         targets.insert(bisect_left(slots, slot), new)
         return new
-
-    def interference_graph(
-        self, interferes: Callable[[AccessPointSite, ClientSite], bool]
-    ) -> Dict[int, set]:
-        """Build the AP-level conflict graph the paper analyses (Section 5.5).
-
-        Two APs ``i`` and ``j`` conflict iff ``i`` may interfere with one of
-        ``j``'s clients or vice-versa, as judged by the ``interferes``
-        predicate (typically an SINR/path-loss test from ``repro.phy``).
-
-        Returns:
-            Adjacency sets keyed by AP id.
-        """
-        adjacency: Dict[int, set] = {ap.ap_id: set() for ap in self.aps}
-        for ap_a in self.aps:
-            for ap_b in self.aps:
-                if ap_a.ap_id >= ap_b.ap_id:
-                    continue
-                conflict = any(
-                    interferes(ap_b, client) for client in self._clients_by_ap[ap_a.ap_id]
-                ) or any(
-                    interferes(ap_a, client) for client in self._clients_by_ap[ap_b.ap_id]
-                )
-                if conflict:
-                    adjacency[ap_a.ap_id].add(ap_b.ap_id)
-                    adjacency[ap_b.ap_id].add(ap_a.ap_id)
-        return adjacency
 
 
 def random_topology(
@@ -415,31 +388,3 @@ def grid_partition(topology: Topology, n_shards: int) -> List[List[int]]:
         row = min(int(ap.y / tile_h), rows - 1)
         shards[row * cols + col].append(ap.ap_id)
     return [sorted(shard) for shard in shards if shard]
-
-
-def halo_ap_ids(
-    topology: Topology, shard_ap_ids: Iterable[int], margin_m: float
-) -> List[int]:
-    """Foreign APs within ``margin_m`` of the shard's bounding box.
-
-    A geometric halo estimate for diagnostics and docs: the *authoritative*
-    halo used by the sharded engine is audibility-derived (an AP is in a
-    client's halo iff its links survive the ``cull_loss_db`` horizon), and
-    with log-normal shadowing that set is not a simple disk.  This helper
-    answers "which neighbors could matter" for a median-loss channel where
-    ``margin_m`` is the distance at which path loss crosses the horizon.
-    """
-    members = set(shard_ap_ids)
-    owned = [ap for ap in topology.aps if ap.ap_id in members]
-    if not owned:
-        return []
-    x_lo = min(ap.x for ap in owned) - margin_m
-    x_hi = max(ap.x for ap in owned) + margin_m
-    y_lo = min(ap.y for ap in owned) - margin_m
-    y_hi = max(ap.y for ap in owned) + margin_m
-    halo = [
-        ap.ap_id
-        for ap in topology.aps
-        if ap.ap_id not in members and x_lo <= ap.x <= x_hi and y_lo <= ap.y <= y_hi
-    ]
-    return sorted(halo)

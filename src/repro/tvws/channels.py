@@ -10,7 +10,7 @@ auction).  LTE carriers of 5/10/15/20 MHz are fitted into one or more
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -91,40 +91,6 @@ class ChannelPlan:
 
     def __len__(self) -> int:
         return len(self.channels)
-
-    def contiguous_runs(self, available: Sequence[int]) -> List[List[int]]:
-        """Group available channel numbers into maximal contiguous runs."""
-        runs: List[List[int]] = []
-        for number in sorted(set(available)):
-            if number not in self._by_number:
-                raise KeyError(f"channel {number} not in plan {self.name!r}")
-            if runs and runs[-1][-1] == number - 1:
-                runs[-1].append(number)
-            else:
-                runs.append([number])
-        return runs
-
-    def fit_lte_carrier(
-        self, available: Sequence[int], carrier_bandwidth_hz: float
-    ) -> Optional[Tuple[List[int], float]]:
-        """Find contiguous channels that can host an LTE carrier.
-
-        Returns the lowest-frequency fit as ``(channel_numbers,
-        center_frequency_hz)``, or ``None`` if no contiguous run is wide
-        enough.  An LTE carrier must fit entirely inside the occupied
-        channels (spectral-mask compliance at the band edges).
-        """
-        channels_needed = -(-int(carrier_bandwidth_hz) // int(self.channel_width_hz))
-        for run in self.contiguous_runs(available):
-            if len(run) < channels_needed:
-                continue
-            chosen = run[:channels_needed]
-            low = self.channel(chosen[0]).low_hz
-            high = self.channel(chosen[-1]).high_hz
-            center = (low + high) / 2.0
-            if high - low >= carrier_bandwidth_hz:
-                return chosen, center
-        return None
 
 
 #: US plan: 6 MHz channels 14-51 covering 470-698 MHz.

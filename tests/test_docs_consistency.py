@@ -22,13 +22,32 @@ def _doc_sources():
     )
 
 
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute chain of one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
 class TestDesignDoc:
     def test_every_referenced_module_exists(self):
-        text = _read("DESIGN.md")
-        modules = set(re.findall(r"`(repro(?:\.\w+)+)`", text))
-        assert modules, "DESIGN.md should reference repro modules"
-        for dotted in sorted(modules):
-            importlib.import_module(dotted)
+        refs = {
+            (doc, dotted)
+            for doc in _doc_sources() + ["README.md", "EXPERIMENTS.md"]
+            for dotted in re.findall(r"`(repro(?:\.\w+)+)`", _read(doc))
+        }
+        assert refs, "the docs should reference repro modules"
+        stale = sorted(ref for ref in refs if not _resolves(ref[1]))
+        assert not stale, f"docs name code that does not exist: {stale}"
 
     def test_every_referenced_benchmark_exists(self):
         text = _read("DESIGN.md")

@@ -177,6 +177,55 @@ class TestEpochs:
         assert ra[-1].throughput_bps == rb[-1].throughput_bps
 
 
+def _detector_epochs(n_epochs, **kwargs):
+    """Detector flags and interference truth, stacked over every client row
+    of ``n_epochs`` saturated epochs of a 6-AP network on all subchannels."""
+    rngs = RngStreams(4)
+    topo = random_topology(rngs.stream("topo"), n_aps=6, clients_per_ap=4)
+    net = LteNetworkSimulator(
+        topo, ResourceGrid(5e6), _channel(), rngs.fork("net"), **kwargs
+    )
+    allowed = {ap.ap_id: set(range(net.grid.n_subchannels)) for ap in topo.aps}
+    demands = {c.client_id: float("inf") for c in topo.clients}
+    flags, truth = [], []
+    for epoch in range(n_epochs):
+        result = net.run_epoch(epoch, allowed, demands)
+        for obs in result.observations.values():
+            for cid, client in obs.clients.items():
+                flags.append(client.interference_detected)
+                truth.append(net._interfered_mat[net._owned_row(cid)])
+    return np.array(flags, dtype=bool), np.array(truth, dtype=bool)
+
+
+class TestCqiDetector:
+    """The paper's measured detector quality, injected in the observe pass."""
+
+    def test_perfect_detector_reports_the_truth(self):
+        flags, truth = _detector_epochs(
+            3, detector_true_positive=1.0, detector_false_positive=0.0
+        )
+        assert truth.any() and not truth.all()
+        np.testing.assert_array_equal(flags, truth)
+
+    def test_default_rates_match_the_paper(self):
+        # Section 6.3.2: 80% detection under interference, < 2% false alarms.
+        flags, truth = _detector_epochs(40)
+        for rate, mask in ((0.80, truth), (0.02, ~truth)):
+            n = int(mask.sum())
+            assert n >= 500
+            bound = 5.0 * np.sqrt(rate * (1.0 - rate) / n)
+            assert abs(flags[mask].mean() - rate) <= bound
+
+    @pytest.mark.parametrize("tp, fp", [(0.1, 0.5), (1.5, 0.02), (0.8, -0.1)])
+    def test_invalid_rates_rejected(self, tp, fp):
+        with pytest.raises(ValueError):
+            _net(
+                _two_cell_topology(),
+                detector_true_positive=tp,
+                detector_false_positive=fp,
+            )
+
+
 class TestInterferenceEffects:
     def test_full_overlap_hurts_cell_edge(self):
         # Two cells at medium range, clients between them: overlapping

@@ -22,11 +22,7 @@ from repro.phy.resource_grid import ResourceGrid
 from repro.sim.checkpoint import hash_state
 from repro.sim.rng import RngStreams
 from repro.sim.shard import EPOCH_STREAMS, ShardedNetwork
-from repro.sim.topology import (
-    grid_partition,
-    grid_topology,
-    halo_ap_ids,
-)
+from repro.sim.topology import grid_partition, grid_topology
 
 from tests.test_lte_network_incremental import (
     CULL_DB,
@@ -152,15 +148,6 @@ class TestGridPartition:
             grid_partition(topology, 0)
         with pytest.raises(ValueError):
             grid_partition(topology, -1)
-
-    def test_halo_excludes_members_and_grows_with_margin(self):
-        topology = grid_topology(4, 1, spacing_m=500.0)
-        shard = grid_partition(topology, 4)[0]
-        near = halo_ap_ids(topology, shard, margin_m=600.0)
-        far = halo_ap_ids(topology, shard, margin_m=5000.0)
-        assert not set(near) & set(shard)
-        assert set(near) <= set(far)
-        assert set(far) == {ap.ap_id for ap in topology.aps} - set(shard)
 
 
 class TestShardModeGuards:

@@ -118,21 +118,6 @@ class TestTopologyQueries:
                 clients=[ClientSite(0, 1.0, 1.0, ap_id=7)],
             )
 
-    def test_interference_graph_symmetric(self):
-        topo = random_topology(_rng(), n_aps=5, clients_per_ap=3)
-        graph = topo.interference_graph(
-            lambda ap, client: ap.distance_to(client) < 600.0
-        )
-        for node, neighbours in graph.items():
-            for other in neighbours:
-                assert node in graph[other]
-
-    def test_interference_graph_no_self_loops(self):
-        topo = random_topology(_rng(), n_aps=5, clients_per_ap=3)
-        graph = topo.interference_graph(lambda ap, client: True)
-        for node, neighbours in graph.items():
-            assert node not in neighbours
-
 
 class TestGridTopology:
     def test_grid_counts(self):

@@ -46,53 +46,3 @@ class TestPlans:
             ChannelPlan("bad", 1, 0, 470e6, 6e6)
         with pytest.raises(ValueError):
             ChannelPlan("bad", 1, 4, 470e6, 0.0)
-
-
-class TestContiguousRuns:
-    def test_single_run(self):
-        runs = US_CHANNEL_PLAN.contiguous_runs([14, 15, 16])
-        assert runs == [[14, 15, 16]]
-
-    def test_split_runs(self):
-        runs = US_CHANNEL_PLAN.contiguous_runs([14, 16, 17, 20])
-        assert runs == [[14], [16, 17], [20]]
-
-    def test_duplicates_collapsed(self):
-        assert US_CHANNEL_PLAN.contiguous_runs([14, 14, 15]) == [[14, 15]]
-
-    def test_unknown_channel_in_run_raises(self):
-        with pytest.raises(KeyError):
-            US_CHANNEL_PLAN.contiguous_runs([1])
-
-    def test_empty(self):
-        assert US_CHANNEL_PLAN.contiguous_runs([]) == []
-
-
-class TestCarrierFitting:
-    def test_5mhz_fits_one_us_channel(self):
-        fit = US_CHANNEL_PLAN.fit_lte_carrier([14], 5e6)
-        assert fit is not None
-        channels, center = fit
-        assert channels == [14]
-        assert center == pytest.approx(473e6)
-
-    def test_10mhz_needs_two_us_channels(self):
-        assert US_CHANNEL_PLAN.fit_lte_carrier([14], 10e6) is None
-        fit = US_CHANNEL_PLAN.fit_lte_carrier([14, 15], 10e6)
-        assert fit is not None
-        channels, center = fit
-        assert channels == [14, 15]
-        assert center == pytest.approx(476e6)
-
-    def test_noncontiguous_does_not_fit(self):
-        assert US_CHANNEL_PLAN.fit_lte_carrier([14, 16], 10e6) is None
-
-    def test_prefers_lowest_frequency_fit(self):
-        fit = US_CHANNEL_PLAN.fit_lte_carrier([20, 21, 14, 15], 10e6)
-        assert fit[0] == [14, 15]
-
-    def test_20mhz_in_eu(self):
-        # 20 MHz fits into three 8-MHz EU channels.
-        fit = EU_CHANNEL_PLAN.fit_lte_carrier([30, 31, 32], 20e6)
-        assert fit is not None
-        assert fit[0] == [30, 31, 32]
