@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test claims coverage checkpoint-smoke bench bench-full bench-obs bench-gainfill bench-gainfill-smoke shard-nets sweep-smoke faults-smoke trace-smoke
+.PHONY: test claims coverage checkpoint-smoke bench bench-full bench-obs bench-gainfill bench-gainfill-smoke sweep-smoke faults-smoke trace-smoke
 
 # CPU-feature mask under which numpy's transcendental inner loops fall
 # back to their libm-calling baseline, which is bit-identical to the
@@ -117,22 +117,3 @@ bench-gainfill-smoke:
 	$(PYTHON) -m repro.cli obs-report \
 		--bench BENCH_gainfill_smoke.json bench-gainfill-current.json \
 		--tolerance 2.0
-
-# CI-sized shard gate: one 20-cell churn scenario (mobility plus
-# cross-shard handovers) driven 7 times -- unsharded batched fill, the
-# scalar fill oracle, bare 2-shard process workers, supervised, a
-# supervised scheduled worker kill (untraced, then traced) and a
-# zero-retry-budget kill -- and every run must digest-equal the unsharded
-# incremental epoch.  The kill must respawn from checkpoint and replay
-# its journal; the budget-0 kill must degrade the shard inline with a
-# structured warning; the traced kill must merge every worker's telemetry
-# plus supervisor barrier/recovery spans into one shard-tagged timeline.
-# The merged exports must validate against the trace_event schema, and
-# obs-report must run its barrier/straggler analytics cleanly.  Writes
-# the untracked bench-shard-nets-current.json; re-record the committed
-# BENCH_shard_nets.json with --output BENCH_shard_nets.json
-# (see docs/SIMULATION.md, docs/ROBUSTNESS.md, docs/OBSERVABILITY.md).
-shard-nets:
-	$(PYTHON) benchmarks/bench_epoch.py --shard-nets
-	$(PYTHON) -m repro.obs.validate shard-nets-trace.json shard-nets.jsonl
-	$(PYTHON) -m repro.cli obs-report --trace-jsonl shard-nets.jsonl

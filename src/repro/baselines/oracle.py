@@ -184,6 +184,7 @@ class OracleAllocator:
 
         import numpy as np
 
+        from repro.phy.harq import harq_goodput_scale
         from repro.phy.mcs import CQI_OUT_OF_RANGE, cqi_from_sinr, efficiency_from_cqi
 
         net = self.net
@@ -210,7 +211,7 @@ class OracleAllocator:
                 rate = self.net.grid.subchannel_downlink_rate_bps(
                     efficiency_from_cqi(cqi), sub
                 )
-                scale = net._harq_rows([[sinr]], [[cqi]])[0][0]
+                scale = harq_goodput_scale(sinr, cqi)
                 rates[cid] = rate * scale / len(clients)
         return rates
 

@@ -44,8 +44,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import is_, is_not
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 import numpy as np
@@ -495,10 +493,6 @@ class LteNetworkSimulator:
         self._dirty_rows: Dict[int, Optional[Set[int]]] = {
             ap.ap_id: set() for ap in topology.aps
         }
-        # Per-AP signature cache: when a dirty AP's audible-column set and
-        # the epoch context both match the last rebuild, the signature
-        # is reused instead of being sliced again.
-        self._sig_cache: Dict[int, tuple] = {}
         # One id per distinct grant (sorted subchannel tuple) ever seen,
         # so block signatures can carry grants as integers.
         self._grant_ids: Dict[tuple, int] = {}
@@ -577,10 +571,6 @@ class LteNetworkSimulator:
                 self._rate_table[cqi, sub] = self.grid.subchannel_downlink_rate_bps(
                     eff, sub
                 )
-        # HARQ memo in two generations: this epoch's keys and the previous
-        # epoch's, keyed by ``complex(sinr, cqi)`` (see :meth:`_harq_scale`).
-        self._harq_cache: Dict[complex, float] = {}
-        self._harq_prev: Dict[complex, float] = {}
         self._max_cqi_vec = np.zeros((n_clients, n_subs), dtype=np.int64)
         # The incremental blocks' values, one row per client (each AP
         # writes only its own clients' rows): full-time rate per
@@ -961,8 +951,6 @@ class LteNetworkSimulator:
         :class:`~repro.lte.scalar_oracle.ScalarOracleSimulator` overrides
         this method to produce them its own way.
         """
-        self._harq_prev = self._harq_cache
-        self._harq_cache = {}
         n_subs = self.grid.n_subchannels
         epoch_s = self.epoch_s
         aps = self.topology.aps
@@ -1138,61 +1126,6 @@ class LteNetworkSimulator:
 
     # -- Block compute -----------------------------------------------------------
 
-    def _harq_scale(self, sinr: np.ndarray, cqi: np.ndarray) -> np.ndarray:
-        """:func:`harq_goodput_scale` per (SINR, CQI) pair, memoised.
-
-        SINRs repeat heavily within an epoch (one value per client-subchannel
-        link, stable while the interferer sets are stable), so the memo hit
-        rate of static runs is high.  The misses -- each distinct key once,
-        in first-seen order -- are evaluated in one
-        :func:`harq_goodput_scale_array` call, bit-identical to the scalar
-        function, so the epoch matches the scalar oracle bit for bit and
-        telemetry counts each evaluation once, as a per-pair loop would.
-
-        A key is the pair packed into one ``complex(sinr, cqi)``: it
-        compares and hashes like the ``(sinr, cqi)`` tuple (``-0.0 ==
-        0.0``, NaN never equal), but, unlike a tuple, is no object the
-        cyclic garbage collector has to track -- a mobile epoch makes
-        ~10k fresh keys per shard.
-
-        The memo keeps two generations, this epoch's keys and the previous
-        epoch's (:meth:`run_epoch` rotates them), and promotes a hit from
-        the previous one: static runs keep their hits across epochs, while
-        mobile runs, whose SINRs move every epoch, hold at most two epochs
-        of keys instead of every key ever seen.
-        """
-        shape = np.shape(sinr)
-        packed = np.empty(shape, dtype=np.complex128)
-        packed.real = sinr
-        packed.imag = cqi
-        keys = packed.ravel().tolist()
-        cache = self._harq_cache
-        values = list(map(cache.get, keys))
-        if None not in values:
-            return np.array(values, dtype=np.float64).reshape(shape)
-        # Each missed key once, in first-seen order; promote the previous
-        # generation's hits, evaluate the rest in one array call.
-        missing = list(dict.fromkeys(compress(keys, map(is_, values, repeat(None)))))
-        found = list(map(self._harq_prev.get, missing))
-        fresh = list(compress(missing, map(is_, found, repeat(None))))
-        cache.update(compress(zip(missing, found), map(is_not, found, repeat(None))))
-        if fresh:
-            pairs = np.array(fresh, dtype=np.complex128)
-            scales = harq_goodput_scale_array(pairs.real, pairs.imag.astype(np.intp))
-            cache.update(zip(fresh, scales.tolist()))
-            if len(fresh) == len(keys):
-                # Every key distinct and new: the values are in key order.
-                return scales.reshape(shape)
-        return np.array(list(map(cache.__getitem__, keys)), dtype=np.float64).reshape(shape)
-
-    def _harq_rows(
-        self, sinr_rows: Sequence[Sequence[float]], cqi_rows: Sequence[Sequence[int]]
-    ) -> List[List[float]]:
-        """:meth:`_harq_scale` over nested lists, returned as nested lists."""
-        return self._harq_scale(
-            np.asarray(sinr_rows, dtype=np.float64), np.asarray(cqi_rows, dtype=np.intp)
-        ).tolist()
-
     def _set_decision_context(
         self,
         subs_keys: Dict[int, tuple],
@@ -1333,36 +1266,26 @@ class LteNetworkSimulator:
             stats["clean_aps"] += 1
             stats["clean_rows"] += m
             return has_rlf_sources
-        # The signature tuples depend only on the epoch context and on
-        # which columns this AP's clients can hear.  A mobility event
-        # bumps the row version but usually leaves audibility intact, so
-        # dirty APs reuse the cached signature instead of rebuilding it.
-        audible_key = audible.tobytes()
-        sig = self._sig_cache.get(ap_id)
-        if sig is not None and sig[0] == self._ctx_serial and sig[1] == audible_key:
-            signature = sig[2]
-        else:
-            # Audible active neighbours, as bytes: the interferers and
-            # their grants in grant order, the co-channel cells in topology
-            # order, and the RLF sources with their overlap counts.
-            heard = audible[self._ent_cols]
-            co_heard = audible[self._active_cols]
-            own = self._ent_pos.get(ap_id)
-            if own is not None:
-                heard[own] = False
-            own = self._active_pos.get(ap_id)
-            if own is not None:
-                co_heard[own] = False
-            overlap = self._rlf_overlap[:, col]
-            sources = co_heard & (overlap > 0)
-            signature = (
-                self._ent_sig[:, heard].tobytes(),
-                self._active_ids[co_heard].tobytes(),
-                len(allowed.get(ap_id, ())),
-                self._active_ids[sources].tobytes(),
-                overlap[sources].tobytes(),
-            )
-            self._sig_cache[ap_id] = (self._ctx_serial, audible_key, signature)
+        # Audible active neighbours, as bytes: the interferers and their
+        # grants in grant order, the co-channel cells in topology order,
+        # and the RLF sources with their overlap counts.
+        heard = audible[self._ent_cols]
+        co_heard = audible[self._active_cols]
+        own = self._ent_pos.get(ap_id)
+        if own is not None:
+            heard[own] = False
+        own = self._active_pos.get(ap_id)
+        if own is not None:
+            co_heard[own] = False
+        overlap = self._rlf_overlap[:, col]
+        sources = co_heard & (overlap > 0)
+        signature = (
+            self._ent_sig[:, heard].tobytes(),
+            self._active_ids[co_heard].tobytes(),
+            len(allowed.get(ap_id, ())),
+            self._active_ids[sources].tobytes(),
+            overlap[sources].tobytes(),
+        )
 
         key = (version, signature)
         cached = self._ap_blocks.get(ap_id)
@@ -1405,7 +1328,8 @@ class LteNetworkSimulator:
         Every block quantity of a row depends on that row alone, so rows
         of many APs batch together without changing any value; they run
         in chunks of about :data:`_BLOCK_CHUNK` links, in order, which
-        bounds the temporaries and keeps the HARQ memo's evaluation order.
+        bounds the temporaries.  With telemetry on, each recomputed link
+        whose CQI is above 0 counts one ``harq.evaluations``.
         """
         rows = np.concatenate([entry[0] for entry in stale])
         counts = [len(entry[0]) for entry in stale]
@@ -1450,7 +1374,8 @@ class LteNetworkSimulator:
         * CQI quantisation via ``searchsorted(side="right")`` equals the
           table walk in :func:`cqi_from_sinr`;
         * rates come from a table prefilled with the scalar grid function,
-          HARQ scales from :meth:`_harq_scale`.
+          HARQ scales from :func:`harq_goodput_scale_array`, bit-identical
+          to the scalar :func:`~repro.phy.harq.harq_goodput_scale`.
         """
         n = len(rows)
         n_subs = self.grid.n_subchannels
@@ -1495,7 +1420,9 @@ class LteNetworkSimulator:
         cqi = np.searchsorted(self._cqi_min_sinr, sinr, side="right")
         clean_cqi = np.searchsorted(self._cqi_min_sinr, clean_db, side="right")
 
-        rate = self._rate_table[cqi, np.arange(n_subs)] * self._harq_scale(sinr, cqi)
+        rate = self._rate_table[cqi, np.arange(n_subs)] * harq_goodput_scale_array(
+            sinr, cqi
+        )
         if self.control_interference and len(active_cols):
             rx_dbm = self._rx_dbm_mat
             rivals = rx_dbm[rows[:, None], active_cols]
@@ -1547,7 +1474,7 @@ class LteNetworkSimulator:
     def state_dict(self) -> Dict[str, Any]:
         """Cross-epoch mutable state.
 
-        The HARQ memo, ``_ap_blocks`` and ``_audible_cols`` are excluded
+        ``_ap_blocks``, ``_block_fast`` and ``_audible_cols`` are excluded
         on purpose: they memoise deterministic functions of serialized
         state, so a cold cache recomputes bit-identical values (and
         serializing them would make a resumed run's digest depend on cache
@@ -1604,9 +1531,6 @@ class LteNetworkSimulator:
         # digests) cannot depend on pre-checkpoint cache warmth.
         self._ap_blocks.clear()
         self._audible_cols.clear()
-        self._harq_cache.clear()
-        self._harq_prev.clear()
         self._block_fast.clear()
-        self._sig_cache.clear()
         self._epoch_ctx = None
         self._dirty_rows = {ap.ap_id: set() for ap in self.topology.aps}

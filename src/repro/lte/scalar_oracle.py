@@ -12,10 +12,11 @@ outcome dense.  For the same seeds the two agree bit for bit
 
 The oracle shares only its *inputs* with the production class: the link
 store (``_rx_w_mat``, ``_rx_dbm_mat``, ``_prach_mat``), the RNG streams
-and the max-CQI state (``_max_cqi_vec``).  It never calls what it checks:
+and the max-CQI state (``_max_cqi_vec``).  It never calls what it checks,
 the block compute (``_refresh_block``, ``_set_decision_context``,
-``_compute_rows``, ``_compute_block_rows``) and the HARQ memo
-(``_harq_scale``).  It schedules through
+``_compute_rows``, ``_compute_block_rows``), and takes its HARQ scales
+from the scalar :func:`~repro.phy.harq.harq_goodput_scale`, not the
+array form the block compute uses.  It schedules through
 :meth:`~repro.lte.scheduler.ProportionalFairScheduler.allocate_batch`, the
 dict-job adapter over the PF kernel; the kernel's own reference is the
 per-AP oracle of ``tests/test_lte_scheduler.py``.

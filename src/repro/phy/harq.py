@@ -12,11 +12,12 @@ larger than 500 m use hybrid ARQ".  This module provides
 * :func:`harq_goodput_scale_array`, the goodput multiplier over whole
   arrays of (SINR, CQI) pairs, bit-identical to the scalar
   :func:`harq_goodput_scale` per element.  The epoch engine evaluates
-  every memo miss of an epoch in one call.  Basic IEEE operations run as
-  NumPy ufuncs, which round exactly like Python floats.  The libm calls
-  do not: NumPy's SIMD ``power``, ``exp`` and ``log10`` may differ from
-  libm in the last ulp.  So ``pow`` and ``exp`` go through scalar maps,
-  and ``log10`` through the probed :data:`repro.phy.vecmath.vec_log10`.
+  every recomputed link of a block chunk in one call.  Basic IEEE
+  operations run as NumPy ufuncs, which round exactly like Python
+  floats.  The libm calls do not: NumPy's SIMD ``power``, ``exp`` and
+  ``log10`` may differ from libm in the last ulp.  So ``pow`` and
+  ``exp`` go through scalar maps, and ``log10`` through the probed
+  :data:`repro.phy.vecmath.vec_log10`.
 """
 
 from __future__ import annotations

@@ -73,7 +73,8 @@ shard into inline execution (slower, still bit-identical) with a
 structured warning instead of aborting the run.  :class:`ChaosPolicy`
 schedules deterministic fault injection (SIGKILL, SIGSTOP stalls,
 truncated replies, latency spikes) off epoch indices for the chaos test
-net and ``make shard-nets``.
+net (``tests/test_shard_supervision.py``,
+``tests/test_shard_telemetry.py``).
 """
 
 from __future__ import annotations
@@ -1350,7 +1351,8 @@ class ShardedNetwork:
         Each entry currently carries ``gain_prefill_s`` -- the wall-clock
         seconds the worker's :class:`~repro.phy.propagation.GainMatrixCache`
         spent bulk-filling its owned rows at build time (the quantity the
-        gain-fill kernels attack; see BENCH_shard_nets.json).  After a
+        gain-fill kernels attack; ``perfbench`` reports it as
+        ``shard.worker_build_s``).  After a
         supervised respawn the figure reflects the most recent rebuild.
         """
         return self._round(

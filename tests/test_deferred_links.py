@@ -1,4 +1,4 @@
-"""Deferred link-row refresh and the two-generation HARQ memo.
+"""Deferred link-row refresh.
 
 ``move_client`` / ``reattach_client`` only record an owned client as
 pending; the three link matrices are read-through properties, and the
@@ -7,20 +7,12 @@ batched pass.  These tests interleave events and reads in the orders
 that could expose a stale or misplaced row, and hold the result to a
 simulator freshly built on the final topology and to the scalar
 per-link oracle of ``tests/test_link_rows.py``.
-
-The HARQ memo keeps this epoch's keys plus the previous epoch's; the
-last tests bound it on a mobile run and check that a static run keeps
-its hits across epochs.
 """
 
 import numpy as np
 import pytest
 
-import repro.lte.network as network
-from repro.lte.network import (
-    AllSubchannelsPolicy,
-    LteNetworkSimulator,
-)
+from repro.lte.network import LteNetworkSimulator
 from repro.lte.scalar_oracle import ScalarOracleSimulator
 from repro.phy.resource_grid import ResourceGrid
 from repro.sim.rng import RngStreams
@@ -165,76 +157,3 @@ class TestInterleavings:
         assert not net._pending_links
         want = read(fresh_net(net), cid, ap)
         assert repr(got) == repr(want)
-
-
-def mobile_run(net, n_epochs, move):
-    """Run epochs on all subchannels, moving every client first if asked.
-
-    Yields after each epoch the list of HARQ key sets, one per epoch so
-    far, that the epochs looked up.
-    """
-    policy = AllSubchannelsPolicy(
-        [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
-    )
-    demands = {c.client_id: float("inf") for c in net.topology.clients}
-    rng = np.random.default_rng(5)
-    used = []
-    lookup = net._harq_scale
-
-    def spy(sinr, cqi):
-        used[-1].update(zip(np.ravel(sinr).tolist(), np.ravel(cqi).tolist()))
-        return lookup(sinr, cqi)
-
-    net._harq_scale = spy
-    for epoch in range(n_epochs):
-        used.append(set())
-        if move:
-            for client in net.topology.clients:
-                step = rng.uniform(-40.0, 40.0, size=2)
-                net.move_client(
-                    client.client_id,
-                    float(np.clip(client.x + step[0], 0.0, 2000.0)),
-                    float(np.clip(client.y + step[1], 0.0, 2000.0)),
-                )
-        else:
-            # Force every block to recompute so the memo is consulted.
-            net._ap_blocks.clear()
-            net._block_fast.clear()
-        net.run_epoch(epoch, policy.decide(epoch, None), demands)
-        yield used
-
-
-def memo_keys(memo):
-    """A HARQ memo generation's keys as ``(sinr, cqi)`` pairs."""
-    return {(key.real, int(key.imag)) for key in memo}
-
-
-class TestHarqMemoGenerations:
-    def test_mobile_memo_holds_at_most_two_epochs_of_keys(self):
-        net = make_net()
-        for used in mobile_run(net, 7, move=True):
-            memo = memo_keys(net._harq_cache) | memo_keys(net._harq_prev)
-            window = used[-1] | (used[-2] if len(used) > 1 else set())
-            assert memo <= window
-            assert memo_keys(net._harq_cache) == used[-1]
-        seen = set().union(*used)
-        assert len(memo) < len(seen)
-
-    def test_static_run_keeps_its_hits(self, monkeypatch):
-        net = make_net()
-        calls = []
-        scale = network.harq_goodput_scale_array
-
-        def counting(sinr_db, cqi):
-            calls.extend(zip(sinr_db, cqi))
-            return scale(sinr_db, cqi)
-
-        monkeypatch.setattr(network, "harq_goodput_scale_array", counting)
-        evaluations = []
-        for used in mobile_run(net, 4, move=False):
-            evaluations.append(len(calls))
-            calls.clear()
-        assert evaluations[0] == len(used[0])
-        # Later epochs find every key in the previous generation.
-        assert evaluations[1:] == [0, 0, 0]
-        assert memo_keys(net._harq_cache) == used[-1]

@@ -151,7 +151,7 @@ class TestBenchEpochMentions:
         return sorted(flags - accepted) + sorted(artifacts)
 
     def test_named_flags_and_artifacts_exist(self, accepted):
-        assert {"--smoke", "--gain-fill", "--shard-nets"} <= accepted
+        assert {"--smoke", "--gain-fill"} <= accepted
         stale = {
             source: found
             for source in _doc_sources() + self.SOURCES

@@ -553,6 +553,26 @@ class TestDirtyTracking:
         self._run_one(net, policy, 1, demands)
         assert net.last_epoch_stats["dirty_aps"] == N_CELLS
 
+    def test_recomputed_links_each_evaluate_harq_once(self):
+        # No memo: an epoch that recomputes every block evaluates one
+        # HARQ scale per (row, subchannel) link whose CQI is above 0,
+        # repeats within the epoch and keys of the previous epoch alike.
+        net = make_net()
+        policy = AllSubchannelsPolicy(
+            [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
+        )
+        demands = {c.client_id: float("inf") for c in net.topology.clients}
+        self._run_one(net, policy, 0, demands)
+        net._ap_blocks.clear()
+        net._block_fast.clear()
+        tel = Telemetry()
+        with activated(tel):
+            self._run_one(net, policy, 1, demands)
+        assert net.last_epoch_stats["dirty_rows"] == len(net.topology.clients)
+        live = int((net._cqi_mat > 0).sum())
+        assert live > 0
+        assert tel.registry.snapshot()["counters"]["harq.evaluations"] == live
+
 
 class TestReattachRegression:
     """The ``_rows_of_ap`` handover-staleness bug (diverged before the fix)."""
@@ -824,7 +844,7 @@ class TestCheckpointState:
             )
         # Volatile caches restart cold.
         assert restored._ap_blocks == {}
-        assert restored._harq_cache == {}
+        assert restored._block_fast == {}
 
     def test_resumed_run_digest_matches_straight_through(self):
         def epoch_pass(net, start, n):

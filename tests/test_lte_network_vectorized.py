@@ -40,7 +40,6 @@ BLOCK_COMPUTE = (
     "_set_decision_context",
     "_compute_rows",
     "_compute_block_rows",
-    "_harq_scale",
 )
 
 

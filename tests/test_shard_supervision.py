@@ -269,9 +269,10 @@ class TestChaosRecoveryProcess:
 
 
 class TestGracefulDegradation:
-    def test_budget_exhaustion_degrades_inline(self, reference_digests):
+    @staticmethod
+    def assert_budget_exhaustion_degrades(reference_digests, mode, **config):
         chaos = ChaosPolicy(events=(ChaosEvent("kill", 2, 1),))
-        net = make_supervised(2, chaos=chaos, retry_budget=0)
+        net = make_supervised(2, mode=mode, chaos=chaos, retry_budget=0, **config)
         stats = net.supervisor.stats
         log = net.supervisor.log
         with warnings.catch_warnings(record=True) as caught:
@@ -284,6 +285,17 @@ class TestGracefulDegradation:
         assert stats["degraded"] == 1
         assert net.supervisor.degraded[1]
         assert "worker-degraded-inline" in [e.kind for e in log.events]
+
+    def test_budget_exhaustion_degrades_inline(self, reference_digests):
+        self.assert_budget_exhaustion_degrades(reference_digests, "inline")
+
+    @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
+    def test_process_budget_exhaustion_degrades_inline(self, reference_digests):
+        # A SIGKILLed worker with no retries left: its shard continues in
+        # the parent process.
+        self.assert_budget_exhaustion_degrades(
+            reference_digests, "process", phase_timeout_s=PROC_TIMEOUT_S
+        )
 
     def test_degraded_shard_survives_later_epochs(self, reference_digests):
         # Degrade early, then keep running: the inline replacement must

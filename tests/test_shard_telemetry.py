@@ -22,7 +22,9 @@ import multiprocessing as mp
 import pytest
 
 from repro.obs import Telemetry, activated, disable
-from repro.obs.validate import validate_chrome_trace
+from repro.obs.report import barrier_report
+from repro.obs.trace import load_jsonl
+from repro.obs.validate import validate_chrome_trace, validate_jsonl_file
 from repro.sim.shard import ChaosEvent, ChaosPolicy
 
 from tests.test_lte_network_incremental import CULL_DB, churn_run, make_net
@@ -82,10 +84,12 @@ class TestDigestNeutrality:
 
 
 class TestMergedTimeline:
+    MODE = "inline"
+
     @pytest.fixture(scope="class")
     def traced(self):
         tel = Telemetry(trace=True)
-        digests, stats = run_supervised(tel, chaos=kill_chaos())
+        digests, stats = run_supervised(tel, chaos=kill_chaos(), mode=self.MODE)
         return tel, digests, stats
 
     def test_recovery_spans_on_supervisor_track(self, traced):
@@ -148,6 +152,22 @@ class TestMergedTimeline:
             if e["name"] == "process_name"
         }
         assert pids == {"shard0", "shard1"}
+
+    def test_jsonl_export_validates_and_reports_the_recovery(self, traced, tmp_path):
+        tel, _, _ = traced
+        path = tmp_path / "merged.jsonl"
+        tel.tracer.write_jsonl(str(path))
+        assert validate_jsonl_file(path) == len(tel.tracer)
+        recovery = barrier_report(load_jsonl(str(path)))["recovery"]
+        assert recovery["respawns"] == 1
+        assert recovery["replays"] == 1
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
+class TestMergedTimelineProcess(TestMergedTimeline):
+    """The same timeline when the killed worker is a real process."""
+
+    MODE = "process"
 
 
 def stats_ops(traced):
