@@ -11,13 +11,12 @@ because LTE uplink is grant-based -- no explicit signalling needed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.channel_selection import ChannelSelector, OccupancyProbe
 from repro.lte.enb import EnodeB
 from repro.lte.rrc import ReacquisitionTiming
-from repro.lte.scheduler import ProportionalFairScheduler
 from repro.lte.ue import UserEquipment
 from repro.phy.resource_grid import ResourceGrid
 from repro.sim.checkpoint import BoundCall
@@ -84,11 +83,7 @@ class CellFiAccessPoint:
         pci = int.from_bytes(
             hashlib.sha256(serial.encode()).digest()[:4], "little"
         ) % 504
-        self.enb = EnodeB(
-            cell_id=pci,
-            node=_Position(x, y),
-            scheduler=ProportionalFairScheduler(),
-        )
+        self.enb = EnodeB(cell_id=pci, node=_Position(x, y))
         self.device = DeviceDescriptor(serial_number=serial, device_type="A")
         self.selector = ChannelSelector(
             sim=sim,

@@ -50,24 +50,3 @@ def compute_share(
     contenders = max(estimated_contenders, own_active_clients)
     share = math.floor(own_active_clients * total_subchannels / contenders)
     return max(1, min(share, total_subchannels))
-
-
-def per_client_share(total_subchannels: int, estimated_contenders: int) -> float:
-    """The ``S / NP_i`` quantum each active client is entitled to."""
-    if total_subchannels <= 0:
-        raise ValueError(f"need at least one subchannel, got {total_subchannels}")
-    if estimated_contenders <= 0:
-        raise ValueError(
-            f"contender estimate must be > 0, got {estimated_contenders}"
-        )
-    return total_subchannels / estimated_contenders
-
-
-def shares_feasible(shares, total_subchannels: int) -> bool:
-    """Whether a set of neighbourhood shares fits in the carrier.
-
-    The hopping analysis (Section 5.5) requires the *demand assumption*:
-    the sum of demands in every neighbourhood leaves slack.  This helper
-    checks the global version used by tests.
-    """
-    return sum(shares) <= total_subchannels

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -388,23 +388,6 @@ class SaturatedLteRun:
     def restore(cls, path: str) -> "SaturatedLteRun":
         """Load a snapshot file and restore a run from it."""
         return cls.from_snapshot(Snapshot.load(path))
-
-
-def run_lte_family_saturated(
-    tech: str,
-    scenario: Scenario,
-    epochs: int = 15,
-) -> SaturatedRun:
-    """Run CellFi / plain LTE / Oracle with backlogged traffic."""
-    run = SaturatedLteRun(
-        tech,
-        scenario.seed,
-        scenario.n_aps,
-        scenario.clients_per_ap,
-        epochs=epochs,
-        scenario=scenario,
-    )
-    return run.run()
 
 
 def run_wifi_saturated(

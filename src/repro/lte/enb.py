@@ -1,19 +1,20 @@
-"""The eNodeB: cell state, SIB broadcast, admission and RACH solicitation.
+"""The eNodeB: cell state, SIB broadcast and admission.
 
 The CellFi access point is a standard LTE small cell plus two software
 components (channel selection and interference management) that talk to it
 through standard interfaces (paper Figure 3).  :class:`EnodeB` models the
-standard-LTE half: radio on/off, carrier configuration, attached clients,
-scheduling and the PDCCH-order RACH solicitation CellFi's sensing uses.
+radio/attach lifecycle of the standard-LTE half that channel selection
+drives: radio on/off, carrier configuration and attached clients.  The
+data plane (scheduling within the interference manager's allowed
+subchannels) is the system simulator's, :mod:`repro.lte.network`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, Optional
 
 from repro.lte.rrc import SibMessage, earfcn_from_frequency
-from repro.lte.scheduler import Allocation, RateFn, Scheduler
 from repro.lte.ue import UserEquipment
 from repro.phy.resource_grid import ResourceGrid
 
@@ -30,20 +31,16 @@ class EnodeB:
         cell_id: physical cell identity.
         node: positioned object (``x``/``y``).
         grid: the carrier's resource grid (set when the radio starts).
-        scheduler: downlink scheduler instance.
         tx_power_dbm: conducted power (paper small cell: 23-30 dBm).
     """
 
     cell_id: int
     node: object
-    scheduler: Scheduler
     tx_power_dbm: float = 30.0
     grid: Optional[ResourceGrid] = None
     sib: Optional[SibMessage] = None
     radio_on: bool = False
     attached: Dict[int, UserEquipment] = field(default_factory=dict)
-    _allowed_subchannels: Optional[Set[int]] = field(default=None, repr=False)
-    rach_solicitations: int = 0
 
     @property
     def x(self) -> float:
@@ -78,14 +75,13 @@ class EnodeB:
             cell_id=self.cell_id,
         )
         self.radio_on = True
-        self._allowed_subchannels = None  # Default: everything.
         return self.sib
 
     def stop_radio(self) -> None:
         """Silence the carrier; every attached client detaches instantly.
 
-        This is the channel-vacate path: no SIB, no grants, so clients
-        cannot transmit (paper Section 4.2).
+        This is the channel-vacate path: LTE uplink is grant-based, so
+        clients without a serving cell cannot transmit (paper Section 4.2).
         """
         self.radio_on = False
         for ue in list(self.attached.values()):
@@ -106,80 +102,10 @@ class EnodeB:
         ue.attach(self.cell_id, self.sib)
         self.attached[ue.ue_id] = ue
 
-    def release(self, ue_id: int) -> None:
-        """Detach one client (mobility, inactivity)."""
-        ue = self.attached.pop(ue_id, None)
-        if ue is not None:
-            ue.detach()
-
     @property
     def n_attached(self) -> int:
         """Number of connected clients."""
         return len(self.attached)
-
-    # -- Interference-management interface -----------------------------------------
-
-    def set_allowed_subchannels(self, subchannels: Optional[Sequence[int]]) -> None:
-        """Restrict the scheduler to a subchannel subset.
-
-        ``None`` removes the restriction (plain LTE behaviour).  This is the
-        "standard interface" through which CellFi's interference management
-        informs the unmodified scheduler (paper Section 4.3).
-
-        Raises:
-            RadioOffError: if no carrier is configured.
-            ValueError: for subchannel indices outside the grid.
-        """
-        if self.grid is None:
-            raise RadioOffError(f"cell {self.cell_id} has no carrier configured")
-        if subchannels is None:
-            self._allowed_subchannels = None
-            return
-        valid = set(self.grid.all_subchannels())
-        requested = set(subchannels)
-        unknown = requested - valid
-        if unknown:
-            raise ValueError(f"unknown subchannels {sorted(unknown)} for {self.grid}")
-        self._allowed_subchannels = requested
-
-    @property
-    def allowed_subchannels(self) -> List[int]:
-        """Subchannels the scheduler may currently use, sorted."""
-        if self.grid is None:
-            return []
-        if self._allowed_subchannels is None:
-            return self.grid.all_subchannels()
-        return sorted(self._allowed_subchannels)
-
-    # -- Scheduling -------------------------------------------------------------------
-
-    def schedule_epoch(
-        self,
-        demands_bits: Dict[int, float],
-        rate_fn: RateFn,
-        epoch_s: float = 1.0,
-    ) -> Allocation:
-        """Run the downlink scheduler for one epoch.
-
-        Only attached clients may appear in ``demands_bits``.
-
-        Raises:
-            RadioOffError: with the radio off.
-            KeyError: for demands from unknown clients.
-        """
-        if not self.radio_on:
-            raise RadioOffError(f"cell {self.cell_id} radio is off")
-        for client in demands_bits:
-            if client not in self.attached:
-                raise KeyError(f"client {client} is not attached to cell {self.cell_id}")
-        allocation = self.scheduler.allocate(
-            self.allowed_subchannels, demands_bits, rate_fn, epoch_s
-        )
-        # Serving data implies granting uplink opportunities (TCP ACKs etc.).
-        for client in demands_bits:
-            if allocation.served_bits.get(client, 0.0) > 0.0:
-                self.attached[client].grant_uplink()
-        return allocation
 
     # -- Checkpointing -------------------------------------------------------------------
 
@@ -191,13 +117,6 @@ class EnodeB:
             "sib": self.sib,
             "grid_bandwidth_hz": None if self.grid is None else self.grid.bandwidth_hz,
             "attached_ids": sorted(self.attached),
-            "allowed_subchannels": self._allowed_subchannels,
-            "rach_solicitations": self.rach_solicitations,
-            "scheduler": (
-                self.scheduler.state_dict()
-                if hasattr(self.scheduler, "state_dict")
-                else None
-            ),
         }
 
     def load_state(
@@ -211,22 +130,7 @@ class EnodeB:
         self.sib = state["sib"]
         bandwidth = state["grid_bandwidth_hz"]
         self.grid = None if bandwidth is None else ResourceGrid(bandwidth)
-        allowed = state["allowed_subchannels"]
-        self._allowed_subchannels = None if allowed is None else set(allowed)
-        self.rach_solicitations = state["rach_solicitations"]
-        if state["scheduler"] is not None and hasattr(self.scheduler, "load_state"):
-            self.scheduler.load_state(state["scheduler"])
         self.attached = {}
         if ues is not None:
             for ue_id in state["attached_ids"]:
                 self.attached[ue_id] = ues[ue_id]
-
-    # -- Sensing hooks -------------------------------------------------------------------
-
-    def solicit_prach(self) -> None:
-        """Issue a PDCCH-order RACH to refresh contention estimates.
-
-        "CellFi nodes use PDCCH-order RACH primitive of LTE to solicit
-        PRACH preambles every second" (paper Section 5.1).
-        """
-        self.rach_solicitations += 1

@@ -10,7 +10,6 @@ uplink frequency in the LTE SIB control message, both in granularity of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.sim.checkpoint import register_dataclass
 
@@ -120,17 +119,3 @@ class ReacquisitionTiming:
 # driver configs embedded in snapshot metadata.
 register_dataclass(SibMessage)
 register_dataclass(ReacquisitionTiming)
-
-
-def cell_search_time_s(
-    n_bands_scanned: int, per_band_s: float = 8.0, attach_s: float = 8.0
-) -> float:
-    """Model of client cell-search latency.
-
-    The paper notes the 56 s reconnect "can be further reduced by disabling
-    unused LTE bands"; this helper exposes that trade-off: scanning ``n``
-    bands at ``per_band_s`` each plus a final attach.
-    """
-    if n_bands_scanned < 1:
-        raise ValueError("client must scan at least one band")
-    return n_bands_scanned * per_band_s + attach_s

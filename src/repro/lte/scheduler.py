@@ -1,13 +1,13 @@
-"""Downlink schedulers: allocation of subchannel airtime to clients.
+"""The downlink PF scheduler: allocation of subchannel airtime to clients.
 
 CellFi deliberately leaves the standard LTE scheduler untouched: "the
 scheduler is free to schedule any client in any of the resource blocks made
 available by the interference management system" (paper Section 4.3).  The
-simulators therefore use these schedulers both for plain LTE (all
+simulators therefore run this one scheduler both for plain LTE (all
 subchannels allowed) and for CellFi (allowed set from interference
 management).
 
-The schedulers operate at *epoch* granularity (the 1 s interference-
+The scheduler operates at *epoch* granularity (the 1 s interference-
 management period): an epoch is divided into mini-slots and each allowed
 subchannel is assigned to one client per mini-slot.  This captures
 time-sharing, finite demands and per-subchannel rate differences without
@@ -25,13 +25,10 @@ its rate matrix) and updates the PF averages from the dense outcome;
 dict-shaped jobs, and :meth:`ProportionalFairScheduler.allocate` is a
 batch of one.  Their :class:`Allocation` objects keep the kernel's dense
 fraction block and build ``time_fraction`` only when it is read.
-:class:`RoundRobinScheduler` keeps the generic per-pick engine of
-:class:`Scheduler`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -144,128 +141,6 @@ class Allocation:
 #: Rate function signature: (client_id, subchannel) -> achievable bps when
 #: scheduled full-time on that subchannel.
 RateFn = Callable[[int, int], float]
-
-
-class Scheduler(ABC):
-    """Interface: divide subchannel airtime among clients for one epoch."""
-
-    @abstractmethod
-    def allocate(
-        self,
-        allowed_subchannels: Sequence[int],
-        demands_bits: Dict[int, float],
-        rate_fn: RateFn,
-        epoch_s: float = 1.0,
-    ) -> Allocation:
-        """Produce an allocation for one epoch.
-
-        Args:
-            allowed_subchannels: subchannels this AP may use (from the
-                interference manager; plain LTE passes all of them).
-            demands_bits: per-client backlog for this epoch;
-                ``float('inf')`` for saturated clients.
-            rate_fn: achievable full-time rate per (client, subchannel).
-            epoch_s: epoch duration in seconds.
-        """
-
-    def _slot_allocate(
-        self,
-        allowed_subchannels: Sequence[int],
-        demands_bits: Dict[int, float],
-        rate_fn: RateFn,
-        epoch_s: float,
-        pick: Callable[[int, Dict[int, float], Dict[int, float]], int],
-    ) -> Allocation:
-        """Shared mini-slot engine.
-
-        ``pick(subchannel, remaining_demand, served_so_far)`` returns the
-        client to serve, or -1 for none.
-        """
-        tel = _obs_runtime.active()
-        span = (
-            tel.span(
-                "scheduler.allocate",
-                cat="scheduler",
-                args={
-                    "clients": len(demands_bits),
-                    "subchannels": len(allowed_subchannels),
-                },
-            )
-            if tel is not None
-            else None
-        )
-        if span is not None:
-            span.__enter__()
-        allocation = Allocation(epoch_s=epoch_s)
-        remaining = dict(demands_bits)
-        served: Dict[int, float] = {c: 0.0 for c in demands_bits}
-        slot_s = epoch_s / MINISLOTS_PER_EPOCH
-        for _ in range(MINISLOTS_PER_EPOCH):
-            for sub in allowed_subchannels:
-                client = pick(sub, remaining, served)
-                if client < 0:
-                    continue
-                bits = min(rate_fn(client, sub) * slot_s, remaining[client])
-                if bits <= 0.0:
-                    continue
-                remaining[client] -= bits
-                served[client] += bits
-                key = (client, sub)
-                allocation.time_fraction[key] = (
-                    allocation.time_fraction.get(key, 0.0) + 1.0 / MINISLOTS_PER_EPOCH
-                )
-        allocation.served_bits = served
-        if span is not None:
-            span.__exit__(None, None, None)
-            tel.inc("scheduler.allocations")
-            tel.inc("scheduler.served_bits", sum(served.values()))
-            tel.inc(
-                "scheduler.clients_served",
-                sum(1 for bits in served.values() if bits > 0.0),
-            )
-        return allocation
-
-
-class RoundRobinScheduler(Scheduler):
-    """Cycle through backlogged clients on every subchannel.
-
-    Deterministic and fair in airtime; used as the simple baseline and in
-    unit tests where predictability matters.
-    """
-
-    def __init__(self) -> None:
-        self._cursor: Dict[int, int] = {}
-
-    def state_dict(self) -> Dict[str, object]:
-        """Per-subchannel cursor positions (the only cross-epoch state)."""
-        return {"cursor": dict(self._cursor)}
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self._cursor = dict(state["cursor"])
-
-    def allocate(
-        self,
-        allowed_subchannels: Sequence[int],
-        demands_bits: Dict[int, float],
-        rate_fn: RateFn,
-        epoch_s: float = 1.0,
-    ) -> Allocation:
-        client_order = sorted(demands_bits)
-
-        def pick(sub: int, remaining: Dict[int, float], served: Dict[int, float]) -> int:
-            eligible = [
-                c for c in client_order if remaining[c] > 0.0 and rate_fn(c, sub) > 0.0
-            ]
-            if not eligible:
-                return -1
-            cursor = self._cursor.get(sub, 0)
-            client = eligible[cursor % len(eligible)]
-            self._cursor[sub] = cursor + 1
-            return client
-
-        return self._slot_allocate(
-            allowed_subchannels, demands_bits, rate_fn, epoch_s, pick
-        )
 
 
 #: One PF scheduling job: the AP's scheduler, its allowed subchannels (in
@@ -393,7 +268,7 @@ def pf_lockstep(
     return served, _REPEATED_FRACTION[counts].reshape(n_pos, n_aps, n_cols)
 
 
-class ProportionalFairScheduler(Scheduler):
+class ProportionalFairScheduler:
     """Classic proportional fairness: maximise ``rate / smoothed average``.
 
     The exponential average persists across epochs, so long-lived rate
@@ -425,6 +300,13 @@ class ProportionalFairScheduler(Scheduler):
         rate_fn: RateFn,
         epoch_s: float = 1.0,
     ) -> Allocation:
+        """Schedule one AP for one epoch: a batch of one.
+
+        ``rate_fn(client, subchannel)`` is the full-time rate and
+        ``demands_bits`` the per-client backlog (``inf`` when saturated).
+        The epoch engine calls :meth:`allocate_dense`; perfbench's
+        ``sched.*`` layer still wraps this method.
+        """
         return self.allocate_batch(
             [(self, allowed_subchannels, demands_bits, rate_fn)], epoch_s
         )[0]

@@ -1,22 +1,20 @@
-"""User equipment: connection state machine, PRACH and CQI behaviour.
+"""User equipment: the attach/detach connection state machine.
 
 A property of LTE the channel-selection design leans on (paper Section 4.2):
 "An LTE client has to get a grant for each uplink transmission from its
 access point.  Thus, once an access point looses a spectrum lease and stops
 transmitting, all of its clients will stop transmitting instantly."
-:class:`UserEquipment` enforces exactly that -- uplink transmission without
-a grant raises, and grants vanish the moment the serving cell goes silent.
+Here that is :meth:`repro.lte.enb.EnodeB.stop_radio`: it detaches every
+client, and a detached :class:`UserEquipment` is ``IDLE`` with no serving
+cell until a new cell search completes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-import numpy as np
-
-from repro.lte.cqi import CqiReport, measure_report
 from repro.lte.rrc import SibMessage
 
 
@@ -28,10 +26,6 @@ class ConnectionState(enum.Enum):
     CONNECTED = "connected"
 
 
-class NoUplinkGrantError(RuntimeError):
-    """Raised when a UE attempts uplink transmission without a grant."""
-
-
 @dataclass
 class UserEquipment:
     """One LTE client.
@@ -40,18 +34,14 @@ class UserEquipment:
         ue_id: unique client identifier (matches the topology client id).
         node: positioned object (``x``/``y`` attributes).
         tx_power_dbm: uplink power; TVWS portable cap is 20 dBm.
-        preamble_root: ZC root the UE draws PRACH signatures from.
     """
 
     ue_id: int
     node: object
     tx_power_dbm: float = 20.0
-    preamble_root: int = 25
     state: ConnectionState = ConnectionState.IDLE
     serving_cell_id: Optional[int] = None
     sib: Optional[SibMessage] = None
-    _uplink_granted: bool = field(default=False, repr=False)
-    prach_sent_count: int = 0
 
     @property
     def x(self) -> float:
@@ -70,7 +60,6 @@ class UserEquipment:
         self.state = ConnectionState.SEARCHING
         self.serving_cell_id = None
         self.sib = None
-        self._uplink_granted = False
 
     def attach(self, cell_id: int, sib: SibMessage) -> None:
         """Complete attachment to a cell found during search.
@@ -94,7 +83,6 @@ class UserEquipment:
         self.state = ConnectionState.IDLE
         self.serving_cell_id = None
         self.sib = None
-        self._uplink_granted = False
 
     # -- Checkpointing --------------------------------------------------------
 
@@ -105,8 +93,6 @@ class UserEquipment:
             "state": self.state.value,
             "serving_cell_id": self.serving_cell_id,
             "sib": self.sib,
-            "uplink_granted": self._uplink_granted,
-            "prach_sent_count": self.prach_sent_count,
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
@@ -114,77 +100,3 @@ class UserEquipment:
         self.state = ConnectionState(state["state"])
         self.serving_cell_id = state["serving_cell_id"]
         self.sib = state["sib"]
-        self._uplink_granted = state["uplink_granted"]
-        self.prach_sent_count = state["prach_sent_count"]
-
-    # -- PRACH ----------------------------------------------------------------
-
-    def send_prach(self, rng: np.random.Generator) -> int:
-        """Transmit a PRACH preamble; returns the chosen cyclic shift.
-
-        Sent during initial access and whenever the eNodeB solicits RACH
-        via PDCCH order (the mechanism CellFi uses for contention sensing).
-        """
-        self.prach_sent_count += 1
-        return int(rng.integers(0, 64))
-
-    # -- Uplink grant discipline ----------------------------------------------
-
-    def grant_uplink(self) -> None:
-        """Serving cell granted an uplink transmission opportunity.
-
-        Raises:
-            NoUplinkGrantError: if not connected (a grant can only arrive on
-                the PDCCH of the serving cell).
-        """
-        if self.state is not ConnectionState.CONNECTED:
-            raise NoUplinkGrantError(
-                f"UE {self.ue_id} received a grant while {self.state.value}"
-            )
-        self._uplink_granted = True
-
-    def transmit_uplink(self) -> float:
-        """Send one uplink transmission; consumes the grant.
-
-        Returns the transmit power used.
-
-        Raises:
-            NoUplinkGrantError: without a grant -- the property that makes
-                LTE clients vacate instantly when their AP goes silent.
-        """
-        if not self._uplink_granted or self.state is not ConnectionState.CONNECTED:
-            raise NoUplinkGrantError(
-                f"UE {self.ue_id} has no uplink grant (state={self.state.value})"
-            )
-        self._uplink_granted = False
-        return self.tx_power_dbm
-
-    @property
-    def can_transmit(self) -> bool:
-        """Whether an uplink transmission would currently be allowed."""
-        return self._uplink_granted and self.state is ConnectionState.CONNECTED
-
-    # -- Measurements -----------------------------------------------------------
-
-    def report_cqi(
-        self,
-        subband_sinrs_db,
-        time: float = 0.0,
-        measurement_noise_db: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> CqiReport:
-        """Produce an aperiodic mode 3-0 CQI report from measured SINRs.
-
-        Raises:
-            NoUplinkGrantError: if idle -- reports ride on granted PUSCH.
-        """
-        if self.state is not ConnectionState.CONNECTED:
-            raise NoUplinkGrantError(
-                f"UE {self.ue_id} cannot report CQI while {self.state.value}"
-            )
-        return measure_report(
-            subband_sinrs_db,
-            time=time,
-            measurement_noise_db=measurement_noise_db,
-            rng=rng,
-        )

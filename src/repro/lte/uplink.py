@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.phy.harq import harq_goodput_scale
 from repro.phy.mcs import CQI_OUT_OF_RANGE, cqi_from_sinr, efficiency_from_cqi
@@ -194,14 +194,3 @@ class UplinkModel:
                 served = min(rate * epoch_s, ul_demands_bits[cid])
                 result.throughput_bps[cid] = served / epoch_s
         return result
-
-
-def ack_traffic_bits(downlink_bits: float, ack_ratio: float = 0.02) -> float:
-    """Uplink ACK load generated by a downlink transfer (TCP ~2%).
-
-    The Figure 1 experiment showed this fits in a single RB; this helper
-    lets workloads derive UL demand from DL service.
-    """
-    if downlink_bits < 0.0:
-        raise ValueError(f"downlink bits must be >= 0, got {downlink_bits!r}")
-    return downlink_bits * ack_ratio

@@ -10,7 +10,8 @@ Contents
   spectral efficiency for both LTE and 802.11.
 * :mod:`repro.phy.resource_grid` -- OFDMA resource blocks, subchannels and
   TDD frame structure.
-* :mod:`repro.phy.harq` -- hybrid-ARQ soft-combining model.
+* :mod:`repro.phy.harq` -- closed-form hybrid-ARQ chase-combining goodput
+  (BLER curves and the per-link goodput multiplier, scalar and array).
 * :mod:`repro.phy.prach` -- Zadoff-Chu PRACH preambles and the paper's
   low-complexity cyclic-shift detector (Section 6.3.3).
 """
@@ -21,7 +22,6 @@ from repro.phy.mcs import (
     CqiEntry,
     cqi_from_sinr,
     efficiency_from_cqi,
-    shannon_efficiency,
 )
 from repro.phy.propagation import (
     CompositeChannel,
@@ -49,5 +49,4 @@ __all__ = [
     "UrbanHataPathLoss",
     "cqi_from_sinr",
     "efficiency_from_cqi",
-    "shannon_efficiency",
 ]

@@ -6,9 +6,11 @@ larger than 500 m use hybrid ARQ".  This module provides
 
 * a block-error-rate curve per CQI, anchored so each CQI meets its 10% BLER
   target exactly at its switching threshold;
-* :class:`HarqProcess`, a per-transport-block retransmission simulator with
-  chase combining (retransmissions add SINR in the linear domain);
-* closed-form helpers for effective goodput used by the system simulators;
+* closed-form chase-combining helpers (each retransmission adds SINR in
+  the linear domain): :func:`harq_goodput_scale`, the effective-goodput
+  multiplier the system simulators apply, and its two factors
+  :func:`delivery_probability` and :func:`expected_attempts`, which the
+  tests keep as its oracle;
 * :func:`harq_goodput_scale_array`, the goodput multiplier over whole
   arrays of (SINR, CQI) pairs, bit-identical to the scalar
   :func:`harq_goodput_scale` per element.  The epoch engine evaluates
@@ -23,8 +25,6 @@ larger than 500 m use hybrid ARQ".  This module provides
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -69,82 +69,6 @@ def _waterfall(sinr_db: float, threshold: float) -> float:
     if x < -40.0:
         return 1.0
     return 1.0 / (1.0 + math.exp(x))
-
-
-@dataclass
-class HarqResult:
-    """Outcome of delivering one transport block.
-
-    Attributes:
-        delivered: whether the block was decoded within the HARQ budget.
-        transmissions: number of over-the-air attempts used (1..4).
-    """
-
-    delivered: bool
-    transmissions: int
-
-    @property
-    def used_retransmission(self) -> bool:
-        """True when HARQ actually kicked in (more than one attempt)."""
-        return self.transmissions > 1
-
-
-@dataclass
-class HarqProcess:
-    """Simulates HARQ delivery of transport blocks with chase combining.
-
-    Each retransmission repeats the block; the receiver combines soft
-    energy, so the effective SINR after ``k`` transmissions is ``k`` times
-    the per-transmission SINR (linear domain) -- the standard chase model.
-
-    Attributes:
-        rng: random stream for per-attempt error draws.
-        blocks_sent: total transport blocks attempted.
-        blocks_delivered: blocks decoded within the HARQ budget.
-        retransmissions: total extra attempts beyond first transmissions.
-    """
-
-    rng: np.random.Generator
-    blocks_sent: int = 0
-    blocks_delivered: int = 0
-    retransmissions: int = 0
-    _attempts_histogram: list = field(default_factory=lambda: [0] * MAX_TRANSMISSIONS)
-
-    def deliver_block(self, sinr_db: float, cqi: int) -> HarqResult:
-        """Attempt delivery of one block; draws errors from ``rng``."""
-        self.blocks_sent += 1
-        tel = _obs_runtime.active()
-        if tel is not None:
-            tel.inc("harq.blocks")
-        sinr_linear = db_to_linear(sinr_db)
-        for attempt in range(1, MAX_TRANSMISSIONS + 1):
-            combined_db = linear_to_db(sinr_linear * attempt)
-            if self.rng.random() >= block_error_rate(combined_db, cqi):
-                self.blocks_delivered += 1
-                self.retransmissions += attempt - 1
-                self._attempts_histogram[attempt - 1] += 1
-                if tel is not None:
-                    tel.inc("harq.retransmissions", attempt - 1)
-                    tel.observe(
-                        "harq.attempts", attempt, edges=(1.0, 2.0, 3.0, 4.0)
-                    )
-                return HarqResult(delivered=True, transmissions=attempt)
-        self.retransmissions += MAX_TRANSMISSIONS - 1
-        self._attempts_histogram[MAX_TRANSMISSIONS - 1] += 1
-        if tel is not None:
-            tel.inc("harq.retransmissions", MAX_TRANSMISSIONS - 1)
-            tel.inc("harq.delivery_failures")
-            tel.observe(
-                "harq.attempts", MAX_TRANSMISSIONS, edges=(1.0, 2.0, 3.0, 4.0)
-            )
-        return HarqResult(delivered=False, transmissions=MAX_TRANSMISSIONS)
-
-    @property
-    def retransmission_fraction(self) -> float:
-        """Fraction of blocks that needed at least one retransmission."""
-        if self.blocks_sent == 0:
-            return 0.0
-        return 1.0 - self._attempts_histogram[0] / self.blocks_sent
 
 
 def expected_attempts(sinr_db: float, cqi: int) -> float:
@@ -273,15 +197,3 @@ def harq_goodput_scale_array(sinr_db: np.ndarray, cqi: np.ndarray) -> np.ndarray
     out[live] = (1.0 - p_all_failed) / attempts
     return out
 
-
-def first_attempt_failure_rate(sinr_db: float, cqi: Optional[int] = None) -> float:
-    """Probability the *first* transmission fails (HARQ gets used).
-
-    If ``cqi`` is omitted, uses the CQI link adaptation would pick, which is
-    how the Figure 1 drive-test experiment measures "fraction of packets
-    using hybrid ARQ".
-    """
-    from repro.phy.mcs import cqi_from_sinr
-
-    chosen = cqi_from_sinr(sinr_db) if cqi is None else cqi
-    return block_error_rate(sinr_db, chosen)

@@ -13,11 +13,8 @@ Section 3.1 argument:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List
-
-from repro.utils.dbmath import db_to_linear
 
 
 @dataclass(frozen=True)
@@ -103,31 +100,3 @@ def efficiency_from_cqi(cqi: int) -> float:
     if cqi == CQI_OUT_OF_RANGE:
         return 0.0
     return entry_for_cqi(cqi).efficiency
-
-
-def efficiency_from_sinr(sinr_db: float) -> float:
-    """Convenience: quantised LTE spectral efficiency for an SINR."""
-    return efficiency_from_cqi(cqi_from_sinr(sinr_db))
-
-
-def code_rate_from_sinr(sinr_db: float) -> float:
-    """The channel code rate LTE link adaptation picks at ``sinr_db``.
-
-    Returns 0.0 when out of range (nothing transmitted).
-    """
-    cqi = cqi_from_sinr(sinr_db)
-    if cqi == CQI_OUT_OF_RANGE:
-        return 0.0
-    return entry_for_cqi(cqi).code_rate
-
-
-def shannon_efficiency(
-    sinr_db: float, gap_db: float = 3.0, max_efficiency: float = 5.55
-) -> float:
-    """Shannon efficiency with implementation gap, capped at the top MCS.
-
-    The cap defaults to the CQI-15 efficiency (5.55 bit/RE) so analytic
-    cross-checks line up with the quantised table.
-    """
-    sinr_linear = db_to_linear(sinr_db) / db_to_linear(gap_db)
-    return min(max_efficiency, math.log2(1.0 + sinr_linear))

@@ -745,7 +745,3 @@ class GainMatrixCache:
         if site is not None:
             self._clients[row] = site
         self._row_valid[row] = False
-
-    def invalidate_all(self) -> None:
-        """Mark every link stale (e.g. the propagation model changed)."""
-        self._row_valid[:] = False

@@ -202,29 +202,7 @@ def clone_state(value: Any) -> Any:
     return from_jsonable(to_jsonable(value))
 
 
-# -- Checkpointable contract --------------------------------------------------
-
-
-class Checkpointable:
-    """Contract for subsystems that participate in snapshots.
-
-    Implementors provide ``state_dict()`` (all mutable state, canonically
-    serializable) and ``load_state(state)`` (overwrite that state in
-    place).  ``state_hash`` is derived, so any state a subsystem reports
-    automatically strengthens the run digest.  Subsystems holding live
-    :class:`Event` references additionally implement
-    ``link_events(lookup)`` to re-bind them after an engine restore.
-    """
-
-    def state_dict(self) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def state_hash(self) -> str:
-        """SHA-256 of this subsystem's canonical state."""
-        return hash_state(self.state_dict())
+# -- Deferred calls ------------------------------------------------------------
 
 
 class BoundCall:
@@ -336,7 +314,10 @@ class CheckpointRegistry:
 
     The registry is rebuilt (identically) by the driver on every run; a
     snapshot stores only *names* plus state, never object references, so
-    restore works in a fresh process.
+    restore works in a fresh process.  A subsystem provides
+    ``state_dict()`` (all mutable state, canonically serializable) and
+    ``load_state(state)``; one holding live :class:`Event` references
+    also provides ``link_events(lookup)``.
     """
 
     def __init__(self, sim: Optional[Simulator] = None) -> None:
@@ -454,11 +435,7 @@ class CheckpointRegistry:
         if self._sim is not None:
             hashes["sim"] = hash_state(self._sim.state_dict(self.encode_callback))
         for name in self._order:
-            subsystem = self._subsystems[name]
-            if hasattr(subsystem, "state_hash"):
-                hashes[name] = subsystem.state_hash()
-            else:
-                hashes[name] = hash_state(subsystem.state_dict())
+            hashes[name] = hash_state(self._subsystems[name].state_dict())
         return hashes
 
     def run_digest(self) -> str:
@@ -485,7 +462,7 @@ class CheckpointRegistry:
             subsystem = self._subsystems[name]
             # Hash the *raw* state, not the encoded form: to_jsonable is
             # not idempotent (a tagged dict re-encodes as __map__), so
-            # hashing the encoding would disagree with state_hash().
+            # hashing the encoding would disagree with state_hashes().
             raw = subsystem.state_dict()
             subsystems[name] = to_jsonable(raw)
             hashes[name] = hash_state(raw)

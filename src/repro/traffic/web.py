@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -116,10 +116,3 @@ def generate_web_sessions(
             t += config.draw_think_s(rng)
     pages.sort(key=lambda p: p.arrival_s)
     return pages
-
-
-def offered_load_bps(pages: List[WebPage], duration_s: float) -> float:
-    """Aggregate offered load of a generated session list."""
-    if duration_s <= 0.0:
-        raise ValueError(f"duration must be > 0, got {duration_s!r}")
-    return sum(p.total_bytes for p in pages) * 8.0 / duration_s

@@ -17,7 +17,7 @@ no violation was recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.sim.checkpoint import register_dataclass
@@ -156,16 +156,3 @@ class EtsiComplianceRules:
     def load_state(self, state: Dict[str, Any]) -> None:
         self._devices = dict(state["devices"])
         self.violations = list(state["violations"])
-
-
-def max_eirp_for_device_type(device_type: str) -> float:
-    """EIRP cap in dBm for an ETSI device type ("A" fixed / "B" portable).
-
-    Raises:
-        ValueError: for an unknown type.
-    """
-    if device_type == "A":
-        return MAX_EIRP_FIXED_DBM
-    if device_type == "B":
-        return MAX_EIRP_PORTABLE_DBM
-    raise ValueError(f"unknown ETSI device type {device_type!r}")

@@ -8,12 +8,9 @@ from repro.utils.dbmath import (
     db_to_linear,
     dbm_to_watt,
     linear_to_db,
-    watt_to_dbm,
-    wireless_sum_dbm,
 )
 from repro.utils.stats import (
     Cdf,
-    RunningStat,
     jain_fairness,
     percentile,
 )
@@ -21,7 +18,6 @@ from repro.utils.render import ascii_plot, format_table
 
 __all__ = [
     "Cdf",
-    "RunningStat",
     "ascii_plot",
     "db_to_linear",
     "dbm_to_watt",
@@ -29,6 +25,4 @@ __all__ = [
     "jain_fairness",
     "linear_to_db",
     "percentile",
-    "watt_to_dbm",
-    "wireless_sum_dbm",
 ]

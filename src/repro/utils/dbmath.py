@@ -11,7 +11,6 @@ watt) quantities.  Centralising the conversions avoids the classic
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -54,30 +53,6 @@ def dbm_to_watt_array(dbm: np.ndarray) -> np.ndarray:
     from repro.phy.vecmath import vec_pow10
 
     return vec_pow10((np.asarray(dbm, dtype=np.float64) - 30.0) / 10.0)
-
-
-def watt_to_dbm(watt: float) -> float:
-    """Convert an absolute power in watts to dBm.
-
-    Raises:
-        ValueError: if ``watt`` is not strictly positive.
-    """
-    if watt <= 0.0:
-        raise ValueError(f"power must be > 0 W, got {watt!r}")
-    return 10.0 * math.log10(watt) + 30.0
-
-
-def wireless_sum_dbm(levels_dbm: Iterable[float]) -> float:
-    """Sum incoherent signal powers expressed in dBm.
-
-    Interfering transmissions add in the *linear* domain.  An empty input is
-    treated as "no signal" and returns ``-inf`` dBm, which composes correctly
-    with :func:`db_to_linear` in SINR denominators.
-    """
-    total_watt = sum(dbm_to_watt(level) for level in levels_dbm)
-    if total_watt == 0.0:
-        return float("-inf")
-    return watt_to_dbm(total_watt)
 
 
 def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:

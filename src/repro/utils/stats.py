@@ -3,13 +3,12 @@
 The paper reports nearly every result as a CDF (Figures 1, 2, 7, 9) or a
 percentile ("median flow completion times", "30-40% of starved clients"), so
 this module provides a small, well-tested :class:`Cdf` type plus fairness and
-streaming-moment helpers.
+percentile helpers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
 
@@ -146,51 +145,3 @@ class Cdf:
     def samples(self) -> List[float]:
         """A copy of the raw samples."""
         return list(self._samples)
-
-
-@dataclass
-class RunningStat:
-    """Streaming mean/variance via Welford's algorithm.
-
-    Useful inside simulators where holding every sample (e.g. per-subframe
-    SINR) would be wasteful.
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = field(default=0.0, repr=False)
-    min: float = math.inf
-    max: float = -math.inf
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the running moments."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the observations seen so far."""
-        if self.count == 0:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation."""
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "RunningStat") -> "RunningStat":
-        """Return a new stat combining ``self`` and ``other`` (Chan's method)."""
-        if self.count == 0:
-            return RunningStat(other.count, other.mean, other._m2, other.min, other.max)
-        if other.count == 0:
-            return RunningStat(self.count, self.mean, self._m2, self.min, self.max)
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / total
-        m2 = self._m2 + other._m2 + delta * delta * self.count * other.count / total
-        return RunningStat(total, mean, m2, min(self.min, other.min), max(self.max, other.max))

@@ -89,13 +89,5 @@ def data_rate_bps(mcs: WifiMcs, bandwidth_hz: float) -> float:
     return mcs.efficiency * SYMBOL_RATE_PER_HZ * bandwidth_hz
 
 
-def rate_for_snr(snr_db: float, bandwidth_hz: float) -> float:
-    """Achievable PHY rate at ``snr_db``; 0.0 when below MCS 0."""
-    mcs = best_mcs(snr_db)
-    if mcs is None:
-        return 0.0
-    return data_rate_bps(mcs, bandwidth_hz)
-
-
 #: Base (control) rate: MCS 0 -- RTS/CTS/ACK are sent at this rate.
 BASE_MCS = WIFI_MCS_TABLE[0]

@@ -32,7 +32,7 @@ from repro.tvws.transport import RobustnessLog
 
 
 def _hash(subsystem):
-    """Hash any state_dict-bearing subsystem, Checkpointable or not."""
+    """Hash any state_dict-bearing subsystem."""
     return hash_state(subsystem.state_dict())
 
 

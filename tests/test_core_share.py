@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.interference.share import (
-    compute_share,
-    per_client_share,
-    shares_feasible,
-)
+from repro.core.interference.share import compute_share
 
 
 class TestComputeShare:
@@ -44,7 +40,7 @@ class TestComputeShare:
         shares = [
             compute_share(13, n, total_clients) for n in (6, 6, 6)
         ]
-        assert shares_feasible(shares, 13)
+        assert sum(shares) <= 13
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -53,26 +49,3 @@ class TestComputeShare:
             compute_share(13, -1, 1)
         with pytest.raises(ValueError):
             compute_share(13, 1, -1)
-
-
-class TestPerClientShare:
-    def test_quantum(self):
-        assert per_client_share(13, 13) == pytest.approx(1.0)
-        assert per_client_share(13, 26) == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            per_client_share(13, 0)
-        with pytest.raises(ValueError):
-            per_client_share(0, 5)
-
-
-class TestFeasibility:
-    def test_feasible(self):
-        assert shares_feasible([4, 4, 5], 13)
-
-    def test_infeasible(self):
-        assert not shares_feasible([7, 7], 13)
-
-    def test_empty(self):
-        assert shares_feasible([], 13)

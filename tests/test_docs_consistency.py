@@ -1,5 +1,6 @@
 """Documentation consistency: guard DESIGN.md and README against rot."""
 
+import ast
 import fnmatch
 import importlib
 import importlib.util
@@ -61,6 +62,71 @@ class TestDesignDoc:
         tests = set(re.findall(r"`(tests/\w+\.py)`", text))
         for path in tests:
             assert (REPO_ROOT / path).is_file(), f"{path} missing"
+
+
+def _class_members():
+    """Top-level ``src/repro`` class name -> the members ``ast`` finds.
+
+    A member is a method, a class-level assignment or dataclass field, a
+    nested class or a ``self.<member> =`` store in any method.
+    """
+    members = {}
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            found = members.setdefault(node.name, set())
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    found.add(item.name)
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    found.add(item.target.id)
+                elif isinstance(item, ast.Assign):
+                    found.update(t.id for t in item.targets if isinstance(t, ast.Name))
+            for store in ast.walk(node):
+                if (
+                    isinstance(store, ast.Attribute)
+                    and isinstance(store.ctx, ast.Store)
+                    and isinstance(store.value, ast.Name)
+                    and store.value.id == "self"
+                ):
+                    found.add(store.attr)
+    return members
+
+
+class TestClassMemberMentions:
+    """`` `Class.member` `` and `` `Class.member()` `` in the docs must name
+    a member of that top-level class."""
+
+    MENTION = re.compile(r"`([A-Z]\w*)\.(\w+)(?:\(\))?`")
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        return _class_members()
+
+    def mentions(self, members):
+        return {
+            (doc, cls, member)
+            for doc in _doc_sources() + ["README.md", "EXPERIMENTS.md"]
+            for cls, member in self.MENTION.findall(_read(doc))
+            if cls in members
+        }
+
+    def test_every_named_member_exists(self, members):
+        mentions = self.mentions(members)
+        assert len(mentions) >= 30, "the member scan found too little"
+        stale = sorted(
+            f"{doc}: {cls}.{member}"
+            for doc, cls, member in mentions
+            if member not in members[cls]
+        )
+        assert not stale, f"docs name class members that do not exist: {stale}"
+
+    def test_each_member_kind_resolves(self, members):
+        assert {"stop_radio", "n_attached"} <= members["EnodeB"]  # methods
+        assert "cell_id" in members["EnodeB"]  # dataclass field
+        assert "_average_bps" in members["ProportionalFairScheduler"]  # self store
+        assert "set_allowed_subchannels" not in members["EnodeB"]
 
 
 class TestReadme:

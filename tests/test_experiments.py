@@ -250,14 +250,17 @@ class TestDenserScenario:
     than 80% of users', ahead of LTE."""
 
     def test_sixteen_clients_per_ap(self):
-        from repro.experiments.large_scale import (
-            run_lte_family_saturated,
-        )
+        from repro.experiments.large_scale import SaturatedLteRun
         from repro.experiments.common import build_scenario
 
         scenario = build_scenario(seed=4, n_aps=6, clients_per_ap=16)
-        cellfi = run_lte_family_saturated(TECH_CELLFI, scenario, epochs=8)
-        lte = run_lte_family_saturated(TECH_LTE, scenario, epochs=8)
+        cellfi, lte = (
+            SaturatedLteRun(
+                tech, scenario.seed, scenario.n_aps, scenario.clients_per_ap,
+                epochs=8, scenario=scenario,
+            ).run()
+            for tech in (TECH_CELLFI, TECH_LTE)
+        )
         assert cellfi.connected_fraction >= 0.80
         assert cellfi.connected_fraction >= lte.connected_fraction - 0.02
 

@@ -33,8 +33,8 @@ from repro.lte.network import (
 from repro.lte.scalar_oracle import ScalarOracleSimulator
 from repro.lte.scheduler import (
     MINISLOTS_PER_EPOCH,
+    Allocation,
     ProportionalFairScheduler,
-    Scheduler,
 )
 from repro.obs import Telemetry, activated
 from repro.phy.mcs import CQI_OUT_OF_RANGE, cqi_from_sinr
@@ -753,8 +753,34 @@ class _ReferencePfScheduler(ProportionalFairScheduler):
     """The pre-fast-path PF scheduler: pick closure + generic slot engine.
 
     Kept verbatim as the reference for the bit-identity test of the
-    inlined fast path.
+    inlined fast path; :meth:`_slot_allocate` is the mini-slot engine the
+    schedulers once shared.
     """
+
+    @staticmethod
+    def _slot_allocate(allowed_subchannels, demands_bits, rate_fn, epoch_s, pick):
+        """``pick(subchannel, remaining_demand, served_so_far)`` returns the
+        client to serve, or -1 for none."""
+        allocation = Allocation(epoch_s=epoch_s)
+        remaining = dict(demands_bits)
+        served = {c: 0.0 for c in demands_bits}
+        slot_s = epoch_s / MINISLOTS_PER_EPOCH
+        for _ in range(MINISLOTS_PER_EPOCH):
+            for sub in allowed_subchannels:
+                client = pick(sub, remaining, served)
+                if client < 0:
+                    continue
+                bits = min(rate_fn(client, sub) * slot_s, remaining[client])
+                if bits <= 0.0:
+                    continue
+                remaining[client] -= bits
+                served[client] += bits
+                key = (client, sub)
+                allocation.time_fraction[key] = (
+                    allocation.time_fraction.get(key, 0.0) + 1.0 / MINISLOTS_PER_EPOCH
+                )
+        allocation.served_bits = served
+        return allocation
 
     def allocate(self, allowed_subchannels, demands_bits, rate_fn, epoch_s=1.0):
         for client in demands_bits:

@@ -7,7 +7,6 @@ from repro.lte.rrc import (
     CELL_SEARCH_S,
     ReacquisitionTiming,
     SibMessage,
-    cell_search_time_s,
     earfcn_from_frequency,
     frequency_from_earfcn,
 )
@@ -64,16 +63,3 @@ class TestTiming:
     def test_resume_is_reboot_plus_search(self):
         timing = ReacquisitionTiming()
         assert timing.time_to_resume() == pytest.approx(96.0 + 56.0)
-
-    def test_cell_search_model_reduces_with_fewer_bands(self):
-        # The paper: reconnect "can be further reduced by disabling unused
-        # LTE bands".
-        assert cell_search_time_s(1) < cell_search_time_s(6)
-
-    def test_cell_search_model_matches_measurement(self):
-        # Six bands at 8 s each + attach ~ the measured 56 s.
-        assert cell_search_time_s(6) == pytest.approx(56.0)
-
-    def test_zero_bands_rejected(self):
-        with pytest.raises(ValueError):
-            cell_search_time_s(0)

@@ -17,7 +17,6 @@ from repro.lte.scheduler import (
     Allocation,
     ProportionalFairScheduler,
     RateFn,
-    RoundRobinScheduler,
 )
 from repro.obs import Telemetry, activated
 from repro.obs import runtime as _obs_runtime
@@ -40,61 +39,6 @@ class TestAllocation:
         alloc = Allocation(epoch_s=1.0, time_fraction={(2, 0): 0.5, (1, 0): 0.5, (1, 1): 1.0})
         assert alloc.clients_on(0) == [1, 2]
         assert alloc.clients_on(1) == [1]
-
-
-class TestRoundRobin:
-    def test_equal_rates_equal_bits(self):
-        scheduler = RoundRobinScheduler()
-        alloc = scheduler.allocate(
-            [0, 1], {1: float("inf"), 2: float("inf")}, _flat_rate(1e6)
-        )
-        assert alloc.served_bits[1] == pytest.approx(alloc.served_bits[2], rel=0.05)
-
-    def test_total_bits_bounded_by_capacity(self):
-        scheduler = RoundRobinScheduler()
-        alloc = scheduler.allocate(
-            [0, 1, 2], {1: float("inf"), 2: float("inf")}, _flat_rate(1e6)
-        )
-        assert sum(alloc.served_bits.values()) <= 3e6 * 1.0 + 1e-6
-
-    def test_finite_demand_not_exceeded(self):
-        scheduler = RoundRobinScheduler()
-        alloc = scheduler.allocate([0, 1], {1: 100.0}, _flat_rate(1e6))
-        assert alloc.served_bits[1] == pytest.approx(100.0)
-
-    def test_leftover_capacity_goes_to_backlogged(self):
-        scheduler = RoundRobinScheduler()
-        alloc = scheduler.allocate(
-            [0], {1: 1000.0, 2: float("inf")}, _flat_rate(1e6)
-        )
-        assert alloc.served_bits[1] == pytest.approx(1000.0)
-        # Mini-slot granularity: client 2 gets all remaining whole slots.
-        assert alloc.served_bits[2] == pytest.approx(1e6 * 49 / 50, rel=0.01)
-
-    def test_zero_rate_client_not_scheduled(self):
-        scheduler = RoundRobinScheduler()
-
-        def rate(client, sub):
-            return 0.0 if client == 1 else 1e6
-
-        alloc = scheduler.allocate([0], {1: float("inf"), 2: float("inf")}, rate)
-        assert alloc.served_bits[1] == 0.0
-        assert alloc.served_bits[2] > 0.0
-
-    def test_time_fractions_sum_to_one_per_subchannel(self):
-        scheduler = RoundRobinScheduler()
-        alloc = scheduler.allocate(
-            [0, 1], {1: float("inf"), 2: float("inf")}, _flat_rate(1e6)
-        )
-        for sub in (0, 1):
-            total = sum(
-                frac for (c, s), frac in alloc.time_fraction.items() if s == sub
-            )
-            assert total == pytest.approx(1.0)
-
-    def test_no_clients_no_bits(self):
-        alloc = RoundRobinScheduler().allocate([0, 1], {}, _flat_rate(1e6))
-        assert alloc.served_bits == {}
 
 
 class TestProportionalFair:

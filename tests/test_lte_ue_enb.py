@@ -1,11 +1,9 @@
 """Unit tests for the UE state machine and the eNodeB."""
 
-import numpy as np
 import pytest
 
 from repro.lte.enb import EnodeB, RadioOffError
-from repro.lte.scheduler import ProportionalFairScheduler
-from repro.lte.ue import ConnectionState, NoUplinkGrantError, UserEquipment
+from repro.lte.ue import ConnectionState, UserEquipment
 from repro.phy.resource_grid import ResourceGrid
 
 
@@ -15,7 +13,7 @@ class _Node:
 
 
 def _enb():
-    return EnodeB(cell_id=1, node=_Node(), scheduler=ProportionalFairScheduler())
+    return EnodeB(cell_id=1, node=_Node())
 
 
 def _ue(ue_id=0):
@@ -60,50 +58,6 @@ class TestUeLifecycle:
         assert ue.sib is None
 
 
-class TestUplinkGrantDiscipline:
-    def test_no_grant_no_transmission(self):
-        ue = _ue()
-        with pytest.raises(NoUplinkGrantError):
-            ue.transmit_uplink()
-
-    def test_grant_enables_one_transmission(self):
-        enb, ue = _enb(), _ue()
-        _up(enb)
-        enb.admit(ue)
-        ue.grant_uplink()
-        assert ue.can_transmit
-        ue.transmit_uplink()
-        with pytest.raises(NoUplinkGrantError):
-            ue.transmit_uplink()  # The grant was consumed.
-
-    def test_grant_while_idle_rejected(self):
-        with pytest.raises(NoUplinkGrantError):
-            _ue().grant_uplink()
-
-    def test_radio_off_instantly_silences_clients(self):
-        # The channel-vacate property of Section 4.2.
-        enb, ue = _enb(), _ue()
-        _up(enb)
-        enb.admit(ue)
-        ue.grant_uplink()
-        enb.stop_radio()
-        assert not ue.can_transmit
-        with pytest.raises(NoUplinkGrantError):
-            ue.transmit_uplink()
-
-    def test_cqi_report_requires_connection(self):
-        ue = _ue()
-        with pytest.raises(NoUplinkGrantError):
-            ue.report_cqi([10.0])
-
-    def test_prach_counts(self):
-        ue = _ue()
-        rng = np.random.default_rng(0)
-        shift = ue.send_prach(rng)
-        assert 0 <= shift < 64
-        assert ue.prach_sent_count == 1
-
-
 class TestEnodeB:
     def test_radio_off_by_default(self):
         assert not _enb().radio_on
@@ -128,67 +82,3 @@ class TestEnodeB:
         enb.stop_radio()
         assert enb.n_attached == 0
         assert all(u.state is ConnectionState.IDLE for u in ues)
-
-    def test_release_single_client(self):
-        enb, ue = _enb(), _ue()
-        _up(enb)
-        enb.admit(ue)
-        enb.release(ue.ue_id)
-        assert enb.n_attached == 0
-        assert ue.state is ConnectionState.IDLE
-
-    def test_allowed_subchannels_default_all(self):
-        enb = _enb()
-        _up(enb)
-        assert enb.allowed_subchannels == list(range(13))
-
-    def test_allowed_subchannels_restriction(self):
-        enb = _enb()
-        _up(enb)
-        enb.set_allowed_subchannels([2, 5, 9])
-        assert enb.allowed_subchannels == [2, 5, 9]
-        enb.set_allowed_subchannels(None)
-        assert enb.allowed_subchannels == list(range(13))
-
-    def test_unknown_subchannel_rejected(self):
-        enb = _enb()
-        _up(enb)
-        with pytest.raises(ValueError):
-            enb.set_allowed_subchannels([13])
-
-    def test_restriction_requires_carrier(self):
-        with pytest.raises(RadioOffError):
-            _enb().set_allowed_subchannels([0])
-
-    def test_schedule_epoch_serves_and_grants(self):
-        enb, ue = _enb(), _ue()
-        _up(enb)
-        enb.admit(ue)
-        alloc = enb.schedule_epoch({0: float("inf")}, lambda c, k: 1e6)
-        assert alloc.served_bits[0] > 0.0
-        assert ue.can_transmit  # Got an uplink grant for ACKs.
-
-    def test_schedule_epoch_rejects_unknown_client(self):
-        enb = _enb()
-        _up(enb)
-        with pytest.raises(KeyError):
-            enb.schedule_epoch({42: 1.0}, lambda c, k: 1e6)
-
-    def test_schedule_epoch_requires_radio(self):
-        with pytest.raises(RadioOffError):
-            _enb().schedule_epoch({}, lambda c, k: 0.0)
-
-    def test_schedule_respects_restriction(self):
-        enb, ue = _enb(), _ue()
-        _up(enb)
-        enb.admit(ue)
-        enb.set_allowed_subchannels([3])
-        alloc = enb.schedule_epoch({0: float("inf")}, lambda c, k: 1e6)
-        used = {sub for (c, sub) in alloc.time_fraction}
-        assert used == {3}
-
-    def test_rach_solicitation_counter(self):
-        enb = _enb()
-        enb.solicit_prach()
-        enb.solicit_prach()
-        assert enb.rach_solicitations == 2

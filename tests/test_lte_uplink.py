@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lte.uplink import UplinkModel, ack_traffic_bits
+from repro.lte.uplink import UplinkModel
 from repro.phy.propagation import CompositeChannel, UrbanHataPathLoss
 from repro.phy.resource_grid import ResourceGrid
 from repro.sim.topology import AccessPointSite, ClientSite, Topology
@@ -128,12 +128,3 @@ class TestUplinkEpoch:
         model = _model()
         result = model.run_epoch({0: set(), 1: set()}, {0: 1000.0, 1: 1000.0})
         assert result.throughput_bps[0] == 0.0
-
-
-class TestAckTraffic:
-    def test_two_percent_default(self):
-        assert ack_traffic_bits(1e6) == pytest.approx(2e4)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ack_traffic_bits(-1.0)

@@ -1,14 +1,17 @@
-"""Every module under ``src/repro`` is reached from something that runs.
+"""Every module and top-level name under ``src/repro`` is used by something
+that runs.
 
 The roots are the CLI and every script under ``benchmarks/``,
 ``examples/`` and ``perfbench/``; tests are not roots, so a module only its
 own tests import counts as dead.  The walk reads source with ``ast`` and
 executes no import.  Package ``__init__`` files are not followed (a
 re-export is not a use): ``from pkg import Name`` resolves to the
-submodule ``pkg/__init__.py`` imports ``Name`` from.
+submodule ``pkg/__init__.py`` imports ``Name`` from.  The name check then
+scans the reached modules and the root scripts for references.
 """
 
 import ast
+import re
 import pathlib
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
@@ -95,3 +98,96 @@ def test_named_exception_is_still_unreached():
     for name in UNREACHED_BY_DESIGN:
         assert name in modules, f"{name} is gone: drop it from the exception"
         assert name not in reached, f"{name} is now reached: drop the exception"
+
+
+#: Top-level names no non-test code references, each with why it stays.
+#: (Every name in the ``UNREACHED_BY_DESIGN`` modules is exempt as well.)
+UNREFERENCED_BY_DESIGN = {
+    "repro.phy.harq.expected_attempts": (
+        "oracle: tests/test_exact_kernels.py checks harq_goodput_scale "
+        "against delivery_probability / expected_attempts"
+    ),
+    "repro.phy.harq.delivery_probability": "oracle: see expected_attempts",
+    "repro.sim.checkpoint.registered_dataclasses": (
+        "guard: tests/test_checkpoint_registry.py pins the checkpoint "
+        "dataclass whitelist through it"
+    ),
+    "repro.sim.topology.grid_topology": "fixture builder that many tests share",
+    "repro.obs.runtime.enable": (
+        "the activation API that docs/OBSERVABILITY.md documents"
+    ),
+    "repro.obs.trace.jsonl_without_wall": (
+        "strips wall-clock fields so tests can compare exported JSONL "
+        "traces byte for byte (docs/OBSERVABILITY.md)"
+    ),
+}
+
+#: ``"package.module:name"`` strings, the lazy references of registries.
+LAZY_REF = re.compile(r"^repro(?:\.\w+)+:(\w+)$")
+
+
+def _defined(path):
+    """Names of the top-level ``def`` and ``class`` statements in ``path``."""
+    return [
+        node.name
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+
+
+def _used_names(path):
+    """``(name, enclosing top-level def)`` for every reference in ``path``.
+
+    Names, attributes, imported names and lazy ``"module:name"`` strings
+    count; the imports of a package ``__init__`` are re-exports and do not.
+    """
+    reexports = path.name == "__init__.py"
+    for top in ast.parse(path.read_text()).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+            elif isinstance(node, ast.ImportFrom) and not reexports:
+                for alias in node.names:
+                    yield alias.name, owner
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                match = LAZY_REF.match(node.value)
+                if match:
+                    yield match.group(1), owner
+
+
+def _unreferenced():
+    """``module.name`` of each top-level name only its own body uses."""
+    reached, modules = _reached()
+    scanned = [modules[name] for name in sorted(reached)] + [
+        path for folder in ROOT_DIRS for path in sorted((REPO_ROOT / folder).rglob("*.py"))
+    ]
+    uses = {}
+    for path in scanned:
+        for name, owner in _used_names(path):
+            uses.setdefault(name, set()).add((path, owner))
+    found = []
+    for module, path in sorted(modules.items()):
+        if module in UNREACHED_BY_DESIGN:
+            continue
+        for name in _defined(path):
+            if not uses.get(name, set()) - {(path, name)}:
+                found.append(f"{module}.{name}")
+    return found
+
+
+def test_every_src_name_is_referenced():
+    unreferenced = [
+        name for name in _unreferenced() if name not in UNREFERENCED_BY_DESIGN
+    ]
+    assert not unreferenced, (
+        "top-level names only tests (or nothing) reference: "
+        f"{unreferenced}"
+    )
+
+
+def test_named_survivors_are_still_unreferenced():
+    stale = sorted(set(UNREFERENCED_BY_DESIGN) - set(_unreferenced()))
+    assert not stale, f"now referenced or gone: drop {stale} from the exception"

@@ -12,11 +12,9 @@ from repro.obs import Telemetry, activated
 from repro.phy.harq import (
     MAX_TRANSMISSIONS,
     TARGET_BLER,
-    HarqProcess,
     block_error_rate,
     delivery_probability,
     expected_attempts,
-    first_attempt_failure_rate,
     harq_goodput_scale,
     harq_goodput_scale_array,
 )
@@ -74,48 +72,6 @@ class TestClosedForms:
 
     def test_goodput_scale_zero_for_cqi0(self):
         assert harq_goodput_scale(10.0, 0) == 0.0
-
-    def test_first_attempt_failure_uses_link_adaptation(self):
-        # At exactly a CQI threshold link adaptation picks that CQI, so the
-        # first-attempt failure rate equals the BLER target.
-        assert first_attempt_failure_rate(5.9) == pytest.approx(TARGET_BLER, abs=1e-6)
-
-
-class TestHarqProcess:
-    def test_statistics_match_closed_form(self):
-        rng = np.random.default_rng(7)
-        process = HarqProcess(rng=rng)
-        sinr, cqi = 5.9, 7
-        n = 3000
-        for _ in range(n):
-            process.deliver_block(sinr, cqi)
-        assert process.blocks_sent == n
-        empirical_delivery = process.blocks_delivered / n
-        assert empirical_delivery == pytest.approx(
-            delivery_probability(sinr, cqi), abs=0.01
-        )
-        assert process.retransmission_fraction == pytest.approx(
-            block_error_rate(sinr, cqi), abs=0.02
-        )
-
-    def test_result_flags(self):
-        rng = np.random.default_rng(1)
-        process = HarqProcess(rng=rng)
-        result = process.deliver_block(40.0, 7)
-        assert result.delivered
-        assert result.transmissions == 1
-        assert not result.used_retransmission
-
-    def test_hopeless_block_exhausts_budget(self):
-        rng = np.random.default_rng(1)
-        process = HarqProcess(rng=rng)
-        result = process.deliver_block(-40.0, 1)
-        assert not result.delivered
-        assert result.transmissions == MAX_TRANSMISSIONS
-
-    def test_empty_process_fraction(self):
-        assert HarqProcess(rng=np.random.default_rng(0)).retransmission_fraction == 0.0
-
 
 #: The waterfall's offset and slope (``harq._BLER_OFFSET_DB``, per dB).
 _OFFSET_DB = math.log(1.0 / TARGET_BLER - 1.0) / 1.6

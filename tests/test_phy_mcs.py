@@ -7,12 +7,9 @@ from repro.phy.mcs import (
     LTE_CQI_TABLE,
     LTE_MIN_CODE_RATE,
     WIFI_MIN_CODE_RATE,
-    code_rate_from_sinr,
     cqi_from_sinr,
     efficiency_from_cqi,
-    efficiency_from_sinr,
     entry_for_cqi,
-    shannon_efficiency,
 )
 
 
@@ -78,29 +75,3 @@ class TestLookups:
 
     def test_efficiency_zero_for_cqi0(self):
         assert efficiency_from_cqi(CQI_OUT_OF_RANGE) == 0.0
-
-    def test_efficiency_from_sinr_roundtrip(self):
-        assert efficiency_from_sinr(22.7) == LTE_CQI_TABLE[-1].efficiency
-
-    def test_code_rate_zero_out_of_range(self):
-        assert code_rate_from_sinr(-20.0) == 0.0
-
-    def test_code_rate_median_band(self):
-        # At ~6 dB (the drive test's mid-range SINR) the code rate is near
-        # 1/2 -- the Figure 1(b) median.
-        assert 0.3 < code_rate_from_sinr(6.0) < 0.65
-
-
-class TestShannon:
-    def test_caps_at_max(self):
-        assert shannon_efficiency(60.0) == pytest.approx(5.55)
-
-    def test_tracks_quantised_table_loosely(self):
-        # The quantised efficiency should sit within ~1.2 bit/RE of the
-        # gapped Shannon curve across the operating range.
-        for entry in LTE_CQI_TABLE:
-            analytic = shannon_efficiency(entry.min_sinr_db)
-            assert abs(analytic - entry.efficiency) < 1.2
-
-    def test_zero_at_deep_fade(self):
-        assert shannon_efficiency(-30.0) < 0.01

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.interference.hopping import ClientSense, HopperConfig, SubchannelHopper
-from repro.core.interference.share import compute_share, shares_feasible
+from repro.core.interference.share import compute_share
 from repro.phy.harq import block_error_rate, delivery_probability, expected_attempts
 from repro.phy.mcs import cqi_from_sinr, efficiency_from_cqi
 from repro.phy.resource_grid import RB_COUNT_BY_BANDWIDTH, ResourceGrid
@@ -17,8 +17,6 @@ from repro.utils.dbmath import (
     db_to_linear,
     dbm_to_watt,
     linear_to_db,
-    watt_to_dbm,
-    wireless_sum_dbm,
 )
 from repro.utils.stats import Cdf, jain_fairness, percentile
 
@@ -30,22 +28,7 @@ class TestDbMathProperties:
 
     @given(st.floats(min_value=-150.0, max_value=60.0))
     def test_dbm_roundtrip(self, dbm):
-        assert watt_to_dbm(dbm_to_watt(dbm)) == pytest.approx(dbm, abs=1e-9)
-
-    @given(
-        st.lists(st.floats(min_value=-120.0, max_value=30.0), min_size=1, max_size=8)
-    )
-    def test_wireless_sum_at_least_strongest(self, levels):
-        total = wireless_sum_dbm(levels)
-        assert total >= max(levels) - 1e-9
-
-    @given(
-        st.lists(st.floats(min_value=-120.0, max_value=30.0), min_size=1, max_size=8)
-    )
-    def test_wireless_sum_bounded_by_count(self, levels):
-        total = wireless_sum_dbm(levels)
-        bound = max(levels) + 10.0 * math.log10(len(levels))
-        assert total <= bound + 1e-9
+        assert linear_to_db(dbm_to_watt(dbm)) + 30.0 == pytest.approx(dbm, abs=1e-9)
 
 
 class TestStatsProperties:
@@ -258,7 +241,7 @@ class TestShareFormulaProperties:
         everyone = sum(client_counts)
         shares = [compute_share(total, n, everyone) for n in client_counts]
         if total >= everyone:  # demand assumption holds
-            assert shares_feasible(shares, total)
+            assert sum(shares) <= total
 
 
 def _epoch_senses(n_subchannels=13):

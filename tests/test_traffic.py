@@ -9,7 +9,6 @@ from repro.traffic.flows import Flow, FlowTracker
 from repro.traffic.web import (
     WebWorkloadConfig,
     generate_web_sessions,
-    offered_load_bps,
 )
 
 
@@ -66,12 +65,6 @@ class TestWebWorkload:
         for _ in range(200):
             _, n = config.draw_page_bytes(rng)
             assert 1 <= n <= 10
-
-    def test_offered_load(self):
-        rng = np.random.default_rng(7)
-        pages = generate_web_sessions([1], 60.0, rng)
-        load = offered_load_bps(pages, 60.0)
-        assert load == pytest.approx(sum(p.total_bytes for p in pages) * 8 / 60.0)
 
     def test_duration_validated(self):
         rng = np.random.default_rng(8)

@@ -1,27 +1,20 @@
 """Unit tests for the ETSI compliance monitor."""
 
-import pytest
-
 from repro.tvws.regulatory import (
     EtsiComplianceRules,
     MAX_EIRP_FIXED_DBM,
     MAX_EIRP_PORTABLE_DBM,
     VACATE_DEADLINE_S,
-    max_eirp_for_device_type,
 )
 
 
 class TestPowerCaps:
     def test_fixed_cap_is_36(self):
-        assert max_eirp_for_device_type("A") == 36.0
+        assert MAX_EIRP_FIXED_DBM == 36.0
 
     def test_portable_cap_is_20(self):
         # This is why the paper's clients transmit at 20 dBm.
-        assert max_eirp_for_device_type("B") == 20.0
-
-    def test_unknown_type_raises(self):
-        with pytest.raises(ValueError):
-            max_eirp_for_device_type("C")
+        assert MAX_EIRP_PORTABLE_DBM == 20.0
 
 
 class TestLeaseDiscipline:

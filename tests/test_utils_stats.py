@@ -1,11 +1,9 @@
 """Unit tests for repro.utils.stats."""
 
-import math
-
 import numpy as np
 import pytest
 
-from repro.utils.stats import Cdf, RunningStat, jain_fairness, percentile
+from repro.utils.stats import Cdf, jain_fairness, percentile
 
 
 class TestPercentile:
@@ -96,46 +94,3 @@ class TestCdf:
 
     def test_len(self):
         assert len(Cdf([1, 2, 3])) == 3
-
-
-class TestRunningStat:
-    def test_mean_and_variance(self):
-        stat = RunningStat()
-        data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        for value in data:
-            stat.add(value)
-        assert stat.mean == pytest.approx(5.0)
-        assert stat.stddev == pytest.approx(2.0)
-
-    def test_min_max(self):
-        stat = RunningStat()
-        for value in (3.0, -1.0, 7.0):
-            stat.add(value)
-        assert stat.min == -1.0
-        assert stat.max == 7.0
-
-    def test_empty_variance_zero(self):
-        assert RunningStat().variance == 0.0
-
-    def test_merge_matches_sequential(self):
-        rng = np.random.default_rng(2)
-        a_data = rng.normal(size=20)
-        b_data = rng.normal(loc=3.0, size=30)
-        a, b, combined = RunningStat(), RunningStat(), RunningStat()
-        for v in a_data:
-            a.add(float(v))
-            combined.add(float(v))
-        for v in b_data:
-            b.add(float(v))
-            combined.add(float(v))
-        merged = a.merge(b)
-        assert merged.count == combined.count
-        assert merged.mean == pytest.approx(combined.mean)
-        assert merged.variance == pytest.approx(combined.variance)
-
-    def test_merge_with_empty(self):
-        a = RunningStat()
-        a.add(5.0)
-        merged = a.merge(RunningStat())
-        assert merged.count == 1
-        assert merged.mean == 5.0

@@ -12,7 +12,6 @@ from repro.wifi.rates import (
     WIFI_MCS_TABLE,
     best_mcs,
     data_rate_bps,
-    rate_for_snr,
 )
 
 
@@ -55,7 +54,6 @@ class TestRateAdaptation:
     def test_below_mcs0_unreachable(self):
         # Wi-Fi at SNR 1 dB cannot communicate; LTE (CQI 1 at -6.7) can.
         assert best_mcs(1.0) is None
-        assert rate_for_snr(1.0, 20e6) == 0.0
 
     def test_selects_highest_feasible(self):
         assert best_mcs(2.0).index == 0
