@@ -5,10 +5,14 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 # CPU-feature mask under which numpy's transcendental inner loops fall
 # back to their libm-calling baseline, which is bit-identical to the
-# math module -- so the exactness probes in repro.phy.vecmath resolve to
-# the vector paths.  The gain-fill benchmarks run under it; correctness
-# never depends on it (unprobed hosts fall back to scalar loops with the
-# same bits).  See docs/SIMULATION.md ("gain-fill kernels").
+# math module -- so the exactness probes in repro.phy.vecmath pick the
+# plain ufunc form.  Going vector no longer needs it: without the mask,
+# an AVX-512 host's probes pick the overlap form, which reaches the same
+# libm loop.  The gain-fill benchmarks run under it so their timings
+# compare like with like, and CI's gain-fill job runs the exactness
+# suites with and without it; correctness never depends on it (a probe
+# that fails falls back to scalar loops with the same bits).  See
+# docs/SIMULATION.md ("gain-fill kernels").
 LIBM_MODE_FEATURES := AVX512_SPR AVX512_ICL AVX512_CNL AVX512_CLX AVX512_SKX AVX512F AVX512CD AVX512VL AVX512BW AVX512DQ AVX512VNNI AVX512IFMA AVX512VBMI AVX512VBMI2 AVX512BITALG AVX512FP16 AVX512BF16 AVX512VPOPCNTDQ X86_V4 AVX2 FMA3 F16C X86_V3 AVX
 
 # Tier-1 test suite (must stay green).

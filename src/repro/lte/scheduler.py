@@ -117,25 +117,9 @@ class Allocation:
             f"time_fraction={self.time_fraction!r})"
         )
 
-    def client_throughput_bps(self, client_id: int) -> float:
-        """Average throughput of ``client_id`` over the epoch."""
-        return self.served_bits.get(client_id, 0.0) / self.epoch_s
-
     def fraction(self, client_id: int, subchannel: int) -> float:
         """Fraction of the epoch ``client_id`` was scheduled on ``subchannel``."""
         return self.time_fraction.get((client_id, subchannel), 0.0)
-
-    def clients_on(self, subchannel: int) -> List[int]:
-        """Clients that received any airtime on ``subchannel``, ascending.
-
-        Sorted so that allocations holding the same fractions list the same
-        clients whatever order their ``time_fraction`` was built in.
-        """
-        return sorted(
-            client
-            for (client, sub), frac in self.time_fraction.items()
-            if sub == subchannel and frac > 0.0
-        )
 
 
 #: Rate function signature: (client_id, subchannel) -> achievable bps when

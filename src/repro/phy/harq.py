@@ -17,8 +17,9 @@ larger than 500 m use hybrid ARQ".  This module provides
   every recomputed link of a block chunk in one call.  Basic IEEE
   operations run as NumPy ufuncs, which round exactly like Python
   floats.  The libm calls do not: NumPy's SIMD ``power``, ``exp`` and
-  ``log10`` may differ from libm in the last ulp.  So ``pow`` and
-  ``exp`` go through scalar maps, and ``log10`` through the probed
+  ``log10`` may differ from libm in the last ulp.  So ``exp`` goes
+  through a scalar map, and ``pow`` and ``log10`` through the probed
+  :data:`repro.phy.vecmath.vec_pow10` and
   :data:`repro.phy.vecmath.vec_log10`.
 """
 

@@ -18,11 +18,23 @@ from __future__ import annotations
 import hashlib
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.phy import vecmath
+
+# The shadowing hash: CPython's own SHA-256, which gives hashlib's digests
+# without OpenSSL's per-call context set-up (~0.57 against ~0.78 us per
+# short key).  The module is ``_sha2`` from Python 3.12 and ``_sha256``
+# before; a build without either uses hashlib's.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        sha256 = hashlib.sha256
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -272,11 +284,15 @@ class LogNormalShadowing:
     at the cell edge) -- share the *same* shadowing draw, while a step
     across a cell edge redraws the link.  This is pinned, load-bearing
     behaviour, not an implementation detail: every golden digest in the
-    regression net depends on the exact key string, and the batched key
-    builder in :meth:`shadowing_db_batch` reproduces it byte-for-byte
-    (``tests/test_phy_gain_batch.py`` keeps both facts honest).  Changing
-    the format (or the canonical endpoint order) silently reshuffles
-    every shadowing draw in every experiment.
+    regression net depends on the exact key string, and the one batched
+    key builder, :meth:`link_keys` (which both :meth:`shadowing_db_batch`
+    and :meth:`CompositeChannel.loss_db_rows` use), reproduces it byte
+    for byte (``tests/test_phy_gain_batch.py`` keeps both facts honest).
+    Changing the format (or the canonical endpoint order) silently
+    reshuffles every shadowing draw in every experiment.
+
+    Every path hashes with :data:`sha256`, CPython's built-in SHA-256
+    where it exists.
 
     Args:
         sigma_db: standard deviation (urban macro: 6-8 dB).
@@ -310,7 +326,7 @@ class LogNormalShadowing:
         ):
             ax, ay, bx, by = bx, by, ax, ay
         key = f"{self.seed}:{ax:.1f},{ay:.1f}:{bx:.1f},{by:.1f}".encode()
-        digest = hashlib.sha256(key).digest()
+        digest = sha256(key).digest()
         # Box-Muller from two uniform doubles derived from the hash.
         u1 = (int.from_bytes(digest[:8], "little") + 1) / (2**64 + 2)
         u2 = int.from_bytes(digest[8:16], "little") / 2**64
@@ -323,12 +339,24 @@ class LogNormalShadowing:
     def endpoint_tag(x: float, y: float) -> bytes:
         """The quantized ``{x:.1f},{y:.1f}`` key fragment for one endpoint.
 
-        Exposed so bulk key builders (the gain-fill kernels) can format
-        each *node* once instead of re-formatting both endpoints per
-        link; concatenating tags reproduces the scalar key byte-for-byte
+        Concatenating tags reproduces the scalar key byte-for-byte
         because the format is pure ASCII.
         """
         return f"{x:.1f},{y:.1f}".encode()
+
+    @classmethod
+    def endpoint_tags(cls, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """:meth:`endpoint_tag` per element, as a bytes (``S``) array.
+
+        Bulk key builders format each *node* once with this and let
+        :meth:`link_keys` broadcast the tags over the links.
+        """
+        xs, ys = np.broadcast_arrays(xs, ys)
+        tag = cls.endpoint_tag
+        tags = [
+            tag(x, y) for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())
+        ]
+        return np.array(tags, dtype=bytes).reshape(xs.shape)
 
     @classmethod
     def canonical_swap(
@@ -350,29 +378,47 @@ class LogNormalShadowing:
                 swap[i] = tag(ax[i], ay[i]) > tag(bx[i], by[i])
         return swap
 
-    def _values_from_keys(self, keys: List[bytes]) -> np.ndarray:
-        """sigma * gaussian for pre-built canonical keys, bit-identical.
+    def link_keys(
+        self, a_tags: np.ndarray, b_tags: np.ndarray, swap: np.ndarray
+    ) -> np.ndarray:
+        """The canonical hash keys of links a -- b, as one ``S`` array.
 
-        The sha256 pass stays a per-key loop (hashing dominates the
-        shadowed fill; see docs/SIMULATION.md), but everything after the
-        digests is array arithmetic: ``u2`` vectorizes exactly (uint64 ->
-        float64 rounding commutes with the exact power-of-two divide),
-        ``u1`` goes through :func:`_u1_from_words`, and the
-        transcendentals go through the probed paths of
-        :mod:`repro.phy.vecmath`.
+        Broadcasts endpoint tags (:meth:`endpoint_tags`) against the
+        :meth:`canonical_swap` mask: each key equals
+        :meth:`shadowing_db`'s ``f"{seed}:{a}:{b}"`` byte for byte, with
+        b's tag first where ``swap``.  The seed prefix and the middle
+        colon join each tag once, so the link grid costs one
+        ``np.where`` per side and one concatenation.
         """
-        n = len(keys)
+        prefix = f"{self.seed}:".encode()
+        a_leads = np.char.add(np.char.add(prefix, a_tags), b":")
+        b_leads = np.char.add(np.char.add(prefix, b_tags), b":")
+        return np.char.add(
+            np.where(swap, b_leads, a_leads), np.where(swap, a_tags, b_tags)
+        )
+
+    def _values_from_keys(self, keys: np.ndarray) -> np.ndarray:
+        """sigma * gaussian per canonical key (:meth:`link_keys`), same shape.
+
+        Hashing is the one per-key loop left (:data:`sha256` over
+        ``keys.tolist()``; it is most of the shadowed fill, see
+        docs/SIMULATION.md).  Everything after the digests is array
+        arithmetic: ``u2`` vectorizes exactly (uint64 -> float64 rounding
+        commutes with the exact power-of-two divide), ``u1`` goes through
+        :func:`_u1_from_words`, and the transcendentals go through the
+        probed paths of :mod:`repro.phy.vecmath`.
+        """
+        n = keys.size
         if n == 0:
-            return np.empty(0, dtype=np.float64)
-        sha256 = hashlib.sha256
-        buf = b"".join([sha256(key).digest() for key in keys])
+            return np.empty(keys.shape, dtype=np.float64)
+        buf = b"".join([sha256(key).digest() for key in keys.ravel().tolist()])
         words = np.frombuffer(buf, dtype="<u8").reshape(n, 4)
         u1 = _u1_from_words(words[:, 0])
         u2 = words[:, 1].astype(np.float64) / 2.0**64
         gaussian = np.sqrt(-2.0 * vecmath.vec_log(u1)) * vecmath.vec_cos(
             2.0 * math.pi * u2
         )
-        return self.sigma_db * gaussian
+        return (self.sigma_db * gaussian).reshape(keys.shape)
 
     def shadowing_db_batch(
         self, ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray
@@ -384,22 +430,12 @@ class LogNormalShadowing:
         by = np.asarray(by, dtype=np.float64)
         if self.sigma_db == 0.0:
             return np.zeros(ax.shape, dtype=np.float64)
-        swap = self.canonical_swap(ax, ay, bx, by)
-        prefix = f"{self.seed}:".encode()
-        tag = self.endpoint_tag
-        keys = [
-            prefix + tag(qx, qy) + b":" + tag(px, py)
-            if swapped
-            else prefix + tag(px, py) + b":" + tag(qx, qy)
-            for px, py, qx, qy, swapped in zip(
-                ax.ravel().tolist(),
-                ay.ravel().tolist(),
-                bx.ravel().tolist(),
-                by.ravel().tolist(),
-                swap.ravel().tolist(),
-            )
-        ]
-        return self._values_from_keys(keys).reshape(ax.shape)
+        keys = self.link_keys(
+            self.endpoint_tags(ax, ay),
+            self.endpoint_tags(bx, by),
+            self.canonical_swap(ax, ay, bx, by),
+        )
+        return self._values_from_keys(keys)
 
 
 class CompositeChannel:
@@ -428,31 +464,22 @@ class CompositeChannel:
         return loss
 
     def _ap_side_arrays(self, aps: Sequence) -> tuple:
-        """Memoized per-AP columns: positions and shadowing key pieces.
+        """Memoized per-AP columns: positions and shadowing endpoint tags.
 
         Keyed on the identity of the ``aps`` sequence (the gain cache
         passes its own stable list, and AP sites never move), so row
         refills after mobility don't re-format 10k tags.  A different
         sequence object simply replaces the one-entry memo.
-
-        The key pieces are, per AP, ``b"seed:tag:"`` (the AP leads the
-        canonical key) and ``b":tag"`` (the client leads), so every link
-        key is one concatenation with the client's ``b"seed:tag"`` or
-        ``tag``.
         """
         cached = getattr(self, "_ap_memo", None)
         if cached is not None and cached[0] is aps:
             return cached[1]
         ap_x = np.fromiter((ap.x for ap in aps), np.float64, count=len(aps))
         ap_y = np.fromiter((ap.y for ap in aps), np.float64, count=len(aps))
-        leads = tails = None
+        tags = None
         if self.shadowing is not None:
-            tag = self.shadowing.endpoint_tag
-            prefix = f"{self.shadowing.seed}:".encode()
-            tags = [tag(ap.x, ap.y) for ap in aps]
-            leads = [prefix + ap_tag + b":" for ap_tag in tags]
-            tails = [b":" + ap_tag for ap_tag in tags]
-        arrays = (ap_x, ap_y, leads, tails)
+            tags = self.shadowing.endpoint_tags(ap_x, ap_y)
+        arrays = (ap_x, ap_y, tags)
         self._ap_memo = (aps, arrays)
         return arrays
 
@@ -461,16 +488,17 @@ class CompositeChannel:
 
         Bit-identical per element to ``loss_db(ap, client)`` -- distances
         through :func:`repro.phy.vecmath.vec_hypot`, path loss through the
-        model's batch kernel, shadowing through bulk key construction over
-        per-node key pieces -- so batched and scalar cache fills
-        interleave freely (the gain-fill oracle discipline; see
-        docs/SIMULATION.md).
+        model's batch kernel (its ``log10`` a probed vecmath form),
+        shadowing through :meth:`LogNormalShadowing.link_keys` over the
+        memoized AP tags and one tag per client, hashed with the built-in
+        :data:`sha256` -- so batched and scalar cache fills interleave
+        freely (the gain-fill oracle discipline; see docs/SIMULATION.md).
 
         The block is computed one :func:`row_chunks` chunk at a time into
-        the preallocated output, so every temporary (key lists, digest
-        buffer, hypot and Box-Muller arrays, scalar-map lists) is sized
-        to one chunk.  Each value depends on its own link only, so the
-        chunking cannot change a bit.
+        the preallocated output, so every temporary (key array and list,
+        digest buffer, hypot and Box-Muller arrays) is sized to one
+        chunk.  Each value depends on its own link only, so the chunking
+        cannot change a bit.
         """
         ap_side = self._ap_side_arrays(aps)
         block = np.empty((len(clients), len(aps)))
@@ -480,7 +508,7 @@ class CompositeChannel:
 
     def _loss_chunk(self, ap_side: tuple, clients: Sequence) -> np.ndarray:
         """:meth:`loss_db_rows` for one chunk of clients."""
-        ap_x, ap_y, leads, tails = ap_side
+        ap_x, ap_y, ap_tags = ap_side
         cl_x = np.fromiter(
             (c.x for c in clients), np.float64, count=len(clients)
         )
@@ -493,8 +521,6 @@ class CompositeChannel:
         block = self.path_loss.path_loss_db_batch(vecmath.vec_hypot(dx, dy))
         if self.shadowing is not None and self.shadowing.sigma_db != 0.0:
             shadowing = self.shadowing
-            prefix = f"{shadowing.seed}:".encode()
-            tag = shadowing.endpoint_tag
             # Canonical endpoint order per link, as the scalar call orders
             # (ap.x, ap.y) against (client.x, client.y).
             swap = shadowing.canonical_swap(
@@ -503,16 +529,12 @@ class CompositeChannel:
                 cl_x[:, np.newaxis],
                 cl_y[:, np.newaxis],
             )
-            keys: List[bytes] = []
-            for client, row_swap in zip(clients, swap.tolist()):
-                ctag = tag(client.x, client.y)
-                # swapped means ap > client: the client tag leads the key.
-                client_lead = prefix + ctag
-                keys += [
-                    client_lead + tail if swapped else lead + ctag
-                    for lead, tail, swapped in zip(leads, tails, row_swap)
-                ]
-            block += shadowing._values_from_keys(keys).reshape(block.shape)
+            keys = shadowing.link_keys(
+                ap_tags[np.newaxis, :],
+                shadowing.endpoint_tags(cl_x, cl_y)[:, np.newaxis],
+                swap,
+            )
+            block += shadowing._values_from_keys(keys)
         return block
 
 

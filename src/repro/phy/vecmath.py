@@ -21,30 +21,29 @@ bit-identical to their scalar counterparts:
   recomputed through scalar ``math.hypot``.
 
 * Probed transcendentals (:data:`vec_log10`, :data:`vec_log`,
-  :data:`vec_cos`, :data:`vec_pow10`, :func:`vec_bearing_deg`) -- on
-  first use each path compares the NumPy ufunc against a ``math.*`` loop
-  over deterministic probe domains.  When the probe passes (NumPy dispatched its scalar
-  libm loop -- e.g. under ``NPY_DISABLE_CPU_FEATURES``, see below), the
-  vector path is used; otherwise every call transparently falls back to
-  a scalar ``map``.  Results are bit-identical either way; only the
-  speed differs.
+  :data:`vec_cos`, :data:`vec_pow10`, :data:`vec_bearing_deg`).  Each
+  has three forms, and on first use a probe picks the first that equals
+  a ``math.*`` loop bit for bit over deterministic probe domains:
+
+  1. ``plain``: the NumPy kernel called as usual.  It passes where NumPy
+     dispatches a loop that calls libm element by element (no SIMD
+     kernel for that function on this CPU, or under
+     ``NPY_DISABLE_CPU_FEATURES``).
+  2. ``overlap``: the same kernel with its output one element below its
+     input in one buffer, ``f(buf[1:], out=buf[:-1])``.  NumPy's SIMD
+     loops (the AVX-512 ``log``, the SVML ``log10`` and ``arctan2``)
+     refuse partly overlapping operands and fall back to the element
+     loop that calls libm -- the function ``math.*`` calls -- so this
+     form goes vector on AVX-512 hosts with no CPU-feature mask.
+  3. ``scalar``: a ``map`` of the ``math.*`` function, the reference.
+
+  Results are bit-identical whichever form runs; only the speed differs.
+  :func:`primitive_forms` says which form each primitive took.
 
 :data:`vec_pow10` is ``np.float_power(10.0, x)``, whose float64 loop
 calls libm ``pow`` element by element even where ``np.power`` has a
-SIMD loop that is not, so its probe passes under the default CPU
-features too.
-
-Running with the SIMD dispatch disabled makes the other probed paths
-vector::
-
-    NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL AVX512_CNL AVX512_CLX \
-        AVX512_SKX AVX512F AVX512CD AVX512VL AVX512BW AVX512DQ AVX512VNNI \
-        AVX512IFMA AVX512VBMI AVX512VBMI2 AVX512BITALG AVX512FP16 AVX512BF16 \
-        AVX512VPOPCNTDQ X86_V4 AVX2 FMA3 F16C X86_V3 AVX"
-
-(the list is :data:`LIBM_MODE_DISABLE_FEATURES`; ``make bench-gainfill``
-sets it).  NumPy then compiles its baseline loops, which call libm
-element by element -- same results, vector-speed memory traffic.
+SIMD loop that is not, so its plain form passes under the default CPU
+features.
 
 Setting ``REPRO_VECMATH=scalar`` forces every probed path (and
 :func:`vec_hypot`) onto the scalar fallback, as a debugging escape
@@ -53,15 +52,17 @@ hatch.
 
 from __future__ import annotations
 
-import errno
 import math
 import os
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "LIBM_MODE_DISABLE_FEATURES",
+    "OVERLAP",
+    "PLAIN",
+    "SCALAR",
+    "primitive_forms",
     "vec_bearing_deg",
     "vec_cos",
     "vec_hypot",
@@ -71,68 +72,110 @@ __all__ = [
     "vectorized_report",
 ]
 
-#: CPU features to disable (via ``NPY_DISABLE_CPU_FEATURES``) so NumPy's
-#: transcendental ufuncs fall back to their libm baseline loops and the
-#: probed paths below go vector.  Harmless on CPUs lacking some entries
-#: (NumPy warns and ignores unknown/absent features).
-LIBM_MODE_DISABLE_FEATURES = (
-    "AVX512_SPR AVX512_ICL AVX512_CNL AVX512_CLX AVX512_SKX AVX512F "
-    "AVX512CD AVX512VL AVX512BW AVX512DQ AVX512VNNI AVX512IFMA AVX512VBMI "
-    "AVX512VBMI2 AVX512BITALG AVX512FP16 AVX512BF16 AVX512VPOPCNTDQ "
-    "X86_V4 AVX2 FMA3 F16C X86_V3 AVX"
-)
+#: The forms a probed primitive can take, in probe order (see above).
+PLAIN = "plain"
+OVERLAP = "overlap"
+SCALAR = "scalar"
 
 _FORCE_SCALAR = os.environ.get("REPRO_VECMATH", "") == "scalar"
 
 
-def _scalar_map(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    """Apply a scalar math function elementwise (the exact reference)."""
-    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    out = np.fromiter(map(fn, flat.tolist()), np.float64, count=flat.size)
-    return out.reshape(np.shape(values))
+def _overlapped(
+    kernel: Callable, first: np.ndarray, *rest: np.ndarray
+) -> np.ndarray:
+    """``kernel(first, *rest)`` with its output one element below ``first``.
+
+    ``first`` is copied into ``buf[1:]`` of a fresh buffer and the kernel
+    writes ``buf[:-1]``: a forward loop reads each input before the
+    output overwrites it, so NumPy runs it in place without a temporary,
+    but its SIMD loops see overlapping operands and decline.  ``rest``
+    must have ``first``'s shape.  Fewer than two elements would not
+    overlap their output, so those inputs are padded to two with 1.0.
+    """
+    if first.size < 2:
+        padded = [
+            np.concatenate([np.ravel(arr), np.ones(2 - first.size)])
+            for arr in (first, *rest)
+        ]
+        return _overlapped(kernel, *padded)[: first.size].reshape(first.shape)
+    buf = np.empty(first.size + 1)
+    buf[1:] = first.ravel()
+    out = buf[:-1]
+    kernel(buf[1:], *(np.ravel(arr) for arr in rest), out=out)
+    return out.reshape(first.shape)
 
 
-class _ProbedUnary:
-    """A NumPy ufunc gated behind a bit-identity probe vs ``math.*``.
+class _Probed:
+    """A NumPy kernel gated behind a bit-identity probe vs ``math.*``.
 
-    The probe runs once per process on first use: the ufunc output over
-    deterministic domain samples (odd sizes, so remainder loops are
-    exercised too, then every sample in fixed slices) must equal the
-    scalar loop bit-for-bit.  NumPy picks its inner loop (SIMD vs libm
-    baseline) at import time, so a passing probe means the dispatch *is*
-    the element-by-element libm loop and the ufunc is safe for every
-    input; a failing probe routes every call through the scalar map.
+    ``kernel(*operands, out=None)`` is the vector computation and
+    ``py_fn`` its scalar definition; ``samples()`` returns the probe
+    pools, one array per operand.  The probe runs once per process on
+    first use: a form passes when its output over the pools (odd sizes,
+    so remainder loops are exercised too, then every sample in fixed
+    slices) equals the scalar loop bit for bit.  NumPy picks its inner
+    loop from the CPU it runs on and from whether the operands overlap,
+    which each form fixes, so a passing form is safe for every input.
     """
 
     def __init__(
         self,
         name: str,
-        np_fn: Callable[[np.ndarray], np.ndarray],
-        py_fn: Callable[[float], float],
-        samples: Callable[[], np.ndarray],
+        kernel: Callable[..., np.ndarray],
+        py_fn: Callable[..., float],
+        samples: Callable[[], Sequence[np.ndarray]],
     ) -> None:
         self.name = name
-        self._np_fn = np_fn
+        self._kernel = kernel
         self._py_fn = py_fn
         self._samples = samples
-        self._ok: Optional[bool] = None
+        self._form: Optional[str] = None
+
+    def scalar(self, *operands: np.ndarray) -> np.ndarray:
+        """The ``math.*`` reference, elementwise over equal-shape operands."""
+        flat = [
+            np.ascontiguousarray(arr, dtype=np.float64).ravel().tolist()
+            for arr in operands
+        ]
+        out = np.fromiter(
+            map(self._py_fn, *flat), np.float64, count=np.size(operands[0])
+        )
+        return out.reshape(np.shape(operands[0]))
+
+    def vector(self, form: str, *operands: np.ndarray) -> np.ndarray:
+        """The kernel in vector ``form`` (:data:`PLAIN` or :data:`OVERLAP`)."""
+        if form == PLAIN:
+            return self._kernel(*operands)
+        return _overlapped(self._kernel, *operands)
+
+    def passes(self, form: str) -> bool:
+        """Whether vector ``form`` equals the scalar loop over the pools."""
+        pools = [_probe_slices(pool) for pool in self._samples()]
+        return all(
+            np.array_equal(self.vector(form, *parts), self.scalar(*parts))
+            for parts in zip(*pools)
+        )
 
     @property
-    def vectorized(self) -> bool:
-        if self._ok is None:
-            if _FORCE_SCALAR:
-                self._ok = False
-            else:
-                self._ok = all(
-                    np.array_equal(self._np_fn(arr), _scalar_map(self._py_fn, arr))
-                    for arr in _probe_slices(self._samples())
-                )
-        return self._ok
+    def form(self) -> str:
+        """The form every call takes: the first that passes its probe."""
+        if self._form is None:
+            self._form = SCALAR
+            if not _FORCE_SCALAR:
+                for form in (PLAIN, OVERLAP):
+                    if self.passes(form):
+                        self._form = form
+                        break
+        return self._form
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        if self.vectorized:
-            return self._np_fn(np.asarray(values, dtype=np.float64))
-        return _scalar_map(self._py_fn, values)
+    def __call__(self, *operands) -> np.ndarray:
+        operands = np.broadcast_arrays(
+            *(np.asarray(arr, dtype=np.float64) for arr in operands)
+        )
+        form = self.form
+        if form == SCALAR:
+            return self.scalar(*operands)
+        return self.vector(form, *operands)
 
 
 #: Probes compare at most this many samples at once, which bounds their
@@ -144,16 +187,17 @@ _PROBE_SLICE = 4096
 def _probe_slices(flat: np.ndarray) -> Iterator[np.ndarray]:
     """Probe inputs drawn from one sample pool.
 
-    7- and 1000-element slices exercise the SIMD remainder loops; then
-    every sample of ``flat`` is compared, ``_PROBE_SLICE`` at a time.
+    1-, 7- and 1000-element slices exercise the SIMD remainder loops;
+    then every sample of ``flat`` is compared, ``_PROBE_SLICE`` at a time.
     """
+    yield flat[:1]
     yield flat[:7]
     yield flat[7:1007]
     for start in range(0, flat.size, _PROBE_SLICE):
         yield flat[start : start + _PROBE_SLICE]
 
 
-def _log_samples() -> np.ndarray:
+def _log_samples() -> Sequence[np.ndarray]:
     rng = np.random.default_rng(20170607)
     pools = [
         rng.uniform(1e-3, 5e4, 1 << 15),  # d_km / metre working range
@@ -161,19 +205,19 @@ def _log_samples() -> np.ndarray:
         rng.uniform(np.nextafter(0.0, 1.0), 1.0, 1 << 15),  # u1 domain
         1.0 + rng.uniform(-1e-6, 1e-6, 1 << 12),  # near-one cancellation
     ]
-    return np.concatenate(pools)
+    return (np.concatenate(pools),)
 
 
-def _cos_samples() -> np.ndarray:
+def _cos_samples() -> Sequence[np.ndarray]:
     rng = np.random.default_rng(20170608)
     pools = [
         rng.uniform(0.0, 2.0 * math.pi, 1 << 16),  # Box-Muller phase domain
         np.array([0.0, math.pi / 2.0, math.pi, 2.0 * math.pi]),
     ]
-    return np.concatenate(pools)
+    return (np.concatenate(pools),)
 
 
-def _pow10_samples() -> np.ndarray:
+def _pow10_samples() -> Sequence[np.ndarray]:
     rng = np.random.default_rng(20170611)
     pools = [
         rng.uniform(-30.0, 5.0, 1 << 15),  # dBm -> W and SINR exponents
@@ -181,89 +225,63 @@ def _pow10_samples() -> np.ndarray:
         np.arange(-30.0, 31.0),  # exact powers of ten
         np.array([np.inf, -np.inf, 0.0, -0.0, -400.0, -323.5, 308.25]),
     ]
-    return np.concatenate(pools)
+    return (np.concatenate(pools),)
+
+
+def _bearing_samples() -> Sequence[np.ndarray]:
+    rng = np.random.default_rng(20170609)
+    ys = np.concatenate(
+        [
+            rng.uniform(-5e4, 5e4, 1 << 15),
+            np.array([0.0, -0.0, 1.0, -1.0, 0.0, -0.0]),
+        ]
+    )
+    xs = np.concatenate(
+        [
+            rng.uniform(-5e4, 5e4, 1 << 15),
+            np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0]),
+        ]
+    )
+    return ys, xs
 
 
 def _pow10(x: float) -> float:
     return 10.0 ** x
 
 
-def _np_pow10(x: np.ndarray) -> np.ndarray:
+def _np_pow10(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``np.float_power(10.0, x)``, raising where Python's power raises.
 
     NumPy returns ``inf`` (with a warning) where a finite exponent
-    overflows; ``10.0 ** x`` raises ``OverflowError``, and so does this.
+    overflows; ``10.0 ** x`` raises ``OverflowError``.  Only exponents
+    above 308 can overflow, so those few go through Python's power
+    first, which raises for exactly the ones that do.
     """
-    with np.errstate(over="ignore"):
-        out = np.float_power(10.0, x)
-    if np.isinf(out).any() and (np.isinf(out) & np.isfinite(x)).any():
-        raise OverflowError(errno.ERANGE, "Numerical result out of range")
-    return out
+    for exponent in x[x > 308.0].tolist():
+        _pow10(exponent)
+    return np.float_power(10.0, x, out=out)
 
 
-vec_log10 = _ProbedUnary("log10", np.log10, math.log10, _log_samples)
-vec_log = _ProbedUnary("log", np.log, math.log, _log_samples)
-vec_cos = _ProbedUnary("cos", np.cos, math.cos, _cos_samples)
+def _np_bearing_deg(
+    ys: np.ndarray, xs: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    out = np.arctan2(ys, xs, out=out)
+    return np.degrees(out, out=out)
+
+
+def _bearing_deg(y: float, x: float) -> float:
+    return math.degrees(math.atan2(y, x))
+
+
+vec_log10 = _Probed("log10", np.log10, math.log10, _log_samples)
+vec_log = _Probed("log", np.log, math.log, _log_samples)
+vec_cos = _Probed("cos", np.cos, math.cos, _cos_samples)
 #: Elementwise ``10.0 ** x``, bit-identical (``OverflowError`` included).
-vec_pow10 = _ProbedUnary("pow10", _np_pow10, _pow10, _pow10_samples)
-
-
-class _ProbedBearing:
-    """``degrees(atan2(y, x))`` as one probed composite path."""
-
-    def __init__(self) -> None:
-        self._ok: Optional[bool] = None
-
-    @staticmethod
-    def _np_fn(ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        return np.degrees(np.arctan2(ys, xs))
-
-    @staticmethod
-    def _py_fn(y: float, x: float) -> float:
-        return math.degrees(math.atan2(y, x))
-
-    def _scalar(self, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        yf = np.ascontiguousarray(ys, dtype=np.float64).ravel()
-        xf = np.ascontiguousarray(xs, dtype=np.float64).ravel()
-        out = np.fromiter(
-            map(self._py_fn, yf.tolist(), xf.tolist()), np.float64, count=yf.size
-        )
-        return out.reshape(np.shape(ys))
-
-    @property
-    def vectorized(self) -> bool:
-        if self._ok is None:
-            if _FORCE_SCALAR:
-                self._ok = False
-            else:
-                rng = np.random.default_rng(20170609)
-                ys = np.concatenate(
-                    [
-                        rng.uniform(-5e4, 5e4, 1 << 15),
-                        np.array([0.0, -0.0, 1.0, -1.0, 0.0, -0.0]),
-                    ]
-                )
-                xs = np.concatenate(
-                    [
-                        rng.uniform(-5e4, 5e4, 1 << 15),
-                        np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0]),
-                    ]
-                )
-                self._ok = all(
-                    np.array_equal(self._np_fn(y, x), self._scalar(y, x))
-                    for y, x in zip(_probe_slices(ys), _probe_slices(xs))
-                )
-        return self._ok
-
-    def __call__(self, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        if self.vectorized:
-            return self._np_fn(
-                np.asarray(ys, dtype=np.float64), np.asarray(xs, dtype=np.float64)
-            )
-        return self._scalar(ys, xs)
-
-
-vec_bearing_deg = _ProbedBearing()
+vec_pow10 = _Probed("pow10", _np_pow10, _pow10, _pow10_samples)
+#: Elementwise ``math.degrees(math.atan2(y, x))`` over ``(ys, xs)``.
+vec_bearing_deg = _Probed(
+    "bearing_deg", _np_bearing_deg, _bearing_deg, _bearing_samples
+)
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +437,21 @@ def vec_hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return _hypot_path(dx, dy)
 
 
+def primitive_forms() -> Dict[str, str]:
+    """The form each primitive runs in here: plain, overlap or scalar.
+
+    Forces every lazy probe.  ``hypot`` has no overlap form: it reads
+    :data:`PLAIN` (the replication) or :data:`SCALAR`.
+    """
+    forms = {"hypot": PLAIN if _hypot_path.vectorized else SCALAR}
+    for probed in (vec_log10, vec_log, vec_cos, vec_pow10, vec_bearing_deg):
+        forms[probed.name] = probed.form
+    return forms
+
+
 def vectorized_report() -> Dict[str, bool]:
     """Which primitives currently run vectorized (probes pass) vs scalar.
 
     Forces every lazy probe; useful for benchmark provenance records.
     """
-    return {
-        "hypot": _hypot_path.vectorized,
-        "log10": vec_log10.vectorized,
-        "log": vec_log.vectorized,
-        "cos": vec_cos.vectorized,
-        "pow10": vec_pow10.vectorized,
-        "bearing_deg": vec_bearing_deg.vectorized,
-    }
+    return {name: form != SCALAR for name, form in primitive_forms().items()}

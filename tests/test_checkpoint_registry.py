@@ -8,7 +8,6 @@ through its ordinary interface and assert its state hash responds.
 """
 
 import numpy as np
-import pytest
 
 from repro.experiments.db_outage import DbOutageRun
 from repro.experiments.large_scale import TECH_CELLFI, SaturatedLteRun

@@ -1,7 +1,5 @@
 """Integration tests for the CellFiAccessPoint orchestration."""
 
-import pytest
-
 from repro.core.cellfi import CellFiAccessPoint
 from repro.lte.rrc import ReacquisitionTiming
 from repro.lte.ue import ConnectionState, UserEquipment

@@ -1,7 +1,6 @@
 """Integration tests for the CellFi interference manager."""
 
 import numpy as np
-import pytest
 
 from repro.core.interference.manager import CellFiInterferenceManager
 from repro.lte.network import LteNetworkSimulator

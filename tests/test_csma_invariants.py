@@ -7,7 +7,6 @@ window, carrier sense must have prevented the overlap.
 """
 
 import numpy as np
-import pytest
 
 from repro.sim.engine import Simulator
 from repro.wifi.csma import CsmaNode, DcfParams, Station, WifiMedium

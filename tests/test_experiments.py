@@ -20,7 +20,6 @@ from repro.experiments.large_scale import (
     TECH_CELLFI,
     TECH_LTE,
     TECH_WIFI,
-    run_coverage_vs_density,
     run_page_load_times,
     run_throughput_cdfs,
 )

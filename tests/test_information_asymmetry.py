@@ -13,7 +13,6 @@
 """
 
 import numpy as np
-import pytest
 
 from repro.core.interference.manager import CellFiInterferenceManager
 from repro.core.interference.share import compute_share

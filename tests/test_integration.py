@@ -1,7 +1,6 @@
 """Cross-module integration tests: full-system scenarios end to end."""
 
 import numpy as np
-import pytest
 
 from repro.core.cellfi import CellFiAccessPoint
 from repro.core.interference.manager import CellFiInterferenceManager
@@ -9,7 +8,6 @@ from repro.experiments.common import build_scenario
 from repro.lte.rrc import ReacquisitionTiming
 from repro.lte.ue import ConnectionState, UserEquipment
 from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
 from repro.traffic.backlogged import saturated_demand_fn
 from repro.traffic.flows import Flow, FlowTracker
 from repro.traffic.web import generate_web_sessions

@@ -6,7 +6,6 @@ import pytest
 from repro.lte.network import (
     AllSubchannelsPolicy,
     LteNetworkSimulator,
-    STARVATION_THRESHOLD_BPS,
     rlf_probability,
 )
 from repro.lte.scalar_oracle import ScalarOracleSimulator
@@ -22,7 +21,6 @@ from repro.sim.topology import (
     ClientSite,
     Topology,
     random_topology,
-    reassociate_strongest,
 )
 
 

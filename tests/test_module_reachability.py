@@ -8,6 +8,10 @@ executes no import.  Package ``__init__`` files are not followed (a
 re-export is not a use): ``from pkg import Name`` resolves to the
 submodule ``pkg/__init__.py`` imports ``Name`` from.  The name check then
 scans the reached modules and the root scripts for references.
+
+The test modules are held to a smaller rule: each name a ``tests/*.py``
+module imports is used in it, so its imports say which code it
+exercises.
 """
 
 import ast
@@ -191,3 +195,34 @@ def test_every_src_name_is_referenced():
 def test_named_survivors_are_still_unreferenced():
     stale = sorted(set(UNREFERENCED_BY_DESIGN) - set(_unreferenced()))
     assert not stale, f"now referenced or gone: drop {stale} from the exception"
+
+
+def _unused_imports(path):
+    """Names ``path`` imports and never reads, sorted.
+
+    A read is a ``Name`` node, or a function parameter of the same name:
+    a pytest fixture parameter uses the fixture it names.  ``__future__``
+    imports are compiler directives, not names.
+    """
+    imported, used = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(
+                (alias.asname or alias.name).partition(".")[0] for alias in node.names
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg):
+            used.add(node.arg)
+    return sorted(imported - used - {"*"})
+
+
+def test_test_modules_use_every_import():
+    unused = {}
+    for path in sorted((REPO_ROOT / "tests").glob("*.py")):
+        names = _unused_imports(path)
+        if names:
+            unused[path.name] = names
+    assert not unused, f"test modules import names they never use: {unused}"

@@ -9,8 +9,12 @@ silent fork of the physics.  The suite covers
   (hypothesis-driven distances incl. 0.0, subnormals and the 1 m clamp
   boundary),
 * the probed vector-math layer (``repro.phy.vecmath``), whose routines
-  must equal the ``math``-module scalar loop whichever way the
-  once-per-process exactness probe resolved on this host,
+  must equal the ``math``-module scalar loop whichever form (plain,
+  overlap or scalar) the once-per-process exactness probe picked on this
+  host, at every size from empty to more than one epoch block, plus the
+  overlap form on its own wherever its probe accepts it,
+* the shared shadowing key builder against the scalar key string, and
+  the built-in SHA-256 constructor against ``hashlib``,
 * shadowing batch identity across sigmas (incl. 0.0), endpoint swap
   symmetry and the pinned ``:.1f`` key-quantization contract,
 * antenna ``gains_towards`` identity for both patterns,
@@ -22,6 +26,7 @@ silent fork of the physics.  The suite covers
   sample instance below.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -29,10 +34,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lte.network import LteNetworkSimulator
+from repro.lte.network import _BLOCK_CHUNK, LteNetworkSimulator
 from repro.phy import vecmath
 from repro.phy.antenna import Antenna, OmniAntenna, SectorAntenna
+from repro.phy import propagation
 from repro.phy.propagation import (
+    _CHUNK_LINKS,
     FILL_BATCHED,
     FILL_SCALAR,
     CompositeChannel,
@@ -192,6 +199,134 @@ class TestVecMath:
             "hypot", "log10", "log", "cos", "pow10", "bearing_deg"
         }
         assert all(isinstance(v, bool) for v in report.values())
+        forms = vecmath.primitive_forms()
+        assert set(forms) == set(report)
+        assert set(forms.values()) <= {
+            vecmath.PLAIN, vecmath.OVERLAP, vecmath.SCALAR
+        }
+        assert report == {
+            name: form != vecmath.SCALAR for name, form in forms.items()
+        }
+
+
+#: Each probed primitive and its ``math`` definition.
+PROBED = {
+    "log": (vecmath.vec_log, math.log),
+    "log10": (vecmath.vec_log10, math.log10),
+    "cos": (vecmath.vec_cos, math.cos),
+    "pow10": (vecmath.vec_pow10, lambda x: 10.0**x),
+    "bearing_deg": (
+        vecmath.vec_bearing_deg,
+        lambda y, x: math.degrees(math.atan2(y, x)),
+    ),
+}
+
+#: More elements than one epoch block or one link-loss chunk, and odd.
+N_BIG = (1 << 17) + 3
+
+
+def _probed_operands(name, n, seed=34):
+    rng = np.random.default_rng(seed)
+    if name in ("log", "log10"):
+        half = n // 2
+        return (
+            np.concatenate(
+                [rng.uniform(1e-12, 1.0, half), rng.uniform(1.0, 1e6, n - half)]
+            ),
+        )
+    if name == "cos":
+        return (rng.uniform(0.0, 2.0 * math.pi, n),)
+    if name == "pow10":
+        return (rng.uniform(-320.0, 308.0, n),)
+    return (rng.uniform(-5e4, 5e4, n), rng.uniform(-5e4, 5e4, n))
+
+
+def _math_reference(name, operands):
+    fn = PROBED[name][1]
+    return [fn(*args) for args in zip(*(arr.ravel().tolist() for arr in operands))]
+
+
+class TestProbedForms:
+    """Every form a probe can pick equals ``math.*`` bit for bit."""
+
+    def test_big_input_exceeds_the_kernel_chunks(self):
+        assert N_BIG > _BLOCK_CHUNK and N_BIG > _CHUNK_LINKS
+
+    @pytest.mark.parametrize("name", sorted(PROBED))
+    def test_selected_form_on_a_big_input(self, name):
+        primitive = PROBED[name][0]
+        operands = _probed_operands(name, N_BIG)
+        got = primitive(*operands)
+        assert got.shape == (N_BIG,)
+        assert got.tolist() == _math_reference(name, operands), primitive.form
+
+    @pytest.mark.parametrize("name", sorted(PROBED))
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (3, 5), (5, 3)])
+    def test_selected_form_on_small_and_2d_inputs(self, name, shape):
+        primitive = PROBED[name][0]
+        size = int(np.prod(shape))
+        operands = [
+            arr.reshape(shape) for arr in _probed_operands(name, size, seed=size)
+        ]
+        if shape == (5, 3):  # non-contiguous
+            operands = [arr.reshape(3, 5).T for arr in operands]
+        got = primitive(*operands)
+        assert got.shape == shape
+        assert got.ravel().tolist() == _math_reference(name, operands)
+
+    @pytest.mark.parametrize("name", sorted(PROBED))
+    def test_overlap_form_where_its_probe_accepts_it(self, name):
+        primitive = PROBED[name][0]
+        if not primitive.passes(vecmath.OVERLAP):
+            pytest.skip(f"{name}: the overlap probe fails on this host")
+        for size in (N_BIG, 7, 1, 0):
+            operands = _probed_operands(name, size)
+            got = primitive.vector(vecmath.OVERLAP, *operands)
+            assert got.tolist() == _math_reference(name, operands), size
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 7])
+    def test_overlap_form_overlaps_at_every_size(self, size):
+        # The form only reaches the libm loop if NumPy sees the output
+        # overlap the input, which one lone element cannot do unpadded.
+        seen = []
+
+        def spy(src, out=None):
+            seen.append(np.shares_memory(src, out) and src.size >= 2)
+            return np.log(src, out=out)
+
+        x = np.linspace(1.0, 2.0, size)
+        got = vecmath._overlapped(spy, x)
+        assert seen == [True]
+        assert got.tolist() == [math.log(v) for v in x.tolist()]
+
+    def test_overlap_leaves_its_operands_alone(self):
+        x = np.array([0.5, 2.0, 10.0])
+        got = vecmath.vec_log.vector(vecmath.OVERLAP, x)
+        assert x.tolist() == [0.5, 2.0, 10.0]
+        assert got.tolist() == [math.log(v) for v in x.tolist()]
+
+
+class TestSha256Constructor:
+    KEYS = [
+        b"",
+        b"0:12.3,5.0:100.0,50.0",
+        b"2017:-0.0,0.0:0.0,-0.0",
+        b"x" * 200,  # several compression blocks
+    ]
+
+    def test_equals_hashlib(self):
+        for key in self.KEYS:
+            assert propagation.sha256(key).digest() == hashlib.sha256(key).digest()
+
+    def test_uses_the_builtin_module_where_it_exists(self):
+        for module in ("_sha2", "_sha256"):
+            try:
+                builtin = __import__(module).sha256
+            except ImportError:
+                continue
+            assert propagation.sha256 is builtin
+            return
+        assert propagation.sha256 is hashlib.sha256
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +455,70 @@ class TestShadowingBatchIdentity:
         )
         assert list(batch) == [0.0, 0.0]
         assert sh.shadowing_db(1.0, 0.0, 3.0, 0.0) == 0.0
+
+
+def _scalar_key(seed, ax, ay, bx, by):
+    """``shadowing_db``'s key, spelled out: canonical order, then format."""
+    a, b = f"{ax:.1f},{ay:.1f}", f"{bx:.1f},{by:.1f}"
+    if (ax, ay) > (bx, by) or ((ax, ay) == (bx, by) and a > b):
+        ax, ay, bx, by = bx, by, ax, ay
+    return f"{seed}:{ax:.1f},{ay:.1f}:{bx:.1f},{by:.1f}".encode()
+
+
+class TestLinkKeys:
+    """The one batched key builder against the scalar key string."""
+
+    POINTS = [
+        (-0.0, 5.0), (0.0, 5.0), (-0.0, -0.0), (0.0, 0.0), (0.0, -0.0),
+        (-0.04, 0.0), (12.31, 5.0), (12.33, 5.04), (12.25, 12.35),
+        (100.0, 50.0), (100.0, 150.0), (-3000.7, 4999.95),
+    ]
+
+    def _keys(self, sh, ax, ay, bx, by):
+        return sh.link_keys(
+            sh.endpoint_tags(ax, ay),
+            sh.endpoint_tags(bx, by),
+            sh.canonical_swap(ax, ay, bx, by),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 7, 2017, 2**31])
+    def test_every_pair_matches_the_scalar_key(self, seed):
+        sh = LogNormalShadowing(sigma_db=7.0, seed=seed)
+        pairs = [(a, b) for a in self.POINTS for b in self.POINTS]
+        ax, ay, bx, by = (np.array(c) for c in zip(*(a + b for a, b in pairs)))
+        keys = self._keys(sh, ax, ay, bx, by).tolist()
+        assert keys == [_scalar_key(seed, *a, *b) for a, b in pairs]
+
+    def test_signed_zero_ties_swap_on_the_tag(self):
+        # (0.0, 5.0) == (-0.0, 5.0) as tuples; "-0.0,5.0" sorts first.
+        sh = LogNormalShadowing(seed=1)
+        keys = self._keys(
+            sh, np.array([0.0, -0.0]), np.array([5.0, 5.0]),
+            np.array([-0.0, 0.0]), np.array([5.0, 5.0]),
+        ).tolist()
+        assert keys == [b"1:-0.0,5.0:0.0,5.0", b"1:-0.0,5.0:0.0,5.0"]
+
+    @given(
+        aps=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=5),
+        clients=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_broadcast_grid_as_loss_db_rows_builds_it(self, aps, clients):
+        sh = LogNormalShadowing(seed=2017)
+        ap_x, ap_y = (np.array(c)[np.newaxis, :] for c in zip(*aps))
+        cl_x, cl_y = (np.array(c)[:, np.newaxis] for c in zip(*clients))
+        keys = self._keys(sh, ap_x, ap_y, cl_x, cl_y)
+        assert keys.shape == (len(clients), len(aps))
+        assert keys.tolist() == [
+            [_scalar_key(2017, ax, ay, cx, cy) for ax, ay in aps]
+            for cx, cy in clients
+        ]
+
+    def test_empty(self):
+        sh = LogNormalShadowing(seed=3)
+        empty = np.empty(0)
+        assert self._keys(sh, empty, empty, empty, empty).shape == (0,)
+        assert sh.shadowing_db_batch(empty, empty, empty, empty).shape == (0,)
 
 
 class TestKeyQuantizationContract:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.phy.prach import (
-    DETECTION_THRESHOLD_PAPR,
     FastPrachDetector,
     NaivePrachDetector,
     PrachPreamble,

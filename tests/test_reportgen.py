@@ -1,7 +1,6 @@
 """Tests for the benchmark-report generator."""
 
 import json
-import pathlib
 
 import pytest
 

@@ -13,7 +13,6 @@ edge.
 import hashlib
 import multiprocessing as mp
 
-import numpy as np
 import pytest
 
 from repro.lte.network import AllSubchannelsPolicy, LteNetworkSimulator

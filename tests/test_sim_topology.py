@@ -1,7 +1,5 @@
 """Unit tests for topology generation and queries."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.tvws.channels import US_CHANNEL_PLAN
-from repro.tvws.database import ChannelLease, Incumbent, SpectrumDatabase
+from repro.tvws.database import Incumbent, SpectrumDatabase
 
 
 def _db(**kwargs):

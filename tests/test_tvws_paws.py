@@ -1,7 +1,5 @@
 """Unit tests for the PAWS protocol layer."""
 
-import pytest
-
 from repro.tvws.channels import US_CHANNEL_PLAN
 from repro.tvws.database import Incumbent, SpectrumDatabase
 from repro.tvws.paws import (

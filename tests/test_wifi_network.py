@@ -1,17 +1,15 @@
 """Integration tests for the Wi-Fi network simulator."""
 
-import numpy as np
 import pytest
 
 from repro.phy.propagation import CompositeChannel, UrbanHataPathLoss
 from repro.sim.rng import RngStreams
-from repro.sim.topology import AccessPointSite, ClientSite, Topology, random_topology
+from repro.sim.topology import AccessPointSite, ClientSite, Topology
 from repro.wifi.network import (
     CLIENT_STATION_OFFSET,
     STANDARD_80211AC,
     STANDARD_80211AF,
     WifiNetworkSimulator,
-    WifiStandard,
 )
 
 
