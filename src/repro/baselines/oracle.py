@@ -215,23 +215,33 @@ class OracleAllocator:
                 rates[cid] = rate * scale / len(clients)
         return rates
 
-    def _objective(self, column_rates: Dict[int, Dict[int, float]]) -> float:
-        """Global proportional fairness: sum of log client throughputs."""
-        import math
+    def _objective(self, terms: Dict[int, float]) -> float:
+        """Global proportional fairness: sum of log client throughputs.
 
-        totals: Dict[int, float] = {}
-        for rates in column_rates.values():
-            for cid, rate in rates.items():
-                totals[cid] = totals.get(cid, 0.0) + rate
+        ``terms`` holds each client's ``log(1e3 + T_u)``; they add in
+        topology-client order.
+        """
         objective = 0.0
         for client in self.net.topology.clients:
-            throughput = totals.get(client.client_id, 0.0)
-            objective += math.log(1e3 + throughput)
+            objective += terms[client.client_id]
         return objective
 
     def _local_search(self, max_passes: int) -> None:
-        columns = {k: self._column_rates(k) for k in range(self.n_subchannels)}
-        best = self._objective(columns)
+        import math
+
+        columns = [self._column_rates(k) for k in range(self.n_subchannels)]
+
+        def term(cid: int) -> float:
+            # A client's throughput adds its column rates in column order.
+            throughput = 0.0
+            for rates in columns:
+                rate = rates.get(cid)
+                if rate is not None:
+                    throughput += rate
+            return math.log(1e3 + throughput)
+
+        terms = {c.client_id: term(c.client_id) for c in self.net.topology.clients}
+        best = self._objective(terms)
         for _ in range(max_passes):
             improved = False
             for ap in self.allocation:
@@ -243,16 +253,21 @@ class OracleAllocator:
                         self.allocation[ap].discard(sub)
                     else:
                         self.allocation[ap].add(sub)
-                    new_column = self._column_rates(sub)
                     old_column = columns[sub]
-                    columns[sub] = new_column
-                    candidate = self._objective(columns)
+                    columns[sub] = self._column_rates(sub)
+                    # Only the toggled column's clients change throughput.
+                    touched = old_column.keys() | columns[sub].keys()
+                    old_terms = {cid: terms[cid] for cid in touched}
+                    for cid in touched:
+                        terms[cid] = term(cid)
+                    candidate = self._objective(terms)
                     if candidate > best + 1e-9:
                         best = candidate
                         improved = True
                     else:
                         # Revert the toggle.
                         columns[sub] = old_column
+                        terms.update(old_terms)
                         if holding:
                             self.allocation[ap].add(sub)
                         else:

@@ -472,20 +472,17 @@ class LteNetworkSimulator:
         self._precompute_link_powers()
         # Incremental-epoch state: per-AP row-set versions (bumped by
         # the events that dirty an AP's block -- mobility, handover,
-        # re-attach), the key each AP's cached block was computed under
-        # (version, interference/control/RLF signatures), cached
-        # audible-column masks, and per-epoch dirty/cull counters for
-        # benchmarks and CI.
+        # re-attach), per-AP counts of the AP columns any of its clients
+        # hears at all, and per-epoch dirty/cull counters for benchmarks
+        # and CI.
         self._rows_version: Dict[int, int] = {ap.ap_id: 0 for ap in topology.aps}
-        self._ap_blocks: Dict[int, tuple] = {}
-        self._audible_cols: Dict[int, Tuple[int, np.ndarray, int]] = {}
-        # Epoch decision context (active set + subchannel grants).  While it
-        # repeats epoch over epoch, a per-AP (rows_version, ctx_serial)
-        # stamp proves the cached block's signature cannot have changed,
-        # so the signature rebuild is skipped entirely for clean APs.
+        self._n_audible: Dict[int, int] = {}
+        # Epoch decision context (active set + subchannel grants), one
+        # serial per distinct context, and per AP the (rows_version,
+        # ctx_serial) stamp its cached block was computed under.
         self._epoch_ctx: Optional[tuple] = None
         self._ctx_serial: int = 0
-        self._block_fast: Dict[int, Tuple[int, int, bool]] = {}
+        self._block_stamp: Dict[int, Tuple[int, int]] = {}
         # Per-AP dirty client rows since the cached block was last
         # validated.  ``None`` means the AP's row membership itself changed
         # (handover), which forces a full block recompute; a set of client
@@ -493,9 +490,6 @@ class LteNetworkSimulator:
         self._dirty_rows: Dict[int, Optional[Set[int]]] = {
             ap.ap_id: set() for ap in topology.aps
         }
-        # One id per distinct grant (sorted subchannel tuple) ever seen,
-        # so block signatures can carry grants as integers.
-        self._grant_ids: Dict[tuple, int] = {}
         self.last_epoch_stats: Dict[str, int] = {}
 
     # -- Shard ownership ------------------------------------------------------
@@ -525,10 +519,6 @@ class LteNetworkSimulator:
         self._per_rb_tx_dbm = self.ap_tx_power_dbm - psd_offset_db
         self._prach_noise_dbm = thermal_noise_dbm(
             PRACH_BANDWIDTH_HZ, self.noise_figure_db
-        )
-        # Noise over one subchannel (use the nominal subband width).
-        self._subchannel_noise_dbm = thermal_noise_dbm(
-            self.grid.subband_rbs * RB_BANDWIDTH_HZ, self.noise_figure_db
         )
         self._rb_noise_dbm = thermal_noise_dbm(RB_BANDWIDTH_HZ, self.noise_figure_db)
         self._rb_noise_w = dbm_to_watt(self._rb_noise_dbm)
@@ -973,7 +963,7 @@ class LteNetworkSimulator:
         detector_rng = self.rngs.stream("cqi-detector")
         rlf_rng = self.rngs.stream("rlf")
         # Canonicalised subchannel sets and the active slice of the
-        # decision, shared by every AP's cache-key construction.
+        # decision.
         subs_keys = {
             ap_id: tuple(sorted(subs)) for ap_id, subs in allowed.items()
         }
@@ -981,9 +971,9 @@ class LteNetworkSimulator:
             (ap_id, subs_keys[ap_id]) for ap_id in allowed if ap_id in active_aps
         ]
         # One serial per distinct decision context: while the policy
-        # repeats its grants and the active set is stable, clean APs can
-        # skip rebuilding their cache-key signatures.  The context also
-        # fixes the arrays the batched compute reads (see
+        # repeats its grants and the active set is stable, a block whose
+        # rows did not change is reused (see :meth:`_refresh_block`).  The
+        # context also fixes the arrays the batched compute reads (see
         # :meth:`_set_decision_context`).
         ctx = (
             tuple(active_list),
@@ -1009,7 +999,7 @@ class LteNetworkSimulator:
         owned_flags: List[bool] = []
         drawing: List[bool] = []
         rlf_index: List[int] = []
-        stale: List[Tuple[np.ndarray, int, np.ndarray]] = []
+        stale: List[Tuple[np.ndarray, int]] = []
         n_rlf = 0
         for ap, n_act in zip(aps, n_active):
             ap_id = ap.ap_id
@@ -1019,7 +1009,7 @@ class LteNetworkSimulator:
                     n_rlf += n_act
                 continue
             owned_flags.append(True)
-            draws = self._refresh_block(ap_id, allowed, stale) and n_act > 0
+            draws = self._refresh_block(ap_id, stale) and n_act > 0
             drawing.append(draws)
             if draws:
                 rlf_index.extend(range(n_rlf, n_rlf + n_act))
@@ -1139,9 +1129,6 @@ class LteNetworkSimulator:
           the interferer sequence of the SINR sums;
         * ``_active_cols``: the active APs' columns in topology order --
           the co-channel set of the control scale and the RLF sources;
-        * ``_ent_sig`` / ``_active_ids``: the holders' AP ids and grant ids
-          (:attr:`_grant_ids`), and the active AP ids, from which
-          :meth:`_refresh_block` slices its block signature as bytes;
         * ``_rlf_overlap`` / ``_n_granted``: per active AP (the source)
           and AP column, the subchannel overlap count (zero for the AP
           itself and for disjoint grants), and per AP column
@@ -1160,17 +1147,6 @@ class LteNetworkSimulator:
         self._ent_cols = np.array(
             [ap_cols[ap_id] for ap_id, _ in active_entries], dtype=np.intp
         )
-        self._ent_pos = {ap_id: k for k, (ap_id, _) in enumerate(active_entries)}
-        grant_ids = self._grant_ids
-        self._ent_sig = np.array(
-            [
-                [ap_id for ap_id, _ in active_entries],
-                [grant_ids.setdefault(subs, len(grant_ids)) for _, subs in active_entries],
-            ],
-            dtype=np.int64,
-        )
-        self._active_ids = np.array(active_list, dtype=np.int64)
-        self._active_pos = {ap_id: k for k, ap_id in enumerate(active_list)}
         self._granted = [
             [sub for sub in subs if 0 <= sub < n_subs] for _, subs in active_entries
         ]
@@ -1192,50 +1168,23 @@ class LteNetworkSimulator:
         self._rlf_overlap = np.ascontiguousarray(overlap.T, dtype=np.int32)
         self._n_granted = np.maximum(grants.sum(axis=1), 1.0)
 
-    def _audible_columns(
-        self, ap_id: int, rows: np.ndarray
-    ) -> Tuple[np.ndarray, int]:
-        """Which AP columns any of this AP's clients can hear at all.
-
-        A column is audible when at least one of the AP's client rows has
-        non-zero received power from it; every other column is an exact
-        ``0.0`` in all of the AP's rows, so it adds nothing to their
-        interference sums (a bitwise no-op), and it is left out of their
-        block signature and control scale.  Cached per row-set version,
-        along with the audible count the per-epoch cull counters consume.
-        """
-        version = self._rows_version[ap_id]
-        cached = self._audible_cols.get(ap_id)
-        if cached is not None and cached[0] == version:
-            return cached[1], cached[2]
-        audible = (self._rx_w_mat[rows] != 0.0).any(axis=0)
-        n_audible = int(audible.sum())
-        self._audible_cols[ap_id] = (version, audible, n_audible)
-        return audible, n_audible
-
     def _refresh_block(
-        self,
-        ap_id: int,
-        allowed: Dict[int, Set[int]],
-        stale: List[Tuple[np.ndarray, int, np.ndarray]],
+        self, ap_id: int, stale: List[Tuple[np.ndarray, int]]
     ) -> bool:
         """Validate one AP's cached block; queue the rows that went stale.
 
         The deterministic part of an AP's epoch -- SINR, CQI, rates,
-        control scale, truly-interfered flags, RLF probability -- depends
-        only on (a) the AP's row set and link powers (tracked by the
-        row-set version the mobility/handover events bump) and (b) the
-        epoch's decision signature (which audible active neighbours hold
-        which subchannels).  The block's values live in the AP's rows of the
-        epoch-wide matrices (``_rate_mat``, ``_cqi_mat``,
-        ``_interfered_mat``, ``_rlf_prob``), which only this AP writes; when
-        neither input changed they are reused verbatim.  Otherwise the
-        rows to recompute -- all of them, or only the recorded dirty rows
-        when the signature held -- are appended to ``stale`` as ``(rows,
-        serving column, audible mask)`` for :meth:`_compute_rows`.
-        Stochastic stages (RLF and detector draws, max-CQI tracking, the
-        PRACH contention count) re-execute every epoch so the RNG streams
-        advance exactly as in the scalar oracle.
+        control scale, truly-interfered flags, RLF probability -- lives in
+        its rows of the epoch-wide matrices (``_rate_mat``, ``_cqi_mat``,
+        ``_interfered_mat``, ``_rlf_prob``) and is, per row, a function of
+        that row's link powers and the decision context alone.  So the
+        block is reused while the AP's ``(rows_version, ctx_serial)``
+        stamp holds; when only its rows changed under the same context,
+        the recorded dirty rows are recomputed; otherwise every row is.
+        The rows go to ``stale`` as ``(rows, serving column)`` for
+        :meth:`_compute_rows`.  Stochastic stages (RLF and detector draws,
+        max-CQI tracking, PRACH counts) re-execute every epoch so the RNG
+        streams advance exactly as in the scalar oracle.
 
         Returns:
             Whether the AP draws RLF values this epoch: it holds grants and
@@ -1246,112 +1195,58 @@ class LteNetworkSimulator:
         rows = self._rows_of_ap[ap_id]
         col = self._ap_col[ap_id]
         m = len(rows)
-        version = self._rows_version[ap_id]
-        audible, n_audible = self._audible_columns(ap_id, rows)
+        stamp = self._block_stamp.get(ap_id)
+        fresh = (self._rows_version[ap_id], self._ctx_serial)
+        if stamp is None or stamp[0] != fresh[0]:
+            self._n_audible[ap_id] = int(
+                (self._rx_w_mat[rows] != 0.0).any(axis=0).sum()
+            )
+        n_aps = len(self._ap_col)
         stats = self.last_epoch_stats
-        n_aps = len(audible)
-        stats["culled_columns"] += n_aps - n_audible
+        stats["culled_columns"] += n_aps - self._n_audible[ap_id]
         stats["total_columns"] += n_aps
-        has_rlf_sources = self._has_rlf_sources[col]
-
-        fast = self._block_fast.get(ap_id)
-        if (
-            fast is not None
-            and fast[0] == version
-            and fast[1] == self._ctx_serial
-        ):
-            # Same rows and same epoch decision context as when the cached
-            # block was last validated: every signature input is provably
-            # unchanged, so the key comparison is skipped outright.
+        if stamp == fresh:
             stats["clean_aps"] += 1
             stats["clean_rows"] += m
-            return has_rlf_sources
-        # Audible active neighbours, as bytes: the interferers and their
-        # grants in grant order, the co-channel cells in topology order,
-        # and the RLF sources with their overlap counts.
-        heard = audible[self._ent_cols]
-        co_heard = audible[self._active_cols]
-        own = self._ent_pos.get(ap_id)
-        if own is not None:
-            heard[own] = False
-        own = self._active_pos.get(ap_id)
-        if own is not None:
-            co_heard[own] = False
-        overlap = self._rlf_overlap[:, col]
-        sources = co_heard & (overlap > 0)
-        signature = (
-            self._ent_sig[:, heard].tobytes(),
-            self._active_ids[co_heard].tobytes(),
-            len(allowed.get(ap_id, ())),
-            self._active_ids[sources].tobytes(),
-            overlap[sources].tobytes(),
-        )
-
-        key = (version, signature)
-        cached = self._ap_blocks.get(ap_id)
-        dirty_cids = self._dirty_rows.get(ap_id)
-        if cached == key:
-            stats["clean_aps"] += 1
-            stats["clean_rows"] += m
-        else:
-            if cached is not None and dirty_cids and cached[1] == signature:
-                # Same decision signature, same row membership: only the
-                # recorded dirty rows' link data changed, so those rows
-                # are recomputed and the rest reused verbatim.
-                patched = np.array(
-                    [
-                        row
-                        for row, cid in zip(
-                            rows.tolist(), self._row_cid[rows].tolist()
-                        )
-                        if cid in dirty_cids
-                    ],
-                    dtype=np.intp,
-                )
-            else:
-                patched = rows
-            if len(patched):
-                stale.append((patched, col, audible))
-            self._ap_blocks[ap_id] = key
-            stats["dirty_aps"] += 1
-            stats["dirty_rows"] += len(patched)
-            stats["clean_rows"] += m - len(patched)
+            return self._has_rlf_sources[col]
+        dirty_cids = self._dirty_rows[ap_id]
+        patched = rows
+        if stamp is not None and stamp[1] == fresh[1] and dirty_cids:
+            patched = rows[np.isin(self._row_cid[rows], list(dirty_cids))]
+        if len(patched):
+            stale.append((patched, col))
+        stats["dirty_aps"] += 1
+        stats["dirty_rows"] += len(patched)
+        stats["clean_rows"] += m - len(patched)
         self._dirty_rows[ap_id] = set()
-        self._block_fast[ap_id] = (version, self._ctx_serial, has_rlf_sources)
-        return has_rlf_sources
+        self._block_stamp[ap_id] = fresh
+        return self._has_rlf_sources[col]
 
-    def _compute_rows(self, stale: List[Tuple[np.ndarray, int, np.ndarray]]) -> None:
+    def _compute_rows(self, stale: List[Tuple[np.ndarray, int]]) -> None:
         """Recompute every stale row of the epoch in one batched pass.
 
-        ``stale`` holds, per AP in topology order, the rows to recompute,
-        the AP's column and its audible mask (:meth:`_refresh_block`).
-        Every block quantity of a row depends on that row alone, so rows
-        of many APs batch together without changing any value; they run
-        in chunks of about :data:`_BLOCK_CHUNK` links, in order, which
-        bounds the temporaries.  With telemetry on, each recomputed link
-        whose CQI is above 0 counts one ``harq.evaluations``.
+        ``stale`` holds, per AP in topology order, the rows to recompute
+        and the AP's column (:meth:`_refresh_block`).  Every block
+        quantity of a row depends on that row alone, so rows of many APs
+        batch together without changing any value; they run in chunks of
+        about :data:`_BLOCK_CHUNK` links, in order, which bounds the
+        temporaries.  With telemetry on, each recomputed link whose CQI is
+        above 0 counts one ``harq.evaluations``.
         """
         rows = np.concatenate([entry[0] for entry in stale])
-        counts = [len(entry[0]) for entry in stale]
         serving = np.repeat(
-            np.array([entry[1] for entry in stale], dtype=np.intp), counts
+            np.array([entry[1] for entry in stale], dtype=np.intp),
+            [len(entry[0]) for entry in stale],
         )
-        owner = np.repeat(np.arange(len(stale)), counts)
-        audible = np.stack([entry[2] for entry in stale])
-        step = max(1, _BLOCK_CHUNK // max(1, audible.shape[1]))
+        step = max(1, _BLOCK_CHUNK // max(1, len(self._ap_col)))
         for start in range(0, len(rows), step):
             part = slice(start, start + step)
-            self._compute_block_rows(
-                rows[part], serving[part], audible[owner[part]]
-            )
+            self._compute_block_rows(rows[part], serving[part])
 
-    def _compute_block_rows(
-        self, rows: np.ndarray, serving: np.ndarray, audible: np.ndarray
-    ) -> None:
+    def _compute_block_rows(self, rows: np.ndarray, serving: np.ndarray) -> None:
         """Deterministic epoch quantities for a batch of client rows.
 
-        ``serving`` is each row's serving AP column and ``audible`` its
-        AP's audible mask, one row per client row.  Writes the rows'
+        ``serving`` is each row's serving AP column.  Writes the rows'
         rates, CQIs, truly-interfered flags and RLF probabilities into
         the epoch-wide matrices.  Bit-for-bit identical to
         the scalar oracle's per-link loops by construction:
@@ -1359,12 +1254,12 @@ class LteNetworkSimulator:
         * interference accumulates onto zeros one active grant holder at a
           time, in grant order, exactly as the scalar per-subchannel sums
           do; the serving column, a holder's subchannels outside its grant
-          and every column the row's AP cannot hear contribute an exact
-          ``0.0``, which leaves an IEEE-754 sum of non-negative powers
-          bitwise unchanged;
-        * the control scale takes the strongest co-channel cell the AP can
-          hear (serving and inaudible columns masked to ``-inf``; none
-          left gives ``SIR = +inf`` or NaN, i.e. scale 1.0, as the oracle);
+          and every culled link contribute an exact ``0.0``, which leaves
+          an IEEE-754 sum of non-negative powers bitwise unchanged;
+        * the control scale takes the strongest co-channel cell (serving
+          column masked to ``-inf``; culled links already read ``-inf``
+          dBm, and none left gives ``SIR = +inf`` or NaN, i.e. scale 1.0,
+          as the oracle);
         * the RLF data interference adds ``overlap / len(my_subs)``
           weighted powers onto zeros one active AP at a time, in topology
           order, as the oracle's weighted sum does; zero weights (the AP
@@ -1426,9 +1321,7 @@ class LteNetworkSimulator:
         if self.control_interference and len(active_cols):
             rx_dbm = self._rx_dbm_mat
             rivals = rx_dbm[rows[:, None], active_cols]
-            rivals[
-                ~audible[:, active_cols] | (active_cols == serving[:, None])
-            ] = -np.inf
+            rivals[active_cols == serving[:, None]] = -np.inf
             sir_db = (rx_dbm[rows, serving] - rivals.max(axis=1)).tolist()
             rate *= np.array([_control_scale(s) for s in sir_db])[:, None]
 
@@ -1474,7 +1367,7 @@ class LteNetworkSimulator:
     def state_dict(self) -> Dict[str, Any]:
         """Cross-epoch mutable state.
 
-        ``_ap_blocks``, ``_block_fast`` and ``_audible_cols`` are excluded
+        ``_block_stamp``, ``_dirty_rows`` and ``_n_audible`` are excluded
         on purpose: they memoise deterministic functions of serialized
         state, so a cold cache recomputes bit-identical values (and
         serializing them would make a resumed run's digest depend on cache
@@ -1497,6 +1390,12 @@ class LteNetworkSimulator:
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
+        """Restore :meth:`state_dict` output.
+
+        Positions and serving APs are re-applied through
+        :meth:`move_client` / :meth:`reattach_client`; then every block
+        stamp is dropped, so the next epoch recomputes every block.
+        """
         for ap_id, sched_state in state["schedulers"].items():
             # Shard views instantiate schedulers for owned APs only, but a
             # merged snapshot carries every AP's scheduler: skip foreign ones.
@@ -1529,8 +1428,6 @@ class LteNetworkSimulator:
                 self.reattach_client(cid, ap_id)
         # Volatile caches restart cold so a resumed run's arithmetic (and
         # digests) cannot depend on pre-checkpoint cache warmth.
-        self._ap_blocks.clear()
-        self._audible_cols.clear()
-        self._block_fast.clear()
+        self._block_stamp.clear()
         self._epoch_ctx = None
         self._dirty_rows = {ap.ap_id: set() for ap in self.topology.aps}

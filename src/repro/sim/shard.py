@@ -413,7 +413,6 @@ class _InlineWorker(_Worker):
     ) -> None:
         self.server = _ShardServer(net_factory, ap_ids, tel_cfg)
         self.net = self.server.net
-        self._tel, self._shipper = self.server.tel, self.server.shipper
         self._reply: Optional[Tuple[str, Any]] = None
         #: Chaos hook: a "killed" inline worker fails every request until
         #: the supervisor rebuilds it, mirroring a SIGKILL'd process worker.

@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.experiments.common import build_scenario
 from repro.lte.network import (
     AllSubchannelsPolicy,
     LteNetworkSimulator,
     rlf_probability,
 )
 from repro.lte.scalar_oracle import ScalarOracleSimulator
+from repro.lte.scheduler import MINISLOTS_PER_EPOCH
+from repro.phy.harq import harq_goodput_scale
+from repro.phy.mcs import CQI_OUT_OF_RANGE, cqi_from_sinr, efficiency_from_cqi
 from repro.phy.propagation import (
     CompositeChannel,
     LogNormalShadowing,
     UrbanHataPathLoss,
 )
-from repro.phy.resource_grid import ResourceGrid
+from repro.phy.resource_grid import RB_BANDWIDTH_HZ, ResourceGrid
 from repro.sim.rng import RngStreams
 from repro.sim.topology import (
     AccessPointSite,
@@ -22,6 +26,7 @@ from repro.sim.topology import (
     Topology,
     random_topology,
 )
+from repro.utils.dbmath import thermal_noise_dbm
 
 
 def _channel(seed=1, sigma=0.0):
@@ -262,3 +267,55 @@ class TestInterferenceEffects:
             if not result.connected[0]:
                 starved_epochs += 1
         assert starved_epochs >= 1
+
+
+class TestProportionalFairOracle:
+    """Analytic PF outcome: one cell, static channels, saturated demand.
+
+    Proportional fair converges to equal airtime: each of the six
+    clients holds 1/6 of every subchannel, to within one of the
+    ``MINISLOTS_PER_EPOCH`` mini-slots.  Whatever the RNG, a client's
+    bits are its airtime times its own full-time rate, which with no
+    other cell is the clean-SNR rate (no interference, no control-channel
+    loss).
+    """
+
+    EPOCHS = 20
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_airtime_and_bits_from_own_rate(self, seed):
+        net = build_scenario(seed, 1, 6).lte_net("net-lte")
+        (ap,) = net.topology.aps
+        cids = [c.client_id for c in net.topology.clients_of(ap.ap_id)]
+        assert len(cids) == 6
+        subs = range(net.grid.n_subchannels)
+        noise_dbm = thermal_noise_dbm(RB_BANDWIDTH_HZ, net.noise_figure_db)
+        rate = {}
+        for cid in cids:
+            sinr = net.rx_rb_power_dbm(cid, ap.ap_id) - noise_dbm
+            cqi = cqi_from_sinr(sinr)
+            for sub in subs:
+                rate[cid, sub] = (
+                    0.0
+                    if cqi == CQI_OUT_OF_RANGE
+                    else net.grid.subchannel_downlink_rate_bps(
+                        efficiency_from_cqi(cqi), sub
+                    )
+                    * harq_goodput_scale(sinr, cqi)
+                )
+        policy = AllSubchannelsPolicy([ap.ap_id], net.grid.n_subchannels)
+        demands = {cid: float("inf") for cid in cids}
+        airtime = dict.fromkeys(rate, 0.0)
+        for epoch in range(self.EPOCHS):
+            result = net.run_epoch(epoch, policy.decide(epoch, None), demands)
+            fraction = result.allocations[ap.ap_id].time_fraction
+            for cid in cids:
+                expected = sum(
+                    fraction.get((cid, sub), 0.0) * net.epoch_s * rate[cid, sub]
+                    for sub in subs
+                )
+                assert result.served_bits[cid] == pytest.approx(expected, rel=1e-9)
+            for key in airtime:
+                airtime[key] += fraction.get(key, 0.0) / self.EPOCHS
+        for key, share in airtime.items():
+            assert abs(share - 1 / 6) <= 1 / MINISLOTS_PER_EPOCH, (key, share)

@@ -514,6 +514,8 @@ class TestDirtyTracking:
         self._run_one(net, policy, 1, demands)
         assert net.last_epoch_stats["dirty_aps"] == 1
         assert net.last_epoch_stats["clean_aps"] == N_CELLS - 1
+        # Same decision context: only the mover's row is recomputed.
+        assert net.last_epoch_stats["dirty_rows"] == 1
 
     def test_reattach_dirties_both_cells(self):
         net = make_net()
@@ -549,9 +551,89 @@ class TestDirtyTracking:
         demands = {c.client_id: float("inf") for c in net.topology.clients}
         self._run_one(net, policy, 0, demands)
         # The rotating policy shifts every AP's subchannel set each epoch,
-        # so every cached block's decision signature misses.
+        # so every epoch is a new decision context.
         self._run_one(net, policy, 1, demands)
         assert net.last_epoch_stats["dirty_aps"] == N_CELLS
+
+    def test_one_grant_change_recomputes_every_owned_block(self):
+        # A new decision context recomputes every owned row, also the
+        # rows of an AP that cannot hear the AP whose grant changed.
+        channel = make_channel()
+        topology = make_topology(channel)
+        net = LteNetworkSimulator(
+            topology=topology,
+            grid=ResourceGrid(5e6),
+            channel=channel,
+            rngs=RngStreams(SEED),
+            cull_loss_db=CULL_DB,
+            shard_ap_ids=range(N_CELLS // 2),
+        )
+        allowed = AllSubchannelsPolicy(
+            range(N_CELLS), net.grid.n_subchannels
+        ).decide(0, None)
+        demands = {c.client_id: float("inf") for c in topology.clients}
+        for epoch in range(2):
+            net.run_epoch(
+                epoch, allowed, demands, net.prach_partial_counts(demands)
+            )
+        assert net.last_epoch_stats["dirty_rows"] == 0
+        # A foreign AP that some owned AP cannot hear at all changes grant.
+        deaf = [
+            ap_id
+            for ap_id in range(N_CELLS // 2, N_CELLS)
+            for owned in range(N_CELLS // 2)
+            if not net._rx_w_mat[net._rows_of_ap[owned], net._ap_col[ap_id]].any()
+        ]
+        assert deaf
+        allowed[deaf[0]] = {0}
+        net.run_epoch(2, allowed, demands, net.prach_partial_counts(demands))
+        assert net.last_epoch_stats["dirty_aps"] == N_CELLS // 2
+        assert net.last_epoch_stats["dirty_rows"] == len(net._owned_clients)
+
+    def test_move_that_changes_audible_columns_is_patched(self):
+        # Under culling a mover can change which columns its AP hears at
+        # all.  No other row of the block depends on that, so the epoch
+        # recomputes the mover's row alone and still equals the oracle.
+        def n_audible(net, ap_id):
+            rows = net._rows_of_ap[ap_id]
+            return int((net._rx_w_mat[rows] != 0.0).any(axis=0).sum())
+
+        probe = make_net(cull_loss_db=CULL_DB)
+        area = probe.topology.area_m
+        corners = [(0.0, 0.0), (area, 0.0), (0.0, area), (area, area)]
+        move = None
+        for client in probe.topology.clients:
+            home = (client.x, client.y)
+            before = n_audible(probe, client.ap_id)
+            for x, y in corners:
+                probe.move_client(client.client_id, x, y)
+                if n_audible(probe, client.ap_id) != before:
+                    move = (client.client_id, client.ap_id, before, x, y)
+                    break
+            probe.move_client(client.client_id, *home)
+            if move is not None:
+                break
+        assert move is not None
+        cid, ap_id, before, x, y = move
+
+        production = make_net(cull_loss_db=CULL_DB)
+        runs = []
+        for net in (
+            make_net(ScalarOracleSimulator, cull_loss_db=CULL_DB),
+            production,
+        ):
+            policy = AllSubchannelsPolicy(
+                [ap.ap_id for ap in net.topology.aps], net.grid.n_subchannels
+            )
+            demands = {c.client_id: float("inf") for c in net.topology.clients}
+            results = [self._run_one(net, policy, 0, demands)]
+            net.move_client(cid, x, y)
+            results.append(self._run_one(net, policy, 1, demands))
+            runs.append(results)
+        assert production._n_audible[ap_id] != before
+        assert production.last_epoch_stats["dirty_aps"] == 1
+        assert production.last_epoch_stats["dirty_rows"] == 1
+        assert_epochs_identical(*runs)
 
     def test_recomputed_links_each_evaluate_harq_once(self):
         # No memo: an epoch that recomputes every block evaluates one
@@ -563,8 +645,7 @@ class TestDirtyTracking:
         )
         demands = {c.client_id: float("inf") for c in net.topology.clients}
         self._run_one(net, policy, 0, demands)
-        net._ap_blocks.clear()
-        net._block_fast.clear()
+        net._block_stamp.clear()
         tel = Telemetry()
         with activated(tel):
             self._run_one(net, policy, 1, demands)
@@ -869,8 +950,7 @@ class TestCheckpointState:
                 restored._rows_of_ap[ap_id], net._rows_of_ap[ap_id]
             )
         # Volatile caches restart cold.
-        assert restored._ap_blocks == {}
-        assert restored._block_fast == {}
+        assert restored._block_stamp == {}
 
     def test_resumed_run_digest_matches_straight_through(self):
         def epoch_pass(net, start, n):

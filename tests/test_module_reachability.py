@@ -9,6 +9,9 @@ re-export is not a use): ``from pkg import Name`` resolves to the
 submodule ``pkg/__init__.py`` imports ``Name`` from.  The name check then
 scans the reached modules and the root scripts for references.
 
+Every private attribute ``src/repro`` stores on ``self`` is also read
+there, so no cache field or handle outlives its last reader.
+
 The test modules are held to a smaller rule: each name a ``tests/*.py``
 module imports is used in it, so its imports say which code it
 exercises.
@@ -195,6 +198,47 @@ def test_every_src_name_is_referenced():
 def test_named_survivors_are_still_unreferenced():
     stale = sorted(set(UNREFERENCED_BY_DESIGN) - set(_unreferenced()))
     assert not stale, f"now referenced or gone: drop {stale} from the exception"
+
+
+def _private_attributes():
+    """``(stored, read)``: private ``self._name`` stores and attribute reads.
+
+    ``stored`` maps each ``_name`` assigned through ``self`` anywhere in
+    ``src/repro`` to its ``path:line`` sites; ``read`` holds every
+    attribute name loaded from any object there, plus the string names
+    passed to ``getattr``.  Like the top-level check this goes by name:
+    a read of ``other._name`` counts for every class that stores it.
+    """
+    stored, read = {}, set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif (
+                    isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                ):
+                    site = f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+                    stored.setdefault(node.attr, []).append(site)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                read.add(node.args[1].value)
+    return stored, read
+
+
+def test_every_private_attribute_is_read():
+    stored, read = _private_attributes()
+    unread = {name: sites for name, sites in stored.items() if name not in read}
+    assert not unread, f"private attributes src/repro stores but never reads: {unread}"
 
 
 def _unused_imports(path):

@@ -268,7 +268,7 @@ class TestWireFormat:
             assert net._worker_tel_cfg is None
             assert net._tel_merger is None
             worker = net.workers[0]
-            assert worker._tel is None and worker._shipper is None
+            assert worker.server.tel is None and worker.server.shipper is None
         finally:
             net.close()
 
