@@ -15,12 +15,15 @@ conflict-free by construction.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
-import networkx as nx
+import numpy as np
 
-from repro.lte.network import ApObservation, LteNetworkSimulator
-from repro.utils.dbmath import thermal_noise_dbm
+from repro.lte.network import ApObservation, LteNetworkSimulator, _elementwise_db
+from repro.phy.harq import harq_goodput_scale_array
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def build_conflict_graph(
@@ -33,6 +36,10 @@ def build_conflict_graph(
     (i.e. raise it materially), or vice versa.  The oracle -- unlike CellFi
     -- gets to read these true received powers directly.
     """
+    # Imported here, not at module level: only the graph builders need
+    # networkx, and every run that builds no graph stays ~14 MB leaner.
+    import networkx as nx
+
     graph = nx.Graph()
     topology = net.topology
     graph.add_nodes_from(ap.ap_id for ap in topology.aps)
@@ -174,46 +181,44 @@ class OracleAllocator:
     def _column_rates(self, sub: int) -> Dict[int, float]:
         """Per-client rate on subchannel ``sub`` under current holders.
 
-        SINRs are computed from the simulator's cached power matrix in one
-        vector operation per holder; interference accumulates in holder
-        order and the dB conversion goes through ``math.log10``, so results
-        are bit-identical to per-link ``net.sinr_db`` queries (the local
+        One vector pass over every holder's client rows, the epoch's
+        chain: interference adds one holder column at a time, in holder
+        order (each AP's own column reads an exact ``0.0``); dB goes
+        through :func:`_elementwise_db`, CQI through ``searchsorted``,
+        the rate through the prefilled rate table and HARQ through
+        :func:`harq_goodput_scale_array`.  Every step rounds as the
+        per-client ``math.log10``/``cqi_from_sinr``/``harq_goodput_scale``
+        chain does, so the rates are bit-identical to it (the local
         search toggles thousands of columns, making this the hot path).
+
+        Raises:
+            ValueError: on a zero signal-to-noise ratio, as ``math.log10``
+                does, rather than clamping it to a floor.
         """
-        import math
-
-        import numpy as np
-
-        from repro.phy.harq import harq_goodput_scale
-        from repro.phy.mcs import CQI_OUT_OF_RANGE, cqi_from_sinr, efficiency_from_cqi
-
         net = self.net
-        power_w = net._rx_w_mat
         holders = [ap for ap, subs in self.allocation.items() if sub in subs]
-        rates: Dict[int, float] = {}
+        served = [ap for ap in holders if self._ap_clients[ap]]
+        if not served:
+            return {}
+        counts = [len(self._ap_clients[ap]) for ap in served]
+        rows = np.concatenate([net._rows_of_ap[ap] for ap in served])
+        own_cols = np.repeat([net._ap_col[ap] for ap in served], counts)
+        at = np.arange(len(rows))
+        power_w = net._rx_w_mat[rows]
+        signal_w = power_w[at, own_cols]
+        power_w[at, own_cols] = 0.0
+        interference_w = np.zeros(len(rows))
         for ap in holders:
-            clients = self._ap_clients[ap]
-            if not clients:
-                continue
-            rows = net._rows_of_ap[ap]
-            signal_w = power_w[rows, net._ap_col[ap]]
-            interference_w = np.zeros(len(rows))
-            for other in holders:
-                if other != ap:
-                    interference_w += power_w[rows, net._ap_col[other]]
-            ratios = (signal_w / (net._rb_noise_w + interference_w)).tolist()
-            for i, cid in enumerate(clients):
-                sinr = 10.0 * math.log10(ratios[i])
-                cqi = cqi_from_sinr(sinr)
-                if cqi == CQI_OUT_OF_RANGE:
-                    rates[cid] = 0.0
-                    continue
-                rate = self.net.grid.subchannel_downlink_rate_bps(
-                    efficiency_from_cqi(cqi), sub
-                )
-                scale = harq_goodput_scale(sinr, cqi)
-                rates[cid] = rate * scale / len(clients)
-        return rates
+            interference_w += power_w[:, net._ap_col[ap]]
+        ratio = signal_w / (net._rb_noise_w + interference_w)
+        if (ratio <= 0.0).any():
+            raise ValueError("math domain error")
+        sinr = _elementwise_db(ratio)
+        cqi = np.searchsorted(net._cqi_min_sinr, sinr, side="right")
+        rates = net._rate_table[cqi, sub] * harq_goodput_scale_array(sinr, cqi)
+        rates /= np.repeat(counts, counts)
+        cids = [cid for ap in served for cid in self._ap_clients[ap]]
+        return dict(zip(cids, rates.tolist()))
 
     def _objective(self, terms: Dict[int, float]) -> float:
         """Global proportional fairness: sum of log client throughputs.

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def theorem1_round_bound(
@@ -185,6 +187,9 @@ def random_conflict_graph(
         raise ValueError(f"need at least one node, got {n_nodes}")
     probability = min(1.0, mean_degree / max(1, n_nodes - 1))
     seed = int(rng.integers(0, 2**31))
+    # Imported here so that importing repro.core stays networkx-free.
+    import networkx as nx
+
     return nx.gnp_random_graph(n_nodes, probability, seed=seed)
 
 
