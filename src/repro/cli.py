@@ -281,24 +281,17 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_shard_flags(p: argparse.ArgumentParser, optional: bool = False) -> None:
-    """Supervision/chaos flags shared by the shard-capable commands.
+def _add_shard_flags(p: argparse.ArgumentParser) -> None:
+    """Shard-supervisor flags shared by the shard-capable commands.
 
-    ``optional`` leaves every default as ``None`` so the sweep command's
-    kwargs filter can distinguish "not given" from an explicit value.
+    Every default is ``None`` so the sweep command's kwargs filter can
+    distinguish "not given" from an explicit value.
     """
     p.add_argument(
-        "--shard-supervise",
-        action="store_const", const=True,
-        default=None if optional else False,
-        help="wrap shard workers in the fault-tolerant supervisor "
-             "(heartbeats, checkpointed respawn, graceful degradation)",
-    )
-    p.add_argument(
         "--chaos", default=None, metavar="SPEC",
-        help="chaos-injection schedule, e.g. "
+        help="chaos-injection schedule for the shard supervisor, e.g. "
              "'kill@3:1,stall@5:0:0.3,seed=7,malformed=0.05' "
-             "(implies supervision; see docs/ROBUSTNESS.md)",
+             "(see docs/ROBUSTNESS.md)",
     )
     p.add_argument(
         "--shard-retry-budget", type=int, default=None, metavar="N",
@@ -317,15 +310,14 @@ def _validate_shard_args(args: argparse.Namespace) -> None:
     shards = getattr(args, "shards", None)
     if shards is not None and shards < 1:
         raise SystemExit(f"error: --shards must be >= 1 (got {shards})")
-    supervision_requested = bool(
-        getattr(args, "shard_supervise", None)
-        or getattr(args, "chaos", None)
+    supervisor_flags = bool(
+        getattr(args, "chaos", None)
         or getattr(args, "shard_retry_budget", None) is not None
     )
-    if supervision_requested and (shards is None or shards <= 1):
+    if supervisor_flags and (shards is None or shards <= 1):
         raise SystemExit(
-            "error: --shard-supervise/--chaos/--shard-retry-budget act on "
-            "the shard engine; pass --shards N with N > 1"
+            "error: --chaos/--shard-retry-budget act on the shard "
+            "supervisor; pass --shards N with N > 1"
         )
     budget = getattr(args, "shard_retry_budget", None)
     if budget is not None and budget < 0:
@@ -365,7 +357,6 @@ def _cmd_fig9a(args: argparse.Namespace) -> int:
     result = run_coverage_vs_density(
         args.densities, args.seeds, epochs=args.epochs,
         wifi_duration_s=args.wifi_duration, shards=args.shards,
-        shard_supervise=bool(args.shard_supervise),
         shard_retry_budget=args.shard_retry_budget,
         chaos=args.chaos,
     )
@@ -389,7 +380,6 @@ def _cmd_fig9b(args: argparse.Namespace) -> int:
     result = run_throughput_cdfs(
         args.seeds, n_aps=args.aps, epochs=args.epochs,
         wifi_duration_s=args.wifi_duration, shards=args.shards,
-        shard_supervise=bool(args.shard_supervise),
         shard_retry_budget=args.shard_retry_budget,
         chaos=args.chaos,
     )
@@ -481,7 +471,6 @@ def build_sweep_spec(args: argparse.Namespace):
                 epochs=args.epochs,
                 wifi_duration_s=args.wifi_duration,
                 shards=args.shards,
-                shard_supervise=args.shard_supervise,
                 shard_retry_budget=args.shard_retry_budget,
                 chaos=args.chaos,
             )
@@ -499,7 +488,6 @@ def build_sweep_spec(args: argparse.Namespace):
                 epochs=args.epochs,
                 wifi_duration_s=args.wifi_duration,
                 shards=args.shards,
-                shard_supervise=args.shard_supervise,
                 shard_retry_budget=args.shard_retry_budget,
                 chaos=args.chaos,
             )
@@ -794,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--wifi-duration", type=float, default=None)
     p.add_argument("--shards", type=int, default=None)
-    _add_shard_flags(p, optional=True)
+    _add_shard_flags(p)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--duration", type=float, default=None)
     p.add_argument("--sizes", type=int, nargs="+", default=None)

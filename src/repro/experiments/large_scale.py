@@ -16,7 +16,9 @@ repeated over multiple seeds, as in the paper ("every scenario is repeated
 
 from __future__ import annotations
 
+import inspect
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -55,36 +57,19 @@ TECH_WIFI = "802.11af"
 TECH_ORACLE = "Oracle"
 
 
-def _supervision_config(
-    shard_retry_budget: Optional[int],
-    shard_checkpoint_every: Optional[int],
-) -> Optional[SupervisionConfig]:
-    """Overrides -> a SupervisionConfig, or None to take the defaults."""
-    if shard_retry_budget is None and shard_checkpoint_every is None:
-        return None
-    kwargs: Dict[str, int] = {}
-    if shard_retry_budget is not None:
-        kwargs["retry_budget"] = int(shard_retry_budget)
-    if shard_checkpoint_every is not None:
-        kwargs["checkpoint_every"] = int(shard_checkpoint_every)
-    return SupervisionConfig(**kwargs)
-
-
 def _make_lte_net(
     scenario: Scenario,
     stream_label: str,
     shards: int = 1,
     shard_mode: str = "auto",
-    shard_supervise: bool = False,
     shard_retry_budget: Optional[int] = None,
-    shard_checkpoint_every: Optional[int] = None,
     chaos: Optional[str] = None,
 ):
     if shards <= 1:
         return scenario.lte_net(stream_label)
     # Sharded city-scale path: every worker owns one rectangular tile of
-    # APs and builds through the same scenario builder, so a supervised
-    # respawn starts from build-time state before it replays its journal;
+    # APs and builds through the same scenario builder, so a respawn
+    # starts from build-time state before it replays its journal;
     # process workers inherit the loss block through fork.
     topology = scenario.topology
     return ShardedNetwork(
@@ -94,9 +79,10 @@ def _make_lte_net(
         scenario.rngs.fork(stream_label),
         scenario.grid(),
         mode=shard_mode,
-        supervise=shard_supervise,
-        supervision=_supervision_config(
-            shard_retry_budget, shard_checkpoint_every
+        supervision=(
+            None
+            if shard_retry_budget is None
+            else SupervisionConfig(retry_budget=int(shard_retry_budget))
         ),
         chaos=ChaosPolicy.parse(chaos) if chaos else None,
     )
@@ -159,9 +145,7 @@ class SaturatedLteRun:
         scenario: Optional[Scenario] = None,
         shards: int = 1,
         shard_mode: str = "auto",
-        shard_supervise: bool = False,
         shard_retry_budget: Optional[int] = None,
-        shard_checkpoint_every: Optional[int] = None,
         chaos: Optional[str] = None,
     ) -> None:
         if tech == TECH_WIFI:
@@ -174,15 +158,9 @@ class SaturatedLteRun:
                 "the Oracle allocator queries live radio state at "
                 "construction; run it unsharded"
             )
-        supervised = bool(
-            shard_supervise
-            or shard_retry_budget is not None
-            or shard_checkpoint_every is not None
-            or chaos
-        )
-        if supervised and shards <= 1:
+        if (shard_retry_budget is not None or chaos) and shards <= 1:
             raise ValueError(
-                "shard supervision / chaos injection needs the shard "
+                "a shard retry budget / chaos injection needs the shard "
                 "engine; pass shards > 1"
             )
         self.tech = tech
@@ -199,12 +177,8 @@ class SaturatedLteRun:
         # Only non-default supervision knobs enter the config: sweep cache
         # keys and old snapshots hash the config dict, so defaults must
         # round-trip to the exact historical dict.
-        if shard_supervise:
-            self.config["shard_supervise"] = True
         if shard_retry_budget is not None:
             self.config["shard_retry_budget"] = int(shard_retry_budget)
-        if shard_checkpoint_every is not None:
-            self.config["shard_checkpoint_every"] = int(shard_checkpoint_every)
         if chaos:
             self.config["chaos"] = chaos
         self.scenario = (
@@ -217,9 +191,7 @@ class SaturatedLteRun:
             f"net-{tech}",
             shards=shards,
             shard_mode=shard_mode,
-            shard_supervise=shard_supervise,
             shard_retry_budget=shard_retry_budget,
-            shard_checkpoint_every=shard_checkpoint_every,
             chaos=chaos,
         )
         self.policy = _make_policy(tech, self.scenario, self.net)
@@ -257,14 +229,14 @@ class SaturatedLteRun:
             # event-driven phase (Wi-Fi CSMA) may have left it ahead of
             # where run_epoch resets it, and spans must not run backward.
             tel.set_time(self._epoch * self.net.epoch_s)
-            with tel.span(
+        with (
+            tel.span(
                 "exp.epoch", "experiment",
                 args={"tech": self.tech, "epoch": self._epoch},
-            ):
-                result = self.net.run_epoch(
-                    self._epoch, allowed, self._demand_fn(self._epoch)
-                )
-        else:
+            )
+            if tel is not None
+            else nullcontext()
+        ):
             result = self.net.run_epoch(
                 self._epoch, allowed, self._demand_fn(self._epoch)
             )
@@ -352,7 +324,7 @@ class SaturatedLteRun:
         return self.registry.run_digest()
 
     def supervision_stats(self) -> Optional[Dict[str, int]]:
-        """Failure/recovery counters, or None when unsupervised."""
+        """Failure/recovery counters, or None for an unsharded run."""
         supervisor = getattr(self.net, "supervisor", None)
         if supervisor is None:
             return None
@@ -380,7 +352,11 @@ class SaturatedLteRun:
                 f"snapshot ran the {backend!r} epoch backend; only "
                 "incremental snapshots resume exactly"
             )
-        run = cls(**config)
+        # A setting a later release retired (such as the switch that made
+        # shard supervision optional: every sharded run is supervised now)
+        # changes no result bit, so the restore drops it.
+        accepted = inspect.signature(cls).parameters
+        run = cls(**{key: value for key, value in config.items() if key in accepted})
         run.registry.restore(snapshot)
         return run
 
@@ -425,14 +401,11 @@ SCENARIO_SATURATED = "large_scale_saturated"
 
 
 def _supervision_cell_params(
-    shard_supervise: bool,
     shard_retry_budget: Optional[int],
     chaos: Optional[str],
 ) -> Dict[str, object]:
     """Non-default supervision knobs as sweep cell params (else empty)."""
     params: Dict[str, object] = {}
-    if shard_supervise:
-        params["shard_supervise"] = True
     if shard_retry_budget is not None:
         params["shard_retry_budget"] = int(shard_retry_budget)
     if chaos:
@@ -451,7 +424,6 @@ def large_scale_saturated_cell(
     epochs: int = 15,
     wifi_duration_s: float = 6.0,
     shards: int = 1,
-    shard_supervise: bool = False,
     shard_retry_budget: Optional[int] = None,
     chaos: Optional[str] = None,
     checkpoint: Optional[Dict[str, object]] = None,
@@ -489,7 +461,6 @@ def large_scale_saturated_cell(
             sat = SaturatedLteRun(
                 tech, seed, n_aps, clients_per_ap, epochs=epochs,
                 shards=shards,
-                shard_supervise=shard_supervise,
                 shard_retry_budget=shard_retry_budget,
                 chaos=chaos,
             )
@@ -526,7 +497,6 @@ def fig9a_sweep_spec(
     epochs: int = 12,
     wifi_duration_s: float = 5.0,
     shards: int = 1,
-    shard_supervise: bool = False,
     shard_retry_budget: Optional[int] = None,
     chaos: Optional[str] = None,
 ) -> SweepSpec:
@@ -540,7 +510,7 @@ def fig9a_sweep_spec(
     # Default supervision knobs stay out of the cell params so historical
     # sweep caches (keyed on the param dict) still hit.
     base.update(
-        _supervision_cell_params(shard_supervise, shard_retry_budget, chaos)
+        _supervision_cell_params(shard_retry_budget, chaos)
     )
     return SweepSpec.from_grid(
         "fig9a",
@@ -558,7 +528,6 @@ def fig9b_sweep_spec(
     epochs: int = 15,
     wifi_duration_s: float = 6.0,
     shards: int = 1,
-    shard_supervise: bool = False,
     shard_retry_budget: Optional[int] = None,
     chaos: Optional[str] = None,
 ) -> SweepSpec:
@@ -571,7 +540,7 @@ def fig9b_sweep_spec(
         "shards": shards,
     }
     base.update(
-        _supervision_cell_params(shard_supervise, shard_retry_budget, chaos)
+        _supervision_cell_params(shard_retry_budget, chaos)
     )
     return SweepSpec.from_grid(
         "fig9b",
@@ -615,7 +584,6 @@ def run_coverage_vs_density(
     include_wifi: bool = True,
     jobs: int = 0,
     shards: int = 1,
-    shard_supervise: bool = False,
     shard_retry_budget: Optional[int] = None,
     chaos: Optional[str] = None,
     **sweep_kwargs,
@@ -638,7 +606,6 @@ def run_coverage_vs_density(
         epochs=epochs,
         wifi_duration_s=wifi_duration_s,
         shards=shards,
-        shard_supervise=shard_supervise,
         shard_retry_budget=shard_retry_budget,
         chaos=chaos,
     )
@@ -685,7 +652,6 @@ def run_throughput_cdfs(
     include_oracle: bool = True,
     jobs: int = 0,
     shards: int = 1,
-    shard_supervise: bool = False,
     shard_retry_budget: Optional[int] = None,
     chaos: Optional[str] = None,
     **sweep_kwargs,
@@ -708,7 +674,6 @@ def run_throughput_cdfs(
         epochs=epochs,
         wifi_duration_s=wifi_duration_s,
         shards=shards,
-        shard_supervise=shard_supervise,
         shard_retry_budget=shard_retry_budget,
         chaos=chaos,
     )

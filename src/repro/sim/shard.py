@@ -62,12 +62,13 @@ Failures (see ``docs/ROBUSTNESS.md``)
 Every worker failure is one :class:`_WorkerFailure` with one handler,
 ``ShardedNetwork._failed``.  An event op that raises is deferred and
 surfaces at the next replying op, as one ``worker-op-error`` event per
-``(shard, signature)``.  Unsupervised, the failure is raised as
-``RuntimeError``.  :class:`ShardSupervisor` recovers it instead: replies
-are read against per-phase deadlines, and a failed worker is respawned
-from the last merged shard-agnostic snapshot plus a bounded journal of
-the event ops and epoch barriers since -- so the recovered run digest
-stays bit-identical to a fault-free run.  A per-worker retry budget with
+``(shard, signature)``.  Every :class:`ShardedNetwork` carries a
+:class:`ShardSupervisor` that recovers it: replies are read against
+per-phase deadlines, and a failed worker is respawned from the last
+merged shard-agnostic snapshot (the factory's build-time state before
+the first one) plus a bounded journal of the event ops and epoch
+barriers since -- so the recovered run digest stays bit-identical to a
+fault-free run.  A per-worker retry budget with
 exponential backoff bounds the recovery cost; exhausting it folds the
 shard into inline execution (slower, still bit-identical) with a
 structured warning instead of aborting the run.  :class:`ChaosPolicy`
@@ -357,7 +358,7 @@ class _Worker:
     A transport supplies ``post(msg)`` (queue one op for the worker's op
     table) and ``_take(timeout_s)`` (the next raw reply); both raise
     :class:`_WorkerFailure`.  ``timeout_s=None`` waits without a
-    deadline.
+    deadline; the network always passes the supervisor's.
     """
 
     def reply(self, timeout_s: Optional[float] = None) -> Any:
@@ -546,28 +547,31 @@ class ShardDegradedWarning(RuntimeWarning):
     execution (slower, still bit-identical) instead of aborting the run."""
 
 
+#: Adaptive barrier deadline: ``_DEADLINE_FACTOR`` times the slowest
+#: recent wall-clock time of the same phase, at least ``_MIN_DEADLINE_S``,
+#: and a generous ``_INITIAL_DEADLINE_S`` before any history exists.
+_INITIAL_DEADLINE_S = 300.0
+_MIN_DEADLINE_S = 5.0
+_DEADLINE_FACTOR = 20.0
+
+
 @dataclass
 class SupervisionConfig:
     """Tunables for :class:`ShardSupervisor`.
 
     ``phase_timeout_s`` pins every barrier deadline to a fixed value
-    (tests); when ``None`` the deadline adapts to the fleet: at least
-    ``min_deadline_s``, otherwise ``deadline_factor`` times the slowest
-    recent wall-clock time of the same barrier phase, and a generous
-    ``initial_deadline_s`` before any history exists.  ``retry_budget``
-    counts failures per worker over the run; exceeding it degrades the
-    shard to inline execution.  A merged recovery snapshot is refreshed
-    every ``checkpoint_every`` epochs (and whenever the op journal grows
-    past ``journal_cap``), which bounds replay depth.
+    (tests); when ``None`` the deadline adapts to the fleet (see
+    ``_DEADLINE_FACTOR``).  ``retry_budget`` counts failures per worker
+    over the run; exceeding it degrades the shard to inline execution.
+    A merged recovery snapshot is refreshed every ``checkpoint_every``
+    epochs (and whenever the op journal grows past ``journal_cap``),
+    which bounds replay depth.
     """
 
     retry_budget: int = 3
     checkpoint_every: int = 5
     journal_cap: int = 4096
     phase_timeout_s: Optional[float] = None
-    initial_deadline_s: float = 300.0
-    min_deadline_s: float = 5.0
-    deadline_factor: float = 20.0
     backoff_base_s: float = 0.05
     backoff_max_s: float = 2.0
 
@@ -818,13 +822,14 @@ class ShardSupervisor:
     """Recovery for a :class:`ShardedNetwork`: deadlines, journal, snapshot,
     respawn/replay, chaos and degrade.
 
-    The network runs the barrier; with a supervisor attached it reads
-    replies against per-phase deadlines, journals event ops and epoch
+    The network runs the barrier; it reads replies against this
+    supervisor's per-phase deadlines, journals event ops and epoch
     barriers here, and hands every worker failure to :meth:`_recover`:
-    respawn the worker from the last merged shard-agnostic snapshot,
-    replay the op journal (event ops and epoch barriers recorded since
-    the snapshot, with their exact RNG stream states and PRACH totals),
-    and rejoin the barrier bit-identically.  Failures beyond
+    respawn the worker from the last merged shard-agnostic snapshot (or,
+    before the first one, from the factory's build-time state), replay
+    the op journal (event ops and epoch barriers recorded since, with
+    their exact RNG stream states and PRACH totals), and rejoin the
+    barrier bit-identically.  Failures beyond
     ``retry_budget`` degrade the shard to inline execution with a
     :class:`ShardDegradedWarning` instead of aborting.
     """
@@ -863,11 +868,10 @@ class ShardSupervisor:
             "telemetry_salvaged": 0,
             "telemetry_dropped": 0,
         }
-        # Baseline snapshot: a worker lost before the first periodic
-        # refresh must still be recoverable.  The net has no supervisor
-        # yet, so this gather is a plain (unguarded) one.
-        self._snapshot = clone_state(net.state_dict())
-        self.stats["snapshots"] += 1
+        # No snapshot until the first refresh: every worker starts as the
+        # factory's build-time state, so a respawned one is rebuilt and
+        # replays the journal from construction.
+        self._snapshot: Optional[Dict[str, Any]] = None
 
     # -- Plumbing -----------------------------------------------------------
 
@@ -880,13 +884,12 @@ class ShardSupervisor:
             # Recovery and state ops are off the hot path, so erring
             # generous beats spurious re-classification.
             return max(self.deadline("commit"), _RECOVERY_MIN_DEADLINE_S)
-        cfg = self.config
-        if cfg.phase_timeout_s is not None:
-            return cfg.phase_timeout_s
+        if self.config.phase_timeout_s is not None:
+            return self.config.phase_timeout_s
         recent = self._recent_phase_s[where]
         if not recent:
-            return cfg.initial_deadline_s
-        return max(cfg.min_deadline_s, cfg.deadline_factor * max(recent))
+            return _INITIAL_DEADLINE_S
+        return max(_MIN_DEADLINE_S, _DEADLINE_FACTOR * max(recent))
 
     def note_phase(self, phase: str, seconds: float) -> None:
         self._recent_phase_s[phase].append(max(seconds, 1e-9))
@@ -1009,7 +1012,8 @@ class ShardSupervisor:
         )
 
     def _replay(self, worker: _Worker, k: int) -> Tuple[Optional[tuple], Optional[int]]:
-        """Load the pinned snapshot into ``worker``, re-apply the journal.
+        """Load the pinned snapshot (if any) into ``worker``, re-apply the
+        journal.
 
         Returns ``(outcome, epoch_index)`` of the last replayed epoch
         barrier (``(None, None)`` when the journal holds none).  Any
@@ -1032,7 +1036,8 @@ class ShardSupervisor:
         # Hand the worker a detached clone: the pinned snapshot must stay
         # byte-stable across retries, and an inline worker must never end
         # up aliasing arrays inside it (or inside a sibling worker).
-        send(("load", clone_state(self._snapshot)), "snapshot load")
+        if self._snapshot is not None:
+            send(("load", clone_state(self._snapshot)), "snapshot load")
         last: Tuple[Optional[tuple], Optional[int]] = (None, None)
         for entry in self._journal:
             op = entry[0]
@@ -1216,11 +1221,10 @@ class ShardedNetwork:
         grid: the shared resource grid (policy wiring reads it).
         mode: ``"process"`` (fork workers), ``"inline"`` (in-process, for
             tests and platforms without fork) or ``"auto"``.
-        supervise: attach a :class:`ShardSupervisor` (fault-tolerant
-            barrier with recovery-by-replay; see ``docs/ROBUSTNESS.md``).
-        supervision: supervisor tunables; implies ``supervise=True``.
-        chaos: a :class:`ChaosPolicy` fault schedule; implies
-            ``supervise=True``.
+        supervision: tunables for the :class:`ShardSupervisor` every
+            network carries (fault-tolerant barrier with
+            recovery-by-replay; see ``docs/ROBUSTNESS.md``).
+        chaos: a :class:`ChaosPolicy` fault schedule for the supervisor.
     """
 
     def __init__(
@@ -1231,7 +1235,6 @@ class ShardedNetwork:
         rngs,
         grid,
         mode: str = "auto",
-        supervise: bool = False,
         supervision: Optional[SupervisionConfig] = None,
         chaos: Optional[ChaosPolicy] = None,
     ) -> None:
@@ -1292,7 +1295,6 @@ class ShardedNetwork:
                 "profile": tel.profiler is not None,
             }
             self._tel_merger = ShardTelemetryMerger()
-        self.supervisor: Optional[ShardSupervisor] = None
         self.workers: List[_Worker] = [
             self._build_worker(k) for k in range(len(plan))
         ]
@@ -1302,8 +1304,7 @@ class ShardedNetwork:
         # core do not inflate it); max() is the critical-path epoch time
         # a one-worker-per-core host waits on.
         self.last_epoch_compute_s: List[float] = []
-        if supervise or supervision is not None or chaos is not None:
-            self.supervisor = ShardSupervisor(self, supervision, chaos=chaos)
+        self.supervisor = ShardSupervisor(self, supervision, chaos=chaos)
 
     def _build_worker(self, shard_index: int, inline: bool = False) -> _Worker:
         """Build (or rebuild, for recovery) the worker for one shard."""
@@ -1352,7 +1353,7 @@ class ShardedNetwork:
         spent bulk-filling its owned rows at build time (the quantity the
         gain-fill kernels attack; ``perfbench`` reports it as
         ``shard.worker_build_s``).  After a
-        supervised respawn the figure reflects the most recent rebuild.
+        respawn the figure reflects the most recent rebuild.
         """
         return self._round(
             "build_stats", range(self.n_shards), None,
@@ -1369,30 +1370,22 @@ class ShardedNetwork:
         expect_epoch: Optional[int] = None,
         repeat: bool = False,
     ) -> Optional[tuple]:
-        """Record a failed request of worker ``k``, then raise or recover.
+        """Record a failed request of worker ``k``, then recover it.
 
-        Without a supervisor the failure is raised; with one, the worker
-        is respawned and this returns the replayed outcome of
+        The worker is respawned and this returns the replayed outcome of
         ``expect_epoch`` if the replay produced it (else ``None``).
         ``repeat`` marks a request that failed before: on a degraded
         (inline) shard, whose replay just succeeded, that failure is
-        deterministic and is raised too.
+        deterministic and is raised.
         """
         self._note_error_report(k, failure.payload)
         detail = f"{where}: {failure.detail}"
-        if self.supervisor is None:
-            raise RuntimeError(f"shard worker failed: {detail}") from None
         if repeat and self.supervisor.degraded[k]:
             raise RuntimeError(
                 f"shard {k} failed even after degrading to inline "
                 f"execution:\n{detail}"
             ) from None
         return self.supervisor._recover(k, failure.kind, detail, expect_epoch)
-
-    def _deadline(self, where: str) -> Optional[float]:
-        if self.supervisor is None:
-            return None
-        return self.supervisor.deadline(where)
 
     def _start(self, k: int, start) -> Optional[_WorkerFailure]:
         if start is not None:
@@ -1420,8 +1413,8 @@ class ShardedNetwork:
         request is posted again, unless the journal replay already
         produced this epoch's outcome.
         """
-        deadline_s = self._deadline(where)
         sup = self.supervisor
+        deadline_s = sup.deadline(where)
         failures = {k: self._start(k, start) for k in shards}
         replies = []
         for k in shards:
@@ -1434,8 +1427,7 @@ class ShardedNetwork:
                     except _WorkerFailure as exc:
                         failure = exc
                     else:
-                        if sup is not None:
-                            reply = sup.corrupt_if_scheduled(k, reply)
+                        reply = sup.corrupt_if_scheduled(k, reply)
                         error = check(reply) if check is not None else None
                         if error is None:
                             replies.append(reply)
@@ -1452,22 +1444,19 @@ class ShardedNetwork:
     # -- Events (applied between epochs, i.e. at the barrier) ---------------
 
     def _event(self, entry: tuple, sends: Sequence[Tuple[int, tuple]]) -> None:
-        """Journal one event (when supervised), then post its worker ops.
+        """Journal one event, then post its worker ops.
 
         Event ops are fire-and-forget; a worker that cannot take one
-        fails here, and under supervision its journal replay re-applies
-        the op, so recovery is enough.
+        fails here, and its journal replay re-applies the op, so recovery
+        is enough.
         """
-        sup = self.supervisor
-        if sup is not None:
-            sup.journal(entry)
+        self.supervisor.journal(entry)
         for k, msg in sends:
             try:
                 self.workers[k].post(msg)
             except _WorkerFailure as failure:
                 self._failed(k, failure, f"event {msg[0]!r}")
-        if sup is not None:
-            sup.trim_journal()
+        self.supervisor.trim_journal()
 
     def move_client(self, client_id: int, x: float, y: float) -> None:
         self.topology.move_client(client_id, x, y)
@@ -1514,7 +1503,7 @@ class ShardedNetwork:
             # ticks line up with the shipped worker records.
             tel.set_time(epoch_index * self.epoch_s)
         sup = self.supervisor
-        chaos = sup.chaos_events(epoch_index) if sup is not None else []
+        chaos = sup.chaos_events(epoch_index)
         barrier_t0 = time.monotonic()
         # Phase 1: push decision + epoch RNG states, gather PRACH partials.
         # The push is normally a no-op (workers advanced in lockstep) but
@@ -1530,20 +1519,19 @@ class ShardedNetwork:
         total = partials[0]
         for partial in partials[1:]:
             total = total + partial
-        if sup is not None:
-            # Journal the barrier *before* commit: a worker lost during
-            # commit replays straight through this epoch and its replayed
-            # outcome is the epoch result.
-            sup.journal(
-                (
-                    "epoch",
-                    epoch_index,
-                    {ap_id: set(subs) for ap_id, subs in allowed.items()},
-                    dict(demands_bits),
-                    rng_states,
-                    np.array(total, copy=True),
-                )
+        # Journal the barrier *before* commit: a worker lost during commit
+        # replays straight through this epoch and its replayed outcome is
+        # the epoch result.
+        sup.journal(
+            (
+                "epoch",
+                epoch_index,
+                {ap_id: set(subs) for ap_id, subs in allowed.items()},
+                dict(demands_bits),
+                rng_states,
+                np.array(total, copy=True),
             )
+        )
         # Phase 2: broadcast the exact global counts, run the epoch slices.
         traced = self._tel_merger is not None
         outcomes = self._phase(
@@ -1555,22 +1543,20 @@ class ShardedNetwork:
         merged = self._merge_outcomes(epoch_index, outcomes)
         if tel is not None:
             tel.observe("shard.barrier_wait_s", time.monotonic() - barrier_t0)
-        if sup is not None:
-            sup.epoch_done()
+        sup.epoch_done()
         return merged
 
     def _phase(self, phase, epoch_index, chaos, start, finish, check) -> List[Any]:
         """One barrier phase over every shard: chaos, span, round, timing."""
         sup = self.supervisor
-        if sup is not None:
-            sup.inject(chaos, phase)
+        sup.inject(chaos, phase)
         tel = _obs_runtime.active()
         phase_t0 = time.monotonic()
         with (
             tel.span(
                 f"shard.barrier.{phase}",
                 "supervisor",
-                args={"epoch": epoch_index, "deadline_s": self._deadline(phase)},
+                args={"epoch": epoch_index, "deadline_s": sup.deadline(phase)},
             )
             if tel is not None
             else nullcontext()
@@ -1579,8 +1565,7 @@ class ShardedNetwork:
                 phase, range(self.n_shards), start, finish, check,
                 expect_epoch=epoch_index if phase == "commit" else None,
             )
-        if sup is not None:
-            sup.note_phase(phase, time.monotonic() - phase_t0)
+        sup.note_phase(phase, time.monotonic() - phase_t0)
         return replies
 
     def _merge_outcomes(
@@ -1693,8 +1678,7 @@ class ShardedNetwork:
             cid, ap_id = int(cid), int(ap_id)
             if self.topology.client(cid).ap_id != ap_id:
                 self.topology.reattach_client(cid, ap_id)
-        if self.supervisor is not None:
-            self.supervisor.restart_from(state)
+        self.supervisor.restart_from(state)
         if self._tel_merger is not None:
             # A restore rewinds the run: epochs will be re-run (and their
             # payloads re-shipped), so the dedup horizon must forget them.
@@ -1740,8 +1724,7 @@ class ShardedNetwork:
     # -- Lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        if self.supervisor is not None:
-            self.supervisor.close()
+        self.supervisor.close()
         if self._tel_merger is not None:
             # Final drain: anything recorded since the last commit reply
             # (event ops, a begun-but-uncommitted epoch) merges with full

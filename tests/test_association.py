@@ -283,8 +283,7 @@ class TestShardRespawnFromBuildState:
         seed, n_aps, clients_per_ap, epochs = 3, 16, 3, 6
         sharded = SaturatedLteRun(
             TECH_CELLFI, seed, n_aps, clients_per_ap, epochs=epochs,
-            shards=2, shard_mode="process", shard_supervise=True,
-            chaos="kill@3:1",
+            shards=2, shard_mode="process", chaos="kill@3:1",
         )
         unsharded = SaturatedLteRun(
             TECH_CELLFI, seed, n_aps, clients_per_ap, epochs=epochs

@@ -207,6 +207,26 @@ class TestSaturatedLteRoundtrip:
         assert resumed.run_digest() == baseline.run_digest()
         assert resumed.run_digest() == unsharded.run_digest()
 
+    def test_retired_setting_in_a_sharded_snapshot_is_dropped(self, tmp_path):
+        # Older sharded snapshots may name a setting the constructor has
+        # since retired (such as the switch that made shard supervision
+        # optional); it changes no result bit, so the restore drops it.
+        kwargs = dict(
+            tech=TECH_LTE, seed=4, n_aps=4, clients_per_ap=3, epochs=4,
+            shards=2, shard_mode="inline",
+        )
+        baseline = SaturatedLteRun(**kwargs)
+        baseline.run()
+        halted = SaturatedLteRun(**kwargs)
+        halted.run(checkpoint_dir=str(tmp_path), checkpoint_every=2, halt_at=2)
+        snapshot = Snapshot.load(latest_checkpoint(str(tmp_path)))
+        snapshot.meta["config"]["retired_switch"] = True
+        resumed = SaturatedLteRun.from_snapshot(snapshot)
+        assert "retired_switch" not in resumed.config
+        resumed.run()
+        assert resumed.run_digest() == baseline.run_digest()
+        assert resumed.supervision_stats()["restarts"] == 0
+
 
 class TestConvergenceRoundtrip:
     @pytest.mark.parametrize("seed,n_nodes", [(17, 8), (4, 12)])

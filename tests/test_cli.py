@@ -112,7 +112,7 @@ class TestExecution:
 
 
 class TestShardValidation:
-    """Early validation of --shards / supervision / chaos combinations."""
+    """Early validation of --shards / retry-budget / chaos combinations."""
 
     @staticmethod
     def _validate(argv):
@@ -127,8 +127,6 @@ class TestShardValidation:
     def test_supervision_flags_require_shards(self):
         with pytest.raises(SystemExit, match="pass --shards N"):
             self._validate(["fig9a", "--chaos", "kill@2:0"])
-        with pytest.raises(SystemExit, match="pass --shards N"):
-            self._validate(["fig9b", "--shard-supervise"])
         with pytest.raises(SystemExit, match="pass --shards N"):
             self._validate(["fig9a", "--shards", "1", "--shard-retry-budget", "2"])
 
@@ -153,7 +151,7 @@ class TestShardValidation:
     def test_valid_supervised_combination_accepted(self):
         self._validate(
             [
-                "fig9a", "--shards", "2", "--shard-supervise",
+                "fig9a", "--shards", "2",
                 "--chaos", "kill@3:1,seed=7,malformed=0.05",
                 "--shard-retry-budget", "2",
             ]
@@ -161,6 +159,5 @@ class TestShardValidation:
 
     def test_sweep_shard_flags_default_to_none(self):
         args = build_parser().parse_args(["sweep", "fig9a"])
-        assert args.shard_supervise is None
         assert args.chaos is None
         assert args.shard_retry_budget is None

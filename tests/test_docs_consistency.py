@@ -236,3 +236,85 @@ class TestBenchEpochMentions:
             "--activity-sweep",
             "BENCH_city.json",
         ]
+
+
+class TestCliFlagMentions:
+    """Every ``repro.cli <command> ... --flag`` line in the docs, the
+    Makefile, CI and the verify recipe names only flags that command's
+    parser in :func:`repro.cli.build_parser` accepts."""
+
+    SOURCES = [
+        "README.md",
+        "EXPERIMENTS.md",
+        "Makefile",
+        ".claude/skills/verify/SKILL.md",
+    ]
+    #: ``repro.cli``, the subcommand and the rest of its command line:
+    #: tokens up to the end of the line, a backtick or a ``#`` comment.
+    COMMAND = re.compile(
+        r"repro\.cli[ \t]+([a-z][\w-]*)((?:[ \t]+[^\s`#][^\s`]*)*)"
+    )
+    FLAG = TestBenchEpochMentions.FLAG
+
+    @pytest.fixture(scope="class")
+    def accepted(self):
+        """Subcommand -> every option string its parser accepts."""
+        import argparse
+
+        from repro.cli import build_parser
+
+        (subparsers,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        return {
+            command: {
+                flag
+                for action in parser._actions
+                for flag in action.option_strings
+            }
+            for command, parser in subparsers.choices.items()
+        }
+
+    def stale(self, text, accepted):
+        """``command --flag`` pairs (or bare unknown commands) the CLI
+        does not accept."""
+        text = text.replace("\\\n", " ")  # join continued shell lines
+        found = set()
+        for command, tail in self.COMMAND.findall(text):
+            if command not in accepted:
+                found.add(command)
+                continue
+            for flag in self.FLAG.findall(tail):
+                if flag not in accepted[command]:
+                    found.add(f"{command} {flag}")
+        return sorted(found)
+
+    def test_named_flags_exist(self, accepted):
+        assert {"--shards", "--chaos", "--shard-retry-budget"} <= accepted["fig9a"]
+        scanned = [
+            command
+            for source in _doc_sources() + self.SOURCES
+            for command, _ in self.COMMAND.findall(
+                _read(source).replace("\\\n", " ")
+            )
+        ]
+        assert len(scanned) >= 10, "the command scan found too little"
+        stale = {
+            source: found
+            for source in _doc_sources() + self.SOURCES
+            for found in [self.stale(_read(source), accepted)]
+            if found
+        }
+        assert not stale, f"stale repro.cli mentions: {stale}"
+
+    def test_a_retired_flag_or_command_is_caught(self, accepted):
+        leftover = (
+            "```bash\n"
+            "python -m repro.cli fig9a --shards 4 --backend scalar \\\n"
+            "    --chaos 'kill@3:1'  # retired flag on a continuation\n"
+            "python -m repro.cli fig10 --seeds 1\n"
+            "```\n"
+        )
+        assert self.stale(leftover, accepted) == ["fig10", "fig9a --backend"]

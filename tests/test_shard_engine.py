@@ -1,18 +1,19 @@
 """Shard engine protocol: one op table, one barrier, one failure path.
 
 ``repro.sim.shard`` dispatches every worker op through one table, runs
-one barrier for supervised and unsupervised nets alike, and hands every
-worker failure to one handler.  This suite pins the consequences:
+one supervised barrier, and hands every worker failure to one handler.
+This suite pins the consequences:
 
 * a failing event op is deferred in both transports, surfaces at the
   next op that replies, and is recorded as one ``worker-op-error`` event
-  per ``(shard, signature)`` -- inline or process, supervised or not;
+  per ``(shard, signature)`` -- inline or process;
 * a degraded shard that fails the same request again is raised, never
   retried forever;
+* a network built with no supervision argument still recovers a killed
+  worker between two epochs, bit-identically to the unsharded run;
 * the barrier goes through each worker's ``begin_epoch`` /
   ``read_partial`` / ``commit_epoch`` / ``read_result`` exactly once per
-  epoch in every mode, so per-phase tracing attributes shard time even
-  under supervision;
+  epoch in every mode, so per-phase tracing attributes shard time;
 * the paper's own path -- CellFi hopping under mobility and handover
   churn at 64 APs -- gives the same per-epoch digests on the scalar
   oracle, on incremental at 1 shard and on 2 and 4 inline shards;
@@ -31,7 +32,12 @@ import pytest
 
 from repro.core.interference.manager import CellFiInterferenceManager
 from repro.experiments.common import build_scenario
-from repro.experiments.large_scale import TECH_CELLFI, SaturatedLteRun
+from repro.experiments.large_scale import (
+    TECH_CELLFI,
+    TECH_LTE,
+    SaturatedLteRun,
+    large_scale_saturated_cell,
+)
 from repro.lte.network import AllSubchannelsPolicy, LteNetworkSimulator
 from repro.lte.scalar_oracle import ScalarOracleSimulator
 from repro.phy.resource_grid import ResourceGrid
@@ -51,10 +57,11 @@ from tests.test_lte_network_incremental import (
     SEED,
     churn_run,
     make_channel,
+    make_net,
     make_topology,
     oracle_run,
 )
-from tests.test_sim_shard import epoch_digest, shard_factory
+from tests.test_sim_shard import epoch_digest, make_sharded, shard_factory
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -78,11 +85,10 @@ MODES = [
 MOVE_SIG = "move: ValueError: move refused"
 
 
-def build_net(n_shards, mode, supervised, factory=None, **config_kwargs):
+def build_net(n_shards, mode, factory=None, **config_kwargs):
     channel = make_channel()
     topology = make_topology(channel)
-    if supervised:
-        config_kwargs.setdefault("phase_timeout_s", 30.0)
+    config_kwargs.setdefault("phase_timeout_s", 30.0)
     return ShardedNetwork(
         topology,
         grid_partition(topology, n_shards),
@@ -90,7 +96,7 @@ def build_net(n_shards, mode, supervised, factory=None, **config_kwargs):
         RngStreams(SEED),
         ResourceGrid(5e6),
         mode=mode,
-        supervision=SupervisionConfig(**config_kwargs) if supervised else None,
+        supervision=SupervisionConfig(**config_kwargs),
     )
 
 
@@ -145,11 +151,10 @@ class TestOpTable:
 
 
 class TestOneFailureSurface:
-    @pytest.mark.parametrize("supervised", [False, True])
     @pytest.mark.parametrize("mode", MODES)
-    def test_event_error_surfaces_at_next_reply(self, mode, supervised):
+    def test_event_error_surfaces_at_next_reply(self, mode):
         net = build_net(
-            2, mode, supervised, factory=refusing_move_factory(),
+            2, mode, factory=refusing_move_factory(),
             retry_budget=1, backoff_base_s=0.0,
         )
         try:
@@ -196,7 +201,7 @@ class TestDeterministicBarrierFailure:
         # re-posted request fails the same way: raised, not retried
         # forever.
         net = build_net(
-            2, mode, True, factory=refusing_counts_factory(),
+            2, mode, factory=refusing_counts_factory(),
             retry_budget=1, backoff_base_s=0.0,
         )
         try:
@@ -210,15 +215,50 @@ class TestDeterministicBarrierFailure:
             net.close()
 
 
+class TestEveryShardedNetworkIsSupervised:
+    """Built with no supervision argument, a net still recovers."""
+
+    N_EPOCHS = 4
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_worker_killed_between_epochs_recovers(self, mode):
+        plain = make_net(cull_loss_db=CULL_DB)
+        net = make_sharded(2, mode=mode)
+        allowed, demands = all_on(plain)
+        digests = {"plain": [], "sharded": []}
+        try:
+            for epoch in range(self.N_EPOCHS):
+                for name, run in (("plain", plain), ("sharded", net)):
+                    result = run.run_epoch(epoch, allowed, demands)
+                    digests[name].append(epoch_digest(result))
+                    # A move per epoch, so the replay after the kill has
+                    # journaled events to re-apply as well as barriers.
+                    client = run.topology.clients[epoch]
+                    run.move_client(client.client_id, 150.0 * (epoch + 1), 900.0)
+                if epoch == 1:
+                    net.workers[1].kill()
+            stats = dict(net.supervisor.stats)
+        finally:
+            net.close()
+        assert digests["sharded"] == digests["plain"]
+        assert stats["crashes"] == 1 and stats["restarts"] == 1
+        assert stats["degraded"] == 0
+
+    def test_fault_free_sharded_cell_reports_supervision(self):
+        metrics = large_scale_saturated_cell(
+            2, 6, TECH_LTE, clients_per_ap=2, epochs=3, shards=2
+        )
+        supervision = metrics["shard_supervision"]
+        assert supervision["restarts"] == 0
+        assert supervision["crashes"] == supervision["hangs"] == 0
+
+
 class TestBarrierPhaseMethods:
     N_EPOCHS = 4
 
-    @pytest.mark.parametrize("supervised", [False, True])
     @pytest.mark.parametrize("mode", MODES)
-    def test_each_phase_method_runs_once_per_worker_per_epoch(
-        self, mode, supervised
-    ):
-        net = build_net(2, mode, supervised)
+    def test_each_phase_method_runs_once_per_worker_per_epoch(self, mode):
+        net = build_net(2, mode)
         calls = []
         try:
             for k, worker in enumerate(net.workers):
@@ -233,8 +273,7 @@ class TestBarrierPhaseMethods:
 
                     setattr(worker, name, counted)
             churn_run(net, self.N_EPOCHS)
-            if supervised:
-                assert net.supervisor.stats["restarts"] == 0
+            assert net.supervisor.stats["restarts"] == 0
         finally:
             net.close()
         for k in range(2):

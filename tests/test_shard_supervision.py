@@ -104,8 +104,9 @@ class TestFaultFreeSupervision:
         stats = net.supervisor.stats
         digests = supervised_digests(net)
         assert_digests_match(digests, reference_digests)
-        # One baseline snapshot at attach plus one every 2 of 8 epochs.
-        assert stats["snapshots"] == 1 + N_EPOCHS // 2
+        # One snapshot every 2 of 8 epochs; none at construction, where
+        # every worker is still the factory's build-time state.
+        assert stats["snapshots"] == N_EPOCHS // 2
         assert stats["restarts"] == 0
 
     def test_config_validation(self):
