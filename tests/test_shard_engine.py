@@ -6,7 +6,8 @@ This suite pins the consequences:
 
 * a failing event op is deferred in both transports, surfaces at the
   next op that replies, and is recorded as one ``worker-op-error`` event
-  per ``(shard, signature)`` -- inline or process;
+  per ``(shard, signature)`` -- inline or process, with an explicit
+  supervision config or the default one;
 * a degraded shard that fails the same request again is raised, never
   retried forever;
 * a network built with no supervision argument still recovers a killed
@@ -85,10 +86,15 @@ MODES = [
 MOVE_SIG = "move: ValueError: move refused"
 
 
-def build_net(n_shards, mode, factory=None, **config_kwargs):
+def build_net(n_shards, mode, factory=None, default_supervision=False,
+              **config_kwargs):
+    """A two-transport test net; ``default_supervision`` passes no config."""
     channel = make_channel()
     topology = make_topology(channel)
     config_kwargs.setdefault("phase_timeout_s", 30.0)
+    supervision = None if default_supervision else SupervisionConfig(
+        **config_kwargs
+    )
     return ShardedNetwork(
         topology,
         grid_partition(topology, n_shards),
@@ -96,7 +102,7 @@ def build_net(n_shards, mode, factory=None, **config_kwargs):
         RngStreams(SEED),
         ResourceGrid(5e6),
         mode=mode,
-        supervision=SupervisionConfig(**config_kwargs),
+        supervision=supervision,
     )
 
 
@@ -151,10 +157,12 @@ class TestOpTable:
 
 
 class TestOneFailureSurface:
+    @pytest.mark.parametrize("default_supervision", [False, True])
     @pytest.mark.parametrize("mode", MODES)
-    def test_event_error_surfaces_at_next_reply(self, mode):
+    def test_event_error_surfaces_at_next_reply(self, mode, default_supervision):
         net = build_net(
             2, mode, factory=refusing_move_factory(),
+            default_supervision=default_supervision,
             retry_budget=1, backoff_base_s=0.0,
         )
         try:
